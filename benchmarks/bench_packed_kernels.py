@@ -17,11 +17,14 @@ benchmark measures both against the implementations they replaced:
   leaf masking dispatches per-vertex through
   :mod:`repro.engine.kernels` (numba-jitted or C, ``auto``-selected)
   instead of the pure-Python loop.  Measured as push/pop walks over
-  every variable of a k-medoids-shaped *scalar* clustering workload
-  (guarded scalar readings, pairwise distance atoms, Boolean medoid
-  events — the paper's shape with 1-d points; vector c-values fall
-  back to the Python tier by design, so they cannot carry this
-  comparison).  The headline ``speedup_masked_kernel`` gates the
+  every variable of a k-medoids-shaped clustering workload over 1-d
+  readings (guarded scalar readings, pairwise distance atoms, Boolean
+  medoid events).  The 1-d shape predates the lane lowering and is
+  kept so the committed ratios stay comparable; it is no longer the
+  only clustering shape the kernel tier accepts — vector c-values are
+  lowered to scalar lanes at program construction, and the 2-d paper
+  workload is measured end to end by ``benchmarks/e2e``'s
+  ``shannon-deep``.  The headline ``speedup_masked_kernel`` gates the
   jit/native tier against the Python tier.  A full Shannon compile
   ratio is recorded as ungated context.
 
@@ -113,8 +116,8 @@ def scalar_clustering_workload(objects: int, seed: int = 0):
     Mirrors the paper's workload structure — per-object lineage events,
     guarded readings folded into cluster centroids, pairwise distance
     atoms deciding assignments, Boolean medoid events on top — with
-    scalar c-values throughout, so the masked kernel tier applies
-    (vector c-values are Python-tier only).
+    scalar c-values throughout (every tier would take vector readings
+    too; 1-d keeps the committed ratios comparable).
     """
     rng = random.Random(seed)
     pool = VariablePool()

@@ -7,7 +7,7 @@ fix routed every prefix replay through ``push(variable, value)``; this
 rule keeps it that way by flagging any assignment (or deletion) that
 targets a masked state column —
 
-    ``_b  _lo  _hi  _mu  _md  _resolved  _dirty  _vec  _assign``
+    ``_b  _lo  _hi  _mu  _md  _resolved  _dirty  _assign``
 
 or subscripts of an ``assignment`` attribute — outside the trail
 protocol (``__init__``/``push``/``pop``/``apply_patch``/``rewind_to``
@@ -31,7 +31,7 @@ from .core import Finding, FunctionStackVisitor, Rule, SourceFile, register_rule
 #: Masked-evaluator state columns (list storage in the Python evaluator,
 #: NumPy arrays in the kernel evaluator — same attribute names).
 COLUMNS = frozenset(
-    {"_b", "_lo", "_hi", "_mu", "_md", "_resolved", "_dirty", "_vec", "_assign"}
+    {"_b", "_lo", "_hi", "_mu", "_md", "_resolved", "_dirty", "_assign"}
 )
 
 #: The trail protocol: functions allowed to write columns anywhere.
@@ -43,7 +43,7 @@ PROTOCOL_FUNCTIONS = frozenset(
 #: (each trails its writes or is called exclusively under ``push``).
 IMPLEMENTATION_EXTRA = {
     "src/repro/engine/masked.py": frozenset(
-        {"_sweep_cone", "_recompute", "_write_num", "_write_num_scalar"}
+        {"_sweep_cone", "_recompute", "_write_num_scalar", "_restore_frame"}
     ),
     "src/repro/engine/kernels.py": frozenset({"_sweep_kernel"}),
 }

@@ -26,8 +26,8 @@ frames yield wire-compatible tuples).  Inside them, a tuple/list
 element that reads a state column (``_b``/``_lo``/``_hi``/``_mu``/
 ``_md`` attributes, or the bare ``b``/``lo``/``hi``/``mu``/``md`` slots
 of a frame) must be wrapped in ``int()``/``float()``/``bool()``.
-``_vec`` payloads are :class:`NumState` objects by design and are
-exempt.
+(Vector c-values are lowered to scalar lanes before evaluation, so
+these five columns are the whole wire format.)
 """
 
 from __future__ import annotations

@@ -106,9 +106,24 @@ def _parse_job_size(raw: str) -> "int | str":
         ) from None
 
 
+def _kernel_line(extra: dict) -> str:
+    """``kernel: <tier that ran>``, plus why any higher tier was rejected."""
+    from .engine.kernels import BACKEND_ERRORS, KERNEL_TIER_CODES
+
+    code = extra.get("kernel_tier")
+    tier = next(
+        (name for name, known in KERNEL_TIER_CODES.items() if known == code),
+        "not reported",  # bulk schemes and the scalar oracles record none
+    )
+    rejected = "; ".join(
+        f"{name}: {reason}" for name, reason in BACKEND_ERRORS.items()
+    )
+    return f"kernel: {tier}" + (f" ({rejected})" if rejected else "")
+
+
 def _cluster_details(extra: dict) -> str:
     """The ``--verbose`` report: stealing, pipelining, job sizing."""
-    lines = ["distributed run details:"]
+    lines = [_kernel_line(extra), "distributed run details:"]
     if "steals" in extra:
         lines.append(
             f"  steals: {extra['steals']:.0f}  "

@@ -199,11 +199,9 @@ class ShannonCompiler:
             evals=self.evaluator.evals - evals_before,
             max_depth=self._max_depth,
         )
-        tier = getattr(self.evaluator, "kernel", None)
-        if tier is not None:
-            from ..engine.kernels import KERNEL_TIER_CODES
+        from ..engine.kernels import record_kernel_tier
 
-            result.extra["kernel_tier"] = KERNEL_TIER_CODES.get(tier, -1.0)
+        record_kernel_tier(result.extra, self.evaluator)
         return result
 
     # ------------------------------------------------------------------

@@ -29,13 +29,16 @@ modes, however jobs are scheduled:
   *assignment-prefix deltas*: a ``rewind_to`` depth back to the common
   ancestor of the worker's applied prefix and the job's, the missing
   suffix of ``(variable, value)`` assignments, and (under
-  ``handoff="delta"`` with the masked engine) the matching **column
-  patches** — the trail slices recorded when the forking worker first
-  explored that prefix (:meth:`MaskedEvaluator.export_patch`).  Applying
-  a patch replays the forking worker's column writes verbatim instead of
-  re-sweeping variable cones, so evaluator state crosses the process
-  boundary as compact deltas, never whole columns.  Results stream back
-  as ``(bounds deltas, eval count, cost)`` records.
+  ``handoff="delta"`` with the masked engine on the Python kernel tier)
+  the matching **column patches** — the trail slices recorded when the
+  forking worker first explored that prefix
+  (:meth:`MaskedEvaluator.export_patch`).  Applying a patch replays the
+  forking worker's column writes verbatim instead of re-sweeping
+  variable cones, so evaluator state crosses the process boundary as
+  compact deltas, never whole columns.  On a compiled tier a cone
+  re-sweep is cheaper than exporting, pickling and applying its patch,
+  so no patches are captured and the suffix is pushed.  Results stream
+  back as ``(bounds deltas, eval count, cost)`` records.
 
 Each worker owns a **persistent evaluator** wrapped in a
 :class:`_PrefixCursor`: instead of replaying every job's assignment
@@ -893,6 +896,10 @@ class DistributedCompiler:
         result.extra["adaptive_job_size"] = 1.0 if self.adaptive else 0.0
         result.extra["delta_handoff"] = 1.0 if self.handoff == "delta" else 0.0
         result.extra["execution"] = _EXECUTION_CODES[execution]
+        # Workers build their evaluators from the same engine string.
+        from ..engine.kernels import record_kernel_tier
+
+        record_kernel_tier(result.extra, self._compiler.evaluator)
         if sizer is not None:
             result.extra["job_sizing"] = sizer.report()
         return result
@@ -1061,7 +1068,16 @@ class DistributedCompiler:
         program = None
         if isinstance(self._compiler.evaluator, MaskedEvaluator):
             program = masked_program(self.network)
-        capture = self.handoff == "delta" and program is not None
+        # Patches pay only where a sweep is dearer than a pickled write:
+        # on the Python tier applying a prefix's patch beats re-sweeping
+        # it ~2x, on a compiled tier re-sweeping beats export + pickle +
+        # apply ~3x (docs/BENCHMARKS.md) — there the delta handoff moves
+        # through the common ancestor and pushes the suffix.
+        capture = (
+            self.handoff == "delta"
+            and program is not None
+            and self._compiler.evaluator.kernel == "python"
+        )
         payload = _worker_payload(
             self.network,
             self.pool,

@@ -81,6 +81,21 @@ class _Num:
         return self.defined.reshape(self.defined.shape + (1,) * extra)
 
 
+def _per_world(left: np.ndarray, right: np.ndarray):
+    """Both operands at the same rank, so they broadcast world by world.
+
+    A scalar c-value is a ``(W,)`` column and a vector one ``(W, d)``;
+    NumPy aligns trailing axes, so the scalar side gains the missing
+    axes before the two meet in a sum or product.
+    """
+    extra = left.ndim - right.ndim
+    if extra > 0:
+        right = right.reshape(right.shape + (1,) * extra)
+    elif extra < 0:
+        left = left.reshape(left.shape + (1,) * -extra)
+    return left, right
+
+
 def _compare(op_code: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     if op_code == 0:
         holds = left <= right
@@ -192,7 +207,11 @@ class BulkEvaluator:
                 term: _Num = values[int(raw_child)]
                 defined = defined | term.defined
                 contribution = np.where(term.mask(), term.value, 0.0)
-                total = contribution if total is None else total + contribution
+                if total is None:
+                    total = contribution
+                else:
+                    total, contribution = _per_world(total, contribution)
+                    total = total + contribution
             if total is None:  # empty sum: undefined everywhere
                 return _Num(defined, np.zeros(worlds))
             return _Num(defined, total)
@@ -202,9 +221,11 @@ class BulkEvaluator:
             for raw_child in children:
                 factor: _Num = values[int(raw_child)]
                 defined = defined & factor.defined
-                product = (
-                    factor.value if product is None else product * factor.value
-                )
+                if product is None:
+                    product = factor.value
+                else:
+                    product, value = _per_world(product, factor.value)
+                    product = product * value
             if product is None:  # empty product is 1
                 return _Num(defined, np.ones(worlds))
             return _Num(defined, product)

@@ -117,17 +117,7 @@ class FlatNetwork:
         Parents of node ``i`` are ``indices[offsets[i]:offsets[i + 1]]``.
         """
         if self._parents is None:
-            count = len(self.kinds)
-            degrees = np.bincount(self.child_indices, minlength=count)
-            offsets = np.zeros(count + 1, dtype=np.int64)
-            np.cumsum(degrees, out=offsets[1:])
-            indices = np.empty(len(self.child_indices), dtype=np.int64)
-            cursor = offsets[:-1].copy()
-            for node_id in range(count):
-                for child in self.children(node_id):
-                    indices[cursor[child]] = node_id
-                    cursor[child] += 1
-            self._parents = (offsets, indices)
+            self._parents = parents_csr(self.child_offsets, self.child_indices)
         return self._parents
 
     def var_cone(self, var_index: int) -> np.ndarray:
@@ -209,14 +199,10 @@ class FoldedFlatIR:
         if cached is not None:
             return cached
         # Which loop inputs does each node feed (as an init/next node)?
-        feeds: Dict[int, List[int]] = {}
-        for slot in range(len(self.loop_in_ids)):
-            feeds.setdefault(int(self.init_ids[slot]), []).append(
-                int(self.loop_in_ids[slot])
-            )
-            feeds.setdefault(int(self.next_ids[slot]), []).append(
-                int(self.loop_in_ids[slot])
-            )
+        feeds = (
+            np.concatenate([self.init_ids, self.next_ids]),
+            np.concatenate([self.loop_in_ids, self.loop_in_ids]),
+        )
         cone = _upward_closure(self.flat, var_index, extra_edges=feeds)
         self._var_cones[var_index] = cone
         return cone
@@ -251,29 +237,58 @@ class FoldedFlatIR:
         return prefix_layer
 
 
+def parents_csr(
+    child_offsets: np.ndarray, child_indices: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Invert a CSR child adjacency: ``(offsets, indices)`` of the parents.
+
+    Edges are stored grouped by parent in id order, so a stable sort by
+    child lists every child's parents in id order (with multiplicity).
+    """
+    count = len(child_offsets) - 1
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(child_indices, minlength=count), out=offsets[1:])
+    owners = np.repeat(np.arange(count, dtype=np.int64), np.diff(child_offsets))
+    return offsets, owners[np.argsort(child_indices, kind="stable")]
+
+
+def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(s, s + c)`` for every ``(s, c)`` pair, concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - (ends - counts), counts) + np.arange(
+        total, dtype=np.int64
+    )
+
+
 def _upward_closure(
     flat: FlatNetwork,
     var_index: int,
-    extra_edges: "Dict[int, List[int]] | None" = None,
+    extra_edges: "Tuple[np.ndarray, np.ndarray] | None" = None,
 ) -> np.ndarray:
     """Nodes reachable upwards from a variable's VAR node(s), sorted.
 
-    ``extra_edges`` adds implicit successors per node (the folded IR's
-    init/next → loop-input edges) on top of the CSR parent adjacency.
+    ``extra_edges`` adds implicit ``(source, successor)`` edges (the
+    folded IR's init/next → loop-input edges) on top of the CSR parent
+    adjacency.  The closure advances one frontier at a time, gathering
+    the parents of a whole frontier with one fancy-indexed read.
     """
     offsets, indices = flat.parents()
     seen = np.zeros(len(flat.kinds), dtype=bool)
-    stack = [int(n) for n in np.flatnonzero(flat.var_index == var_index)]
-    while stack:
-        node_id = stack.pop()
-        if seen[node_id]:
-            continue
-        seen[node_id] = True
-        stack.extend(
-            int(p) for p in indices[offsets[node_id] : offsets[node_id + 1]]
-        )
+    frontier = np.flatnonzero(flat.var_index == var_index)
+    while len(frontier):
+        seen[frontier] = True
+        starts = offsets[frontier]
+        reached = indices[expand_ranges(starts, offsets[frontier + 1] - starts)]
         if extra_edges is not None:
-            stack.extend(extra_edges.get(node_id, ()))
+            sources, successors = extra_edges
+            reached = np.concatenate(
+                [reached, successors[np.isin(sources, frontier)]]
+            )
+        fresh = np.zeros(len(seen), dtype=bool)  # dedupes the next frontier
+        fresh[reached] = True
+        fresh &= ~seen
+        frontier = np.flatnonzero(fresh)
     return np.flatnonzero(seen)
 
 

@@ -29,10 +29,12 @@ scheme via ``make_evaluator(..., kernel=...)`` and ``repro cluster
 --kernel``): ``"auto"`` prefers numba, then native, then pure Python;
 naming an unavailable tier falls back down the same ladder.  The
 ``REPRO_KERNEL`` environment variable overrides the default (CI uses
-``REPRO_KERNEL=python`` for the fallback leg).  Networks the kernels
-cannot express (vector-valued c-values, negative ``POW`` exponents)
-raise :class:`KernelUnsupportedError` and silently get the Python
-evaluator.
+``REPRO_KERNEL=python`` for the fallback leg).  The tier never depends
+on the network: :func:`repro.engine.masked.masked_program` lowers
+vector-valued c-values to scalar lanes and negative ``POW`` exponents to
+``INV(POW)``, so every network — k-medoids and k-means over feature
+vectors included — is a program over the scalar columns the kernels
+sweep.
 
 The shared library also carries ``packed_eval``, the word-wise segment
 kernel behind the bit-packed bulk evaluator (:mod:`repro.engine.packed`).
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import shlex
 import subprocess
@@ -58,7 +61,6 @@ from .masked import (
     _TAG_NUM,
     MaskedEvaluator,
     MaskedProgram,
-    masked_program,
 )
 
 _K_TRUE = int(Kind.TRUE)
@@ -102,8 +104,14 @@ KERNEL_TIER_CODES: Dict[str, float] = {
 }
 
 
-class KernelUnsupportedError(Exception):
-    """The network uses features the compiled kernels cannot express."""
+def record_kernel_tier(extra: Dict[str, object], evaluator) -> None:
+    """Note in a result's ``extra`` which tier drove ``evaluator``.
+
+    A no-op for evaluators without a tier (the scalar oracles).
+    """
+    tier = getattr(evaluator, "kernel", None)
+    if tier is not None:
+        extra["kernel_tier"] = KERNEL_TIER_CODES.get(tier, -1.0)
 
 
 # ----------------------------------------------------------------------
@@ -206,45 +214,55 @@ def _masked_sweep(
                     else:
                         new = B_FALSE
                 elif kind == _K_ATOM:
-                    lft = child_idx[c0]
-                    rgt = child_idx[c0 + 1]
-                    if md[lft] == 0 or md[rgt] == 0:
-                        new = B_TRUE
-                    else:
-                        op = atom_op[vid]
+                    # Interleaved lane pairs (one pair for scalars).
+                    op = atom_op[vid]
+                    a_md = 1
+                    a_mu = 0
+                    always = True
+                    never = True
+                    above = True
+                    for e in range(c0, c1, 2):
+                        lft = child_idx[e]
+                        rgt = child_idx[e + 1]
+                        if md[lft] == 0 or md[rgt] == 0:
+                            a_md = 0
+                            break
+                        if mu[lft] != 0 or mu[rgt] != 0:
+                            a_mu = 1
                         llo = lo[lft]
                         lhi = hi[lft]
                         rlo = lo[rgt]
                         rhi = hi[rgt]
-                        always = False
-                        never = False
                         if op == 0:  # <=
-                            always = lhi <= rlo
-                            never = rhi < llo
+                            always = always and lhi <= rlo
+                            never = never and rhi < llo
                         elif op == 1:  # <
-                            always = lhi < rlo
-                            never = rhi <= llo
+                            always = always and lhi < rlo
+                            never = never and rhi <= llo
                         elif op == 2:  # >=
-                            always = rhi <= llo
-                            never = lhi < rlo
+                            always = always and rhi <= llo
+                            never = never and lhi < rlo
                         elif op == 3:  # >
-                            always = rhi < llo
-                            never = lhi <= rlo
+                            always = always and rhi < llo
+                            never = never and lhi <= rlo
                         else:  # ==
                             always = (
-                                mu[lft] == 0
-                                and mu[rgt] == 0
+                                always
                                 and llo == lhi
                                 and rlo == rhi
                                 and llo == rlo
                             )
-                            never = lhi < rlo or rhi < llo
-                        if always:
-                            new = B_TRUE
-                        elif never and mu[lft] == 0 and mu[rgt] == 0:
-                            new = B_FALSE
-                        else:
-                            new = B_UNKNOWN
+                            never = never and lhi < rlo
+                            above = above and rhi < llo
+                    if op == 4:
+                        always = always and a_mu == 0
+                        never = never or above
+                    if a_md == 0 or always:
+                        new = B_TRUE
+                    elif never and a_mu == 0:
+                        new = B_FALSE
+                    else:
+                        new = B_UNKNOWN
                 elif kind == _K_TRUE:
                     new = B_TRUE
                 elif kind == _K_FALSE:
@@ -433,7 +451,7 @@ def _masked_sweep(
                             nmu = 1
                             nmd = 1
                 elif kind == _K_POW:
-                    exp = pow_exp[vid]  # >= 0: negative gated at build
+                    exp = pow_exp[vid]  # >= 0: negative lowered to INV
                     ch = child_idx[c0]
                     if md[ch] != 0:
                         c_lo = lo[ch]
@@ -454,13 +472,21 @@ def _masked_sweep(
                         nmu = mu[ch]
                         nmd = 1
                 elif kind == _K_DIST:
-                    lft = child_idx[c0]
-                    rgt = child_idx[c0 + 1]
-                    if mu[lft] != 0 or mu[rgt] != 0:
-                        d_mu = 1
-                    else:
-                        d_mu = 0
-                    if md[lft] != 0 and md[rgt] != 0:
+                    # Interleaved lane pairs, reduced left to right; one
+                    # pair (scalar operands) is the lane itself, bit for bit.
+                    wide = c1 - c0 > 2
+                    d_mu = 0
+                    d_md = 1
+                    acc_lo = 0.0
+                    acc_hi = 0.0
+                    for e in range(c0, c1, 2):
+                        lft = child_idx[e]
+                        rgt = child_idx[e + 1]
+                        if mu[lft] != 0 or mu[rgt] != 0:
+                            d_mu = 1
+                        if md[lft] == 0 or md[rgt] == 0:
+                            d_md = 0
+                            break
                         diff_lo = lo[lft] - hi[rgt]
                         diff_hi = hi[lft] - lo[rgt]
                         a1 = -diff_lo if diff_lo < 0.0 else diff_lo
@@ -470,12 +496,22 @@ def _masked_sweep(
                         else:
                             abs_lo = a1 if a1 <= a2 else a2
                         abs_hi = a1 if a1 >= a2 else a2
-                        if metric[vid] == 1:  # sqeuclidean
-                            nlo = abs_lo * abs_lo
-                            nhi = abs_hi * abs_hi
-                        else:  # euclidean == manhattan on scalars
-                            nlo = abs_lo
-                            nhi = abs_hi
+                        # sqeuclidean; euclidean == manhattan on scalars
+                        if metric[vid] == 1 or (wide and metric[vid] == 0):
+                            abs_lo = abs_lo * abs_lo
+                            abs_hi = abs_hi * abs_hi
+                        if wide:
+                            acc_lo += abs_lo
+                            acc_hi += abs_hi
+                        else:
+                            acc_lo = abs_lo
+                            acc_hi = abs_hi
+                    if d_md != 0:
+                        if wide and metric[vid] == 0:
+                            acc_lo = math.sqrt(acc_lo)
+                            acc_hi = math.sqrt(acc_hi)
+                        nlo = acc_lo
+                        nhi = acc_hi
                         nmu = d_mu
                         nmd = 1
                 else:  # LOOP_IN copy
@@ -657,28 +693,42 @@ int64_t masked_sweep(
                     int8_t v = b[child_idx[c0]];
                     nw = (v == B_U) ? B_U : (v == B_F ? B_T : B_F);
                 }} else if (kind == K_ATOM) {{
-                    int64_t lft = child_idx[c0];
-                    int64_t rgt = child_idx[c0 + 1];
-                    if (!md[lft] || !md[rgt]) {{
-                        nw = B_T;
-                    }} else {{
-                        int64_t op = atom_op[vid];
+                    int64_t op = atom_op[vid];
+                    int a_md = 1, a_mu = 0;
+                    int always = 1, never = 1, above = 1;
+                    for (int64_t e = c0; e < c1; e += 2) {{
+                        int64_t lft = child_idx[e];
+                        int64_t rgt = child_idx[e + 1];
+                        if (!md[lft] || !md[rgt]) {{ a_md = 0; break; }}
+                        if (mu[lft] || mu[rgt]) a_mu = 1;
                         double llo = lo[lft], lhi = hi[lft];
                         double rlo = lo[rgt], rhi = hi[rgt];
-                        int always = 0, never = 0;
-                        if (op == 0) {{ always = lhi <= rlo; never = rhi < llo; }}
-                        else if (op == 1) {{ always = lhi < rlo; never = rhi <= llo; }}
-                        else if (op == 2) {{ always = rhi <= llo; never = lhi < rlo; }}
-                        else if (op == 3) {{ always = rhi < llo; never = lhi <= rlo; }}
-                        else {{
-                            always = !mu[lft] && !mu[rgt] && llo == lhi
+                        if (op == 0) {{
+                            always = always && lhi <= rlo;
+                            never = never && rhi < llo;
+                        }} else if (op == 1) {{
+                            always = always && lhi < rlo;
+                            never = never && rhi <= llo;
+                        }} else if (op == 2) {{
+                            always = always && rhi <= llo;
+                            never = never && lhi < rlo;
+                        }} else if (op == 3) {{
+                            always = always && rhi < llo;
+                            never = never && lhi <= rlo;
+                        }} else {{
+                            always = always && llo == lhi
                                 && rlo == rhi && llo == rlo;
-                            never = lhi < rlo || rhi < llo;
+                            never = never && lhi < rlo;
+                            above = above && rhi < llo;
                         }}
-                        if (always) nw = B_T;
-                        else if (never && !mu[lft] && !mu[rgt]) nw = B_F;
-                        else nw = B_U;
                     }}
+                    if (op == 4) {{
+                        always = always && !a_mu;
+                        never = never || above;
+                    }}
+                    if (!a_md || always) nw = B_T;
+                    else if (never && !a_mu) nw = B_F;
+                    else nw = B_U;
                 }} else if (kind == K_TRUE) {{
                     nw = B_T;
                 }} else if (kind == K_FALSE) {{
@@ -809,10 +859,14 @@ int64_t masked_sweep(
                         nmu = mu[ch]; nmd = 1;
                     }}
                 }} else if (kind == K_DIST) {{
-                    int64_t lft = child_idx[c0];
-                    int64_t rgt = child_idx[c0 + 1];
-                    int d_mu = (mu[lft] || mu[rgt]) ? 1 : 0;
-                    if (md[lft] && md[rgt]) {{
+                    int wide = c1 - c0 > 2;
+                    int d_mu = 0, d_md = 1;
+                    double acc_lo = 0.0, acc_hi = 0.0;
+                    for (int64_t e = c0; e < c1; e += 2) {{
+                        int64_t lft = child_idx[e];
+                        int64_t rgt = child_idx[e + 1];
+                        if (mu[lft] || mu[rgt]) d_mu = 1;
+                        if (!md[lft] || !md[rgt]) {{ d_md = 0; break; }}
                         double diff_lo = lo[lft] - hi[rgt];
                         double diff_hi = hi[lft] - lo[rgt];
                         double a1 = diff_lo < 0.0 ? -diff_lo : diff_lo;
@@ -821,12 +875,18 @@ int64_t masked_sweep(
                         if (diff_lo <= 0.0 && 0.0 <= diff_hi) abs_lo = 0.0;
                         else abs_lo = a1 <= a2 ? a1 : a2;
                         double abs_hi = a1 >= a2 ? a1 : a2;
-                        if (metric[vid] == 1) {{
-                            nlo = abs_lo * abs_lo; nhi = abs_hi * abs_hi;
-                        }} else {{
-                            nlo = abs_lo; nhi = abs_hi;
+                        if (metric[vid] == 1 || (wide && metric[vid] == 0)) {{
+                            abs_lo = abs_lo * abs_lo;
+                            abs_hi = abs_hi * abs_hi;
                         }}
-                        nmu = d_mu; nmd = 1;
+                        if (wide) {{ acc_lo += abs_lo; acc_hi += abs_hi; }}
+                        else {{ acc_lo = abs_lo; acc_hi = abs_hi; }}
+                    }}
+                    if (d_md) {{
+                        if (wide && metric[vid] == 0) {{
+                            acc_lo = sqrt(acc_lo); acc_hi = sqrt(acc_hi);
+                        }}
+                        nlo = acc_lo; nhi = acc_hi; nmu = d_mu; nmd = 1;
                     }}
                 }} else {{
                     int64_t ch = child_idx[c0];
@@ -1064,7 +1124,9 @@ _BACKEND_CACHE: Dict[str, Optional[_Backend]] = {}
 def _validate_backend(backend: _Backend) -> bool:
     """Drive a canned walk against the Python evaluator; True on parity."""
     # Deferred: building networks pulls in packages that import this one.
-    from ..events.expressions import atom, conj, disj, guard, negate, var
+    from ..events.expressions import (
+        atom, cdist, conj, csum, disj, guard, negate, var,
+    )
     from ..network.build import build_targets
 
     try:
@@ -1075,23 +1137,35 @@ def _validate_backend(backend: _Backend) -> bool:
                 guard(var(0), 1.0) + guard(var(1), 2.0),
                 guard(disj([var(1), var(2)]), 2.5),
             ),
+            # Vector c-values: lane-wise SUM feeding an n-ary lane DIST.
+            "v": atom(
+                "<=",
+                cdist(
+                    guard(negate(var(2)), [0.5, 0.25, 2.0]),
+                    csum([
+                        guard(var(0), [1.0, 0.0, 0.5]),
+                        guard(var(1), [0.0, 1.0, 0.5]),
+                    ]),
+                ),
+                guard(disj([var(0), var(2)]), 1.25),
+            ),
         }
         network = build_targets(events)
         oracle = MaskedEvaluator(network)
         candidate = KernelMaskedEvaluator(network, backend)
 
         def _norm(state):
-            if isinstance(state, NumState):
-                if not state.may_def:
-                    return ("num", None, None, bool(state.may_u), False)
-                return (
-                    "num",
-                    float(state.lo),
-                    float(state.hi),
-                    bool(state.may_u),
-                    True,
-                )
-            return ("bool", int(state))
+            if not isinstance(state, NumState):
+                return ("bool", int(state))
+            if not state.may_def:
+                return ("num", None, None, bool(state.may_u), False)
+            return (
+                "num",
+                np.asarray(state.lo).tolist(),
+                np.asarray(state.hi).tolist(),
+                bool(state.may_u),
+                True,
+            )
 
         nodes = range(len(network.nodes))
         baseline = [_norm(candidate._state_of(n)) for n in nodes]
@@ -1105,23 +1179,10 @@ def _validate_backend(backend: _Backend) -> bool:
             else:
                 oracle.push(variable, value)
                 candidate.push(variable, value)
-            for node_id in range(len(network.nodes)):
-                left = oracle.node_state(node_id)
-                right = candidate.node_state(node_id)
-                if isinstance(left, NumState) != isinstance(right, NumState):
-                    return False
-                if isinstance(left, NumState):
-                    same = (
-                        bool(left.may_def) == bool(right.may_def)
-                        and bool(left.may_u) == bool(right.may_u)
-                        and (
-                            not left.may_def
-                            or (left.lo == right.lo and left.hi == right.hi)
-                        )
-                    )
-                else:
-                    same = int(left) == int(right)
-                if not same:
+            for node_id in nodes:
+                if _norm(oracle.node_state(node_id)) != _norm(
+                    candidate.node_state(node_id)
+                ):
                     return False
         candidate.rewind_to(0)
         if [_norm(candidate._state_of(n)) for n in nodes] != baseline:
@@ -1144,8 +1205,6 @@ def _validate_backend(backend: _Backend) -> bool:
         expected[4] = expected[2] | expected[3]
         backend.run_packed(ops, out, arg_off, arg_idx, base, tail)
         return bool(np.array_equal(base, expected))
-    except KernelUnsupportedError:
-        return False
     except Exception:
         return False
 
@@ -1207,9 +1266,6 @@ def _kernel_program(program: MaskedProgram) -> Dict[str, np.ndarray]:
     if cached is not None:
         return cached
     par_off, par_idx = program.parents_csr()
-    guard_val = np.zeros(len(program), dtype=np.float64)
-    for vid, value in program.guard_values.items():
-        guard_val[vid] = float(value)
     cached = {
         "kinds": np.ascontiguousarray(program.kinds, dtype=np.int64),
         "var_index": np.ascontiguousarray(program.var_index, dtype=np.int64),
@@ -1221,27 +1277,22 @@ def _kernel_program(program: MaskedProgram) -> Dict[str, np.ndarray]:
         "par_off": np.ascontiguousarray(par_off, dtype=np.int64),
         "par_idx": np.ascontiguousarray(par_idx, dtype=np.int64),
         "is_bool": np.ascontiguousarray(program.is_bool, dtype=np.uint8),
-        "guard_val": guard_val,
+        "guard_val": np.ascontiguousarray(program.guard_value, dtype=np.float64),
     }
     program._kernel_cache = cached
     return cached
 
 
-def _check_supported(program: MaskedProgram) -> None:
-    if bool(program.is_vec.any()):
-        raise KernelUnsupportedError(
-            "vector-valued c-values need the exact-object path"
-        )
-    pow_vertices = program.kinds == _K_POW
-    if bool(np.any(program.pow_exponent[pow_vertices] < 0)):
-        raise KernelUnsupportedError(
-            "negative POW exponents need the exact-object path"
-        )
-
-
 # ----------------------------------------------------------------------
 # The kernel-backed evaluator
 # ----------------------------------------------------------------------
+
+
+def _sweep_arrays(seeds: np.ndarray, cone: np.ndarray) -> tuple:
+    """One sweep's ``(seeds, cone)`` plus their raw pointers and lengths."""
+    return (
+        seeds, cone, seeds.ctypes.data, len(seeds), cone.ctypes.data, len(cone)
+    )
 
 
 class _KFrame:
@@ -1315,19 +1366,16 @@ class KernelMaskedEvaluator(MaskedEvaluator):
     """
 
     def __init__(self, network: EventNetwork, backend: _Backend) -> None:
-        program = masked_program(network)
-        _check_supported(program)
-        super().__init__(network)
+        program = self._bind(network)
         self._backend = backend
         self.kernel = backend.name
         size = len(program)
-        # Promote the columns: same attribute names, array storage.
-        self._b = np.asarray(self._b, dtype=np.int8)
-        self._lo = np.asarray(self._lo, dtype=np.float64)
-        self._hi = np.asarray(self._hi, dtype=np.float64)
-        self._mu = np.asarray(self._mu, dtype=np.uint8)
-        self._md = np.asarray(self._md, dtype=np.uint8)
-        self._resolved = np.asarray(self._resolved, dtype=np.uint8)
+        self._b = np.full(size, B_UNKNOWN, dtype=np.int8)
+        self._lo = np.full(size, _NAN, dtype=np.float64)
+        self._hi = np.full(size, _NAN, dtype=np.float64)
+        self._mu = np.zeros(size, dtype=np.uint8)
+        self._md = np.zeros(size, dtype=np.uint8)
+        self._resolved = np.zeros(size, dtype=np.uint8)
         self._dirty = np.zeros(size, dtype=np.uint8)
         max_var = (
             int(program.var_index.max()) if program.var_index.size else -1
@@ -1362,50 +1410,39 @@ class KernelMaskedEvaluator(MaskedEvaluator):
         # Per-variable (seeds, cone) arrays — and their raw pointers for
         # the native tier — cached across pushes.
         self._var_cache: Dict[int, tuple] = {}
+        # Baseline sweep under the empty assignment, through the backend:
+        # every vertex seeded, the whole vertex space as the cone, the
+        # trail discarded.  Everything resolved here stays resolved.
+        everything = np.arange(size, dtype=np.int64)
+        self._sweep_kernel(_sweep_arrays(everything, everything))
 
     # -- sweeping through the backend -----------------------------------
 
     def _var_arrays(self, var_index: int) -> tuple:
         cached = self._var_cache.get(var_index)
         if cached is None:
-            seeds = np.asarray(
-                self._prog.var_vertices(var_index), dtype=np.int64
-            )
-            cone = np.ascontiguousarray(
-                self._prog.var_cone(var_index), dtype=np.int64
-            )
-            cached = (
-                seeds, cone, seeds.ctypes.data, len(seeds),
-                cone.ctypes.data, len(cone),
+            cached = _sweep_arrays(
+                np.asarray(self._prog.var_vertices(var_index), dtype=np.int64),
+                np.ascontiguousarray(
+                    self._prog.var_cone(var_index), dtype=np.int64
+                ),
             )
             self._var_cache[var_index] = cached
         return cached
 
-    def _sweep_kernel(self, var_index: int) -> _KFrame:
-        seeds, cone, seeds_ptr, n_seeds, cone_ptr, n_cone = self._var_arrays(
-            var_index
-        )
+    def _sweep_kernel(self, arrays: tuple) -> int:
+        """One backend sweep; returns how many trail entries it wrote."""
+        seeds, cone, seeds_ptr, n_seeds, cone_ptr, n_cone = arrays
         backend = self._backend
         if backend.sweep_c is not None:
-            n = int(
-                backend.sweep_c(
-                    seeds_ptr, n_seeds, cone_ptr, n_cone, *self._c_args
-                )
+            n = backend.sweep_c(
+                seeds_ptr, n_seeds, cone_ptr, n_cone, *self._c_args
             )
-            self.evals += int(self._evals_out[0])
+            evals = self._evals_out[0]
         else:
             n, evals = backend.sweep_py(seeds, cone, *self._py_args)
-            n = int(n)
-            self.evals += int(evals)
-        return _KFrame(
-            self._t_tag[:n].copy(),
-            self._t_vid[:n].copy(),
-            self._t_b[:n].copy(),
-            self._t_lo[:n].copy(),
-            self._t_hi[:n].copy(),
-            self._t_mu[:n].copy(),
-            self._t_md[:n].copy(),
-        )
+        self.evals += int(evals)
+        return int(n)
 
     # -- trail protocol overrides ---------------------------------------
 
@@ -1420,37 +1457,30 @@ class KernelMaskedEvaluator(MaskedEvaluator):
             # Variables without VAR vertices never reach the kernel.
             self._assign[var_index] = 1 if value else 0
         self._frame_vars.append(var_index)
-        self._frames.append(self._sweep_kernel(var_index))
+        n = self._sweep_kernel(self._var_arrays(var_index))
+        self._frames.append(
+            _KFrame(
+                self._t_tag[:n].copy(),
+                self._t_vid[:n].copy(),
+                self._t_b[:n].copy(),
+                self._t_lo[:n].copy(),
+                self._t_hi[:n].copy(),
+                self._t_mu[:n].copy(),
+                self._t_md[:n].copy(),
+            )
+        )
 
     def pop(self, var_index: Optional[int] = None) -> None:
-        recorded = self._frame_vars.pop()
-        if var_index is not None and var_index != recorded:
-            self._frame_vars.append(recorded)
-            raise ValueError(
-                f"pop({var_index}) does not match the frame's "
-                f"variable {recorded!r}"
-            )
-        self._resolved_version += 1
-        frame = self._frames.pop()
+        recorded = self._frame_vars[-1]
+        super().pop(var_index)
+        if recorded is not None and 0 <= recorded < self._assign.shape[0]:
+            self._assign[recorded] = -1
+
+    def _restore_frame(self, frame) -> None:
         if isinstance(frame, _KFrame):
             frame.restore(self)
-        else:
-            # Frames written by apply_patch use the list representation.
-            for entry in reversed(frame):
-                tag = entry[0]
-                vid = entry[1]
-                if tag == _TAG_BOOL:
-                    self._b[vid] = entry[2]
-                else:
-                    self._lo[vid] = entry[2]
-                    self._hi[vid] = entry[3]
-                    self._mu[vid] = entry[4]
-                    self._md[vid] = entry[5]
-                self._resolved[vid] = 0
-        if recorded is not None:
-            del self.assignment[recorded]
-            if 0 <= recorded < self._assign.shape[0]:
-                self._assign[recorded] = -1
+        else:  # frames written by apply_patch use the list representation
+            super()._restore_frame(frame)
 
     def apply_patch(self, frames) -> None:
         super().apply_patch(frames)
@@ -1461,21 +1491,6 @@ class KernelMaskedEvaluator(MaskedEvaluator):
     # ``export_patch`` is inherited: the base walk normalises everything
     # through ``_plain_values``, so NumPy columns never leak into the wire
     # format.
-
-    # -- compiler interface ---------------------------------------------
-
-    def _state_of(self, node_id: int):
-        vid = self._final[node_id]
-        if self._is_bool[vid]:
-            return int(self._b[vid])
-        if not self._md[vid]:
-            return NumState.undefined()
-        return NumState(
-            float(self._lo[vid]),
-            float(self._hi[vid]),
-            bool(self._mu[vid]),
-            True,
-        )
 
 
 _warned_unknown_kernel = False
@@ -1545,21 +1560,16 @@ def make_masked_evaluator(
 ) -> MaskedEvaluator:
     """A masked evaluator driven by the requested kernel tier.
 
-    ``kernel=None`` uses :func:`default_kernel`; unavailable tiers and
-    unsupported networks fall back to the Python evaluator, so this
-    always succeeds whenever :class:`MaskedEvaluator` itself would.
+    ``kernel=None`` uses :func:`default_kernel`.  The Python evaluator
+    is returned only when it is asked for or no compiled backend is
+    live — never because of the network, which every tier evaluates.
     """
     name = kernel if kernel is not None else default_kernel()
     if name not in KERNEL_NAMES:
         raise ValueError(
             f"unknown kernel {name!r}; expected one of {KERNEL_NAMES}"
         )
-    if name == "python":
-        return MaskedEvaluator(network)
     backend = get_backend(name)
     if backend is None:
         return MaskedEvaluator(network)
-    try:
-        return KernelMaskedEvaluator(network, backend)
-    except KernelUnsupportedError:
-        return MaskedEvaluator(network)
+    return KernelMaskedEvaluator(network, backend)

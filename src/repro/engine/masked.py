@@ -12,8 +12,7 @@ This module answers it with columns over the flat IR instead:
 * Boolean nodes live in one ``int8`` column of three-valued states
   (``B_FALSE`` / ``B_TRUE`` / ``B_UNKNOWN``);
 * numeric nodes live in ``float64`` ``lo``/``hi`` interval columns plus
-  ``may_u``/``may_def`` bit columns (vector-valued c-values keep exact
-  :class:`~repro.compile.partial.NumState` objects on a side map);
+  ``may_u``/``may_def`` bit columns;
 * a ``resolved`` bit column marks states that can no longer change
   under any extension of the assignment — the paper's mask ``M``.
 
@@ -33,6 +32,17 @@ each loop-dependent node owns one column row per iteration (the matrix
 init/next vertex of the neighbouring row, and the loop-independent
 prefix is shared across rows.  The unrolled program is cached on the
 network, like the flat IR itself.
+
+Vector-valued c-values (the feature vectors k-medoids and k-means
+cluster) are a property of *program construction*, not a second
+evaluation path: :func:`_lower_lanes` expands a vector vertex of width
+``d`` into ``d`` scalar *lane* vertices over the same columns and splits
+``POW(x, -n)`` into ``INV(POW(x, n))``.  Every tier (this module's
+list-column sweep and the compiled sweeps of
+:mod:`repro.engine.kernels`) runs that one scalar program; only the
+node-granular readers (:meth:`MaskedEvaluator.node_state`, the
+unresolved counts behind the variable orderings) know a node may own
+several lanes.
 """
 
 from __future__ import annotations
@@ -50,22 +60,18 @@ from ..compile.partial import (
     B_UNKNOWN,
     NumState,
     State,
-    atom_state,
-    num_add,
-    num_inv,
-    num_mul,
-    num_pow,
 )
 from ..network.folded import FoldedNetwork
 from ..network.nodes import EventNetwork, Kind
 from .ir import (
-    ATOM_OPS,
     BOOL_KIND_CODES,
     FlatNetwork,
     FoldedFlatIR,
     UnsupportedNetworkError,
+    expand_ranges,
     flatten,
     flatten_folded,
+    parents_csr,
 )
 
 _K_TRUE = int(Kind.TRUE)
@@ -89,7 +95,6 @@ _BOOL_KIND_CODES = BOOL_KIND_CODES
 # Trail entry tags: which columns an undo record restores.
 _TAG_BOOL = 0
 _TAG_NUM = 1
-_TAG_VEC = 2
 
 _NAN = math.nan
 _INF = math.inf
@@ -103,19 +108,16 @@ def _plain_values(tag: int, values: tuple) -> tuple:
     Kernel evaluators store columns as NumPy arrays, so trail entries can
     carry NumPy scalars; everything :meth:`MaskedEvaluator.export_patch`
     emits is normalised through here so patches pickle identically across
-    tiers (VEC payloads are :class:`NumState` objects by design and pass
-    through unchanged).
+    tiers.
     """
     if tag == _TAG_BOOL:
         return (int(values[0]),)
-    if tag == _TAG_NUM:
-        return (
-            float(values[0]),
-            float(values[1]),
-            bool(values[2]),
-            bool(values[3]),
-        )
-    return values
+    return (
+        float(values[0]),
+        float(values[1]),
+        bool(values[2]),
+        bool(values[3]),
+    )
 
 
 def patch_wire_size(frames: Sequence[tuple]) -> int:
@@ -163,20 +165,43 @@ def patch_is_plain(frames: Sequence[tuple]) -> bool:
                     return False
                 if type(payload[3]) is not bool:
                     return False
+            else:
+                return False
     return True
+
+
+def _csr_rows(offsets: np.ndarray, indices: np.ndarray) -> List[Tuple[int, ...]]:
+    """A CSR adjacency as one tuple per row (plain ints, for the hot loop).
+
+    Rows share one ``int`` object per vertex id instead of holding a
+    fresh one per edge (``tolist`` boxes every element separately):
+    ~2 MiB on the 16 000-row k-medoids program, the difference between
+    +2.9 % and +5.2 % ``peak_rss_mb`` on the ``whatif-walk`` benchmark.
+    """
+    bounds = offsets.tolist()
+    ids = list(range(len(bounds) - 1))
+    flat = list(map(ids.__getitem__, indices.tolist()))
+    return [
+        tuple(flat[bounds[row] : bounds[row + 1]])
+        for row in range(len(bounds) - 1)
+    ]
 
 
 @dataclass
 class MaskedProgram:
     """A network unrolled into the vertex space of the masked columns.
 
-    For flat networks this is the identity view of the
+    Every vertex is Boolean- or *scalar*-valued.  A flat network of
+    scalar c-values is the identity view of the
     :class:`~repro.engine.ir.FlatNetwork` arrays (one vertex per node).
     For folded networks, loop-independent nodes keep one vertex while
     loop-dependent nodes get one vertex per iteration; loop-input
     vertices carry a single operand — the init/next vertex they copy
     from — so one topological sweep of the vertex space evaluates the
-    whole ``M[t][v]`` mask matrix.
+    whole ``M[t][v]`` mask matrix.  On top of either, a vector-valued
+    node of width ``d`` owns ``d`` consecutive *lane* vertices
+    (:func:`_lower_lanes`): ``final_vertex`` names the first and
+    ``node_width`` the extent.
     """
 
     kinds: np.ndarray  # (M,) int16 — Kind codes (LOOP_IN = copy)
@@ -184,24 +209,26 @@ class MaskedProgram:
     child_indices: np.ndarray  # (E,) int64 — operand vertex ids
     var_index: np.ndarray  # (M,) int64 — pool index for VAR vertices
     atom_op: np.ndarray  # (M,) int8
-    pow_exponent: np.ndarray  # (M,) int64
+    pow_exponent: np.ndarray  # (M,) int64 — never negative
     dist_metric: np.ndarray  # (M,) int8
-    guard_values: Dict[int, object]  # vertex -> constant
+    guard_value: np.ndarray  # (M,) float64 — constant of GUARD vertices
     is_bool: np.ndarray  # (M,) bool — Boolean-valued vertex
-    is_vec: np.ndarray  # (M,) bool — vector-valued c-value vertex
-    final_vertex: np.ndarray  # (N,) int64 — node's vertex at the last iteration
+    final_vertex: np.ndarray  # (N,) int64 — node's first lane at the last iteration
+    node_width: np.ndarray  # (N,) int64 — lanes of a vector node, 0 = scalar/Boolean
     cone_source: object  # FlatNetwork or FoldedFlatIR (owns node-id cones)
-    _cones: Dict[int, np.ndarray] = field(default_factory=dict)
-    _final_cones: Dict[int, np.ndarray] = field(default_factory=dict)
-    # Folded only: per original node, the vertex ids of its rows.
+    # Folded only: per original node, its rows before lane expansion.
     _node_rows: "List[np.ndarray] | None" = None
+    # Pre-expansion vertex w owns vertices [_lane_offsets[w],
+    # _lane_offsets[w + 1]); None when no vertex was expanded.
+    _lane_offsets: "np.ndarray | None" = None
+    _cones: Dict[int, np.ndarray] = field(default_factory=dict)
+    _final_cones: Dict[int, tuple] = field(default_factory=dict)
 
     # Hot-loop views (plain Python containers: per-element indexing of
     # NumPy arrays boxes a scalar per read, which dominates the sweep).
     _py_children: "List[Tuple[int, ...]] | None" = None
     _py_parents: "List[Tuple[int, ...]] | None" = None
     _parents_csr: "Tuple[np.ndarray, np.ndarray] | None" = None
-    _py_kinds: "List[int] | None" = None
     _var_vertices: Dict[int, List[int]] = field(default_factory=dict)
     _py_cones: Dict[int, List[int]] = field(default_factory=dict)
 
@@ -215,54 +242,30 @@ class MaskedProgram:
 
     def py_children(self) -> List[Tuple[int, ...]]:
         if self._py_children is None:
-            offsets = self.child_offsets.tolist()
-            indices = self.child_indices.tolist()
-            self._py_children = [
-                tuple(indices[offsets[v] : offsets[v + 1]])
-                for v in range(len(self.kinds))
-            ]
+            self._py_children = _csr_rows(self.child_offsets, self.child_indices)
         return self._py_children
 
     def py_parents(self) -> List[Tuple[int, ...]]:
         if self._py_parents is None:
-            lists: List[List[int]] = [[] for _ in range(len(self.kinds))]
-            for vertex, children in enumerate(self.py_children()):
-                for child in children:
-                    lists[child].append(vertex)
-            self._py_parents = [tuple(parents) for parents in lists]
+            self._py_parents = _csr_rows(*self.parents_csr())
         return self._py_parents
 
     def parents_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """CSR parent adjacency over the vertex space (cached).
 
-        The dense twin of :meth:`py_parents`, consumed by the kernel
-        tier (:mod:`repro.engine.kernels`): parents of vertex ``v`` are
-        ``indices[offsets[v]:offsets[v + 1]]``.
+        Parents of vertex ``v`` are ``indices[offsets[v]:offsets[v + 1]]``.
         """
         if self._parents_csr is None:
-            count = len(self.kinds)
-            degrees = np.bincount(self.child_indices, minlength=count)
-            offsets = np.zeros(count + 1, dtype=np.int64)
-            np.cumsum(degrees, out=offsets[1:])
-            indices = np.empty(len(self.child_indices), dtype=np.int64)
-            cursor = offsets[:-1].copy()
-            for vertex, children in enumerate(self.py_children()):
-                for child in children:
-                    indices[cursor[child]] = vertex
-                    cursor[child] += 1
-            self._parents_csr = (offsets, indices)
+            self._parents_csr = parents_csr(
+                self.child_offsets, self.child_indices
+            )
         return self._parents_csr
-
-    def py_kinds(self) -> List[int]:
-        if self._py_kinds is None:
-            self._py_kinds = [int(k) for k in self.kinds]
-        return self._py_kinds
 
     def var_vertices(self, var_index: int) -> List[int]:
         """VAR vertices carrying ``var_index`` (sweep seeds)."""
         cached = self._var_vertices.get(var_index)
         if cached is None:
-            cached = [int(v) for v in np.flatnonzero(self.var_index == var_index)]
+            cached = np.flatnonzero(self.var_index == var_index).tolist()
             self._var_vertices[var_index] = cached
         return cached
 
@@ -271,17 +274,18 @@ class MaskedProgram:
         cached = self._cones.get(var_index)
         if cached is not None:
             return cached
-        node_cone = self.cone_source.var_cone(var_index)
-        if self._node_rows is None:
-            cone = node_cone  # flat: vertices are node ids
-        else:
+        cone = self.cone_source.var_cone(var_index)  # flat: rows are node ids
+        if self._node_rows is not None:
             rows = self._node_rows
-            pieces = [rows[node_id] for node_id in node_cone]
+            pieces = [rows[node_id] for node_id in cone]
             cone = (
                 np.sort(np.concatenate(pieces))
                 if pieces
                 else np.empty(0, dtype=np.int64)
             )
+        if self._lane_offsets is not None:
+            starts = self._lane_offsets[cone]
+            cone = expand_ranges(starts, self._lane_offsets[cone + 1] - starts)
         self._cones[var_index] = cone
         return cone
 
@@ -293,61 +297,180 @@ class MaskedProgram:
             self._py_cones[var_index] = cached
         return cached
 
-    def final_cone(self, var_index: int) -> np.ndarray:
+    def final_cone(self, var_index: int) -> tuple:
         """Final vertices of the *node-level* influence cone of a variable.
 
-        One vertex per original network node in the cone — its row at
-        the last iteration when folded — so counting unresolved entries
-        over this array matches the node-granular resolution the
-        ordering strategies and the scalar oracles reason about
-        (:meth:`MaskedEvaluator.count_unresolved_in_cone`).  Cached per
-        variable, shared by every evaluator of the same network.
+        ``(vertices, starts)``: the lanes of every original network node
+        in the cone — its row at the last iteration when folded — so
+        counting unresolved entries over them matches the node-granular
+        resolution the ordering strategies and the scalar oracles reason
+        about (:meth:`MaskedEvaluator.count_unresolved_in_cone`).
+        ``starts`` marks where each node's lanes begin inside
+        ``vertices`` and is ``None`` when every node in the cone has one
+        lane.  Cached per variable, shared by every evaluator of the
+        same network.
         """
         cached = self._final_cones.get(var_index)
         if cached is None:
             node_cone = self.cone_source.var_cone(var_index)
-            cached = self.final_vertex[node_cone]
+            heads = self.final_vertex[node_cone]
+            lanes = np.maximum(self.node_width[node_cone], 1)
+            if len(lanes) == int(lanes.sum()):
+                cached = (heads, None)
+            else:
+                cached = (expand_ranges(heads, lanes), np.cumsum(lanes) - lanes)
             self._final_cones[var_index] = cached
         return cached
 
 
-def _vector_flags(
-    kinds: np.ndarray,
-    child_lists: List[np.ndarray],
-    guard_values: Dict[int, object],
-    loop_pairs: Dict[int, Tuple[int, int]],
+# Numeric kinds evaluated lane by lane: the width of a vector operand is
+# the width of the result.  (GUARD is lane-wise too; its width comes from
+# its constant.  DIST and ATOM reduce the lanes of their operands.)
+_LANEWISE_KINDS = frozenset((_K_SUM, _K_PROD, _K_COND, _K_POW, _K_LOOP_IN))
+
+
+def _node_widths(
+    flat: FlatNetwork, loop_feeds: Dict[int, List[int]]
 ) -> np.ndarray:
-    """Per-node vector-valuedness, by structural fixpoint.
+    """Per-node vector width (0 = Boolean or scalar), by propagation.
 
     A node is vector-valued when a vector guard constant can flow into
-    it; such nodes are evaluated through exact :class:`NumState` objects
-    on the side map instead of the scalar columns.  ``loop_pairs`` maps
-    loop-input node ids to their ``(init, next)`` nodes — vecness flows
-    through the loop edges, so a fixpoint is needed (a slot's *next*
-    node has a higher id than the loop input).
+    it.  Widths spread upwards from the vector guards through the parent
+    adjacency and through ``loop_feeds`` — a slot's init/next node feeds
+    its loop-input node — so only the vector part of the network is
+    visited.
+    """
+    width = np.zeros(len(flat), dtype=np.int64)
+    work: List[int] = []
+    for node_id, value in flat.guard_values.items():
+        if isinstance(value, np.ndarray):
+            if value.ndim != 1 or value.size == 0:
+                raise UnsupportedNetworkError(
+                    "vector c-values must be non-empty 1-d arrays"
+                )
+            width[node_id] = value.size
+            work.append(node_id)
+    if not work:
+        return width
+    kinds, exponents = flat.kinds, flat.pow_exponent
+    offsets, parents = flat.parents()
+    while work:
+        node_id = work.pop()
+        lanes = width[node_id]
+        for raw in parents[offsets[node_id] : offsets[node_id + 1]]:
+            parent = int(raw)
+            kind = kinds[parent]
+            if kind == _K_INV or (kind == _K_POW and exponents[parent] < 0):
+                raise TypeError("invert is only defined for scalar c-values")
+            if kind in _LANEWISE_KINDS and width[parent] < lanes:
+                width[parent] = lanes
+                work.append(parent)
+        for loop_in in loop_feeds.get(node_id, ()):
+            if width[loop_in] < lanes:
+                width[loop_in] = lanes
+                work.append(loop_in)
+    return width
+
+
+def _lower_lanes(
+    *,
+    kinds: np.ndarray,
+    child_offsets: np.ndarray,
+    child_indices: np.ndarray,
+    var_index: np.ndarray,
+    atom_op: np.ndarray,
+    pow_exponent: np.ndarray,
+    dist_metric: np.ndarray,
+    guard_values: Dict[int, object],
+    is_bool: np.ndarray,
+    width: np.ndarray,
+) -> Tuple[Dict[str, np.ndarray], "np.ndarray | None", np.ndarray]:
+    """Lower a vertex program with vector c-values to scalar lanes.
+
+    The one place vector-valuedness is handled.  A vertex of width ``d``
+    becomes ``d`` consecutive lane vertices with the arity of the
+    original: lane ``j`` reads lane ``j`` of every vector operand and
+    the single vertex of every scalar (or width-1) operand, which is
+    NumPy broadcasting spelled out.  ``DIST``/``ATOM`` vertices stay
+    single but read all lanes of both operands, interleaved
+    ``(left_0, right_0, left_1, right_1, ...)``, and reduce them left to
+    right.  ``POW(x, -n)`` becomes ``INV(POW(x, n))`` exactly like
+    :func:`repro.compile.partial.num_pow`, the ``INV`` standing for the
+    node.
+
+    Returns ``(columns, lane_offsets, head)``: the
+    :class:`MaskedProgram` column arrays, the vertex range each input
+    vertex expanded to (``None`` when nothing was expanded) and the
+    vertex operands read for each input vertex (its first lane).
     """
     count = len(kinds)
-    vec = np.zeros(count, dtype=bool)
-    for node_id, value in guard_values.items():
-        if isinstance(value, np.ndarray):
-            vec[node_id] = True
-    changed = True
-    while changed:
-        changed = False
-        for node_id in range(count):
-            if vec[node_id]:
-                continue
-            kind = int(kinds[node_id])
-            if kind in (_K_SUM, _K_PROD, _K_COND, _K_INV, _K_POW):
-                if any(vec[int(c)] for c in child_lists[node_id]):
-                    vec[node_id] = True
-                    changed = True
-            elif kind == _K_LOOP_IN and node_id in loop_pairs:
-                init_node, next_node = loop_pairs[node_id]
-                if vec[init_node] or vec[next_node]:
-                    vec[node_id] = True
-                    changed = True
-    return vec
+    inverted = (kinds == _K_POW) & (pow_exponent < 0)
+    lanes = np.maximum(width, 1)
+    span = lanes + inverted
+    total = int(span.sum())
+    lane_offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(span, out=lane_offsets[1:])
+
+    guard_value = np.zeros(total, dtype=np.float64)
+    guard_ids = np.fromiter(guard_values, dtype=np.int64, count=len(guard_values))
+    vector = width[guard_ids] > 0
+    plain = guard_ids[~vector]
+    guard_value[lane_offsets[plain]] = [guard_values[v] for v in plain.tolist()]
+    for vid in guard_ids[vector].tolist():
+        guard_value[lane_offsets[vid] : lane_offsets[vid + 1]] = guard_values[vid]
+
+    head = lane_offsets[:-1] + inverted
+    if total > count:
+        source = np.repeat(np.arange(count, dtype=np.int64), span)
+
+        # A vertex's operand block is read once per lane.  Lane-wise
+        # kinds own one vertex per lane; DIST/ATOM stay single and read
+        # the lanes of both operands back to back (l0, r0, l1, r1, ...);
+        # POW(x, -n) reads x from its POW row (its INV row is rewired
+        # below).  Either way: the block, repeated, in vertex order.
+        arity = np.diff(child_offsets)
+        fan = np.ones(count, dtype=np.int64)
+        reducing = np.flatnonzero((kinds == _K_DIST) | (kinds == _K_ATOM))
+        left = child_indices[child_offsets[reducing]]
+        right = child_indices[child_offsets[reducing] + 1]
+        fan[reducing] = np.maximum(lanes[left], lanes[right])
+        # Operands are read lane for lane, or broadcast from one vertex.
+        read, reader = lanes[child_indices], np.repeat(np.maximum(lanes, fan), arity)
+        if np.any((read != 1) & (read != reader)):
+            raise ValueError(
+                "vector c-values of different widths in one operation"
+            )
+        repeats = np.maximum(span, fan)
+        block = np.repeat(np.arange(count, dtype=np.int64), repeats)
+        turn = expand_ranges(np.zeros(count, dtype=np.int64), repeats)
+        operand = child_indices[expand_ranges(child_offsets[block], arity[block])]
+        child_indices = head[operand] + np.minimum(
+            np.repeat(turn, arity[block]), lanes[operand] - 1
+        )
+        child_offsets = np.zeros(total + 1, dtype=np.int64)
+        np.cumsum((arity * fan)[source], out=child_offsets[1:])
+
+        kinds, pow_exponent = kinds[source], pow_exponent[source]
+        inverse = head[inverted]  # POW(x, -n): the POW row, then its INV
+        pow_exponent[inverse - 1] *= -1
+        kinds[inverse] = _K_INV
+        pow_exponent[inverse] = 0
+        child_indices[child_offsets[inverse]] = inverse - 1
+        var_index, atom_op = var_index[source], atom_op[source]
+        dist_metric, is_bool = dist_metric[source], is_bool[source]
+
+    columns = dict(
+        kinds=kinds,
+        child_offsets=child_offsets,
+        child_indices=child_indices,
+        var_index=var_index,
+        atom_op=atom_op,
+        pow_exponent=pow_exponent,
+        dist_metric=dist_metric,
+        guard_value=guard_value,
+        is_bool=is_bool,
+    )
+    return columns, lane_offsets if total > count else None, head
 
 
 def _bool_flags(network: EventNetwork, kinds: np.ndarray) -> np.ndarray:
@@ -359,9 +482,8 @@ def _bool_flags(network: EventNetwork, kinds: np.ndarray) -> np.ndarray:
 
 
 def _flat_program(network: EventNetwork, flat: FlatNetwork) -> MaskedProgram:
-    child_lists = [flat.children(n) for n in range(len(flat))]
-    vec = _vector_flags(flat.kinds, child_lists, flat.guard_values, {})
-    return MaskedProgram(
+    width = _node_widths(flat, {})
+    columns, lane_offsets, head = _lower_lanes(
         kinds=flat.kinds,
         child_offsets=flat.child_offsets,
         child_indices=flat.child_indices,
@@ -369,11 +491,16 @@ def _flat_program(network: EventNetwork, flat: FlatNetwork) -> MaskedProgram:
         atom_op=flat.atom_op,
         pow_exponent=flat.pow_exponent,
         dist_metric=flat.dist_metric,
-        guard_values=dict(flat.guard_values),
+        guard_values=flat.guard_values,
         is_bool=_bool_flags(network, flat.kinds),
-        is_vec=vec,
-        final_vertex=np.arange(len(flat), dtype=np.int64),
+        width=width,
+    )
+    return MaskedProgram(
+        **columns,
+        final_vertex=head,
+        node_width=width,
         cone_source=flat,
+        _lane_offsets=lane_offsets,
     )
 
 
@@ -498,23 +625,28 @@ def _folded_program(network: FoldedNetwork, ir: FoldedFlatIR) -> MaskedProgram:
     )
 
     # Per-node flags, broadcast to vertices via node_of.
-    node_children = [flat.children(n) for n in range(count)]
-    loop_pairs = {
-        int(ir.loop_in_ids[slot]): (
-            int(ir.init_ids[slot]),
-            int(ir.next_ids[slot]),
-        )
-        for slot in range(len(ir.loop_in_ids))
-    }
-    node_vec = _vector_flags(
-        flat.kinds, node_children, flat.guard_values, loop_pairs
+    loop_feeds: Dict[int, List[int]] = {}
+    for slot, loop_in in enumerate(ir.loop_in_ids.tolist()):
+        loop_feeds.setdefault(int(ir.init_ids[slot]), []).append(loop_in)
+        loop_feeds.setdefault(int(ir.next_ids[slot]), []).append(loop_in)
+    node_width = _node_widths(flat, loop_feeds)
+    columns, lane_offsets, head = _lower_lanes(
+        kinds=kinds,
+        child_offsets=offsets,
+        child_indices=child_indices,
+        var_index=var_index,
+        atom_op=atom_op,
+        pow_exponent=pow_exponent,
+        dist_metric=dist_metric,
+        guard_values=guard_values,
+        is_bool=_bool_flags(network, flat.kinds)[node_of],
+        width=node_width[node_of],
     )
-    node_bool = _bool_flags(network, flat.kinds)
 
     final_vertex = np.empty(count, dtype=np.int64)
     rows: List[np.ndarray] = []
     for node_id in range(count):
-        final_vertex[node_id] = vertex(iterations - 1, node_id)
+        final_vertex[node_id] = head[vertex(iterations - 1, node_id)]
         if dependent[node_id]:
             base = indep_count + int(dep_pos[node_id])
             rows.append(
@@ -525,19 +657,12 @@ def _folded_program(network: FoldedNetwork, ir: FoldedFlatIR) -> MaskedProgram:
             rows.append(np.asarray([int(indep_pos[node_id])], dtype=np.int64))
 
     return MaskedProgram(
-        kinds=kinds,
-        child_offsets=offsets,
-        child_indices=child_indices,
-        var_index=var_index,
-        atom_op=atom_op,
-        pow_exponent=pow_exponent,
-        dist_metric=dist_metric,
-        guard_values=guard_values,
-        is_bool=node_bool[node_of],
-        is_vec=node_vec[node_of],
+        **columns,
         final_vertex=final_vertex,
+        node_width=node_width,
         cone_source=ir,
         _node_rows=rows,
+        _lane_offsets=lane_offsets,
     )
 
 
@@ -630,9 +755,7 @@ class MaskedEvaluator:
     kernel = "python"
 
     def __init__(self, network: EventNetwork) -> None:
-        self.network = network
-        program = masked_program(network)
-        self._prog = program
+        program = self._bind(network)
         size = len(program)
         self._b: List[int] = [B_UNKNOWN] * size
         self._lo: List[float] = [_NAN] * size
@@ -641,7 +764,25 @@ class MaskedEvaluator:
         self._md: List[bool] = [False] * size
         self._resolved: List[bool] = [False] * size
         self._dirty: List[bool] = [False] * size
-        self._vec: Dict[int, NumState] = {}
+        self._kinds: List[int] = program.kinds.tolist()
+        self._children = program.py_children()
+        self._parents = program.py_parents()
+        self._var: List[int] = program.var_index.tolist()
+        self._atom_op: List[int] = program.atom_op.tolist()
+        self._pow: List[int] = program.pow_exponent.tolist()
+        self._metric: List[int] = program.dist_metric.tolist()
+        self._guard: List[float] = program.guard_value.tolist()
+        # Baseline sweep under the empty assignment; everything resolved
+        # here stays resolved for the whole compilation.
+        for vid in range(size):
+            self._recompute(vid, None)
+
+    def _bind(self, network: EventNetwork) -> MaskedProgram:
+        """Tier-independent state: the program, the trail bookkeeping and
+        the node → vertex maps behind the node-granular readers."""
+        self.network = network
+        program = masked_program(network)
+        self._prog = program
         self.assignment: Dict[int, bool] = {}
         self._frames: List[List[tuple]] = []
         self._frame_vars: List[Optional[int]] = []
@@ -653,21 +794,10 @@ class MaskedEvaluator:
         self._resolved_version = 0
         self._resolved_cache: Optional[np.ndarray] = None
         self._resolved_cache_version = -1
-        self._kinds = program.py_kinds()
-        self._children = program.py_children()
-        self._parents = program.py_parents()
-        self._is_bool: List[bool] = [bool(b) for b in program.is_bool]
-        self._is_vec: List[bool] = [bool(v) for v in program.is_vec]
+        self._is_bool: List[bool] = program.is_bool.tolist()
         self._final: List[int] = program.final_vertex.tolist()
-        self._var: List[int] = program.var_index.tolist()
-        self._atom_op: List[int] = program.atom_op.tolist()
-        self._pow: List[int] = program.pow_exponent.tolist()
-        self._metric: List[int] = program.dist_metric.tolist()
-        self._guard: Dict[int, object] = program.guard_values
-        # Baseline sweep under the empty assignment; everything resolved
-        # here stays resolved for the whole compilation.
-        for vid in range(size):
-            self._recompute(vid, None)
+        self._width: List[int] = program.node_width.tolist()
+        return program
 
     # -- NumPy column views ---------------------------------------------
 
@@ -731,24 +861,22 @@ class MaskedEvaluator:
                 f"variable {recorded!r}"
             )
         self._resolved_version += 1
-        for entry in reversed(self._frames.pop()):
+        self._restore_frame(self._frames.pop())
+        if recorded is not None:
+            del self.assignment[recorded]
+
+    def _restore_frame(self, frame) -> None:
+        for entry in reversed(frame):
             tag = entry[0]
             vid = entry[1]
             if tag == _TAG_BOOL:
                 self._b[vid] = entry[2]
-            elif tag == _TAG_NUM:
+            else:
                 self._lo[vid] = entry[2]
                 self._hi[vid] = entry[3]
                 self._mu[vid] = entry[4]
                 self._md[vid] = entry[5]
-            else:
-                if entry[2] is None:
-                    self._vec.pop(vid, None)
-                else:
-                    self._vec[vid] = entry[2]
             self._resolved[vid] = False
-        if recorded is not None:
-            del self.assignment[recorded]
 
     @property
     def depth(self) -> int:
@@ -790,8 +918,8 @@ class MaskedEvaluator:
         the value a frame wrote is whatever the next-newer frame
         trailing the same vertex saw as "old" (the current column value
         when no newer frame touched it).  Everything in a patch is
-        plain Python scalars plus :class:`NumState` objects, so it
-        pickles across process boundaries.
+        plain Python scalars (:func:`patch_is_plain`), whatever the
+        network and whichever tier exported it.
         """
         if base_depth < 0 or base_depth > len(self._frames):
             raise ValueError(
@@ -811,15 +939,13 @@ class MaskedEvaluator:
                 if new is None:
                     if tag == _TAG_BOOL:
                         new = (int(self._b[vid]),)
-                    elif tag == _TAG_NUM:
+                    else:
                         new = (
                             float(self._lo[vid]),
                             float(self._hi[vid]),
                             bool(self._mu[vid]),
                             bool(self._md[vid]),
                         )
-                    else:
-                        new = (self._vec.get(vid),)
                 entries.append((int(tag), int(vid)) + new)
                 tracking[key] = _plain_values(tag, tuple(entry[2:]))
             value = None if variable is None else bool(self.assignment[variable])
@@ -852,7 +978,7 @@ class MaskedEvaluator:
                     self._b[vid] = new
                     if new != B_UNKNOWN:
                         self._resolved[vid] = True
-                elif tag == _TAG_NUM:
+                else:
                     new_lo, new_hi, new_mu, new_md = entry[2:6]
                     trail.append(
                         (
@@ -872,21 +998,6 @@ class MaskedEvaluator:
                         new_md and not new_mu and new_lo == new_hi
                     ):
                         self._resolved[vid] = True
-                else:
-                    state = entry[2]
-                    trail.append((_TAG_VEC, vid, self._vec.get(vid)))
-                    if state is None:
-                        self._vec.pop(vid, None)
-                    else:
-                        self._vec[vid] = state
-                        if state.may_u:
-                            resolved = not state.may_def
-                        else:
-                            resolved = state.lo is state.hi or bool(
-                                np.array_equal(state.lo, state.hi)
-                            )
-                        if resolved:
-                            self._resolved[vid] = True
 
     # -- sweeping -------------------------------------------------------
 
@@ -934,14 +1045,9 @@ class MaskedEvaluator:
             if new != B_UNKNOWN:
                 self._resolved[vid] = True
             return True
-        if self._is_vec[vid]:
-            return self._write_num(vid, self._compute_num_obj(kind, vid), frame)
-        result = self._compute_num_scalar(kind, vid)
-        if result is None:
-            # Scalar value computed from vector operands (DIST): take the
-            # exact object path.
-            return self._write_num(vid, self._compute_num_obj(kind, vid), frame)
-        return self._write_num_scalar(vid, result, frame)
+        return self._write_num_scalar(
+            vid, self._compute_num_scalar(kind, vid), frame
+        )
 
     # -- Boolean kernel -------------------------------------------------
 
@@ -987,104 +1093,56 @@ class MaskedEvaluator:
         raise TypeError(f"cannot mask-evaluate node kind {Kind(kind)!r}")
 
     def _compute_atom(self, vid: int, children: Tuple[int, ...]) -> int:
-        left, right = children
-        if self._is_vec[left] or self._is_vec[right]:
-            return atom_state(
-                _OP_NAMES[self._atom_op[vid]],
-                self._read_num(left),
-                self._read_num(right),
-            )
-        if not self._md[left] or not self._md[right]:
-            return B_TRUE
+        """Compare two c-values given as interleaved lane pairs.
+
+        ``children`` is ``(left_0, right_0, left_1, right_1, ...)`` —
+        one pair for scalars.  A vector comparison is certain when it is
+        certain in every lane; ``==`` is certainly false when one side
+        lies below the other in every lane.
+        """
+        lo, hi, mu, md = self._lo, self._hi, self._mu, self._md
         op = self._atom_op[vid]
-        llo, lhi = self._lo[left], self._hi[left]
-        rlo, rhi = self._lo[right], self._hi[right]
-        if op == 0:  # <=
-            always, never = lhi <= rlo, rhi < llo
-        elif op == 1:  # <
-            always, never = lhi < rlo, rhi <= llo
-        elif op == 2:  # >=
-            always, never = rhi <= llo, lhi < rlo
-        elif op == 3:  # >
-            always, never = rhi < llo, lhi <= rlo
-        else:  # ==
-            always = (
-                not self._mu[left]
-                and not self._mu[right]
-                and llo == lhi
-                and rlo == rhi
-                and llo == rlo
-            )
-            never = lhi < rlo or rhi < llo
+        may_u = False
+        always = never = never_above = True
+        for pair in range(0, len(children), 2):
+            left, right = children[pair], children[pair + 1]
+            if not md[left] or not md[right]:
+                return B_TRUE
+            if mu[left] or mu[right]:
+                may_u = True
+            llo, lhi = lo[left], hi[left]
+            rlo, rhi = lo[right], hi[right]
+            if op == 0:  # <=
+                always, never = always and lhi <= rlo, never and rhi < llo
+            elif op == 1:  # <
+                always, never = always and lhi < rlo, never and rhi <= llo
+            elif op == 2:  # >=
+                always, never = always and rhi <= llo, never and lhi < rlo
+            elif op == 3:  # >
+                always, never = always and rhi < llo, never and lhi <= rlo
+            else:  # ==
+                always = always and llo == lhi and rlo == rhi and llo == rlo
+                never = never and lhi < rlo
+                never_above = never_above and rhi < llo
+        if op == 4:
+            always = always and not may_u
+            never = never or never_above
         if always:
             return B_TRUE
-        if never and not self._mu[left] and not self._mu[right]:
+        if never and not may_u:
             return B_FALSE
         return B_UNKNOWN
 
     # -- numeric kernel -------------------------------------------------
 
-    def _read_num(self, vid: int) -> NumState:
-        if self._is_vec[vid]:
-            return self._vec[vid]
-        if not self._md[vid]:
-            return NumState.undefined()
-        return NumState(self._lo[vid], self._hi[vid], self._mu[vid], True)
-
-    def _compute_num_obj(self, kind: int, vid: int) -> NumState:
-        """Exact-object evaluation, for vector-valued vertices."""
-        children = self._children[vid]
-        if kind == _K_GUARD:
-            event = self._b[children[0]]
-            value = self._guard[vid]
-            if event == B_TRUE:
-                return NumState.point(value)
-            if event == B_FALSE:
-                return NumState.undefined()
-            return NumState(value, value, True, True)
-        if kind == _K_COND:
-            event = self._b[children[0]]
-            if event == B_FALSE:
-                return NumState.undefined()
-            value = self._read_num(children[1])
-            if event == B_TRUE:
-                return value
-            if not value.may_def:
-                return NumState.undefined()
-            return NumState(value.lo, value.hi, True, True)
-        if kind == _K_SUM:
-            total = NumState.undefined()
-            for child in children:
-                total = num_add(total, self._read_num(child))
-            return total
-        if kind == _K_PROD:
-            product = NumState.point(1.0)
-            for child in children:
-                product = num_mul(product, self._read_num(child))
-            return product
-        if kind == _K_INV:
-            return num_inv(self._read_num(children[0]))
-        if kind == _K_POW:
-            return num_pow(self._read_num(children[0]), self._pow[vid])
-        if kind == _K_DIST:
-            return _dist_vec(
-                self._read_num(children[0]),
-                self._read_num(children[1]),
-                self._metric[vid],
-            )
-        if kind == _K_LOOP_IN:
-            return self._read_num(children[0])
-        raise TypeError(f"cannot mask-evaluate node kind {Kind(kind)!r}")
-
     def _compute_num_scalar(
         self, kind: int, vid: int
-    ) -> "Optional[Tuple[float, float, bool, bool]]":
+    ) -> Tuple[float, float, bool, bool]:
         """Inline interval arithmetic on the scalar columns.
 
         Returns ``(lo, hi, may_u, may_def)`` — the undefined state is
-        ``(nan, nan, True, False)`` — or ``None`` when the vertex needs
-        the exact object path (vector operands feeding a scalar DIST).
-        Mirrors the :mod:`repro.compile.partial` operators case by case.
+        ``(nan, nan, True, False)``.  Mirrors the
+        :mod:`repro.compile.partial` operators case by case.
         """
         children = self._children[vid]
         b, lo, hi, mu, md = self._b, self._lo, self._hi, self._mu, self._md
@@ -1169,9 +1227,7 @@ class MaskedEvaluator:
                 return (-_INF, 1.0 / c_lo, True, True)
             return (-_INF, _INF, True, True)
         if kind == _K_POW:
-            exponent = self._pow[vid]
-            if exponent < 0:
-                return None  # rare: exact object path handles the inversion
+            exponent = self._pow[vid]  # >= 0: negative lowered to INV
             child = children[0]
             if not md[child]:
                 return _UNDEFINED
@@ -1183,21 +1239,33 @@ class MaskedEvaluator:
             n_lo = 0.0 if spans_zero else min(abs_lo, abs_hi) ** exponent
             return (n_lo, max(abs_lo, abs_hi) ** exponent, mu[child], True)
         if kind == _K_DIST:
-            left, right = children
-            if self._is_vec[left] or self._is_vec[right]:
-                return None
-            n_mu = mu[left] or mu[right]
-            if not (md[left] and md[right]):
-                return _UNDEFINED
-            diff_lo = lo[left] - hi[right]
-            diff_hi = hi[left] - lo[right]
-            spans_zero = diff_lo <= 0 <= diff_hi
-            abs_lo = 0.0 if spans_zero else min(abs(diff_lo), abs(diff_hi))
-            abs_hi = max(abs(diff_lo), abs(diff_hi))
-            if self._metric[vid] == 1:  # sqeuclidean
-                return (abs_lo * abs_lo, abs_hi * abs_hi, n_mu, True)
-            # euclidean and manhattan coincide on scalars
-            return (abs_lo, abs_hi, n_mu, True)
+            # Interleaved lane pairs, reduced left to right; one pair
+            # (scalar operands) is the lane itself, bit for bit.
+            metric = self._metric[vid]
+            wide = len(children) > 2
+            squared = metric == 1 or (wide and metric == 0)
+            n_mu = False
+            acc_lo = acc_hi = 0.0
+            for pair in range(0, len(children), 2):
+                left, right = children[pair], children[pair + 1]
+                if mu[left] or mu[right]:
+                    n_mu = True
+                if not (md[left] and md[right]):
+                    return _UNDEFINED
+                diff_lo = lo[left] - hi[right]
+                diff_hi = hi[left] - lo[right]
+                spans_zero = diff_lo <= 0 <= diff_hi
+                abs_lo = 0.0 if spans_zero else min(abs(diff_lo), abs(diff_hi))
+                abs_hi = max(abs(diff_lo), abs(diff_hi))
+                if squared:  # euclidean and manhattan coincide on scalars
+                    abs_lo, abs_hi = abs_lo * abs_lo, abs_hi * abs_hi
+                if wide:
+                    acc_lo, acc_hi = acc_lo + abs_lo, acc_hi + abs_hi
+                else:
+                    acc_lo, acc_hi = abs_lo, abs_hi
+            if wide and metric == 0:  # euclidean
+                return (math.sqrt(acc_lo), math.sqrt(acc_hi), n_mu, True)
+            return (acc_lo, acc_hi, n_mu, True)
         if kind == _K_LOOP_IN:
             child = children[0]
             return (lo[child], hi[child], mu[child], md[child])
@@ -1239,38 +1307,26 @@ class MaskedEvaluator:
             self._resolved[vid] = True
         return True
 
-    def _write_num(
-        self, vid: int, state: NumState, frame: Optional[List[tuple]]
-    ) -> bool:
-        if self._is_vec[vid]:
-            if frame is not None:
-                frame.append((_TAG_VEC, vid, self._vec.get(vid)))
-            self._vec[vid] = state
-            # state.is_resolved with an identity shortcut: vector point
-            # states usually share one array for both bounds, making the
-            # elementwise comparison redundant.
-            if state.may_u:
-                resolved = not state.may_def
-            else:
-                resolved = state.lo is state.hi or bool(
-                    np.array_equal(state.lo, state.hi)
-                )
-            if resolved:
-                self._resolved[vid] = True
-            return True
-        new_md = state.may_def
-        new_mu = state.may_u
-        new_lo = float(state.lo) if new_md else _NAN
-        new_hi = float(state.hi) if new_md else _NAN
-        return self._write_num_scalar(vid, (new_lo, new_hi, new_mu, new_md), frame)
-
     # -- compiler interface ---------------------------------------------
 
     def _state_of(self, node_id: int) -> State:
         vid = self._final[node_id]
         if self._is_bool[vid]:
-            return self._b[vid]
-        return self._read_num(vid)
+            return int(self._b[vid])
+        if not self._md[vid]:
+            return NumState.undefined()
+        may_u = bool(self._mu[vid])
+        width = self._width[node_id]
+        if width == 0:
+            return NumState(float(self._lo[vid]), float(self._hi[vid]), may_u, True)
+        # A vector node: reassemble the array-valued state from its lanes.
+        lanes = slice(vid, vid + width)
+        return NumState(
+            np.asarray(self._lo[lanes], dtype=np.float64),
+            np.asarray(self._hi[lanes], dtype=np.float64),
+            may_u,
+            True,
+        )
 
     def target_states(self, target_ids: Sequence[int]) -> Dict[int, State]:
         """States of the targets (at the final iteration when folded)."""
@@ -1287,10 +1343,21 @@ class MaskedEvaluator:
         return self._state_of(int(node_id))
 
     def count_unresolved(self, node_ids: Sequence[int]) -> int:
-        """How many of the nodes are still unresolved (ordering hook)."""
+        """How many of the nodes are still unresolved (ordering hook).
+
+        A vector node is unresolved while any of its lanes is.
+        """
         final = self._final
+        width = self._width
         resolved = self._resolved
-        return sum(1 for node_id in node_ids if not resolved[final[node_id]])
+        count = 0
+        for node_id in node_ids:
+            vid = final[node_id]
+            for lane in range(vid, vid + (width[node_id] or 1)):
+                if not resolved[lane]:
+                    count += 1
+                    break
+        return count
 
     def _resolved_column(self) -> np.ndarray:
         """The resolved column as a NumPy array, cached per push/pop."""
@@ -1311,48 +1378,8 @@ class MaskedEvaluator:
         materialisation is shared by all cone queries at one branching
         point (nothing resolves between two ``push``/``pop`` calls).
         """
-        cone = self._prog.final_cone(var_index)
-        return int(len(cone) - np.count_nonzero(self._resolved_column()[cone]))
-
-
-# Operator strings by ATOM_OPS code, for the exact-object atom path.
-_OP_NAMES = tuple(
-    op for op, _ in sorted(ATOM_OPS.items(), key=lambda item: item[1])
-)
-
-
-def _dist_vec(left: NumState, right: NumState, metric: int) -> NumState:
-    """:func:`repro.compile.partial.num_dist`, specialised for the hot path.
-
-    Point states (``lo is hi``, the common case: guard constants and
-    sums of them) reduce to one exact distance; interval states follow
-    the general bound computation, minus the per-call array coercions
-    (vector states here always carry float64 arrays or floats).
-    """
-    may_u = left.may_u or right.may_u
-    if not (left.may_def and right.may_def):
-        return NumState.undefined()
-    if left.lo is left.hi and right.lo is right.hi:
-        diff = np.abs(left.lo - right.lo)
-        if metric == 0:  # euclidean
-            value = float(np.sqrt(np.sum(diff * diff)))
-        elif metric == 1:  # sqeuclidean
-            value = float(np.sum(diff * diff))
-        else:  # manhattan
-            value = float(np.sum(diff))
-        return NumState(value, value, may_u, True)
-    diff_lo = left.lo - right.hi
-    diff_hi = left.hi - right.lo
-    spans_zero = (diff_lo <= 0) & (diff_hi >= 0)
-    abs_lo = np.where(spans_zero, 0.0, np.minimum(np.abs(diff_lo), np.abs(diff_hi)))
-    abs_hi = np.maximum(np.abs(diff_lo), np.abs(diff_hi))
-    if metric == 0:
-        lo = float(np.sqrt(np.sum(abs_lo * abs_lo)))
-        hi = float(np.sqrt(np.sum(abs_hi * abs_hi)))
-    elif metric == 1:
-        lo = float(np.sum(abs_lo * abs_lo))
-        hi = float(np.sum(abs_hi * abs_hi))
-    else:
-        lo = float(np.sum(abs_lo))
-        hi = float(np.sum(abs_hi))
-    return NumState(lo, hi, may_u, True)
+        vertices, starts = self._prog.final_cone(var_index)
+        resolved = self._resolved_column()[vertices]
+        if starts is not None:  # a vector node resolves with its last lane
+            resolved = np.minimum.reduceat(resolved, starts)
+        return int(len(resolved) - np.count_nonzero(resolved))

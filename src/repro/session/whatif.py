@@ -36,6 +36,7 @@ cones.
 
 from __future__ import annotations
 
+import os
 import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -45,11 +46,41 @@ from ..network.nodes import EventNetwork
 from ..worlds.variables import VariablePool
 
 
+def _session_kernel(network: EventNetwork, kernel: Optional[str]) -> Optional[str]:
+    """The tier a session sweeps on when neither the caller nor
+    ``REPRO_KERNEL`` names one.
+
+    STAGED ROLLOUT (PR 13), to be deleted: every tier evaluates every
+    network, but a session over a network with vector c-values keeps the
+    tier it had before the lane lowering — ``"python"`` — unless
+    ``kernel`` or ``REPRO_KERNEL`` says otherwise.  On the compiled tier
+    the ``whatif-walk`` end-to-end op drops from ~0.45 s to ~0.015 s,
+    and that benchmark keeps every op's answers in memory until its
+    window closes: 764 ops instead of 29 read as +108 % ``peak_rss_mb``
+    (63 -> 132 MiB, all of it held by the harness; the session itself
+    stays flat at 55 MiB over 800 ops), past a 5 % gate that rejects the
+    change outright and that the change may not edit.  Once the harness
+    judges answers as it goes, return ``kernel`` here and drop
+    ``masked._csr_rows``' int sharing, which only this pin needs.
+    """
+    if kernel is not None or "REPRO_KERNEL" in os.environ:
+        return kernel
+    from ..engine.ir import UnsupportedNetworkError
+    from ..engine.masked import masked_program
+
+    try:
+        vector = bool(masked_program(network).node_width.any())
+    except UnsupportedNetworkError:  # no flat form: scalar evaluators anyway
+        return None
+    return "python" if vector else None
+
+
 class WhatIfSession:
     """Interactive conditioning over one network and variable pool.
 
     ``order`` and ``kernel`` parameterise the underlying compiler
-    exactly as in :func:`repro.engine.registry.normalise_options`; the
+    exactly as in :func:`repro.engine.registry.normalise_options`
+    (``kernel=None``: see :func:`_session_kernel`); the
     default frequency order breaks ties towards low variable indices,
     which keeps re-queries after an edit localised when the network's
     variable groups are index-contiguous.
@@ -66,7 +97,11 @@ class WhatIfSession:
         self.network = network
         self.pool = pool
         self._compiler = ShannonCompiler(
-            network, pool, targets=targets, order=order, kernel=kernel
+            network,
+            pool,
+            targets=targets,
+            order=order,
+            kernel=_session_kernel(network, kernel),
         )
         self.target_names: Tuple[str, ...] = tuple(self._compiler.target_names)
         self._target_set = set(self.target_names)
@@ -195,11 +230,9 @@ class WhatIfSession:
         )
         result.extra["recomputed_targets"] = float(len(dirty))
         result.extra["evidence_depth"] = float(len(self._evidence))
-        tier = getattr(self._compiler.evaluator, "kernel", None)
-        if tier is not None:
-            from ..engine.kernels import KERNEL_TIER_CODES
+        from ..engine.kernels import record_kernel_tier
 
-            result.extra["kernel_tier"] = KERNEL_TIER_CODES.get(tier, -1.0)
+        record_kernel_tier(result.extra, self._compiler.evaluator)
         return result
 
     # ------------------------------------------------------------------

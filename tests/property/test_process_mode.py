@@ -80,6 +80,30 @@ def test_process_matches_simulated_all_schemes(handoff):
         coordinator.close()
 
 
+@pytest.mark.parametrize("kernel", ["python", "auto"])
+def test_delta_ships_patches_only_for_python_sweeps(kernel):
+    # Applying a patch beats re-sweeping on the Python tier only; on a
+    # compiled tier the delta handoff pushes the suffix.  Either way the
+    # process run is the simulated run.
+    pool, network = _random_instance(5)
+    coordinator = DistributedCompiler(
+        network, pool, workers=2, job_size=1, kernel=kernel
+    )
+    try:
+        for scheme, epsilon in SCHEMES:
+            simulated = coordinator.run(scheme=scheme, epsilon=epsilon)
+            process = coordinator.run(
+                scheme=scheme, epsilon=epsilon, execution="process"
+            )
+            _assert_identical(process, simulated, f"{scheme} kernel={kernel}")
+        python_tier = coordinator._compiler.evaluator.kernel == "python"
+        assert coordinator._process_pool.capture_patches is python_tier
+        if kernel == "python":
+            assert python_tier
+    finally:
+        coordinator.close()
+
+
 def test_process_matches_simulated_random_instances():
     for seed in range(3):
         pool, network = _random_instance(seed)

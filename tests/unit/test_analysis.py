@@ -114,7 +114,7 @@ class TestTrailDiscipline:
         assert findings_for(TRAIL_RULE, self.PATH, bad)
 
     def test_bad_delete(self):
-        bad = "def wipe(ev, var):\n    del ev._vec[var]\n"
+        bad = "def wipe(ev, var):\n    del ev._lo[var]\n"
         assert findings_for(TRAIL_RULE, self.PATH, bad)
 
     def test_good_protocol_functions(self):
@@ -275,10 +275,12 @@ class TestWireFormat:
         assert not findings_for(WIRE_RULE, self.PATH, good)
 
     def test_vec_column_exempt(self):
+        # Reads of anything but the five scalar columns are not the
+        # rule's business (the historical ``_vec`` side map is gone).
         good = (
             "class Ev:\n"
             "    def export_patch(self, base):\n"
-            "        return [(2, 3, self._vec.get(3))]\n"
+            "        return [(2, 3, self._side.get(3))]\n"
         )
         assert not findings_for(WIRE_RULE, self.PATH, good)
 
@@ -359,8 +361,8 @@ class TestCTwinDrift:
             ),
             (
                 "python operator edited",
-                "nlo = abs_lo * abs_lo",
-                "nlo = abs_lo + abs_lo",
+                "nlo = 1.0 / c_hi",
+                "nlo = 1.0 * c_hi",
             ),
             (
                 "c loses a statement",

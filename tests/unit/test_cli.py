@@ -105,6 +105,37 @@ class TestCommands:
         assert "steals:" in output
         assert "wire bytes:" in output
 
+    def test_cluster_verbose_names_the_tier_that_ran(self, capsys):
+        base = ["cluster", "--objects", "8", "--group-size", "2", "--limit", "3"]
+        assert main(base + ["--kernel", "interpreted", "--verbose"]) == 0
+        assert "kernel: interpreted" in capsys.readouterr().out
+        assert main(base + ["--kernel", "python", "--verbose", "--folded"]) == 0
+        assert "kernel: python" in capsys.readouterr().out
+        # Only under --verbose: the default stdout is a parsed format.
+        assert main(base + ["--kernel", "interpreted"]) == 0
+        assert "kernel:" not in capsys.readouterr().out
+
+    def test_cluster_verbose_reports_why_a_tier_was_rejected(
+        self, capsys, monkeypatch
+    ):
+        import repro.engine.kernels as kernels
+
+        monkeypatch.setitem(kernels._BACKEND_CACHE, "native", None)
+        monkeypatch.setitem(kernels.BACKEND_ERRORS, "native", "no C compiler")
+        code = main(
+            ["cluster", "--objects", "8", "--group-size", "2", "--limit", "3",
+             "--kernel", "native", "--verbose"]
+        )
+        assert code == 0
+        line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("kernel: ")
+        )
+        # (An absent numba may be listed next to it: every recorded
+        # rejection is printed.)
+        assert line.startswith("kernel: python (")
+        assert "native: no C compiler" in line
+
     def test_cluster_listen_without_workers_rejected(self, capsys):
         code = main(
             ["cluster", "--objects", "8", "--listen", "127.0.0.1:0"]

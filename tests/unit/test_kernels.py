@@ -35,6 +35,7 @@ from repro.events.expressions import (
 from repro.network.build import build_targets
 
 from ..conftest import make_pool
+from ..property.test_masked_vs_scalar import _states_equal
 
 
 def _scalar_network():
@@ -51,12 +52,35 @@ def _scalar_network():
 
 
 def _vector_network():
-    # A distance atom over 2-d points: vector c-values are Python-tier
-    # only, so kernel construction must fall back.
+    # A distance atom over 2-d points: the k-medoids/k-means shape,
+    # lowered to scalar lanes for every tier.
     centroid = csum([guard(var(0), [1.0, 0.0]), guard(var(1), [0.0, 1.0])])
     return build_targets(
         {"v": atom("<=", cdist(guard(TRUE, [0.5, 0.5]), centroid), guard(TRUE, 1.0))}
     )
+
+
+LIVE_TIERS = tuple(
+    name for name in available_kernels() if name not in ("auto", "python")
+)
+
+
+def _assert_walk_matches_python(network, candidate, variables):
+    """Every assignment of the first variables: same node states."""
+    oracle = MaskedEvaluator(network)
+    nodes = range(len(network.nodes))
+    for mask in range(1 << variables):
+        for index in range(variables):
+            value = bool(mask >> index & 1)
+            oracle.push(index, value)
+            candidate.push(index, value)
+            for node_id in nodes:
+                assert _states_equal(
+                    oracle.node_state(node_id), candidate.node_state(node_id)
+                ), (mask, index, node_id)
+        assert candidate.evals == oracle.evals
+        oracle.rewind_to(0)
+        candidate.rewind_to(0)
 
 
 class TestBackendSelection:
@@ -167,13 +191,18 @@ class TestEvaluatorConstruction:
         assert isinstance(evaluator, KernelMaskedEvaluator)
         assert evaluator.kernel == "interpreted"
 
-    def test_vector_networks_fall_back_to_python(self):
-        evaluator = make_masked_evaluator(
-            _vector_network(), kernel="interpreted"
-        )
-        assert type(evaluator) is MaskedEvaluator
+    @pytest.mark.parametrize("tier", LIVE_TIERS)
+    def test_vector_networks_run_compiled(self, tier):
+        network = _vector_network()
+        evaluator = make_masked_evaluator(network, kernel=tier)
+        assert isinstance(evaluator, KernelMaskedEvaluator)
+        assert evaluator.kernel == tier
+        # Two lanes per vector vertex, one row per Boolean/scalar one.
+        assert len(evaluator._prog) > len(network.nodes)
+        _assert_walk_matches_python(network, evaluator, variables=2)
 
-    def test_negative_exponent_falls_back_to_python(self):
+    @pytest.mark.parametrize("tier", LIVE_TIERS)
+    def test_negative_exponent_runs_compiled(self, tier):
         network = build_targets(
             {
                 "p": atom(
@@ -183,13 +212,60 @@ class TestEvaluatorConstruction:
                 )
             }
         )
-        evaluator = make_masked_evaluator(network, kernel="interpreted")
-        assert type(evaluator) is MaskedEvaluator
-        # ... and still evaluates correctly through the Python tier.
+        evaluator = make_masked_evaluator(network, kernel=tier)
+        assert isinstance(evaluator, KernelMaskedEvaluator)
+        # POW(x, -1) is lowered to INV(POW(x, 1)): one extra vertex and
+        # no negative exponent left for the sweeps to see.
+        program = evaluator._prog
+        assert len(program) == len(network.nodes) + 1
+        assert (program.pow_exponent >= 0).all()
+        _assert_walk_matches_python(network, evaluator, variables=1)
         pool = make_pool([0.5])
-        result = compile_network(network, pool, kernel="interpreted")
-        expected = compile_network(network, pool, kernel="python")
+        result = compile_network(network, pool, kernel=tier)
+        expected = compile_network(network, pool, engine="scalar")
         assert result.bounds["p"] == pytest.approx(expected.bounds["p"])
+
+    def test_python_tier_only_without_a_live_backend(self, monkeypatch):
+        # The fallback is about the process (no compiler, no numba),
+        # never about the network.
+        monkeypatch.setattr(kernels_module, "get_backend", lambda name: None)
+        for network in (_scalar_network(), _vector_network()):
+            evaluator = make_masked_evaluator(network, kernel="native")
+            assert type(evaluator) is MaskedEvaluator
+
+    @pytest.mark.parametrize("tier", LIVE_TIERS)
+    def test_baseline_sweep_runs_through_the_backend(self, tier):
+        # Same baseline columns and the same evaluation count as the
+        # Python tier's construction-time loop.
+        for network in (_scalar_network(), _vector_network()):
+            oracle = MaskedEvaluator(network)
+            candidate = make_masked_evaluator(network, kernel=tier)
+            assert candidate.evals == oracle.evals == len(candidate._prog)
+            np.testing.assert_array_equal(candidate.bstate, oracle.bstate)
+            np.testing.assert_array_equal(candidate.lo, oracle.lo)
+            np.testing.assert_array_equal(candidate.hi, oracle.hi)
+            np.testing.assert_array_equal(
+                candidate.resolved_mask, oracle.resolved_mask
+            )
+            assert not candidate._dirty.any()
+
+    def test_self_validation_covers_the_vector_dist_branch(self):
+        # A sweep that gets only the n-ary lane DIST wrong (squared
+        # instead of euclidean) must be rejected by the canned walk.
+        def wrong_metric(seeds, cone, assign, kinds, var_index, atom_op,
+                         pow_exp, metric, *rest):
+            return kernels_module._masked_sweep(
+                seeds, cone, assign, kinds, var_index, atom_op, pow_exp,
+                np.ones_like(metric), *rest
+            )
+
+        broken = kernels_module._Backend(
+            "interpreted",
+            sweep_py=wrong_metric,
+            packed_py=kernels_module._packed_segments,
+        )
+        assert not kernels_module._validate_backend(broken)
+        assert kernels_module._validate_backend(get_backend("interpreted"))
 
     def test_engine_string_carries_the_tier(self):
         network = _scalar_network()

@@ -211,3 +211,49 @@ class TestFacade:
         platform = ENFrame(make_pool([0.5]))
         with pytest.raises(RuntimeError):
             platform.whatif()
+
+
+class TestSessionTier:
+    """The staged default of PR 13 (see ``whatif._session_kernel``).
+
+    Every tier evaluates every network; a session merely *defaults* to
+    the tier it had before the lane lowering on networks with vector
+    c-values, until the end-to-end harness stops holding every op's
+    answers (its ``peak_rss_mb`` gate would read the 26x op rate as a
+    memory regression).  Flip these expectations with the follow-up.
+    """
+
+    @staticmethod
+    def clustering_platform():
+        from repro import KMedoidsSpec
+
+        return ENFrame.from_sensor_data(
+            8, scheme="mutex", group_size=2, mutex_size=2, seed=2
+        ).kmedoids(KMedoidsSpec(k=2, iterations=2))
+
+    def test_vector_networks_default_to_the_python_tier(self, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        session = self.clustering_platform().whatif()
+        assert session._compiler.evaluator.kernel == "python"
+
+    def test_an_explicit_tier_is_honoured_on_vector_networks(self):
+        platform = self.clustering_platform()
+        session = platform.whatif(kernel="interpreted")
+        assert session._compiler.evaluator.kernel == "interpreted"
+        session.assert_evidence(0, True)
+        reference = platform.whatif(kernel="python")
+        reference.assert_evidence(0, True)
+        assert_bounds_match(session.query().bounds, reference.query().bounds)
+
+    def test_the_environment_default_is_honoured_on_vector_networks(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_KERNEL", "interpreted")
+        session = self.clustering_platform().whatif()
+        assert session._compiler.evaluator.kernel == "interpreted"
+
+    def test_scalar_networks_take_the_process_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "interpreted")
+        pool, network = grouped_instance()
+        session = WhatIfSession(network, pool)
+        assert session._compiler.evaluator.kernel == "interpreted"
