@@ -3,14 +3,12 @@
 AST-walking lint rules that enforce the repository's standing
 invariants — trail discipline in the masked evaluators, registry-only
 scheme dispatch, deterministic distributed barriers, plain-scalar patch
-wire format, kernel-tier import hygiene, and Python↔C kernel twin
-correspondence.  See ``docs/ARCHITECTURE.md``, section "Enforced
+wire format, and kernel-tier import hygiene.  See ``docs/ARCHITECTURE.md``, section "Enforced
 invariants".
 """
 
 from .core import (
     Finding,
-    ProjectRule,
     Rule,
     SourceFile,
     load_rules,
@@ -22,7 +20,6 @@ from .runner import main
 
 __all__ = [
     "Finding",
-    "ProjectRule",
     "Rule",
     "SourceFile",
     "load_rules",

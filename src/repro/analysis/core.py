@@ -8,14 +8,8 @@ the framework filters them through ``# repro: allow[rule-name]``
 suppression comments (on the flagged line or the line directly above;
 ``allow[*]`` suppresses every rule) and sorts the survivors.
 
-Two rule shapes exist:
-
-* :class:`Rule` — per-file AST lints (``check(source_file)``);
-* :class:`ProjectRule` — whole-repository checks that need more than
-  one file or non-AST inputs (``check_project(root, files)``), e.g. the
-  Python↔C kernel drift detector.
-
-Rules register themselves at import time via :func:`register_rule`;
+Every rule is a :class:`Rule`: a per-file AST lint
+(``check(source_file)``).  Rules register themselves at import time via :func:`register_rule`;
 :func:`load_rules` imports the rule modules exactly once.
 """
 
@@ -35,7 +29,6 @@ _RULE_MODULES = (
     "barrier_determinism",
     "wire_format",
     "kernel_hygiene",
-    "c_twin",
 )
 
 #: Directories (relative to the repo root) the checker walks.
@@ -155,18 +148,6 @@ class Rule:
         )
 
 
-class ProjectRule(Rule):
-    """A whole-repository check (cross-file or non-AST inputs)."""
-
-    def check(self, source: SourceFile) -> Iterable[Finding]:
-        return ()
-
-    def check_project(
-        self, root: str, files: Mapping[str, SourceFile]
-    ) -> Iterable[Finding]:
-        raise NotImplementedError
-
-
 _RULES: Dict[str, Rule] = {}
 _rules_loaded = False
 
@@ -209,9 +190,7 @@ def run_check(
 ) -> List[Finding]:
     """Run every rule over the repository; returns surviving findings.
 
-    ``paths`` restricts the per-file rules to a subset of files
-    (repo-relative); project rules always see the full collected set so
-    partial runs cannot silently skip the cross-file checks.
+    ``paths`` restricts the rules to a subset of files (repo-relative).
     """
     selected = list(rules) if rules is not None else list(load_rules())
     files: Dict[str, SourceFile] = {}
@@ -231,11 +210,6 @@ def run_check(
     wanted = set(paths) if paths is not None else None
     findings: List[Finding] = []
     for rule in selected:
-        if isinstance(rule, ProjectRule):
-            for finding in rule.check_project(root, files):
-                if not suppressed(files.get(finding.path), finding):
-                    findings.append(finding)
-            continue
         for relpath, source in files.items():
             if wanted is not None and relpath not in wanted:
                 continue

@@ -16,7 +16,6 @@ from typing import Iterable, List, Optional
 
 from .core import (
     Finding,
-    ProjectRule,
     Rule,
     load_rules,
     run_check,
@@ -61,7 +60,7 @@ def injected_findings(rules: Iterable[Rule]) -> List[Finding]:
     source = source_from_text(_INJECTED_PATH, _INJECTED_TEXT)
     findings: List[Finding] = []
     for rule in rules:
-        if isinstance(rule, ProjectRule) or not rule.applies(source.path):
+        if not rule.applies(source.path):
             continue
         for finding in rule.check(source):
             if not suppressed(source, finding):
@@ -75,8 +74,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "paths",
         nargs="*",
         metavar="PATH",
-        help="restrict per-file rules to these repo-relative files "
-        "(project-wide rules always run over the full tree)",
+        help="restrict the rules to these repo-relative files",
     )
     parser.add_argument(
         "--root",
@@ -101,8 +99,7 @@ def handle(args: argparse.Namespace) -> int:
     rules = load_rules()
     if args.list_rules:
         for rule in rules:
-            kind = "project" if isinstance(rule, ProjectRule) else "file"
-            print(f"{rule.name} ({kind}): {rule.description}")
+            print(f"{rule.name}: {rule.description}")
         return 0
 
     root = args.root if args.root is not None else find_root()

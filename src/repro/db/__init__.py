@@ -15,7 +15,6 @@ from .aggregates import (
     min_events,
     sum_aggregate,
 )
-from .conditioning import condition_events, conditional_probability
 from .pctable import PCTable, PCTuple, block_independent_disjoint, tuple_independent
 from .query import Query
 
@@ -26,8 +25,6 @@ __all__ = [
     "algebra",
     "avg_aggregate",
     "block_independent_disjoint",
-    "condition_events",
-    "conditional_probability",
     "count_aggregate",
     "count_distinct_events",
     "group_by_sum",

@@ -6,13 +6,13 @@ dispatch over flat arrays (:class:`repro.engine.masked.MaskedEvaluator`).
 This module compiles that loop out of Python:
 
 * :func:`_masked_sweep` is the single-source kernel: one plain-Python
-  function over NumPy arrays that is *numba-jittable as is* and also
-  runs interpreted (the ``"interpreted"`` tier, used by tests when no
-  compiler is available);
-* the same algorithm is mirrored statement-for-statement in C
-  (:data:`_C_TEMPLATE`), built once per process with the system C
-  compiler into a shared library cached on disk (the ``"native"``
-  tier);
+  function over NumPy arrays, written in the subset that is
+  *numba-jittable as is* (the ``"numba"`` tier) — it is source, never a
+  tier of its own;
+* the ``"native"`` tier's C is *generated* from that same function
+  (:mod:`repro.engine.cgen` lowers its AST; nothing is hand-mirrored,
+  so the two cannot drift), built with the system C compiler into a
+  shared library cached on disk;
 * :class:`KernelMaskedEvaluator` swaps the evaluator's columns to
   shared NumPy buffers the kernel mutates in place, with trail frames
   kept as arrays and restored vectorized on ``pop()``.
@@ -36,8 +36,9 @@ vector-valued c-values to scalar lanes and negative ``POW`` exponents to
 vectors included — is a program over the scalar columns the kernels
 sweep.
 
-The shared library also carries ``packed_eval``, the word-wise segment
-kernel behind the bit-packed bulk evaluator (:mod:`repro.engine.packed`).
+The shared library also carries ``packed_segments``, generated the same
+way from :func:`_packed_segments`: the word-wise segment kernel behind
+the bit-packed bulk evaluator (:mod:`repro.engine.packed`).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import shlex
 import subprocess
 import tempfile
 import warnings
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -83,11 +84,9 @@ _NAN = float("nan")
 _INF = float("inf")
 
 #: Public kernel tier names, in fallback order (``auto`` resolves to
-#: the first available compiled tier; ``interpreted`` runs the jittable
-#: kernel source in plain Python — slow, exists so the kernel algorithm
-#: is exercised even where neither numba nor a C compiler is present;
-#: ``python`` is the original :class:`MaskedEvaluator`).
-KERNEL_NAMES = ("auto", "numba", "native", "interpreted", "python")
+#: the first available compiled tier; ``python`` is the original
+#: :class:`MaskedEvaluator`).
+KERNEL_NAMES = ("auto", "numba", "native", "python")
 
 #: Why a backend was rejected, by name (introspection/debugging only).
 BACKEND_ERRORS: Dict[str, str] = {}
@@ -95,9 +94,9 @@ BACKEND_ERRORS: Dict[str, str] = {}
 #: How ``result.extra["kernel_tier"]`` encodes the tier that ran
 #: (``extra`` is a float dict; mirrors ``_EXECUTION_CODES``).  "numpy"
 #: is the packed bulk evaluator's vectorized no-compiler fallback.
+#: (1.0 was a tier that no longer exists; the others keep their codes.)
 KERNEL_TIER_CODES: Dict[str, float] = {
     "python": 0.0,
-    "interpreted": 1.0,
     "native": 2.0,
     "numba": 3.0,
     "numpy": 4.0,
@@ -117,11 +116,14 @@ def record_kernel_tier(extra: Dict[str, object], evaluator) -> None:
 # ----------------------------------------------------------------------
 # The single-source sweep kernel (plain Python over NumPy arrays).
 #
-# This function is BOTH executed interpreted and handed to numba.njit
-# verbatim, and the C translation below mirrors it statement for
-# statement — when editing, change all three in lockstep and mind the
-# exact Python semantics being reproduced (min/max fold order, NaN
-# comparisons, pow): repro.engine.masked is the oracle.
+# This function is handed to numba.njit verbatim AND is the text the
+# native tier's C is generated from, so edit it alone, inside the subset
+# both accept: repro.engine.cgen lists it, and rejects — with the line —
+# anything else or anything C would read differently (``//``, chained
+# comparisons, ``%`` by a non-literal, ...).  Mind the exact Python
+# semantics being reproduced (min/max fold order, NaN comparisons, pow):
+# MaskedEvaluator._compute_* in repro.engine.masked stays the
+# independent oracle every built tier is validated against.
 # ----------------------------------------------------------------------
 
 
@@ -607,385 +609,62 @@ def _packed_segments(ops, out, arg_off, arg_idx, matrix, tail):
 
 
 # ----------------------------------------------------------------------
-# The native (C) twin, built with the system compiler and loaded via
-# ctypes.  The source is generic over programs (all structure arrives
-# as runtime arrays), so one shared library serves the whole process;
-# it is cached on disk keyed by a hash of the generated source.
+# The native tier: C generated from the two functions above
+# (repro.engine.cgen), built with the system compiler and loaded via
+# ctypes.  The code is generic over programs (all structure arrives as
+# runtime arrays), so one shared library serves the whole process; it
+# is cached on disk under a key that needs no source or AST work, and
+# the emitter is imported only when that cache misses.
 # ----------------------------------------------------------------------
 
-_C_TEMPLATE = r"""
-#include <math.h>
-#include <stdint.h>
+#: C-level arguments of each native function, in call order (the key
+#: forms are :mod:`repro.engine.cgen`'s).  One table drives both the
+#: emitted prototype and the ctypes ``argtypes``.
+_SIGNATURES: Dict[str, Dict[str, str]] = {
+    "_masked_sweep": {
+        "seeds": "const int64_t *", "seeds.shape[0]": "int64_t",
+        "cone": "const int64_t *", "cone.shape[0]": "int64_t",
+        "assign": "const int8_t *",
+        # The program: read-only structure arrays (_kernel_program).
+        "kinds": "const int64_t *", "var_index": "const int64_t *",
+        "atom_op": "const int64_t *", "pow_exp": "const int64_t *",
+        "metric": "const int64_t *",
+        "child_off": "const int64_t *", "child_idx": "const int64_t *",
+        "par_off": "const int64_t *", "par_idx": "const int64_t *",
+        "is_bool": "const uint8_t *", "guard_val": "const double *",
+        # The state columns the sweep mutates in place.
+        "b": "int8_t *", "lo": "double *", "hi": "double *",
+        "mu": "uint8_t *", "md": "uint8_t *",
+        "resolved": "uint8_t *", "dirty": "uint8_t *",
+        # The trail buffers it fills, one entry per vertex it overwrote.
+        "t_tag": "uint8_t *", "t_vid": "int64_t *", "t_b": "int8_t *",
+        "t_lo": "double *", "t_hi": "double *",
+        "t_mu": "uint8_t *", "t_md": "uint8_t *",
+        "return": "int64_t", "return[1]": "int64_t *",
+    },
+    "_packed_segments": {
+        "ops": "const int64_t *", "ops.shape[0]": "int64_t",
+        "out": "const int64_t *",
+        "arg_off": "const int64_t *", "arg_idx": "const int64_t *",
+        "matrix": "uint64_t *", "matrix.shape[1]": "int64_t",
+        "tail": "uint64_t",
+        "return": "int64_t",
+    },
+}
 
-#define K_TRUE {K_TRUE}
-#define K_FALSE {K_FALSE}
-#define K_VAR {K_VAR}
-#define K_NOT {K_NOT}
-#define K_AND {K_AND}
-#define K_OR {K_OR}
-#define K_ATOM {K_ATOM}
-#define K_GUARD {K_GUARD}
-#define K_COND {K_COND}
-#define K_SUM {K_SUM}
-#define K_PROD {K_PROD}
-#define K_INV {K_INV}
-#define K_POW {K_POW}
-#define K_DIST {K_DIST}
-#define K_LOOP_IN {K_LOOP_IN}
 
-#define B_F {B_FALSE}
-#define B_T {B_TRUE}
-#define B_U {B_UNKNOWN}
-
-int64_t masked_sweep(
-    const int64_t *seeds, int64_t n_seeds,
-    const int64_t *cone, int64_t n_cone,
-    const int8_t *assign,
-    const int64_t *kinds, const int64_t *var_index, const int64_t *atom_op,
-    const int64_t *pow_exp, const int64_t *metric,
-    const int64_t *child_off, const int64_t *child_idx,
-    const int64_t *par_off, const int64_t *par_idx,
-    const uint8_t *is_bool, const double *guard_val,
-    int8_t *b, double *lo, double *hi,
-    uint8_t *mu, uint8_t *md, uint8_t *resolved, uint8_t *dirty,
-    uint8_t *t_tag, int64_t *t_vid, int8_t *t_b,
-    double *t_lo, double *t_hi, uint8_t *t_mu, uint8_t *t_md,
-    int64_t *evals_out)
-{{
-    int64_t pending = 0;
-    for (int64_t i = 0; i < n_seeds; i++) {{
-        int64_t s = seeds[i];
-        if (!dirty[s]) {{ dirty[s] = 1; pending++; }}
-    }}
-    int64_t n_trail = 0;
-    int64_t evals = 0;
-    for (int64_t ci = 0; ci < n_cone; ci++) {{
-        int64_t vid = cone[ci];
-        if (!dirty[vid]) continue;
-        dirty[vid] = 0;
-        pending--;
-        if (!resolved[vid]) {{
-            evals++;
-            int changed = 0;
-            int64_t kind = kinds[vid];
-            int64_t c0 = child_off[vid];
-            int64_t c1 = child_off[vid + 1];
-            if (is_bool[vid]) {{
-                int8_t nw = B_U;
-                if (kind == K_VAR) {{
-                    int8_t a = assign[var_index[vid]];
-                    nw = (a < 0) ? B_U : (a == 0 ? B_F : B_T);
-                }} else if (kind == K_AND) {{
-                    nw = B_T;
-                    for (int64_t e = c0; e < c1; e++) {{
-                        int8_t v = b[child_idx[e]];
-                        if (v == B_F) {{ nw = B_F; break; }}
-                        if (v == B_U) nw = B_U;
-                    }}
-                }} else if (kind == K_OR) {{
-                    nw = B_F;
-                    for (int64_t e = c0; e < c1; e++) {{
-                        int8_t v = b[child_idx[e]];
-                        if (v == B_T) {{ nw = B_T; break; }}
-                        if (v == B_U) nw = B_U;
-                    }}
-                }} else if (kind == K_NOT) {{
-                    int8_t v = b[child_idx[c0]];
-                    nw = (v == B_U) ? B_U : (v == B_F ? B_T : B_F);
-                }} else if (kind == K_ATOM) {{
-                    int64_t op = atom_op[vid];
-                    int a_md = 1, a_mu = 0;
-                    int always = 1, never = 1, above = 1;
-                    for (int64_t e = c0; e < c1; e += 2) {{
-                        int64_t lft = child_idx[e];
-                        int64_t rgt = child_idx[e + 1];
-                        if (!md[lft] || !md[rgt]) {{ a_md = 0; break; }}
-                        if (mu[lft] || mu[rgt]) a_mu = 1;
-                        double llo = lo[lft], lhi = hi[lft];
-                        double rlo = lo[rgt], rhi = hi[rgt];
-                        if (op == 0) {{
-                            always = always && lhi <= rlo;
-                            never = never && rhi < llo;
-                        }} else if (op == 1) {{
-                            always = always && lhi < rlo;
-                            never = never && rhi <= llo;
-                        }} else if (op == 2) {{
-                            always = always && rhi <= llo;
-                            never = never && lhi < rlo;
-                        }} else if (op == 3) {{
-                            always = always && rhi < llo;
-                            never = never && lhi <= rlo;
-                        }} else {{
-                            always = always && llo == lhi
-                                && rlo == rhi && llo == rlo;
-                            never = never && lhi < rlo;
-                            above = above && rhi < llo;
-                        }}
-                    }}
-                    if (op == 4) {{
-                        always = always && !a_mu;
-                        never = never || above;
-                    }}
-                    if (!a_md || always) nw = B_T;
-                    else if (never && !a_mu) nw = B_F;
-                    else nw = B_U;
-                }} else if (kind == K_TRUE) {{
-                    nw = B_T;
-                }} else if (kind == K_FALSE) {{
-                    nw = B_F;
-                }} else {{
-                    nw = b[child_idx[c0]];
-                }}
-                int8_t old = b[vid];
-                if (nw == old) {{
-                    if (nw != B_U) {{
-                        t_tag[n_trail] = 0; t_vid[n_trail] = vid;
-                        t_b[n_trail] = old; n_trail++;
-                        resolved[vid] = 1;
-                    }}
-                }} else {{
-                    t_tag[n_trail] = 0; t_vid[n_trail] = vid;
-                    t_b[n_trail] = old; n_trail++;
-                    b[vid] = nw;
-                    if (nw != B_U) resolved[vid] = 1;
-                    changed = 1;
-                }}
-            }} else {{
-                double nlo = NAN, nhi = NAN;
-                int nmu = 1, nmd = 0;
-                if (kind == K_GUARD) {{
-                    int8_t ev = b[child_idx[c0]];
-                    double g = guard_val[vid];
-                    if (ev == B_T) {{ nlo = g; nhi = g; nmu = 0; nmd = 1; }}
-                    else if (ev == B_F) {{ }}
-                    else {{ nlo = g; nhi = g; nmu = 1; nmd = 1; }}
-                }} else if (kind == K_COND) {{
-                    int8_t ev = b[child_idx[c0]];
-                    int64_t ch = child_idx[c0 + 1];
-                    if (ev == B_F || !md[ch]) {{ }}
-                    else if (ev == B_T) {{
-                        nlo = lo[ch]; nhi = hi[ch]; nmu = mu[ch]; nmd = 1;
-                    }} else {{
-                        nlo = lo[ch]; nhi = hi[ch]; nmu = 1; nmd = 1;
-                    }}
-                }} else if (kind == K_SUM) {{
-                    double a_lo = NAN, a_hi = NAN;
-                    int a_mu = 1, a_md = 0;
-                    for (int64_t e = c0; e < c1; e++) {{
-                        int64_t ch = child_idx[e];
-                        int c_md = md[ch], c_mu = mu[ch];
-                        double c_lo = lo[ch], c_hi = hi[ch];
-                        double x_lo = 0.0, x_hi = 0.0;
-                        int has = 0, x_md = 0;
-                        if (a_md && c_md) {{
-                            x_lo = a_lo + c_lo; x_hi = a_hi + c_hi;
-                            has = 1; x_md = 1;
-                        }}
-                        if (a_md && c_mu) {{
-                            if (!has) {{ x_lo = a_lo; x_hi = a_hi; has = 1; }}
-                            else {{
-                                if (a_lo < x_lo) x_lo = a_lo;
-                                if (a_hi > x_hi) x_hi = a_hi;
-                            }}
-                            x_md = 1;
-                        }}
-                        if (c_md && a_mu) {{
-                            if (!has) {{ x_lo = c_lo; x_hi = c_hi; has = 1; }}
-                            else {{
-                                if (c_lo < x_lo) x_lo = c_lo;
-                                if (c_hi > x_hi) x_hi = c_hi;
-                            }}
-                            x_md = 1;
-                        }}
-                        a_mu = a_mu && c_mu;
-                        if (x_md) {{ a_lo = x_lo; a_hi = x_hi; a_md = 1; }}
-                        else {{ a_lo = NAN; a_hi = NAN; a_md = 0; a_mu = 1; }}
-                    }}
-                    if (a_md) {{ nlo = a_lo; nhi = a_hi; nmu = a_mu; nmd = 1; }}
-                }} else if (kind == K_PROD) {{
-                    double a_lo = 1.0, a_hi = 1.0;
-                    int a_mu = 0, a_md = 1;
-                    for (int64_t e = c0; e < c1; e++) {{
-                        int64_t ch = child_idx[e];
-                        if (mu[ch]) a_mu = 1;
-                        if (!md[ch]) {{ a_md = 0; break; }}
-                        double c_lo = lo[ch], c_hi = hi[ch];
-                        double p1 = a_lo * c_lo, p2 = a_lo * c_hi;
-                        double p3 = a_hi * c_lo, p4 = a_hi * c_hi;
-                        double m = p1;
-                        if (p2 < m) m = p2;
-                        if (p3 < m) m = p3;
-                        if (p4 < m) m = p4;
-                        double q = p1;
-                        if (p2 > q) q = p2;
-                        if (p3 > q) q = p3;
-                        if (p4 > q) q = p4;
-                        a_lo = m; a_hi = q;
-                    }}
-                    if (a_md) {{ nlo = a_lo; nhi = a_hi; nmu = a_mu; nmd = 1; }}
-                }} else if (kind == K_INV) {{
-                    int64_t ch = child_idx[c0];
-                    if (md[ch]) {{
-                        double c_lo = lo[ch], c_hi = hi[ch];
-                        if (c_lo > 0 || c_hi < 0) {{
-                            nlo = 1.0 / c_hi; nhi = 1.0 / c_lo;
-                            nmu = mu[ch]; nmd = 1;
-                        }} else if (c_lo == 0 && c_hi == 0) {{ }}
-                        else if (c_lo == 0) {{
-                            nlo = 1.0 / c_hi; nhi = INFINITY; nmu = 1; nmd = 1;
-                        }} else if (c_hi == 0) {{
-                            nlo = -INFINITY; nhi = 1.0 / c_lo; nmu = 1; nmd = 1;
-                        }} else {{
-                            nlo = -INFINITY; nhi = INFINITY; nmu = 1; nmd = 1;
-                        }}
-                    }}
-                }} else if (kind == K_POW) {{
-                    int64_t exp = pow_exp[vid];
-                    int64_t ch = child_idx[c0];
-                    if (md[ch]) {{
-                        double c_lo = lo[ch], c_hi = hi[ch];
-                        if (exp % 2 == 1 || c_lo >= 0.0) {{
-                            nlo = pow(c_lo, (double)exp);
-                            nhi = pow(c_hi, (double)exp);
-                        }} else {{
-                            double abs_lo = c_lo < 0.0 ? -c_lo : c_lo;
-                            double abs_hi = c_hi < 0.0 ? -c_hi : c_hi;
-                            double mn = abs_lo <= abs_hi ? abs_lo : abs_hi;
-                            double mx = abs_lo >= abs_hi ? abs_lo : abs_hi;
-                            if (c_lo <= 0.0 && 0.0 <= c_hi) nlo = 0.0;
-                            else nlo = pow(mn, (double)exp);
-                            nhi = pow(mx, (double)exp);
-                        }}
-                        nmu = mu[ch]; nmd = 1;
-                    }}
-                }} else if (kind == K_DIST) {{
-                    int wide = c1 - c0 > 2;
-                    int d_mu = 0, d_md = 1;
-                    double acc_lo = 0.0, acc_hi = 0.0;
-                    for (int64_t e = c0; e < c1; e += 2) {{
-                        int64_t lft = child_idx[e];
-                        int64_t rgt = child_idx[e + 1];
-                        if (mu[lft] || mu[rgt]) d_mu = 1;
-                        if (!md[lft] || !md[rgt]) {{ d_md = 0; break; }}
-                        double diff_lo = lo[lft] - hi[rgt];
-                        double diff_hi = hi[lft] - lo[rgt];
-                        double a1 = diff_lo < 0.0 ? -diff_lo : diff_lo;
-                        double a2 = diff_hi < 0.0 ? -diff_hi : diff_hi;
-                        double abs_lo;
-                        if (diff_lo <= 0.0 && 0.0 <= diff_hi) abs_lo = 0.0;
-                        else abs_lo = a1 <= a2 ? a1 : a2;
-                        double abs_hi = a1 >= a2 ? a1 : a2;
-                        if (metric[vid] == 1 || (wide && metric[vid] == 0)) {{
-                            abs_lo = abs_lo * abs_lo;
-                            abs_hi = abs_hi * abs_hi;
-                        }}
-                        if (wide) {{ acc_lo += abs_lo; acc_hi += abs_hi; }}
-                        else {{ acc_lo = abs_lo; acc_hi = abs_hi; }}
-                    }}
-                    if (d_md) {{
-                        if (wide && metric[vid] == 0) {{
-                            acc_lo = sqrt(acc_lo); acc_hi = sqrt(acc_hi);
-                        }}
-                        nlo = acc_lo; nhi = acc_hi; nmu = d_mu; nmd = 1;
-                    }}
-                }} else {{
-                    int64_t ch = child_idx[c0];
-                    nlo = lo[ch]; nhi = hi[ch]; nmu = mu[ch]; nmd = md[ch];
-                }}
-                int res = (!nmd && nmu) || (nmd && !nmu && nlo == nhi);
-                double o_lo = lo[vid], o_hi = hi[vid];
-                uint8_t o_mu = mu[vid], o_md = md[vid];
-                int unchanged = ((o_md != 0) == (nmd != 0))
-                    && ((o_mu != 0) == (nmu != 0))
-                    && (!nmd || (o_lo == nlo && o_hi == nhi));
-                if (unchanged) {{
-                    if (res) {{
-                        t_tag[n_trail] = 1; t_vid[n_trail] = vid;
-                        t_lo[n_trail] = o_lo; t_hi[n_trail] = o_hi;
-                        t_mu[n_trail] = o_mu; t_md[n_trail] = o_md;
-                        n_trail++;
-                        resolved[vid] = 1;
-                    }}
-                }} else {{
-                    t_tag[n_trail] = 1; t_vid[n_trail] = vid;
-                    t_lo[n_trail] = o_lo; t_hi[n_trail] = o_hi;
-                    t_mu[n_trail] = o_mu; t_md[n_trail] = o_md;
-                    n_trail++;
-                    lo[vid] = nlo; hi[vid] = nhi;
-                    mu[vid] = (uint8_t)nmu; md[vid] = (uint8_t)nmd;
-                    if (res) resolved[vid] = 1;
-                    changed = 1;
-                }}
-            }}
-            if (changed) {{
-                for (int64_t e = par_off[vid]; e < par_off[vid + 1]; e++) {{
-                    int64_t p = par_idx[e];
-                    if (!dirty[p]) {{ dirty[p] = 1; pending++; }}
-                }}
-            }}
-        }}
-        if (pending == 0) break;
-    }}
-    *evals_out = evals;
-    return n_trail;
-}}
-
-void packed_eval(
-    int64_t n_ops, const int64_t *ops, const int64_t *out,
-    const int64_t *arg_off, const int64_t *arg_idx,
-    uint64_t *matrix, int64_t n_words, uint64_t tail)
-{{
-    if (n_words <= 0) return;
-    for (int64_t i = 0; i < n_ops; i++) {{
-        int64_t op = ops[i];
-        uint64_t *dst = matrix + out[i] * n_words;
-        int64_t a0 = arg_off[i], a1 = arg_off[i + 1];
-        if (op == 2) {{
-            const uint64_t *src = matrix + arg_idx[a0] * n_words;
-            for (int64_t w = 0; w < n_words; w++) dst[w] = ~src[w];
-            dst[n_words - 1] &= tail;
-        }} else if (op == 0) {{
-            for (int64_t w = 0; w < n_words; w++) {{
-                uint64_t acc = ~(uint64_t)0;
-                for (int64_t e = a0; e < a1; e++)
-                    acc &= matrix[arg_idx[e] * n_words + w];
-                dst[w] = acc;
-            }}
-            dst[n_words - 1] &= tail;
-        }} else {{
-            for (int64_t w = 0; w < n_words; w++) {{
-                uint64_t acc = 0;
-                for (int64_t e = a0; e < a1; e++)
-                    acc |= matrix[arg_idx[e] * n_words + w];
-                dst[w] = acc;
-            }}
-        }}
-    }}
-}}
-"""
+def _kernel_constants() -> Dict[str, object]:
+    """The numeric module constants a kernel may name (inlined in the C)."""
+    return {k: v for k, v in globals().items() if type(v) in (int, float)}
 
 
 def _c_source() -> str:
-    return _C_TEMPLATE.format(
-        K_TRUE=_K_TRUE,
-        K_FALSE=_K_FALSE,
-        K_VAR=_K_VAR,
-        K_NOT=_K_NOT,
-        K_AND=_K_AND,
-        K_OR=_K_OR,
-        K_ATOM=_K_ATOM,
-        K_GUARD=_K_GUARD,
-        K_COND=_K_COND,
-        K_SUM=_K_SUM,
-        K_PROD=_K_PROD,
-        K_INV=_K_INV,
-        K_POW=_K_POW,
-        K_DIST=_K_DIST,
-        K_LOOP_IN=_K_LOOP_IN,
-        B_FALSE=B_FALSE,
-        B_TRUE=B_TRUE,
-        B_UNKNOWN=B_UNKNOWN,
-    )
+    """The native tier's C, emitted from this file's kernel functions."""
+    from . import cgen  # deferred: only a cache miss pays for ast + emit
+
+    with open(__file__, encoding="utf-8") as handle:
+        text = handle.read()
+    return cgen.emit_c(text, _SIGNATURES, _kernel_constants(), "engine/kernels.py")
 
 
 def _native_cache_dir() -> str:
@@ -997,50 +676,65 @@ def _native_cache_dir() -> str:
     )
 
 
+def _compile_shared(source: str, so_path: str, compiler, flags) -> None:
+    """Compile ``source`` into ``so_path`` (atomically, via a temp name)."""
+    stem = f"{so_path[:-3]}_{os.getpid()}"
+    c_path, tmp_so = stem + ".c", stem + ".so.tmp"
+    with open(c_path, "w") as handle:
+        handle.write(source)
+    arguments = ["-O2", "-shared", "-fPIC", *flags, "-o", tmp_so, c_path, "-lm"]
+
+    def run(argv):
+        return subprocess.run([*argv, *arguments], capture_output=True, timeout=120)
+
+    try:
+        try:
+            done = run(compiler)
+        except (FileNotFoundError, PermissionError):
+            compiler = ["gcc"]
+            done = run(compiler)
+        if done.returncode != 0:
+            # The compiler's own words are the reason the tier is rejected.
+            stderr = done.stderr.decode(errors="replace").strip().splitlines()
+            raise RuntimeError(
+                f"{shlex.join(compiler)} exited {done.returncode}: "
+                + " | ".join(stderr[:6])
+            )
+        os.replace(tmp_so, so_path)
+    finally:
+        for stale in (c_path, tmp_so):
+            try:
+                os.unlink(stale)
+            except OSError:
+                pass
+
+
 def _build_native_library() -> ctypes.CDLL:
     """Compile (or reuse) the shared library and load it.
 
-    ``REPRO_KERNEL_CFLAGS`` appends extra compiler flags (the ASan/UBSan
-    CI leg passes ``-fsanitize=address,undefined``); the flags are part
-    of the cache key so sanitized and plain builds never collide.
+    ``CC`` names the compiler (a command line: ``"ccache gcc"`` works);
+    ``REPRO_KERNEL_CFLAGS`` appends extra flags (the ASan/UBSan CI leg
+    passes ``-fsanitize=address,undefined``).  The cache key is the raw
+    bytes of this file and of the emitter, the inlined constants, and
+    both command lines — everything the C depends on, without
+    generating it — so sanitized and plain builds never collide and a
+    warm start reads two files instead of parsing one.
     """
-    source = _c_source()
-    extra_flags = shlex.split(os.environ.get("REPRO_KERNEL_CFLAGS", ""))
+    compiler = shlex.split(os.environ.get("CC", "")) or ["cc"]
+    flags = shlex.split(os.environ.get("REPRO_KERNEL_CFLAGS", ""))
     digest = hashlib.sha256(
-        ("\x00".join([source] + extra_flags)).encode()
-    ).hexdigest()[:16]
+        repr((sorted(_kernel_constants().items()), compiler, flags)).encode()
+    )
+    for path in (__file__, os.path.join(os.path.dirname(__file__), "cgen.py")):
+        with open(path, "rb") as handle:
+            digest.update(handle.read())
     cache_dir = _native_cache_dir()
     os.makedirs(cache_dir, exist_ok=True)
-    so_path = os.path.join(cache_dir, f"masked_sweep_{digest}.so")
+    so_path = os.path.join(
+        cache_dir, f"masked_sweep_{digest.hexdigest()[:16]}.so"
+    )
     if not os.path.exists(so_path):
-        c_path = os.path.join(cache_dir, f"masked_sweep_{digest}_{os.getpid()}.c")
-        tmp_so = so_path + f".{os.getpid()}.tmp"
-        with open(c_path, "w") as handle:
-            handle.write(source)
-        try:
-            compiler = os.environ.get("CC", "cc")
-            flags = ["-O2", "-shared", "-fPIC"] + extra_flags
-            try:
-                subprocess.run(
-                    [compiler] + flags + ["-o", tmp_so, c_path, "-lm"],
-                    check=True,
-                    capture_output=True,
-                    timeout=120,
-                )
-            except (FileNotFoundError, PermissionError):
-                subprocess.run(
-                    ["gcc"] + flags + ["-o", tmp_so, c_path, "-lm"],
-                    check=True,
-                    capture_output=True,
-                    timeout=120,
-                )
-            os.replace(tmp_so, so_path)
-        finally:
-            for stale in (c_path, tmp_so):
-                try:
-                    os.unlink(stale)
-                except OSError:
-                    pass
+        _compile_shared(_c_source(), so_path, compiler, flags)
     return ctypes.CDLL(so_path)
 
 
@@ -1048,47 +742,48 @@ def _build_native_library() -> ctypes.CDLL:
 # Backends
 # ----------------------------------------------------------------------
 
+_CTYPES = {
+    "int64_t": ctypes.c_int64,
+    "uint64_t": ctypes.c_uint64,
+    "double": ctypes.c_double,
+}
+
+
+def _bind(lib: ctypes.CDLL, name: str):
+    """The C function emitted for kernel ``name``, typed from its table."""
+    signature = _SIGNATURES[name]
+    function = getattr(lib, name.lstrip("_"))
+    function.restype = _CTYPES[signature["return"]]
+    function.argtypes = [
+        _CTYPES.get(ctype, ctypes.c_void_p)  # every pointer is a raw address
+        for key, ctype in signature.items()
+        if key != "return"
+    ]
+    return function
+
 
 class _Backend:
-    """One compiled (or interpreted) kernel tier.
+    """One compiled kernel tier.
 
     ``sweep_py`` is a callable taking the full array argument list of
-    :func:`_masked_sweep` (numba / interpreted tiers); ``sweep_c`` is a
-    raw ctypes function for the native tier (the evaluator precomputes
-    its pointer arguments).  Either may be ``None``.
+    :func:`_masked_sweep` (the numba tier); ``sweep_c`` is a raw ctypes
+    function for the native tier (the evaluator precomputes its pointer
+    arguments).  Either may be ``None``.
     """
 
     def __init__(self, name, sweep_py=None, packed_py=None, lib=None):
         self.name = name
         self.sweep_py = sweep_py
         self.packed_py = packed_py
-        self.lib = lib
-        self.sweep_c = None
-        self.packed_c = None
-        if lib is not None:
-            self.sweep_c = lib.masked_sweep
-            self.sweep_c.restype = ctypes.c_int64
-            # 27 trailing pointers: assign + 11 program arrays + 7 state
-            # columns + 7 trail buffers + evals_out.
-            self.sweep_c.argtypes = (
-                [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                 ctypes.c_int64]
-                + [ctypes.c_void_p] * 27
-            )
-            self.packed_c = lib.packed_eval
-            self.packed_c.restype = None
-            self.packed_c.argtypes = [
-                ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-                ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                ctypes.c_int64, ctypes.c_uint64,
-            ]
+        self.sweep_c = _bind(lib, "_masked_sweep") if lib else None
+        self.packed_c = _bind(lib, "_packed_segments") if lib else None
 
     def run_packed(self, ops, out, arg_off, arg_idx, matrix, tail) -> None:
         """Dispatch one packed segment through this tier."""
         if self.packed_c is not None:
             self.packed_c(
-                len(ops),
                 ops.ctypes.data,
+                len(ops),
                 out.ctypes.data,
                 arg_off.ctypes.data,
                 arg_idx.ctypes.data,
@@ -1112,11 +807,8 @@ def _make_native_backend() -> _Backend:
     return _Backend("native", lib=_build_native_library())
 
 
-def _make_interpreted_backend() -> _Backend:
-    return _Backend(
-        "interpreted", sweep_py=_masked_sweep, packed_py=_packed_segments
-    )
-
+#: The compiled tiers, top of the ladder first.
+_BUILDERS = {"numba": _make_numba_backend, "native": _make_native_backend}
 
 _BACKEND_CACHE: Dict[str, Optional[_Backend]] = {}
 
@@ -1220,40 +912,36 @@ def get_backend(name: str = "auto") -> Optional[_Backend]:
     if name == "python":
         return None
     if name == "auto":
-        return get_backend("numba") or get_backend("native")
-    if name not in ("numba", "native", "interpreted"):
+        name = "numba"  # the top rung; falls through below
+    if name not in _BUILDERS:
         raise ValueError(
             f"unknown kernel {name!r}; expected one of {KERNEL_NAMES}"
         )
-    if name in _BACKEND_CACHE:
-        return _BACKEND_CACHE[name]
-    backend: Optional[_Backend] = None
-    try:
-        if name == "numba":
-            backend = _make_numba_backend()
-        elif name == "native":
-            backend = _make_native_backend()
-        else:
-            backend = _make_interpreted_backend()
-    except Exception as exc:  # unavailable tier: record and fall back
-        BACKEND_ERRORS[name] = f"{type(exc).__name__}: {exc}"
-        backend = None
-    if backend is not None and not _validate_backend(backend):
-        BACKEND_ERRORS[name] = "failed self-validation against the oracle"
-        backend = None
-    _BACKEND_CACHE[name] = backend
+    if name not in _BACKEND_CACHE:
+        backend: Optional[_Backend] = None
+        try:
+            backend = _BUILDERS[name]()
+        except Exception as exc:  # unavailable tier: record and fall back
+            BACKEND_ERRORS[name] = f"{type(exc).__name__}: {exc}"
+        if backend is not None and not _validate_backend(backend):
+            BACKEND_ERRORS[name] = "failed self-validation against the oracle"
+            backend = None
+        _BACKEND_CACHE[name] = backend
+    backend = _BACKEND_CACHE[name]
     if backend is None and name == "numba":
         return get_backend("native")
     return backend
 
 
+def _is_live(name: str) -> bool:
+    """Whether the compiled tier ``name`` itself (not a fallback) loads."""
+    backend = get_backend(name)
+    return backend is not None and backend.name == name
+
+
 def available_kernels() -> Tuple[str, ...]:
     """Kernel names that resolve to a working tier in this process."""
-    names: List[str] = ["auto", "python", "interpreted"]
-    for name in ("numba", "native"):
-        if get_backend(name) is not None and name not in BACKEND_ERRORS:
-            names.append(name)
-    return tuple(sorted(names))
+    return tuple(sorted(["auto", "python", *filter(_is_live, _BUILDERS)]))
 
 
 # ----------------------------------------------------------------------
@@ -1525,31 +1213,25 @@ def kernel_status() -> Dict[str, object]:
     Returns a dict with:
 
     * ``tiers`` — ``{name: {"live": bool, "error": str | None}}`` for
-      each concrete tier (``numba``/``native``/``interpreted``/
-      ``python``), probing each backend (which self-validates against
-      the Python oracle on first use);
+      each concrete tier (``numba``/``native``/``python``), probing
+      each backend (which self-validates against the Python oracle on
+      first use);
     * ``default`` — what :func:`default_kernel` returns;
     * ``auto`` — the concrete tier ``auto`` resolves to right now;
     * ``env`` / ``env_valid`` — the raw ``REPRO_KERNEL`` value and
       whether it names a known tier.
     """
-    tiers: Dict[str, Dict[str, object]] = {}
-    for name in ("numba", "native", "interpreted"):
-        backend = get_backend(name)
-        live = backend is not None and name not in BACKEND_ERRORS
-        tiers[name] = {"live": live, "error": BACKEND_ERRORS.get(name)}
+    tiers: Dict[str, Dict[str, object]] = {
+        name: {"live": _is_live(name), "error": BACKEND_ERRORS.get(name)}
+        for name in _BUILDERS
+    }
     tiers["python"] = {"live": True, "error": None}
-    if get_backend("numba") is not None and "numba" not in BACKEND_ERRORS:
-        auto_resolves_to = "numba"
-    elif get_backend("native") is not None and "native" not in BACKEND_ERRORS:
-        auto_resolves_to = "native"
-    else:
-        auto_resolves_to = "python"
+    auto = get_backend("auto")
     env = os.environ.get("REPRO_KERNEL")
     return {
         "tiers": tiers,
         "default": default_kernel(),
-        "auto": auto_resolves_to,
+        "auto": auto.name if auto is not None else "python",
         "env": env,
         "env_valid": env is None or env in KERNEL_NAMES,
     }

@@ -32,6 +32,33 @@ def make_pool(probabilities):
     return pool
 
 
+def require_native():
+    """The native kernel backend, or skip with the reason it was rejected."""
+    from repro.engine.kernels import BACKEND_ERRORS, get_backend
+
+    backend = get_backend("native")
+    if backend is None:
+        pytest.skip(f"native kernel tier unavailable: {BACKEND_ERRORS.get('native')}")
+    return backend
+
+
+def source_backend():
+    """The kernel *source* run as plain Python: a test-local reference.
+
+    Not a registered tier — ``_masked_sweep``/``_packed_segments`` are
+    the text the native C is generated from and numba's input; running
+    them un-jitted gives the differential suites a second execution of
+    that text that owes nothing to the emitter or a compiler.
+    """
+    from repro.engine import kernels
+
+    return kernels._Backend(
+        "source",
+        sweep_py=kernels._masked_sweep,
+        packed_py=kernels._packed_segments,
+    )
+
+
 def random_event(pool, rng, depth=3):
     """A random event expression over the pool (shared by many tests)."""
     if depth == 0 or rng.random() < 0.3:

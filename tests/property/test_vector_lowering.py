@@ -5,8 +5,8 @@ vertex into scalar lane vertices, so k-medoids and k-means — the
 paper's workloads, whose c-values are feature vectors — run on every
 kernel tier.  The contracts pinned down here:
 
-* every live tier (Python list columns, the interpreted single-source
-  sweep, numba, native C) walks the *same* lowered program and stays
+* every live tier (Python list columns, numba, the generated native
+  C) walks the *same* lowered program and stays
   bit-identical to the others: columns, resolved mask, trail entries in
   order, ``evals``;
 * the lowered program agrees with the untouched scalar oracles

@@ -1,21 +1,18 @@
 """Tests for ``repro check``: the invariant lint framework and rules.
 
 Each rule gets a good fixture (no findings) and a bad fixture (at least
-one finding, the right rule name, the right line); the C-twin drift
-detector additionally gets deliberately drifted kernel sources built by
-string-mutating the real ``engine/kernels.py``.  The final class runs
+one finding, the right rule name, the right line).  The final class runs
 the whole checker over the repository itself — the gate CI enforces.
+(The Python kernel and its C cannot drift any more — the C is generated,
+see ``test_cgen.py`` — so there is no drift rule to test.)
 """
 
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import load_rules, run_check, source_from_text
 from repro.analysis.barrier_determinism import RULE as BARRIER_RULE
-from repro.analysis.c_twin import check_kernel_twins
 from repro.analysis.core import parse_allow, resolve_import, suppressed
 from repro.analysis.kernel_hygiene import RULE as HYGIENE_RULE
 from repro.analysis.registry_dispatch import RULE as REGISTRY_RULE
@@ -24,7 +21,6 @@ from repro.analysis.trail_discipline import RULE as TRAIL_RULE
 from repro.analysis.wire_format import RULE as WIRE_RULE
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-KERNELS = REPO_ROOT / "src" / "repro" / "engine" / "kernels.py"
 
 
 def findings_for(rule, relpath, text):
@@ -46,7 +42,6 @@ class TestFramework:
             "barrier-determinism",
             "wire-format",
             "kernel-hygiene",
-            "c-twin-drift",
         }
 
     def test_parse_allow(self):
@@ -328,6 +323,15 @@ class TestKernelHygiene:
     def test_kernels_module_exempt(self):
         assert not HYGIENE_RULE.applies("src/repro/engine/kernels.py")
 
+    def test_the_emitter_is_in_scope_and_clean(self):
+        # engine/cgen.py writes the native tier's C but is text-in,
+        # text-out: in scope for the rule, and passing it unsuppressed.
+        relpath = "src/repro/engine/cgen.py"
+        text = (REPO_ROOT / relpath).read_text(encoding="utf-8")
+        assert HYGIENE_RULE.applies(relpath)
+        assert "repro: allow" not in text
+        assert not findings_for(HYGIENE_RULE, relpath, text)
+
     def test_tests_and_benchmarks_exempt(self):
         assert not HYGIENE_RULE.applies("benchmarks/bench_kernels.py")
 
@@ -336,92 +340,6 @@ class TestKernelHygiene:
         assert not findings_for(
             HYGIENE_RULE, "src/repro/compile/fastpath.py", good
         )
-
-
-# ----------------------------------------------------------------------
-# C-twin drift
-# ----------------------------------------------------------------------
-
-
-class TestCTwinDrift:
-    @pytest.fixture(scope="class")
-    def kernels_text(self):
-        return KERNELS.read_text(encoding="utf-8")
-
-    def test_real_kernels_are_in_sync(self, kernels_text):
-        assert check_kernel_twins(kernels_text) == []
-
-    @pytest.mark.parametrize(
-        "label,old,new",
-        [
-            (
-                "python loses a statement",
-                "                        resolved[vid] = 1\n",
-                "\n",
-            ),
-            (
-                "python operator edited",
-                "nlo = 1.0 / c_hi",
-                "nlo = 1.0 * c_hi",
-            ),
-            (
-                "c loses a statement",
-                "{{ dirty[p] = 1; pending++; }}",
-                "{{ pending++; }}",
-            ),
-            (
-                "c comparison edited",
-                "(a < 0)",
-                "(a <= 0)",
-            ),
-            (
-                "c reads the wrong column",
-                "int8_t old = b[vid];",
-                "int8_t old = resolved[vid];",
-            ),
-            (
-                "packed python loses a bitwise op",
-                "acc = ~np.uint64(0)",
-                "acc = np.uint64(0)",
-            ),
-            (
-                "packed c gains a write",
-                "dst[n_words - 1] &= tail;",
-                "dst[n_words - 1] &= tail; dst[0] |= (uint64_t)1;",
-            ),
-        ],
-    )
-    def test_one_sided_edit_is_caught(self, kernels_text, label, old, new):
-        assert old in kernels_text, f"fixture anchor missing: {label}"
-        drifted = kernels_text.replace(old, new, 1)
-        problems = check_kernel_twins(drifted)
-        assert problems, f"drift not caught: {label}"
-        line, message = problems[0]
-        assert line > 0
-        assert "edited without the other" in message
-
-    def test_same_edit_on_both_sides_stays_clean(self, kernels_text):
-        # A legitimate two-sided change: swap the write-back order of
-        # lo/hi in BOTH the Python kernel and the C template.
-        both = kernels_text.replace(
-            "                    lo[vid] = nlo\n                    hi[vid] = nhi",
-            "                    hi[vid] = nhi\n                    lo[vid] = nlo",
-        ).replace(
-            "lo[vid] = nlo; hi[vid] = nhi;",
-            "hi[vid] = nhi; lo[vid] = nlo;",
-        )
-        assert both != kernels_text
-        assert check_kernel_twins(both) == []
-
-    def test_missing_template_reported(self):
-        assert check_kernel_twins("def _masked_sweep():\n    pass\n")
-
-    def test_diagnostic_carries_both_line_numbers(self, kernels_text):
-        drifted = kernels_text.replace(
-            "int8_t old = b[vid];", "int8_t old = resolved[vid];", 1
-        )
-        _line, message = check_kernel_twins(drifted)[0]
-        assert "Python has" in message and "where C has" in message
 
 
 # ----------------------------------------------------------------------

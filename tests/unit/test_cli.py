@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from ..conftest import require_native
+
 
 class TestParser:
     def test_requires_command(self):
@@ -106,14 +108,21 @@ class TestCommands:
         assert "wire bytes:" in output
 
     def test_cluster_verbose_names_the_tier_that_ran(self, capsys):
+        require_native()
         base = ["cluster", "--objects", "8", "--group-size", "2", "--limit", "3"]
-        assert main(base + ["--kernel", "interpreted", "--verbose"]) == 0
-        assert "kernel: interpreted" in capsys.readouterr().out
+        assert main(base + ["--kernel", "native", "--verbose"]) == 0
+        assert "kernel: native" in capsys.readouterr().out
         assert main(base + ["--kernel", "python", "--verbose", "--folded"]) == 0
         assert "kernel: python" in capsys.readouterr().out
         # Only under --verbose: the default stdout is a parsed format.
-        assert main(base + ["--kernel", "interpreted"]) == 0
+        assert main(base + ["--kernel", "native"]) == 0
         assert "kernel:" not in capsys.readouterr().out
+
+    def test_cluster_rejects_a_removed_tier_name(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cluster", "--objects", "8", "--kernel", "interpreted"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'interpreted'" in capsys.readouterr().err
 
     def test_cluster_verbose_reports_why_a_tier_was_rejected(
         self, capsys, monkeypatch
@@ -185,8 +194,9 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "kernel tiers" in out
-        for tier in ("numba", "native", "interpreted", "python"):
+        for tier in ("numba", "native", "python"):
             assert tier in out
+        assert "interpreted" not in out
         assert "default:" in out
 
     def test_check_runs_clean_on_this_repo(self, capsys):
@@ -198,7 +208,8 @@ class TestCommands:
         code = main(["check", "--list"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "c-twin-drift" in out and "trail-discipline" in out
+        assert "kernel-hygiene" in out and "trail-discipline" in out
+        assert len(out.strip().splitlines()) == 5
 
     def test_check_inject_violation_fails(self, capsys):
         code = main(["check", "--inject-violation"])

@@ -1,16 +1,28 @@
 """Unit tests for conditioning: the ``exact-cond`` / ``lazy-cond``
-registered schemes and the deprecated ``repro.db.conditioning``
-wrappers that now route through them."""
+registered schemes."""
 
 import pytest
 
-from repro.db.conditioning import condition_events, conditional_probability
 from repro.engine.registry import run_scheme
 from repro.events.expressions import FALSE, TRUE, conj, disj, negate, var
 from repro.events.probability import event_probability
 from repro.network.build import build_targets
 
 from ..conftest import make_pool
+
+
+def condition_events(events, constraint, pool, scheme="exact-cond", epsilon=0.0):
+    """Bounds on ``P(event | constraint)`` per event, one scheme pass."""
+    network = build_targets({**events, "__constraint__": constraint})
+    result = run_scheme(
+        scheme, network, pool, targets=list(events),
+        evidence=[("event", "__constraint__")], epsilon=epsilon,
+    )
+    return result.bounds
+
+
+def conditional_probability(event, constraint, pool, **options):
+    return condition_events({"e": event}, constraint, pool, **options)["e"]
 
 
 class TestConditionalProbability:
@@ -52,7 +64,7 @@ class TestConditionalProbability:
         constraint = disj([var(0), var(1)])
         exact_lower, exact_upper = conditional_probability(event, constraint, pool)
         lower, upper = conditional_probability(
-            event, constraint, pool, scheme="hybrid", epsilon=0.05
+            event, constraint, pool, scheme="lazy-cond", epsilon=0.05
         )
         assert lower - 1e-9 <= exact_lower
         assert upper + 1e-9 >= exact_upper
@@ -154,33 +166,6 @@ class TestCondSchemes:
             run_scheme(
                 "exact-cond", network, pool, evidence=[("event", "ghost")]
             )
-
-
-class TestDeprecatedWrappers:
-    def test_wrappers_warn(self):
-        pool = make_pool([0.5, 0.5])
-        with pytest.warns(DeprecationWarning, match="exact-cond"):
-            conditional_probability(var(0), disj([var(0), var(1)]), pool)
-        with pytest.warns(DeprecationWarning, match="exact-cond"):
-            condition_events({"a": var(0)}, TRUE, pool)
-
-    def test_wrapper_parity_with_scheme_path(self):
-        # The wrappers must reproduce the historical interval-division
-        # arithmetic bit-for-bit (now hosted by the cond schemes).
-        pool = make_pool([0.35, 0.65, 0.45])
-        event = disj([conj([var(0), var(1)]), var(2)])
-        constraint = disj([var(0), negate(var(1))])
-        wrapper = conditional_probability(event, constraint, pool)
-        network = build_targets({"e": event, "C": constraint})
-        scheme = run_scheme(
-            "exact-cond", network, pool, targets=["e"],
-            evidence=[("event", "C")],
-        )
-        assert wrapper[0] == pytest.approx(scheme.bounds["e"][0], abs=1e-9)
-        assert wrapper[1] == pytest.approx(scheme.bounds["e"][1], abs=1e-9)
-        joint = event_probability(conj([event, constraint]), pool)
-        denominator = event_probability(constraint, pool)
-        assert wrapper[0] == pytest.approx(joint / denominator, abs=1e-9)
 
 
 class TestConditionEvents:

@@ -1,5 +1,6 @@
 """Unit tests for the masked-sweep kernel tiers (:mod:`repro.engine.kernels`)."""
 
+import shutil
 import warnings
 
 import numpy as np
@@ -34,7 +35,7 @@ from repro.events.expressions import (
 )
 from repro.network.build import build_targets
 
-from ..conftest import make_pool
+from ..conftest import make_pool, require_native, source_backend
 from ..property.test_masked_vs_scalar import _states_equal
 
 
@@ -88,17 +89,19 @@ class TestBackendSelection:
         kernels = available_kernels()
         assert "auto" in kernels
         assert "python" in kernels
-        # The single-source sweep loop needs no toolchain at all.
-        assert "interpreted" in kernels
+        # The kernel source is the generator's input and numba's, never
+        # a tier: every other name needs a toolchain.
+        assert KERNEL_NAMES == ("auto", "numba", "native", "python")
 
     def test_python_tier_has_no_backend(self):
         assert get_backend("python") is None
 
     def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            get_backend("fortran")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            make_masked_evaluator(_scalar_network(), kernel="fortran")
+        for name in ("fortran", "interpreted"):  # never a tier; no longer one
+            with pytest.raises(ValueError, match="unknown kernel"):
+                get_backend(name)
+            with pytest.raises(ValueError, match="unknown kernel"):
+                make_masked_evaluator(_scalar_network(), kernel=name)
 
     def test_unavailable_tiers_record_their_reason(self):
         # Whichever compiled tier is missing on this host must say why
@@ -113,10 +116,17 @@ class TestBackendSelection:
             assert backend.name in ("numba", "native")
 
     def test_default_kernel_honours_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "interpreted")
-        assert default_kernel() == "interpreted"
+        monkeypatch.setenv("REPRO_KERNEL", "python")
+        assert default_kernel() == "python"
         monkeypatch.delenv("REPRO_KERNEL")
         assert default_kernel() == "auto"
+
+    def test_a_removed_tier_name_is_an_unknown_value(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "interpreted")
+        monkeypatch.setattr(kernels_module, "_warned_unknown_kernel", False)
+        with pytest.warns(RuntimeWarning, match="interpreted"):
+            assert default_kernel() == "auto"
+        assert kernel_status()["env_valid"] is False
 
     def test_default_kernel_warns_on_unknown_name(self, monkeypatch):
         # A typo'd REPRO_KERNEL falls back to auto but must say so once
@@ -133,15 +143,14 @@ class TestBackendSelection:
     def test_kernel_status_reports_every_tier(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         status = kernel_status()
-        assert set(status["tiers"]) == {
-            "numba", "native", "interpreted", "python"
-        }
+        assert set(status["tiers"]) == {"numba", "native", "python"}
         assert status["tiers"]["python"]["live"] is True
         for name, tier in status["tiers"].items():
             if not tier["live"] and name != "python":
                 assert tier["error"], f"dead tier {name} must carry a reason"
         assert status["default"] == "auto"
-        assert status["auto"] in ("numba", "native", "python")
+        backend = get_backend("auto")
+        assert status["auto"] == (backend.name if backend else "python")
         assert status["env"] is None and status["env_valid"] is True
         live = {n for n, t in status["tiers"].items() if t["live"]}
         assert live | {"auto"} >= set(available_kernels())
@@ -168,6 +177,40 @@ class TestBackendSelection:
         assert kernels_module._build_native_library() is not None
         assert len(list(tmp_path.glob("*.so"))) == 2
 
+    def test_failed_compile_records_the_compilers_stderr(self, monkeypatch,
+                                                         tmp_path):
+        # The compiler's own message is the one thing that explains a
+        # rejected tier under `repro kernels` / `--verbose`.
+        stub = tmp_path / "stub-cc"
+        stub.write_text(
+            "#!/bin/sh\necho 'stub-cc: fatal: rejected on purpose' >&2\nexit 1\n"
+        )
+        stub.chmod(0o755)
+        monkeypatch.setenv("CC", str(stub))
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "cache"))
+        monkeypatch.setattr(kernels_module, "_BACKEND_CACHE", {})
+        monkeypatch.setattr(kernels_module, "BACKEND_ERRORS", {})
+        assert get_backend("native") is None
+        reason = kernels_module.BACKEND_ERRORS["native"]
+        assert "exited 1" in reason
+        assert "stub-cc: fatal: rejected on purpose" in reason
+
+    def test_cc_is_a_command_line(self, monkeypatch, tmp_path):
+        # CC="ccache gcc" / "gcc -m64": split like REPRO_KERNEL_CFLAGS,
+        # not looked up as one file name (and silently replaced by gcc).
+        require_native()
+        real = shutil.which("cc") or shutil.which("gcc")
+        seen = tmp_path / "first-argument"
+        wrapper = tmp_path / "wrap"
+        wrapper.write_text(
+            f'#!/bin/sh\necho "$1" > {seen}\nshift\nexec {real} "$@"\n'
+        )
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("CC", f"{wrapper} --via-wrapper")
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "cache"))
+        assert kernels_module._build_native_library() is not None
+        assert seen.read_text().strip() == "--via-wrapper"
+
     def test_tier_codes_cover_every_concrete_tier(self):
         # result.extra carries floats, so tiers are coded; every name a
         # KernelMaskedEvaluator (or packed evaluator) can report must
@@ -184,12 +227,11 @@ class TestEvaluatorConstruction:
         assert type(evaluator) is MaskedEvaluator
         assert evaluator.kernel == "python"
 
-    def test_interpreted_kernel_returns_kernel_evaluator(self):
-        evaluator = make_masked_evaluator(
-            _scalar_network(), kernel="interpreted"
-        )
+    def test_native_kernel_returns_kernel_evaluator(self):
+        require_native()
+        evaluator = make_masked_evaluator(_scalar_network(), kernel="native")
         assert isinstance(evaluator, KernelMaskedEvaluator)
-        assert evaluator.kernel == "interpreted"
+        assert evaluator.kernel == "native"
 
     @pytest.mark.parametrize("tier", LIVE_TIERS)
     def test_vector_networks_run_compiled(self, tier):
@@ -260,30 +302,31 @@ class TestEvaluatorConstruction:
             )
 
         broken = kernels_module._Backend(
-            "interpreted",
+            "broken",
             sweep_py=wrong_metric,
             packed_py=kernels_module._packed_segments,
         )
         assert not kernels_module._validate_backend(broken)
-        assert kernels_module._validate_backend(get_backend("interpreted"))
+        assert kernels_module._validate_backend(source_backend())
 
     def test_engine_string_carries_the_tier(self):
+        require_native()
         network = _scalar_network()
-        evaluator = make_evaluator(network, engine="masked:interpreted")
+        evaluator = make_evaluator(network, engine="masked:native")
         assert isinstance(evaluator, KernelMaskedEvaluator)
-        assert evaluator.kernel == "interpreted"
+        assert evaluator.kernel == "native"
         plain = make_evaluator(network, engine="masked:python")
         assert type(plain) is MaskedEvaluator
 
     def test_explicit_kernel_argument_matches_suffix(self):
+        require_native()
         network = _scalar_network()
-        by_arg = make_evaluator(network, engine="masked", kernel="interpreted")
+        by_arg = make_evaluator(network, engine="masked", kernel="native")
         assert isinstance(by_arg, KernelMaskedEvaluator)
 
     def test_columns_are_arrays(self):
-        evaluator = make_masked_evaluator(
-            _scalar_network(), kernel="interpreted"
-        )
+        require_native()
+        evaluator = make_masked_evaluator(_scalar_network(), kernel="native")
         assert isinstance(evaluator, KernelMaskedEvaluator)
         assert isinstance(evaluator._b, np.ndarray)
         assert evaluator._b.dtype == np.int8
@@ -293,10 +336,11 @@ class TestEvaluatorConstruction:
 
 class TestResultReporting:
     def test_compile_records_kernel_tier(self):
+        require_native()
         network = _scalar_network()
         pool = make_pool([0.5, 0.4, 0.6])
-        result = compile_network(network, pool, kernel="interpreted")
-        assert result.extra["kernel_tier"] == KERNEL_TIER_CODES["interpreted"]
+        result = compile_network(network, pool, kernel="native")
+        assert result.extra["kernel_tier"] == KERNEL_TIER_CODES["native"]
         python = compile_network(network, pool, kernel="python")
         assert python.extra["kernel_tier"] == KERNEL_TIER_CODES["python"]
 
@@ -305,7 +349,7 @@ class TestResultReporting:
         pool = make_pool([0.5, 0.4, 0.6])
         results = [
             compile_network(network, pool, kernel=kernel)
-            for kernel in ("python", "interpreted")
+            for kernel in ("python", "auto")
         ]
         for name in network.targets:
             assert results[0].bounds[name] == pytest.approx(
@@ -338,8 +382,8 @@ class TestRegistryIntegration:
         pool = make_pool([0.5, 0.4, 0.6])
         # The scalar oracle has no kernel seam; the option must be
         # normalised away, not rejected.
-        result = run_scheme("naive-scalar", network, pool, kernel="interpreted")
-        exact = run_scheme("exact", network, pool, kernel="interpreted")
+        result = run_scheme("naive-scalar", network, pool, kernel="native")
+        exact = run_scheme("exact", network, pool, kernel="native")
         for name in network.targets:
             assert result.bounds[name][0] == pytest.approx(
                 exact.bounds[name][0], abs=1e-9

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.bulk import BulkEvaluator, make_bulk_evaluator
-from repro.engine.kernels import get_backend
+from repro.engine.kernels import BACKEND_ERRORS, get_backend
 from repro.engine.packed import (
     PackedBulkEvaluator,
     PackedFoldedBulkEvaluator,
@@ -26,7 +26,7 @@ from repro.events.expressions import (
 )
 from repro.network.build import build_targets
 
-from ..conftest import make_pool
+from ..conftest import make_pool, require_native, source_backend
 
 ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -110,11 +110,13 @@ class TestSegmentKernels:
             # Tail invariant after every op, including NOT and empty AND.
             assert matrix[slot][-1] == (matrix[slot][-1] & tail_mask(worlds))
 
-    @pytest.mark.parametrize("tier", ["interpreted", "native", "numba"])
+    @pytest.mark.parametrize("tier", ["source", "native", "numba"])
     def test_kernel_segments_match_numpy(self, tier):
-        backend = get_backend(tier)
-        if backend is None:
-            pytest.skip(f"{tier} tier unavailable on this host")
+        # "source" is _packed_segments itself, run un-jitted: the text
+        # the other two are compiled from.
+        backend = source_backend() if tier == "source" else get_backend(tier)
+        if backend is None or backend.name != tier:
+            pytest.skip(f"{tier} tier unavailable: {BACKEND_ERRORS.get(tier)}")
         worlds, matrix, ops, out, arg_off, arg_idx, expected = self._case()
         _run_segments(
             ops, out, arg_off, arg_idx, matrix, tail_mask(worlds), backend
@@ -148,8 +150,9 @@ class TestPackedEvaluators:
     def test_kernel_attribute_reports_tier(self):
         network = self._network()
         assert make_bulk_evaluator(network, kernel="python").kernel == "numpy"
-        evaluator = make_bulk_evaluator(network, kernel="interpreted")
-        assert evaluator.kernel == "interpreted"
+        require_native()
+        evaluator = make_bulk_evaluator(network, kernel="native")
+        assert evaluator.kernel == "native"
 
     def test_plan_is_cached_per_roots(self):
         network = self._network()

@@ -16,7 +16,7 @@ from repro.engine.registry import run_scheme
 from repro.events.expressions import conj, disj, negate, var
 from repro.network.build import build_targets
 
-from ..conftest import make_pool
+from ..conftest import make_pool, require_native
 
 MATCH_ABS = 1e-9
 
@@ -237,9 +237,10 @@ class TestSessionTier:
         assert session._compiler.evaluator.kernel == "python"
 
     def test_an_explicit_tier_is_honoured_on_vector_networks(self):
+        require_native()
         platform = self.clustering_platform()
-        session = platform.whatif(kernel="interpreted")
-        assert session._compiler.evaluator.kernel == "interpreted"
+        session = platform.whatif(kernel="native")
+        assert session._compiler.evaluator.kernel == "native"
         session.assert_evidence(0, True)
         reference = platform.whatif(kernel="python")
         reference.assert_evidence(0, True)
@@ -248,12 +249,14 @@ class TestSessionTier:
     def test_the_environment_default_is_honoured_on_vector_networks(
         self, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_KERNEL", "interpreted")
+        require_native()
+        monkeypatch.setenv("REPRO_KERNEL", "native")
         session = self.clustering_platform().whatif()
-        assert session._compiler.evaluator.kernel == "interpreted"
+        assert session._compiler.evaluator.kernel == "native"
 
     def test_scalar_networks_take_the_process_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "interpreted")
+        require_native()
+        monkeypatch.setenv("REPRO_KERNEL", "native")
         pool, network = grouped_instance()
         session = WhatIfSession(network, pool)
-        assert session._compiler.evaluator.kernel == "interpreted"
+        assert session._compiler.evaluator.kernel == "native"
