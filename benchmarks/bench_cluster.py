@@ -1,6 +1,6 @@
-"""Socket-cluster execution: scaling, work stealing, pipelining.
+"""Socket-cluster execution: scaling and work stealing.
 
-Four questions, answered on the paper's k-medoids workloads:
+Three questions, answered on the paper's k-medoids workloads:
 
 * **Is socket mode an exact replica?**  Every row first asserts that
   ``execution="socket"`` (workers joined over TCP through the framed
@@ -21,17 +21,9 @@ Four questions, answered on the paper's k-medoids workloads:
   (not CPU contention), the steal-on run finishes measurably earlier
   even on one CPU, asserted outside ``--smoke``.
 
-* **What does pipelined patch shipment buy?**  ``pipeline_depth=2``
-  (ship the next job's patch while the current one executes) vs
-  ``pipeline_depth=1`` (ship-then-run), measured by the workers' own
-  blocked-on-recv time (``result.extra["recv_wait_seconds"]``) and
-  wall clock.
-
-The stable regression signal of this file is the **column-patch
-handoff ratio over the socket transport** (``handoff="delta"`` vs
-``"replay"``, both sides on the same cluster) — hardware-independent,
-recorded as ``min_speedup_socket_patch_handoff``.  Cross-mode
-wall-clock ratios depend on the CPU budget and are recorded under
+This file's gate is its exactness assertions (``max_abs_diff`` 0.0 on
+every row, ``steals > 0``).  Wall-clock ratios across scheduling
+policies depend on the CPU budget and are recorded under
 non-``speedup`` names so the regression gate does not guard them.
 
 Results are printed paper-style and written to ``BENCH_cluster.json``
@@ -46,7 +38,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import time
 from pathlib import Path
 from typing import Dict, List
@@ -61,9 +52,6 @@ OBJECTS = 7
 SMOKE_OBJECTS = 5
 JOB_SIZE = 3
 MATCH_ABS = 1e-9
-# The handoff rows are medians of this many timed runs: on a compiled
-# kernel tier one run is a few milliseconds, inside scheduling noise.
-HANDOFF_REPEATS = 5
 STEAL_SLEEP = 0.004
 STEAL_WIN_TARGET = 1.2
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_cluster.json"
@@ -167,87 +155,6 @@ def sweep_stealing(objects: int) -> Dict[str, float]:
     }
 
 
-def sweep_pipelining(objects: int) -> Dict[str, float]:
-    """Pipelined patch shipment vs ship-then-run on one socket pool."""
-    workload = make_workload(objects, "independent", seed=1)
-    pool = workload.dataset.pool
-    results = {}
-    seconds = {}
-    for depth in (1, 2):
-        coordinator = DistributedCompiler(
-            workload.network, pool, targets=workload.targets,
-            workers=2, job_size=1, pipeline_depth=depth,
-        )
-        try:
-            coordinator.run(scheme="exact", execution="socket")  # join+warm
-            started = time.perf_counter()
-            results[depth] = coordinator.run(
-                scheme="exact", execution="socket"
-            )
-            seconds[depth] = time.perf_counter() - started
-        finally:
-            coordinator.close()
-    diff = assert_identical_runs(
-        results[2], results[1], "pipeline depth 2 vs 1"
-    )
-    return {
-        "objects": objects,
-        "workers": 2,
-        "job_size": 1,
-        "jobs": results[2].jobs,
-        "shipthenrun_seconds": seconds[1],
-        "pipelined_seconds": seconds[2],
-        "shipthenrun_recv_wait": results[1].extra["recv_wait_seconds"],
-        "pipelined_recv_wait": results[2].extra["recv_wait_seconds"],
-        "wallclock_ratio_shipthenrun_vs_pipelined": (
-            seconds[1] / max(seconds[2], 1e-9)
-        ),
-        "max_abs_diff": diff,
-    }
-
-
-def sweep_patch_handoff(objects: int) -> Dict[str, float]:
-    """Delta vs replay handoff, both over the socket transport.
-
-    Both sides run on the same cluster, so the ratio is
-    hardware-independent — the guarded regression signal of this file.
-    """
-    workload = make_workload(objects, "independent", seed=1)
-    pool = workload.dataset.pool
-    results = {}
-    seconds = {}
-    for handoff in ("replay", "delta"):
-        coordinator = DistributedCompiler(
-            workload.network, pool, targets=workload.targets,
-            workers=4, job_size=2, handoff=handoff,
-        )
-        try:
-            coordinator.run(scheme="exact", execution="socket")  # join+warm
-            timings = []
-            for _ in range(HANDOFF_REPEATS):
-                started = time.perf_counter()
-                results[handoff] = coordinator.run(
-                    scheme="exact", execution="socket"
-                )
-                timings.append(time.perf_counter() - started)
-            seconds[handoff] = statistics.median(timings)
-        finally:
-            coordinator.close()
-    diff = assert_identical_runs(
-        results["delta"], results["replay"], "socket handoff"
-    )
-    return {
-        "objects": objects,
-        "workers": 4,
-        "job_size": 2,
-        "jobs": results["delta"].jobs,
-        "replay_seconds": seconds["replay"],
-        "delta_seconds": seconds["delta"],
-        "speedup": seconds["replay"] / max(seconds["delta"], 1e-9),
-        "max_abs_diff": diff,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -266,8 +173,6 @@ def main(argv=None) -> int:
 
     scaling_rows = sweep_scaling(objects, worker_sweep)
     stealing = sweep_stealing(objects)
-    pipelining = sweep_pipelining(objects)
-    handoff = sweep_patch_handoff(objects)
 
     print(f"\n== Socket scaling (exact, n={objects}, {cpus} CPU(s)) ==")
     print(
@@ -292,21 +197,6 @@ def main(argv=None) -> int:
         f"({stealing['wallclock_ratio_steal_off_vs_on']:.2f}x)"
     )
 
-    print("\n== Pipelined patch shipment (depth 2 vs ship-then-run) ==")
-    print(
-        f"  recv wait {pipelining['pipelined_recv_wait']:.4f}s (pipelined) "
-        f"vs {pipelining['shipthenrun_recv_wait']:.4f}s (ship-then-run); "
-        f"wall {pipelining['pipelined_seconds']:.4f}s vs "
-        f"{pipelining['shipthenrun_seconds']:.4f}s "
-        f"({pipelining['wallclock_ratio_shipthenrun_vs_pipelined']:.2f}x)"
-    )
-
-    print("\n== Column-patch handoff vs replay (both over the socket) ==")
-    print(
-        f"  replay {handoff['replay_seconds']:.4f}s vs delta "
-        f"{handoff['delta_seconds']:.4f}s ({handoff['speedup']:.2f}x)"
-    )
-
     if not args.smoke:
         win = stealing["wallclock_ratio_steal_off_vs_on"]
         assert win >= STEAL_WIN_TARGET, (
@@ -329,19 +219,12 @@ def main(argv=None) -> int:
         "steal_win_target": STEAL_WIN_TARGET,
         "scaling": scaling_rows,
         "stealing": stealing,
-        "pipelining": pipelining,
-        "patch_handoff": handoff,
-        "min_speedup_socket_patch_handoff": handoff["speedup"],
         # Deliberately NOT named *speedup*: wall-clock ratios across
         # scheduling policies depend on the machine's CPU budget and
         # the injected skew, so the regression gate must not auto-guard
-        # them (the socket patch-handoff ratio above is the stable
-        # signal — both sides share one cluster).
+        # them.
         "wallclock_ratio_steal_off_vs_on": (
             stealing["wallclock_ratio_steal_off_vs_on"]
-        ),
-        "wallclock_ratio_shipthenrun_vs_pipelined": (
-            pipelining["wallclock_ratio_shipthenrun_vs_pipelined"]
         ),
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")

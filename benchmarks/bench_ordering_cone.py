@@ -1,23 +1,15 @@
-"""Ordering + handoff benchmark: the compiler's last scalar hot paths.
+"""Ordering benchmark: cone-aware dynamic variable ordering.
 
-Two fast paths landed together and this benchmark certifies both:
-
-* **Cone-aware dynamic ordering** — the paper's "influences as many
-  events as possible" criterion (Section 4.1) scored through the flat
-  IR's precomputed per-variable cones intersected with the masked
-  engine's resolved column (:class:`~repro.compile.ordering.ConeInfluenceOrder`,
-  ``order="dynamic"``), against the reference per-choice Python scan
-  over the network adjacency
-  (:class:`~repro.compile.ordering.DynamicInfluenceOrder`,
-  ``order="dynamic-scan"``).  Both must pick the same variable at every
-  branching point, so end-to-end runs must explore identical trees —
-  the speedup is pure scoring cost.
-
-* **Delta job handoff** — distributed workers keep a persistent masked
-  evaluator and move between job prefixes through their common ancestor
-  (``handoff="delta"``) instead of replaying every prefix from the root
-  (``handoff="replay"``).  Bounds must agree to 1e-9 and the job DAG
-  must be identical; the win is the avoided prefix re-sweeps.
+The paper's "influences as many events as possible" criterion (Section
+4.1) scored through the flat IR's precomputed per-variable cones
+intersected with the masked engine's resolved column
+(:class:`~repro.compile.ordering.ConeInfluenceOrder`,
+``order="dynamic"``), against the reference per-choice Python scan over
+the network adjacency
+(:class:`~repro.compile.ordering.DynamicInfluenceOrder`,
+``order="dynamic-scan"``).  Both must pick the same variable at every
+branching point, so end-to-end runs must explore identical trees — the
+speedup is pure scoring cost.
 
 Results are printed paper-style and written to ``BENCH_ordering.json``
 at the repository root (override with ``--output``; ``--smoke`` runs a
@@ -37,7 +29,6 @@ from typing import Dict, List
 import pytest
 
 from repro.compile.compiler import compile_network
-from repro.compile.distributed import DistributedCompiler
 from repro.compile.ordering import ConeInfluenceOrder, DynamicInfluenceOrder
 from repro.engine.masked import MaskedEvaluator
 
@@ -62,7 +53,7 @@ def _check_agreement(left, right, context: str) -> float:
         for name in left.bounds
     )
     assert max_diff <= MATCH_ABS, (
-        f"orderings/handoffs diverged by {max_diff} ({context})"
+        f"orderings diverged by {max_diff} ({context})"
     )
     return max_diff
 
@@ -159,53 +150,6 @@ def sweep_end_to_end(object_sweep) -> List[Dict[str, float]]:
     return rows
 
 
-def sweep_handoff(object_sweep) -> List[Dict[str, float]]:
-    """Distributed workers: delta handoff vs full prefix replay."""
-    rows = []
-    for objects in object_sweep:
-        workload = make_workload(objects, "independent", seed=1)
-        pool = workload.dataset.pool
-        for scheme, epsilon in (("exact", 0.0), ("hybrid", EPSILON)):
-            results = {}
-            for handoff in ("replay", "delta"):
-                coordinator = DistributedCompiler(
-                    workload.network,
-                    pool,
-                    targets=workload.targets,
-                    workers=4,
-                    job_size=2,
-                    handoff=handoff,
-                )
-                coordinator.run(scheme=scheme, epsilon=epsilon)  # warm-up
-                results[handoff] = coordinator.run(scheme=scheme, epsilon=epsilon)
-            max_diff = _check_agreement(
-                results["delta"], results["replay"],
-                f"{scheme}-d n={objects}",
-            )
-            assert results["delta"].jobs == results["replay"].jobs
-            rows.append(
-                {
-                    "objects": objects,
-                    "variables": workload.variables,
-                    "scheme": f"{scheme}-d",
-                    "epsilon": epsilon,
-                    "workers": 4,
-                    "job_size": 2,
-                    "jobs": results["delta"].jobs,
-                    "replay_seconds": max(results["replay"].seconds, 1e-9),
-                    "delta_seconds": max(results["delta"].seconds, 1e-9),
-                    "replay_makespan": results["replay"].makespan,
-                    "delta_makespan": results["delta"].makespan,
-                    "speedup": (
-                        results["replay"].seconds
-                        / max(results["delta"].seconds, 1e-9)
-                    ),
-                    "max_abs_diff": max_diff,
-                }
-            )
-    return rows
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -226,7 +170,6 @@ def main(argv=None) -> int:
 
     per_choice_rows = sweep_per_choice(per_choice_sweep, repeats)
     end_to_end_rows = sweep_end_to_end(object_sweep)
-    handoff_rows = sweep_handoff(object_sweep)
 
     print("\n== Per-choice ordering cost (masked evaluator, mid-DFS) ==")
     print(f"{'objects':>8}  {'nodes':>7}  {'scan µs':>9}  {'cone µs':>9}  {'speedup':>8}")
@@ -253,29 +196,14 @@ def main(argv=None) -> int:
             object_sweep,
         )
 
-    print("\n== Distributed handoff (sequential execution seconds) ==")
-    print(
-        f"{'objects':>8}  {'scheme':>9}  {'jobs':>6}  {'replay s':>9}"
-        f"  {'delta s':>9}  {'speedup':>8}"
-    )
-    for row in handoff_rows:
-        print(
-            f"{row['objects']:>8}  {row['scheme']:>9}  {row['jobs']:>6}"
-            f"  {row['replay_seconds']:>9.4f}  {row['delta_seconds']:>9.4f}"
-            f"  {row['speedup']:>7.2f}x"
-        )
-
     payload = {
         "benchmark": "ordering_cone",
         "smoke": bool(args.smoke),
         "epsilon_match": MATCH_ABS,
         "per_choice": per_choice_rows,
         "end_to_end": end_to_end_rows,
-        "handoff": handoff_rows,
         "min_speedup_per_choice": min(r["speedup"] for r in per_choice_rows),
         "max_speedup_per_choice": max(r["speedup"] for r in per_choice_rows),
-        "min_speedup_handoff": min(r["speedup"] for r in handoff_rows),
-        "max_speedup_handoff": max(r["speedup"] for r in handoff_rows),
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {args.output}")

@@ -1,21 +1,12 @@
-"""Multi-process distributed compilation: wire format and wall clock.
+"""Multi-process distributed compilation: exactness and wall clock.
 
-Three questions, answered on the paper's k-medoids workloads:
+Two questions, answered on the paper's k-medoids workloads:
 
 * **Is process mode an exact replica?**  Every row first asserts that
   ``execution="process"`` produces the same job DAG, the same decision
   trees, and bounds within 1e-9 of the deterministic simulation and the
   thread pool — the generation-barrier contract of
   :mod:`repro.compile.distributed`.
-
-* **What does the column-patch handoff buy?**  Within process mode,
-  ``handoff="delta"`` ships each job as a prefix delta plus the column
-  patches recorded by the forking worker
-  (:meth:`~repro.engine.masked.MaskedEvaluator.export_patch`), so the
-  receiving worker re-applies writes instead of re-sweeping cones;
-  ``handoff="replay"`` re-pushes every prefix from the root.  The ratio
-  is hardware-independent (both sides run on the same pool) and is the
-  stable regression signal of this file.
 
 * **What is the wall-clock story?**  Threaded and process wall-clock
   for a 4-worker exact run, plus pool spawn cost, cold vs warm runs,
@@ -40,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import time
 from pathlib import Path
 from typing import Dict, List
@@ -54,9 +44,6 @@ SMOKE_SWEEP = (5,)
 WORKERS = 4
 JOB_SIZE = 3
 MATCH_ABS = 1e-9
-# The handoff rows are medians of this many timed runs: on a compiled
-# kernel tier one run is a few milliseconds, inside scheduling noise.
-HANDOFF_REPEATS = 5
 SPEEDUP_TARGET = 1.5
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_process.json"
 
@@ -116,51 +103,6 @@ def sweep_modes(object_sweep) -> List[Dict[str, float]]:
             )
         finally:
             coordinator.close()
-    return rows
-
-
-def sweep_patch_handoff(object_sweep) -> List[Dict[str, float]]:
-    """Column-patch deltas vs full prefix replay, both in process mode."""
-    rows = []
-    for objects in object_sweep:
-        workload = make_workload(objects, "independent", seed=1)
-        pool = workload.dataset.pool
-        results = {}
-        seconds = {}
-        for handoff in ("replay", "delta"):
-            coordinator = DistributedCompiler(
-                workload.network, pool, targets=workload.targets,
-                workers=WORKERS, job_size=2, handoff=handoff,
-            )
-            try:
-                coordinator.run(scheme="exact", execution="process")  # warm
-                timings = []
-                for _ in range(HANDOFF_REPEATS):
-                    started = time.perf_counter()
-                    results[handoff] = coordinator.run(
-                        scheme="exact", execution="process"
-                    )
-                    timings.append(time.perf_counter() - started)
-                seconds[handoff] = statistics.median(timings)
-            finally:
-                coordinator.close()
-        diff = assert_identical_runs(
-            results["delta"], results["replay"], f"n={objects} handoff"
-        )
-        rows.append(
-            {
-                "objects": objects,
-                "variables": workload.variables,
-                "scheme": "exact-d",
-                "workers": WORKERS,
-                "job_size": 2,
-                "jobs": results["delta"].jobs,
-                "replay_seconds": seconds["replay"],
-                "delta_seconds": seconds["delta"],
-                "speedup": seconds["replay"] / max(seconds["delta"], 1e-9),
-                "max_abs_diff": diff,
-            }
-        )
     return rows
 
 
@@ -226,7 +168,6 @@ def main(argv=None) -> int:
     cpus = _available_cpus()
 
     mode_rows = sweep_modes(object_sweep)
-    handoff_rows = sweep_patch_handoff(object_sweep)
     adaptive_rows = sweep_adaptive(object_sweep)
 
     print(f"\n== Execution modes (exact, {WORKERS} workers, {cpus} CPU(s)) ==")
@@ -242,18 +183,6 @@ def main(argv=None) -> int:
             f"  {row['process_seconds']:>10.4f}"
             f"  {row['spawn_seconds']:>8.4f}"
             f"  {row['speedup_process_vs_threads']:>8.2f}x"
-        )
-
-    print("\n== Column-patch handoff vs full replay (both process mode) ==")
-    print(
-        f"{'objects':>8}  {'jobs':>6}  {'replay s':>9}  {'delta s':>9}"
-        f"  {'speedup':>8}"
-    )
-    for row in handoff_rows:
-        print(
-            f"{row['objects']:>8}  {row['jobs']:>6}"
-            f"  {row['replay_seconds']:>9.4f}  {row['delta_seconds']:>9.4f}"
-            f"  {row['speedup']:>7.2f}x"
         )
 
     print("\n== Adaptive job sizing (exact, process-independent bounds) ==")
@@ -288,14 +217,11 @@ def main(argv=None) -> int:
         "cpu_affinity": cpus,
         "speedup_target_process_vs_threads": SPEEDUP_TARGET,
         "modes": mode_rows,
-        "patch_handoff": handoff_rows,
         "adaptive": adaptive_rows,
-        "min_speedup_patch_handoff": min(r["speedup"] for r in handoff_rows),
-        "max_speedup_patch_handoff": max(r["speedup"] for r in handoff_rows),
         # Deliberately NOT named *speedup*: the cross-mode wall-clock
         # ratio depends on the machine's CPU budget, so the regression
-        # gate must not auto-guard it (the patch-handoff ratios above
-        # are the stable signal — both sides share one pool).
+        # gate must not auto-guard it; this file's gate is the
+        # exactness assertions above (``max_abs_diff`` 0.0).
         "max_wallclock_ratio_process_vs_threads": best_wall,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")

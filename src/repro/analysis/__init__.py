@@ -2,8 +2,8 @@
 
 AST-walking lint rules that enforce the repository's standing
 invariants — trail discipline in the masked evaluators, registry-only
-scheme dispatch, deterministic distributed barriers, plain-scalar patch
-wire format, and kernel-tier import hygiene.  See ``docs/ARCHITECTURE.md``, section "Enforced
+scheme dispatch, deterministic distributed barriers, and kernel-tier
+import hygiene.  See ``docs/ARCHITECTURE.md``, section "Enforced
 invariants".
 """
 

@@ -27,7 +27,6 @@ _RULE_MODULES = (
     "trail_discipline",
     "registry_dispatch",
     "barrier_determinism",
-    "wire_format",
     "kernel_hygiene",
 )
 

@@ -33,10 +33,6 @@ import numba  # kernel-hygiene: compiled tier outside kernels.py
 
 
 class BrokenEvaluator:
-    def export_patch(self, base):
-        # wire-format: raw column reads leak NumPy scalars
-        return [(0, 7, self._b[7]), (1, 9, self._lo[9], self._hi[9])]
-
     def poke(self, vid):
         # trail-discipline: column write outside the trail protocol
         self._b[vid] = 1

@@ -10,8 +10,8 @@ targets a masked state column —
     ``_b  _lo  _hi  _mu  _md  _resolved  _dirty  _assign``
 
 or subscripts of an ``assignment`` attribute — outside the trail
-protocol (``__init__``/``push``/``pop``/``apply_patch``/``rewind_to``
-plus ``_KFrame.restore``).  The evaluator implementation modules
+protocol (``__init__``/``push``/``pop``/``rewind_to`` plus
+``_KFrame.restore``).  The evaluator implementation modules
 (``engine/masked.py``, ``engine/kernels.py``) additionally allow their
 internal sweep/write-back helpers, which trail every write themselves.
 
@@ -36,7 +36,7 @@ COLUMNS = frozenset(
 
 #: The trail protocol: functions allowed to write columns anywhere.
 PROTOCOL_FUNCTIONS = frozenset(
-    {"__init__", "push", "pop", "apply_patch", "rewind_to", "restore"}
+    {"__init__", "push", "pop", "rewind_to", "restore"}
 )
 
 #: Implementation-internal writers, valid only inside their own module
@@ -124,10 +124,10 @@ class TrailDisciplineRule(Rule):
     name = "trail-discipline"
     description = (
         "masked-evaluator state columns are only written through the "
-        "trail protocol (push/pop/apply_patch/rewind_to)"
+        "trail protocol (push/pop/rewind_to)"
     )
     hint = (
-        "route the write through push()/apply_patch() so the trail records "
+        "route the write through push() so the trail records "
         "the old value and pop()/rewind_to() can restore it; see "
         "docs/ARCHITECTURE.md, 'Enforced invariants'"
     )

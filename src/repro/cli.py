@@ -122,12 +122,11 @@ def _kernel_line(extra: dict) -> str:
 
 
 def _cluster_details(extra: dict) -> str:
-    """The ``--verbose`` report: stealing, pipelining, job sizing."""
+    """The ``--verbose`` report: stealing, message waits, job sizing."""
     lines = [_kernel_line(extra), "distributed run details:"]
     if "steals" in extra:
         lines.append(
             f"  steals: {extra['steals']:.0f}  "
-            f"pipeline depth: {extra.get('pipeline_depth', 1.0):.0f}  "
             f"recv wait: {extra.get('recv_wait_seconds', 0.0):.4f}s"
         )
     if "worker_failures" in extra:
@@ -401,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "coordinator before giving up (default 10)")
     cluster.add_argument("--verbose", action="store_true",
                          help="print distributed run details: work "
-                              "stealing, pipelining, adaptive job sizing")
+                              "stealing, message waits, adaptive job sizing")
     cluster.add_argument("--kernel", choices=KERNEL_NAMES, default=None,
                          help="evaluator kernel tier for kernel-capable "
                               "schemes: auto (default; numba, then native "

@@ -9,7 +9,7 @@ generation sees the same coordinator snapshot — global bounds, its share
 of the eager scheme's global budget, pooled hybrid residuals — and the
 results are merged at the generation barrier in creation order.  A job
 is therefore a *pure function of its creation-time inputs*, which makes
-the decision trees and bounds identical across all three execution
+the decision trees and bounds identical across all four execution
 modes, however jobs are scheduled:
 
 * ``execution="simulate"`` (default) — jobs run sequentially in creation
@@ -25,30 +25,23 @@ modes, however jobs are scheduled:
 * ``execution="process"`` — true multi-process execution: persistent
   worker processes (``multiprocessing``, spawn-safe) each deserialize
   the network — and the :class:`~repro.engine.masked.MaskedProgram`,
-  shipped pickled — **once at startup**, then receive jobs as
-  *assignment-prefix deltas*: a ``rewind_to`` depth back to the common
-  ancestor of the worker's applied prefix and the job's, the missing
-  suffix of ``(variable, value)`` assignments, and (under
-  ``handoff="delta"`` with the masked engine on the Python kernel tier)
-  the matching **column patches** — the trail slices recorded when the
-  forking worker first explored that prefix
-  (:meth:`MaskedEvaluator.export_patch`).  Applying a patch replays the
-  forking worker's column writes verbatim instead of re-sweeping
-  variable cones, so evaluator state crosses the process boundary as
-  compact deltas, never whole columns.  On a compiled tier a cone
-  re-sweep is cheaper than exporting, pickling and applying its patch,
-  so no patches are captured and the suffix is pushed.  Results stream
-  back as ``(bounds deltas, eval count, cost)`` records.
+  shipped pickled — **once at startup**, then receive jobs as small
+  self-contained messages (the job's assignment prefix, its budgets and
+  the barrier's bound snapshot).  Results stream back as ``(bounds
+  deltas, eval count, cost)`` records.
 
-Each worker owns a **persistent evaluator** wrapped in a
-:class:`_PrefixCursor`: instead of replaying every job's assignment
-prefix from the root (and unwinding it afterwards), the cursor keeps the
-previous job's prefix pushed and moves to the next one through their
-common ancestor — pop the frames past it, push (or patch) the missing
-suffix (``handoff="delta"``, the default; ``handoff="replay"`` restores
-the full-replay behaviour for comparison — see
-``benchmarks/bench_ordering_cone.py`` and
-``benchmarks/bench_process_pool.py``).
+**Reaching a job root.**  A job message carries its *prefix* and nothing
+else about evaluator state — the paper's job.  Each worker, in every mode,
+owns a persistent evaluator wrapped in a :class:`_PrefixCursor`, and
+:meth:`_PrefixCursor.seek` is the one way a worker reaches a job root:
+rewind the trail to the common ancestor of the prefix it already holds
+and the job's, then push the missing suffix.  State the two jobs share
+is never recomputed, and evaluator state is never shipped: every worker
+holds the compiled program, so it re-derives columns from it.  (A
+compiled re-push of a 6-frame prefix costs ~0.1 ms.  On an install with
+no C compiler the suffix is re-swept on the Python tier, where a sweep
+costs about twice a verbatim column write; ``docs/BENCHMARKS.md`` has
+that configuration measured end to end.)
 
 The measured per-job costs also feed an :class:`AdaptiveJobSizer`
 (``job_size="adaptive"``): an online cost model that raises the fork
@@ -66,9 +59,9 @@ Two transports carry the process-mode wire protocol (see
 (``execution="socket"``) whose workers can live on other machines —
 ``repro cluster --listen host:port`` accepts ``repro cluster --connect``
 workers, which deserialize the network and the pickled masked program
-once at join and then receive jobs as prefix deltas with column
-patches, exactly like the pipe workers.  On top of either transport the
-coordinator runs a bounded-inflight scheduler with two levers:
+once at join and then receive the same job messages as the pipe
+workers.  On top of either transport the coordinator runs a
+bounded-inflight scheduler:
 
 * **work stealing inside a generation** — the barrier constrains merge
   order, not assignment: per-worker job queues are held coordinator-
@@ -76,12 +69,10 @@ coordinator runs a bounded-inflight scheduler with two levers:
   peer's queue (ties broken by worker id — never wall clock), while
   the barrier still merges outcomes in creation order, so stolen
   schedules produce bit-identical trees and bounds;
-* **pipelined patch shipment** — up to ``pipeline_depth`` jobs are kept
-  in flight per worker, so the next job's prefix delta and column
-  patches cross the wire while the current job executes
-  (``pipeline_depth=1`` restores ship-then-run); workers report the
-  time they spent blocked waiting for each message, surfaced as
-  ``result.extra["recv_wait_seconds"]``.
+* **jobs in flight** — :data:`PIPELINE_DEPTH` jobs are kept in flight
+  per worker, so the next message crosses the wire while the current
+  job executes; workers report the time they spent blocked waiting for
+  each message, surfaced as ``result.extra["recv_wait_seconds"]``.
 """
 
 from __future__ import annotations
@@ -103,7 +94,6 @@ from .compiler import ShannonCompiler, make_evaluator
 from .result import CompilationResult
 from .transport import PipeTransport, SocketTransport, WorkerTransport
 
-HANDOFFS = ("delta", "replay")
 EXECUTIONS = ("simulate", "threads", "process", "socket")
 #: The execution modes backed by a worker pool (pipe or socket).
 POOLED_EXECUTIONS = ("process", "socket")
@@ -114,19 +104,14 @@ _EXECUTION_CODES = {
     "process": 2.0,
     "socket": 3.0,
 }
+#: Jobs kept in flight per pooled worker: the next message crosses the
+#: wire while the current job runs.
+PIPELINE_DEPTH = 2
 
 
 @dataclass
 class Job:
-    """A unit of work: explore the subtree below ``prefix`` to depth ``d``.
-
-    ``patch_chain`` (process mode, delta handoff, masked engine) holds
-    one column patch per prefix element — the writes the forking
-    worker's sweep performed for that assignment — so any worker can
-    reconstruct the evaluator state at the job root without
-    re-evaluating; ``None`` when patches are unavailable (scalar
-    engine, replay handoff, in-memory modes).
-    """
+    """A unit of work: explore the subtree below ``prefix`` to depth ``d``."""
 
     index: int
     prefix: Tuple[Tuple[int, bool], ...]
@@ -134,7 +119,6 @@ class Job:
     active: Tuple[str, ...]
     budgets: Dict[str, float]
     cost: float = 0.0
-    patch_chain: Optional[Tuple[tuple, ...]] = None
     excluded_workers: set = field(default_factory=set)
 
     @property
@@ -150,27 +134,24 @@ class _Outcome:
     upper_delta: Dict[str, float]  # how much each upper bound shrank
     residual: Dict[str, float]
     global_left: Dict[str, float]  # unconsumed eager global-budget share
-    children: List[tuple]  # (prefix, prob, active, budgets, patch_suffix)
+    children: List[tuple]  # (prefix, prob, active, budgets)
     cost: float
     tree_nodes: int
     evals: int
     max_depth: int
-    # Time the worker sat blocked waiting for this job's message —
-    # pipelined shipment drives this towards zero.
+    # Time the worker sat blocked waiting for this job's message.
     recv_wait: float = 0.0
 
 
 @dataclass
 class _JobMessage:
-    """One job on the coordinator→worker wire (prefix delta form)."""
+    """One job on the coordinator→worker wire; self-contained."""
 
     job_index: int
     scheme: str
     epsilon: float
     job_size: int
-    rewind_depth: int  # evaluator trail depth to rewind to (common ancestor)
-    suffix: Tuple[Tuple[int, bool], ...]  # assignments past the ancestor
-    patches: Optional[Tuple[tuple, ...]]  # column patches for the suffix
+    prefix: Tuple[Tuple[int, bool], ...]  # the job root's assignments
     prob: float
     active: Tuple[str, ...]
     budgets: Dict[str, float]
@@ -269,7 +250,6 @@ class _JobCompiler(ShannonCompiler):
         super().__init__(*args, **kwargs)
         self.job_size = 0
         self.forked: List[tuple] = []
-        self.capture_patches = False
         # Evaluator depth at the job root; set per job after the prefix
         # is applied (the local compiler path applies no prefix, so the
         # root frame of run() sits at depth 1).
@@ -281,15 +261,7 @@ class _JobCompiler(ShannonCompiler):
             # Evaluating here would duplicate the child job's own entry
             # evaluation; fork the subtree as a fresh job instead.
             prefix = tuple(self.evaluator.assignment.items())
-            patch = None
-            if self.capture_patches:
-                # The column writes between the job root and this node:
-                # the child's suffix, ready to ship to whichever worker
-                # picks the child up.
-                patch = self.evaluator.export_patch(self._base_depth)
-            self.forked.append(
-                (prefix, prob, tuple(active), dict(budgets), patch)
-            )
+            self.forked.append((prefix, prob, tuple(active), dict(budgets)))
             return {name: 0.0 for name in budgets}
         return None
 
@@ -300,13 +272,10 @@ class _PrefixCursor:
     The evaluator keeps a root frame (depth 1) plus one trail frame per
     assignment of the currently applied prefix.  :meth:`seek` moves
     between prefixes through their common ancestor — rewind the frames
-    past it, push the missing suffix — which is the delta handoff:
-    state the two jobs share is never recomputed.  When the caller has
-    column patches for the suffix (process mode), they are applied
-    instead of pushing, skipping the cone re-sweeps entirely.
-    :meth:`release` rewinds to the balanced baseline (depth 0) so the
-    evaluator can be handed back to ``ShannonCompiler.run`` or a later
-    coordinator run.
+    past it, push the missing suffix — so state the two jobs share is
+    never recomputed.  :meth:`release` rewinds to the balanced baseline
+    (depth 0) so the evaluator can be handed back to
+    ``ShannonCompiler.run`` or a later coordinator run.
     """
 
     def __init__(self, network: EventNetwork, engine: str) -> None:
@@ -328,17 +297,8 @@ class _PrefixCursor:
             self.applied = ()
         return evaluator
 
-    def seek(
-        self,
-        prefix: Tuple[Tuple[int, bool], ...],
-        patches: Optional[Sequence[tuple]] = None,
-    ) -> None:
-        """Move the evaluator from the applied prefix to ``prefix``.
-
-        ``patches``, when given, is the job's full patch chain (one
-        column patch per prefix element); the suffix past the common
-        ancestor is applied verbatim instead of being re-swept.
-        """
+    def seek(self, prefix: Tuple[Tuple[int, bool], ...]) -> None:
+        """Move the evaluator from the applied prefix to ``prefix``."""
         evaluator = self.evaluator
         common = 0
         for ours, theirs in zip(self.applied, prefix):
@@ -346,11 +306,8 @@ class _PrefixCursor:
                 break
             common += 1
         evaluator.rewind_to(1 + common)
-        if patches is not None and hasattr(evaluator, "apply_patch"):
-            evaluator.apply_patch(patches[common:])
-        else:
-            for variable, value in prefix[common:]:
-                evaluator.push(variable, value)
+        for variable, value in prefix[common:]:
+            evaluator.push(variable, value)
         self.applied = tuple(prefix)
 
     def release(self) -> None:
@@ -361,18 +318,9 @@ class _PrefixCursor:
 
 
 def _run_job(
-    compiler: _JobCompiler,
-    cursor: _PrefixCursor,
-    message: _JobMessage,
-    handoff: str,
-    full_prefix: Optional[Tuple[Tuple[int, bool], ...]] = None,
+    compiler: _JobCompiler, cursor: _PrefixCursor, message: _JobMessage
 ) -> _Outcome:
-    """Execute one job against a persistent cursor; pure in its inputs.
-
-    ``message`` carries the prefix as a delta against ``cursor.applied``
-    (process mode); in-memory callers pass ``full_prefix`` and the
-    cursor seeks by common ancestor itself.
-    """
+    """Execute one job against a persistent cursor; pure in its inputs."""
     evaluator = cursor.ensure()
     compiler.evaluator = evaluator
     compiler.forked = []
@@ -385,31 +333,15 @@ def _run_job(
     compiler._tree_nodes = 0
     compiler._max_depth = 0
     compiler.job_size = message.job_size
-    evals_before = evaluator.evals
     started = time.perf_counter()
-    if full_prefix is not None:
-        cursor.seek(full_prefix, patches=message.patches)
-    else:
-        if message.rewind_depth > 1 + len(cursor.applied):
-            raise RuntimeError(
-                "job delta references a deeper prefix than the worker holds"
-            )
-        evaluator.rewind_to(message.rewind_depth)
-        base = cursor.applied[: message.rewind_depth - 1]
-        if message.patches is not None and hasattr(evaluator, "apply_patch"):
-            evaluator.apply_patch(message.patches)
-        else:
-            for variable, value in message.suffix:
-                evaluator.push(variable, value)
-        cursor.applied = base + tuple(message.suffix)
+    cursor.seek(message.prefix)
+    # Counted from the job root: the seek's re-sweeps depend on which job
+    # this worker ran last, and a job reports only what is its own.
+    evals_before = evaluator.evals
     compiler._base_depth = evaluator.depth
     residual = compiler._dfs(
         message.prob, list(message.active), dict(message.budgets)
     )
-    if handoff == "replay":
-        # Full-replay mode: unwind after every job (billed to the job,
-        # as the historical behaviour did).
-        cursor.release()
     cost = time.perf_counter() - started
     return _Outcome(
         lower_delta={
@@ -436,7 +368,7 @@ def _run_job(
 
 
 def _build_worker_state(config: dict):
-    """Deserialize a worker payload once; returns (compiler, cursor, handoff).
+    """Deserialize a worker payload once; returns ``(compiler, cursor)``.
 
     ``config`` holds the network document, the variable-pool document,
     and (masked engine) the prebuilt
@@ -464,17 +396,15 @@ def _build_worker_state(config: dict):
         order=config["order"],
         engine=config["engine"],
     )
-    compiler.capture_patches = config["capture_patches"]
     cursor = _PrefixCursor(network, config["engine"])
     cursor.evaluator = compiler.evaluator
-    return compiler, cursor, config["handoff"]
+    return compiler, cursor
 
 
 def _serve_jobs(
     worker_id: int,
     compiler: _JobCompiler,
     cursor: _PrefixCursor,
-    handoff: str,
     fault: dict,
     recv_record,
     send_record,
@@ -485,16 +415,16 @@ def _serve_jobs(
     Records arrive through ``recv_record`` — ``("job", message)`` until
     a ``("stop",)`` record ends the session — and results leave through
     ``send_record``.  The time spent blocked in ``recv_record`` is
-    measured per job and reported in the outcome (``recv_wait``): under
-    pipelined shipment the next message is already buffered while the
-    current job runs, so the wait collapses towards zero.
+    measured per job and reported in the outcome (``recv_wait``): the
+    next message is already buffered while the current job runs, so the
+    wait collapses towards zero.
 
     ``fault`` drives the crash-injection tests: ``crash_on_job`` dies
     hard before running the n-th job, ``stall_on_job`` sleeps,
     ``partial_send_on_job`` ships a frame header with a truncated body
-    via ``send_partial`` and then dies — the mid-patch-send scenario —
-    and ``sleep_per_job`` slows every job down (skew for the stealing
-    tests and benchmarks).
+    via ``send_partial`` and then dies — the mid-send scenario — and
+    ``sleep_per_job`` slows every job down (skew for the stealing tests
+    and benchmarks).
     """
     targeted = fault.get("worker") == worker_id
     jobs_seen = 0
@@ -514,7 +444,7 @@ def _serve_jobs(
         if targeted and fault.get("sleep_per_job"):
             time.sleep(fault["sleep_per_job"])
         try:
-            outcome = _run_job(compiler, cursor, message, handoff)
+            outcome = _run_job(compiler, cursor, message)
             outcome.recv_wait = recv_wait
             done = ("done", worker_id, message.job_index, outcome)
             if targeted and jobs_seen == fault.get("partial_send_on_job"):
@@ -545,7 +475,7 @@ def _worker_main(worker_id: int, payload: bytes, job_queue, result_conn) -> None
     """
     try:
         config = pickle.loads(payload)
-        compiler, cursor, handoff = _build_worker_state(config)
+        compiler, cursor = _build_worker_state(config)
         fault = config.get("fault") or {}
 
         def send_partial(record) -> None:
@@ -563,7 +493,6 @@ def _worker_main(worker_id: int, payload: bytes, job_queue, result_conn) -> None
             worker_id,
             compiler,
             cursor,
-            handoff,
             fault,
             recv_record=job_queue.get,
             send_record=result_conn.send,
@@ -579,8 +508,6 @@ def _worker_payload(
     target_names: Sequence[str],
     order,
     engine: str,
-    handoff: str,
-    capture_patches: bool,
     program,
     fault: Optional[dict] = None,
 ) -> bytes:
@@ -595,8 +522,6 @@ def _worker_payload(
             "targets": list(target_names),
             "order": order,
             "engine": engine,
-            "handoff": handoff,
-            "capture_patches": capture_patches,
             "fault": fault,
         }
     )
@@ -616,17 +541,13 @@ class DistributedCompiler:
         overhead: float = 0.0005,
         engine: str = "masked",
         kernel: Optional[str] = None,
-        handoff: str = "delta",
         target_job_cost: float = 0.01,
         fault_injection: Optional[dict] = None,
         steal: bool = True,
-        pipeline_depth: int = 2,
         listen: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if not isinstance(pipeline_depth, int) or pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be an int >= 1")
         if kernel is not None and ":" not in engine:
             # The tier travels inside the engine string: worker configs
             # and job pickles ship it unchanged, and make_evaluator
@@ -644,21 +565,15 @@ class DistributedCompiler:
             if job_size < 1:
                 raise ValueError("job_size must be >= 1")
             self.job_size = job_size
-        if handoff not in HANDOFFS:
-            raise ValueError(
-                f"unknown handoff {handoff!r}; expected one of {HANDOFFS}"
-            )
         self.network = network
         self.pool = pool
         self.workers = workers
         self.overhead = overhead
         self.engine = engine
-        self.handoff = handoff
         self.order = order
         self.target_job_cost = target_job_cost
         self.fault_injection = fault_injection
         self.steal = steal
-        self.pipeline_depth = pipeline_depth
         self.listen = listen
         self._compiler = _JobCompiler(
             network, pool, targets=targets, order=order, engine=engine
@@ -768,9 +683,7 @@ class DistributedCompiler:
     # The deterministic generation engine shared by all execution modes
     # ------------------------------------------------------------------
 
-    def _run_generations(
-        self, scheme, epsilon, execute_wave, with_patches, deadline=None
-    ):
+    def _run_generations(self, scheme, epsilon, execute_wave, deadline=None):
         """Run the job DAG in BFS generations; returns the merged state.
 
         ``execute_wave(wave, messages)`` runs one generation and returns
@@ -798,7 +711,6 @@ class DistributedCompiler:
             prob=1.0,
             active=tuple(names),
             budgets={name: 2.0 * epsilon for name in names},
-            patch_chain=() if with_patches else None,
         )
         wave = [root]
         executed: List[Job] = []
@@ -824,9 +736,7 @@ class DistributedCompiler:
                     scheme=scheme,
                     epsilon=epsilon,
                     job_size=job_size,
-                    rewind_depth=1,  # per-worker deltas fill this in
-                    suffix=job.prefix,
-                    patches=job.patch_chain,
+                    prefix=job.prefix,
                     prob=job.prob,
                     active=job.active,
                     budgets=dict(job.budgets),
@@ -853,17 +763,13 @@ class DistributedCompiler:
                     upper[name] -= outcome.upper_delta[name]
                     residual_pool[name] += outcome.residual.get(name, 0.0)
                     global_remaining[name] += outcome.global_left[name]
-                for prefix, prob, active, budgets, patch in outcome.children:
-                    chain = None
-                    if job.patch_chain is not None and patch is not None:
-                        chain = job.patch_chain + tuple(patch)
+                for prefix, prob, active, budgets in outcome.children:
                     child = Job(
                         index=next_index,
                         prefix=prefix,
                         prob=prob,
                         active=active,
                         budgets=budgets,
-                        patch_chain=chain,
                     )
                     parent_of[child.index] = job.index
                     next_wave.append(child)
@@ -894,7 +800,6 @@ class DistributedCompiler:
         )
         result.extra["job_size"] = float(job_size)
         result.extra["adaptive_job_size"] = 1.0 if self.adaptive else 0.0
-        result.extra["delta_handoff"] = 1.0 if self.handoff == "delta" else 0.0
         result.extra["execution"] = _EXECUTION_CODES[execution]
         # Workers build their evaluators from the same engine string.
         from ..engine.kernels import record_kernel_tier
@@ -929,24 +834,18 @@ class DistributedCompiler:
 
         def execute_wave(wave, messages):
             outcomes = []
-            for job, message in zip(wave, messages):
+            for message in messages:
                 if deadline is not None and time.monotonic() > deadline:
                     raise TimeoutError(
                         "distributed run exceeded its timeout"
                     )
-                outcomes.append(
-                    _run_job(
-                        compiler, cursor, message, self.handoff,
-                        full_prefix=job.prefix,
-                    )
-                )
+                outcomes.append(_run_job(compiler, cursor, message))
             return outcomes
 
         try:
             bounds, executed, parent_of, totals, job_size, sizer = (
                 self._run_generations(
-                    scheme, epsilon, execute_wave, with_patches=False,
-                    deadline=deadline,
+                    scheme, epsilon, execute_wave, deadline=deadline
                 )
             )
         finally:
@@ -1002,10 +901,9 @@ class DistributedCompiler:
             state = getattr(thread_state, "state", None)
             if state is None:
                 # Each thread owns a persistent compiler + cursor: the
-                # evaluator (and, under delta handoff, its applied
-                # prefix) is recycled across the thread's jobs — a
-                # fresh masked evaluator would repeat the baseline
-                # sweep per job.
+                # evaluator and its applied prefix are recycled across
+                # the thread's jobs — a fresh masked evaluator would
+                # repeat the baseline sweep per job.
                 compiler = _JobCompiler(
                     self.network, self.pool, targets=self.target_names,
                     order=self.order, engine=self.engine,
@@ -1018,12 +916,9 @@ class DistributedCompiler:
                     cursors.append(cursor)
             return state
 
-        def run_one(job, message):
+        def run_one(message):
             compiler, cursor = worker_state()
-            return _run_job(
-                compiler, cursor, message, self.handoff,
-                full_prefix=job.prefix,
-            )
+            return _run_job(compiler, cursor, message)
 
         started = time.perf_counter()
         try:
@@ -1031,15 +926,14 @@ class DistributedCompiler:
 
                 def execute_wave(wave, messages):
                     futures = [
-                        executor.submit(run_one, job, message)
-                        for job, message in zip(wave, messages)
+                        executor.submit(run_one, message)
+                        for message in messages
                     ]
                     return [future.result() for future in futures]
 
                 bounds, executed, parent_of, totals, job_size, sizer = (
                     self._run_generations(
-                        scheme, epsilon, execute_wave, with_patches=False,
-                        deadline=deadline,
+                        scheme, epsilon, execute_wave, deadline=deadline
                     )
                 )
         finally:
@@ -1068,24 +962,12 @@ class DistributedCompiler:
         program = None
         if isinstance(self._compiler.evaluator, MaskedEvaluator):
             program = masked_program(self.network)
-        # Patches pay only where a sweep is dearer than a pickled write:
-        # on the Python tier applying a prefix's patch beats re-sweeping
-        # it ~2x, on a compiled tier re-sweeping beats export + pickle +
-        # apply ~3x (docs/BENCHMARKS.md) — there the delta handoff moves
-        # through the common ancestor and pushes the suffix.
-        capture = (
-            self.handoff == "delta"
-            and program is not None
-            and self._compiler.evaluator.kernel == "python"
-        )
         payload = _worker_payload(
             self.network,
             self.pool,
             self.target_names,
             self.order,
             self.engine,
-            self.handoff,
-            capture,
             program,
             fault=self.fault_injection,
         )
@@ -1097,25 +979,8 @@ class DistributedCompiler:
             )
         else:
             pool = SocketTransport.spawn_local(payload, self.workers)
-        pool.capture_patches = capture
         self._process_pool = pool
         return pool
-
-    def _dispatch_to_worker(self, worker, job: Job, message: _JobMessage):
-        """Ship one job as a prefix delta against the worker's tail."""
-        common = 0
-        if self.handoff == "delta":
-            for ours, theirs in zip(worker.tail_prefix, job.prefix):
-                if ours != theirs:
-                    break
-                common += 1
-        message.rewind_depth = 1 + common
-        message.suffix = job.prefix[common:]
-        if job.patch_chain is not None:
-            message.patches = job.patch_chain[common:]
-        worker.tail_prefix = job.prefix
-        worker.assigned[job.index] = job
-        worker.send(("job", message))
 
     def _run_pooled(
         self,
@@ -1138,9 +1003,7 @@ class DistributedCompiler:
 
             bounds, executed, parent_of, totals, job_size, sizer = (
                 self._run_generations(
-                    scheme, epsilon, execute_wave,
-                    with_patches=pool.capture_patches,
-                    deadline=deadline,
+                    scheme, epsilon, execute_wave, deadline=deadline
                 )
             )
         except BaseException:
@@ -1158,7 +1021,6 @@ class DistributedCompiler:
         result.extra["worker_failures"] = float(pool.worker_failures)
         result.extra["workers_killed"] = float(self._workers_killed)
         result.extra["steals"] = float(self._steals)
-        result.extra["pipeline_depth"] = float(self.pipeline_depth)
         result.extra["recv_wait_seconds"] = sum(
             self._recv_wait_by_worker.values()
         )
@@ -1175,11 +1037,10 @@ class DistributedCompiler:
 
         Jobs are partitioned into contiguous creation-order blocks (one
         per worker) so sibling jobs — which share long prefixes — land
-        on the same worker and the prefix deltas stay short.  The
+        on the same worker and its cursor seeks stay short.  The
         blocks live in per-worker ``pending`` queues held coordinator-
-        side: each worker keeps at most ``pipeline_depth`` jobs in
-        flight (the next message crosses the wire while the current
-        job runs), and a worker whose queue runs dry *steals* from the
+        side: each worker keeps at most :data:`PIPELINE_DEPTH` jobs in
+        flight, and a worker whose queue runs dry *steals* from the
         tail of the most loaded peer's queue — assignment changes, the
         creation-order merge at the barrier does not.  A worker that
         dies mid-wave has its unfinished jobs requeued on the
@@ -1241,15 +1102,16 @@ class DistributedCompiler:
         return [outcomes[job.index] for job in wave]
 
     def _top_up(self, pool, worker, by_index) -> None:
-        """Keep up to ``pipeline_depth`` jobs in flight on ``worker``."""
+        """Keep up to :data:`PIPELINE_DEPTH` jobs in flight on ``worker``."""
         if not worker.alive():
             return
-        while len(worker.assigned) < self.pipeline_depth:
+        while len(worker.assigned) < PIPELINE_DEPTH:
             job_index = self._claim_next_job(pool, worker)
             if job_index is None:
                 return
             job, message = by_index[job_index]
-            self._dispatch_to_worker(worker, job, message)
+            worker.assigned[job_index] = job
+            worker.send(("job", message))
 
     def _claim_next_job(self, pool, worker) -> Optional[int]:
         """The next job index for ``worker``: its own queue, or a steal.
@@ -1284,10 +1146,9 @@ class DistributedCompiler:
 
         The dead worker is recorded in each requeued job's
         ``excluded_workers`` so reassignment avoids it; the wire
-        message is reused with its prefix delta recomputed against the
-        new worker's queue tail.  Orphans go onto the survivors'
-        pending queues (round-robin) and flow out through the same
-        top-up/steal path as everything else.
+        message is reused as is (it is self-contained).  Orphans go
+        onto the survivors' pending queues (round-robin) and flow out
+        through the same top-up/steal path as everything else.
         """
         for worker in pool.workers:
             if worker.alive() or (not worker.assigned and not worker.pending):
@@ -1333,11 +1194,9 @@ def compile_distributed(
     execution: str = "simulate",
     engine: str = "masked",
     kernel: Optional[str] = None,
-    handoff: str = "delta",
     timeout: Optional[float] = None,
     target_job_cost: float = 0.01,
     steal: bool = True,
-    pipeline_depth: int = 2,
     listen: Optional[str] = None,
 ) -> CompilationResult:
     """One-shot helper mirroring :func:`repro.compile.compiler.compile_network`."""
@@ -1350,10 +1209,8 @@ def compile_distributed(
         job_size=job_size,
         engine=engine,
         kernel=kernel,
-        handoff=handoff,
         target_job_cost=target_job_cost,
         steal=steal,
-        pipeline_depth=pipeline_depth,
         listen=listen,
     )
     try:

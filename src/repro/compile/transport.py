@@ -18,21 +18,17 @@ carry them:
   Workers deserialize the network and the pickled
   :class:`~repro.engine.masked.MaskedProgram` **once at join** (the
   ``init`` handshake ships the same payload the pipe workers get) and
-  then receive jobs as prefix deltas with column patches, exactly like
-  the pipe workers.
+  then receive the same self-contained job messages as the pipe
+  workers.  A frame header claiming more than :data:`MAX_FRAME_BYTES`
+  raises :class:`FrameTooLarge` before any of its body is read.
 
 Both transports expose the same coordinator-side surface — ``workers``
 (a list of :class:`WorkerHandle`), ``alive_workers()``, ``wait()``,
 ``shutdown()`` — so the scheduling layer in
-:mod:`repro.compile.distributed` (work stealing, pipelined dispatch,
-crash recovery) is written once against this interface.
-
-Framed payloads are produced by :meth:`repro.engine.masked
-.MaskedEvaluator.export_patch` and the job messages, both of which
-carry **plain Python scalars only** (the ``wire-format`` lint enforces
-this for every ``_wire*`` helper here); steal and dispatch decisions
-never consult wall-clock time (the ``barrier-determinism`` lint covers
-this module too).
+:mod:`repro.compile.distributed` (work stealing, bounded in-flight
+dispatch, crash recovery) is written once against this interface.
+Steal and dispatch decisions never consult wall-clock time (the
+``barrier-determinism`` lint covers this module too).
 """
 
 from __future__ import annotations
@@ -49,6 +45,12 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 #: Frame header: payload length as an 8-byte big-endian unsigned int.
 HEADER = struct.Struct(">Q")
+
+#: Largest frame body either side accepts.  The biggest legitimate frame
+#: is the join-time payload (pickled network + masked program); a header
+#: claiming more is a corrupt or hostile peer, and trusting it would
+#: buffer without bound.
+MAX_FRAME_BYTES = 1 << 28
 
 #: The transports a worker pool can run on.
 TRANSPORTS = ("pipe", "socket")
@@ -71,6 +73,18 @@ def parse_address(address: str) -> Tuple[str, int]:
     return host, int(port)
 
 
+class FrameTooLarge(ValueError):
+    """A frame header claimed a body beyond :data:`MAX_FRAME_BYTES`."""
+
+
+def _checked_length(length: int) -> int:
+    if length > MAX_FRAME_BYTES:
+        raise FrameTooLarge(
+            f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
+        )
+    return length
+
+
 class FramedStream:
     """Length-prefixed pickled records over one TCP socket.
 
@@ -79,7 +93,9 @@ class FramedStream:
     :meth:`receive_available` drains whatever complete frames the
     kernel buffer holds without blocking (the coordinator's select
     loop).  A peer that dies mid-frame surfaces as ``EOFError`` — the
-    partial frame is discarded, never delivered.
+    partial frame is discarded, never delivered — and a header beyond
+    :data:`MAX_FRAME_BYTES` as :class:`FrameTooLarge`, raised before the
+    body is read; the stream is unusable after either.
     """
 
     def __init__(self, sock: socket_module.socket) -> None:
@@ -89,11 +105,11 @@ class FramedStream:
         self.sock = sock
         self.bytes_sent = 0
         self.bytes_received = 0
-        self._buffer = b""
+        self._buffer = bytearray()
 
     def send(self, record) -> None:
         body = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        frame = HEADER.pack(len(body)) + body
+        frame = HEADER.pack(_checked_length(len(body))) + body
         self.sock.sendall(frame)
         self.bytes_sent += len(frame)
 
@@ -104,20 +120,21 @@ class FramedStream:
         self.sock.sendall(frame)
         self.bytes_sent += len(frame)
 
-    def _read_exact(self, count: int) -> bytes:
+    def _read_exact(self, count: int) -> bytearray:
         while len(self._buffer) < count:
             chunk = self.sock.recv(_RECV_CHUNK)
             if not chunk:
                 raise EOFError("peer closed the stream mid-frame")
             self._buffer += chunk
             self.bytes_received += len(chunk)
-        data, self._buffer = self._buffer[:count], self._buffer[count:]
+        data = self._buffer[:count]
+        del self._buffer[:count]
         return data
 
     def recv(self):
         """Block until one complete record arrives."""
         (length,) = HEADER.unpack(self._read_exact(HEADER.size))
-        return pickle.loads(self._read_exact(length))
+        return pickle.loads(self._read_exact(_checked_length(length)))
 
     def receive_available(self) -> Tuple[list, bool]:
         """Drain buffered complete frames; returns ``(records, eof)``.
@@ -146,13 +163,16 @@ class FramedStream:
         finally:
             self.sock.setblocking(True)
         records = []
-        while len(self._buffer) >= HEADER.size:
-            (length,) = HEADER.unpack(self._buffer[: HEADER.size])
-            if len(self._buffer) < HEADER.size + length:
+        buffer = self._buffer
+        start = 0
+        while len(buffer) - start >= HEADER.size:
+            (length,) = HEADER.unpack_from(buffer, start)
+            end = start + HEADER.size + _checked_length(length)
+            if len(buffer) < end:
                 break
-            body = self._buffer[HEADER.size : HEADER.size + length]
-            self._buffer = self._buffer[HEADER.size + length :]
-            records.append(pickle.loads(body))
+            records.append(pickle.loads(buffer[start + HEADER.size : end]))
+            start = end
+        del buffer[:start]
         return records, eof
 
     def fileno(self) -> int:
@@ -171,15 +191,11 @@ class WorkerHandle:
     ``pending`` is the worker's creation-order queue of job indices for
     the current generation — held coordinator-side so idle workers can
     *steal* from a loaded peer's queue; ``assigned`` maps the indices
-    actually shipped (in flight) to their :class:`Job`.  ``tail_prefix``
-    is the prefix the worker's evaluator will hold after draining its
-    shipped jobs, so prefix deltas chain correctly under FIFO
-    processing.
+    actually shipped (in flight) to their :class:`Job`.
     """
 
     def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
-        self.tail_prefix: Tuple[Tuple[int, bool], ...] = ()
         self.assigned: Dict[int, object] = {}
         self.pending: Deque[int] = deque()
 
@@ -203,7 +219,6 @@ class WorkerTransport:
         self.spawn_seconds = 0.0
         self.worker_failures = 0
         self.killed_worker_ids: List[int] = []
-        self.capture_patches = False
 
     def alive_workers(self) -> List[WorkerHandle]:
         return [worker for worker in self.workers if worker.alive()]
@@ -516,7 +531,9 @@ class SocketTransport(WorkerTransport):
                 continue
             try:
                 drained, eof = worker.stream.receive_available()
-            except OSError:
+            except (OSError, FrameTooLarge):
+                # A torn socket or a forged length header: drop the
+                # worker; the scheduler requeues its jobs.
                 drained, eof = [], True
             records.extend((worker, record) for record in drained)
             if eof:
@@ -620,7 +637,7 @@ def serve_worker(
             raise RuntimeError(f"unexpected handshake record {init!r}")
         worker_id, payload = init[1], init[2]
         config = pickle.loads(payload)
-        compiler, cursor, handoff = _build_worker_state(config)
+        compiler, cursor = _build_worker_state(config)
         if fault is None:
             fault = config.get("fault") or {}
         stream.send(("ready", worker_id))
@@ -629,7 +646,6 @@ def serve_worker(
                 worker_id,
                 compiler,
                 cursor,
-                handoff,
                 fault,
                 recv_record=stream.recv,
                 send_record=stream.send,

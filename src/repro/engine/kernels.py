@@ -57,12 +57,7 @@ import numpy as np
 
 from ..compile.partial import B_FALSE, B_TRUE, B_UNKNOWN, NumState
 from ..network.nodes import EventNetwork, Kind
-from .masked import (
-    _TAG_BOOL,
-    _TAG_NUM,
-    MaskedEvaluator,
-    MaskedProgram,
-)
+from .masked import _TAG_BOOL, MaskedEvaluator, MaskedProgram
 
 _K_TRUE = int(Kind.TRUE)
 _K_FALSE = int(Kind.FALSE)
@@ -988,10 +983,8 @@ class _KFrame:
 
     A cone sweep trails each vertex at most once (the cone visits every
     vertex at most once per push), so the restore is order-independent
-    and can be one fancy-indexed write per column.  Iterating yields
-    plain-Python trail tuples in emission order — the representation
-    :meth:`MaskedEvaluator.export_patch` walks, keeping kernel frames
-    wire-compatible with Python ones.
+    and can be one fancy-indexed write per column.  The slots hold the
+    kernel's trail entries in emission order.
     """
 
     __slots__ = ("tag", "vid", "b", "lo", "hi", "mu", "md")
@@ -1008,27 +1001,8 @@ class _KFrame:
     def __len__(self) -> int:
         return len(self.vid)
 
-    def __iter__(self):
-        for i in range(len(self.vid)):
-            if self.tag[i] == _TAG_BOOL:
-                yield (_TAG_BOOL, int(self.vid[i]), int(self.b[i]))
-            else:
-                yield (
-                    _TAG_NUM,
-                    int(self.vid[i]),
-                    float(self.lo[i]),
-                    float(self.hi[i]),
-                    bool(self.mu[i]),
-                    bool(self.md[i]),
-                )
-
-    def __reversed__(self):
-        return reversed(list(self))
-
     def restore(self, evaluator: "KernelMaskedEvaluator") -> None:
         vids = self.vid
-        if len(vids) == 0:
-            return
         is_b = self.tag == _TAG_BOOL
         bool_vids = vids[is_b]
         evaluator._b[bool_vids] = self.b[is_b]
@@ -1045,12 +1019,11 @@ class KernelMaskedEvaluator(MaskedEvaluator):
     """:class:`MaskedEvaluator` with compiled cone sweeps.
 
     The observable protocol — ``push``/``pop``/``rewind_to``, states,
-    trails, ``export_patch``/``apply_patch`` wire format, ``evals``
-    accounting — is identical to the Python evaluator; only the sweep
-    executes in the backend.  Columns are promoted from Python lists to
-    shared NumPy buffers the kernel mutates in place; every inherited
-    query method keeps working because the arrays support the same
-    per-element indexing.
+    trail emission order, ``evals`` accounting — is identical to the
+    Python evaluator; only the sweep executes in the backend.  Columns
+    are promoted from Python lists to shared NumPy buffers the kernel
+    mutates in place; every inherited query method keeps working
+    because the arrays support the same per-element indexing.
     """
 
     def __init__(self, network: EventNetwork, backend: _Backend) -> None:
@@ -1165,20 +1138,8 @@ class KernelMaskedEvaluator(MaskedEvaluator):
             self._assign[recorded] = -1
 
     def _restore_frame(self, frame) -> None:
-        if isinstance(frame, _KFrame):
+        if len(frame):  # a bare push() opens an empty list frame
             frame.restore(self)
-        else:  # frames written by apply_patch use the list representation
-            super()._restore_frame(frame)
-
-    def apply_patch(self, frames) -> None:
-        super().apply_patch(frames)
-        for variable, value, _entries in frames:
-            if variable is not None and 0 <= variable < self._assign.shape[0]:
-                self._assign[variable] = 1 if value else 0
-
-    # ``export_patch`` is inherited: the base walk normalises everything
-    # through ``_plain_values``, so NumPy columns never leak into the wire
-    # format.
 
 
 _warned_unknown_kernel = False

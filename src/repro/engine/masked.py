@@ -48,7 +48,6 @@ several lanes.
 from __future__ import annotations
 
 import math
-import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -100,74 +99,6 @@ _NAN = math.nan
 _INF = math.inf
 # The certainly-undefined scalar state as a column tuple (lo, hi, mu, md).
 _UNDEFINED = (_NAN, _NAN, True, False)
-
-
-def _plain_values(tag: int, values: tuple) -> tuple:
-    """A trail payload as plain Python scalars (the patch wire format).
-
-    Kernel evaluators store columns as NumPy arrays, so trail entries can
-    carry NumPy scalars; everything :meth:`MaskedEvaluator.export_patch`
-    emits is normalised through here so patches pickle identically across
-    tiers.
-    """
-    if tag == _TAG_BOOL:
-        return (int(values[0]),)
-    return (
-        float(values[0]),
-        float(values[1]),
-        bool(values[2]),
-        bool(values[3]),
-    )
-
-
-def patch_wire_size(frames: Sequence[tuple]) -> int:
-    """Byte size of a column patch as framed on the wire (pickled).
-
-    The distributed transports ship patches pickled — inside a
-    ``multiprocessing`` queue message or a
-    :class:`repro.compile.transport.FramedStream` frame — so the
-    pickled size is the honest per-patch wire cost, reported by
-    ``benchmarks/bench_cluster.py``.
-    """
-    return len(pickle.dumps(tuple(frames), protocol=pickle.HIGHEST_PROTOCOL))
-
-
-def patch_is_plain(frames: Sequence[tuple]) -> bool:
-    """True when every patch payload is plain Python scalars.
-
-    :meth:`MaskedEvaluator.export_patch` must never leak NumPy scalars
-    into a patch (they pickle differently across kernel tiers and
-    NumPy versions — the wire format contract); this validator backs
-    the property tests that pin that invariant down at runtime, next
-    to the static ``wire-format`` lint.
-    """
-    for variable, value, entries in frames:
-        if variable is not None and type(variable) is not int:
-            return False
-        if value is not None and type(value) is not bool:
-            return False
-        for entry in entries:
-            tag, vid = entry[0], entry[1]
-            if type(tag) is not int or type(vid) is not int:
-                return False
-            payload = entry[2:]
-            if tag == _TAG_BOOL:
-                if len(payload) != 1 or type(payload[0]) is not int:
-                    return False
-            elif tag == _TAG_NUM:
-                if len(payload) != 4:
-                    return False
-                if type(payload[0]) is not float:
-                    return False
-                if type(payload[1]) is not float:
-                    return False
-                if type(payload[2]) is not bool:
-                    return False
-                if type(payload[3]) is not bool:
-                    return False
-            else:
-                return False
-    return True
 
 
 def _csr_rows(offsets: np.ndarray, indices: np.ndarray) -> List[Tuple[int, ...]]:
@@ -885,10 +816,9 @@ class MaskedEvaluator:
     def rewind_to(self, depth: int) -> None:
         """Pop frames until the trail is ``depth`` frames deep.
 
-        The base-depth rewind of the delta handoff: a persistent
-        distributed worker backs out of the previous job's assignment
-        prefix down to the common ancestor of the next one instead of
-        replaying from the root.  Rewinding to ``0`` restores the
+        A persistent distributed worker backs out of the previous job's
+        assignment prefix down to the common ancestor of the next one
+        instead of replaying from the root.  Rewinding to ``0`` restores the
         baseline (empty-assignment) state exactly.
         """
         if depth < 0 or depth > len(self._frames):
@@ -897,107 +827,6 @@ class MaskedEvaluator:
             )
         while len(self._frames) > depth:
             self.pop()
-
-    # -- column patches (the cross-process wire format) -----------------
-
-    def export_patch(self, base_depth: int) -> Tuple[tuple, ...]:
-        """The frames above ``base_depth`` as a portable column patch.
-
-        A *patch* is the post-state of a trail slice: one record per
-        frame — ``(variable, value, entries)`` — where each entry names
-        a vertex and the column values the frame's sweep left it with.
-        Applied on top of the *same* base state by
-        :meth:`apply_patch`, it reproduces the sender's columns exactly,
-        write for write, without re-evaluating anything: this is how the
-        multi-process distributed coordinator ships assignment-prefix
-        state between workers (:mod:`repro.compile.distributed`) instead
-        of having every worker re-sweep the cones along the prefix.
-
-        The trail records *old* values (for undo), so the per-frame new
-        values are reconstructed by walking the slice newest to oldest:
-        the value a frame wrote is whatever the next-newer frame
-        trailing the same vertex saw as "old" (the current column value
-        when no newer frame touched it).  Everything in a patch is
-        plain Python scalars (:func:`patch_is_plain`), whatever the
-        network and whichever tier exported it.
-        """
-        if base_depth < 0 or base_depth > len(self._frames):
-            raise ValueError(
-                f"cannot export from depth {base_depth} "
-                f"at depth {len(self._frames)}"
-            )
-        frames = self._frames[base_depth:]
-        variables = self._frame_vars[base_depth:]
-        tracking: Dict[Tuple[int, int], tuple] = {}
-        newest_first: List[tuple] = []
-        for frame, variable in zip(reversed(frames), reversed(variables)):
-            entries: List[tuple] = []
-            for entry in frame:
-                tag, vid = entry[0], entry[1]
-                key = (tag, vid)
-                new = tracking.get(key)
-                if new is None:
-                    if tag == _TAG_BOOL:
-                        new = (int(self._b[vid]),)
-                    else:
-                        new = (
-                            float(self._lo[vid]),
-                            float(self._hi[vid]),
-                            bool(self._mu[vid]),
-                            bool(self._md[vid]),
-                        )
-                entries.append((int(tag), int(vid)) + new)
-                tracking[key] = _plain_values(tag, tuple(entry[2:]))
-            value = None if variable is None else bool(self.assignment[variable])
-            newest_first.append((variable, value, tuple(entries)))
-        return tuple(reversed(newest_first))
-
-    def apply_patch(self, frames: Sequence[tuple]) -> None:
-        """Re-apply an exported column patch on top of its base state.
-
-        Opens one trail frame per patch record and writes the recorded
-        column values directly — no cone sweep, no evaluation counted —
-        trailing the overwritten values so ``pop``/``rewind_to`` undo a
-        patched frame exactly like a swept one.  The caller must have
-        the evaluator in the same state the patch was exported against
-        (same program, same base prefix); the distributed coordinator
-        guarantees this by construction.
-        """
-        for variable, value, entries in frames:
-            trail: List[tuple] = []
-            self._frames.append(trail)
-            self._frame_vars.append(variable)
-            self._resolved_version += 1
-            if variable is not None:
-                self.assignment[variable] = value
-            for entry in entries:
-                tag, vid = entry[0], entry[1]
-                if tag == _TAG_BOOL:
-                    new = entry[2]
-                    trail.append((_TAG_BOOL, vid, self._b[vid]))
-                    self._b[vid] = new
-                    if new != B_UNKNOWN:
-                        self._resolved[vid] = True
-                else:
-                    new_lo, new_hi, new_mu, new_md = entry[2:6]
-                    trail.append(
-                        (
-                            _TAG_NUM,
-                            vid,
-                            self._lo[vid],
-                            self._hi[vid],
-                            self._mu[vid],
-                            self._md[vid],
-                        )
-                    )
-                    self._lo[vid] = new_lo
-                    self._hi[vid] = new_hi
-                    self._mu[vid] = new_mu
-                    self._md[vid] = new_md
-                    if (not new_md and new_mu) or (
-                        new_md and not new_mu and new_lo == new_hi
-                    ):
-                        self._resolved[vid] = True
 
     # -- sweeping -------------------------------------------------------
 

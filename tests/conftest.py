@@ -59,6 +59,35 @@ def source_backend():
     )
 
 
+def trail_entries(frame):
+    """One trail frame as plain ``(tag, vid, *old values)`` tuples.
+
+    Emission order is part of the tier contract, so the differential
+    suites compare frames entry by entry.  A Python-tier frame is
+    already a list of such tuples; a kernel ``_KFrame`` keeps the same
+    entries as column slices, read here slot by slot.
+    """
+    from repro.engine.masked import _TAG_BOOL, _TAG_NUM
+
+    if isinstance(frame, list):
+        entries = frame
+    else:
+        entries = [
+            (tag, vid, b) if tag == _TAG_BOOL else (tag, vid, lo, hi, mu, md)
+            for tag, vid, b, lo, hi, mu, md in zip(
+                frame.tag, frame.vid, frame.b,
+                frame.lo, frame.hi, frame.mu, frame.md,
+            )
+        ]
+    return [
+        (_TAG_BOOL, int(vid), int(old[0]))
+        if tag == _TAG_BOOL
+        else (_TAG_NUM, int(vid), float(old[0]), float(old[1]),
+              bool(old[2]), bool(old[3]))
+        for tag, vid, *old in entries
+    ]
+
+
 def random_event(pool, rng, depth=3):
     """A random event expression over the pool (shared by many tests)."""
     if depth == 0 or rng.random() < 0.3:

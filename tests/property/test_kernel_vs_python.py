@@ -34,10 +34,10 @@ from repro.engine.kernels import (
     get_backend,
     make_masked_evaluator,
 )
-from repro.engine.masked import MaskedEvaluator, _plain_values, patch_is_plain
+from repro.engine.masked import MaskedEvaluator
 from repro.network.build import build_targets
 
-from ..conftest import source_backend
+from ..conftest import source_backend, trail_entries
 from .test_folded_bulk_vs_scalar import _random_folded_instance
 from .test_masked_vs_scalar import (
     MATCH_ABS,
@@ -75,13 +75,9 @@ def assert_tiers_identical(oracle, candidate):
     assert candidate.depth == oracle.depth
     for theirs, ours in zip(oracle._frames, candidate._frames):
         # repr() makes NaN payloads comparable and keeps -0.0 apart from 0.0.
-        assert [repr(tuple(e)) for e in ours] == [
-            repr(_plain(tuple(e))) for e in theirs
+        assert [repr(e) for e in trail_entries(ours)] == [
+            repr(e) for e in trail_entries(theirs)
         ]
-
-
-def _plain(entry):
-    return entry[:2] + _plain_values(entry[0], entry[2:])
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -140,49 +136,6 @@ def test_kernel_matches_python_states_folded(tier, seed):
         assert_tiers_identical(oracle, candidate)
 
     _walk_pair(pool, oracle, candidate, rng, check)
-
-
-@pytest.mark.parametrize("tier", TIERS)
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10_000))
-def test_kernel_patch_wire_format_interoperates(tier, seed):
-    """Patches exported by one tier apply cleanly on the other.
-
-    This is the distributed handoff contract: a worker may run a
-    jitted evaluator while the leader replays its column deltas on a
-    pure-Python one (or vice versa), so ``export_patch`` must speak
-    plain Python scalars regardless of tier.
-    """
-    pool, events = _random_instance(seed)
-    network = build_targets(events)
-    sender = make_masked_evaluator(network, kernel=tier)
-    receiver = make_masked_evaluator(network, kernel="python")
-    rng = random.Random(seed + 3)
-
-    sender.push()
-    assigned = []
-    for _ in range(rng.randint(1, min(3, len(pool)))):
-        free = [i for i in range(len(pool)) if i not in sender.assignment]
-        if not free:
-            break
-        variable = rng.choice(free)
-        sender.push(variable, rng.random() < 0.5)
-        assigned.append(variable)
-    patch = sender.export_patch(0)
-    # Wire format: plain Python scalars only (no numpy scalars, no
-    # pickled NumState arrays — vector networks included), so patches
-    # pickle identically to the pure-Python tier's.
-    assert patch_is_plain(patch)
-    receiver.apply_patch(patch)
-    for node_id in range(len(network.nodes)):
-        assert _states_equal(
-            sender.node_state(node_id), receiver.node_state(node_id)
-        ), (tier, node_id)
-    for variable in reversed(assigned):
-        sender.pop(variable)
-        receiver.pop(variable)
-    sender.pop()
-    receiver.pop()
 
 
 @pytest.mark.parametrize("tier", TIERS)

@@ -1,6 +1,6 @@
-"""Property tests: cone-aware ordering and delta job handoff.
+"""Property tests: cone-aware ordering and the job handoff.
 
-Two contracts introduced with the cone-aware fast paths:
+Two contracts:
 
 * :class:`~repro.compile.ordering.ConeInfluenceOrder` (precomputed IR
   cones ∩ the masked engine's resolved column) must pick **the same
@@ -8,30 +8,36 @@ Two contracts introduced with the cone-aware fast paths:
   :class:`~repro.compile.ordering.DynamicInfluenceOrder` (per-choice
   Python scan over the network adjacency) at every branching point, on
   flat and folded networks alike, with identical tie-breaking;
-* distributed runs whose workers hand jobs over by **prefix delta**
-  (rewind to the common ancestor, push the suffix) must agree with
-  full-replay runs to 1e-9 on every bound, for all four schemes — the
-  handoff is a pure evaluator-state optimisation and must not leak into
-  the job DAG or the budgets.
+* a worker reaches a job root by ``_PrefixCursor.seek`` — rewind to the
+  common ancestor of the prefix it holds and the job's, push the
+  suffix.  After any sequence of seeks the persistent evaluator must be
+  **state for state** the evaluator that pushed the same prefix from the
+  root: every column, the resolved mask, the trail, ``depth`` and
+  ``assignment`` — on flat and folded networks, scalar and vector
+  c-values, the Python and the native tier.  The seek is a pure
+  evaluator-state move and must not leak into the job DAG or the
+  budgets, so exact distributed runs equal the sequential compiler.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compile.compiler import compile_network, make_evaluator
-from repro.compile.distributed import compile_distributed
+from repro.compile.distributed import _PrefixCursor, compile_distributed
 from repro.compile.ordering import ConeInfluenceOrder, DynamicInfluenceOrder
 from repro.engine.masked import MaskedEvaluator
 from repro.network.build import build_targets
 from repro.worlds.variables import VariablePool
 
-from ..conftest import random_event
+from ..conftest import random_event, require_native, trail_entries
 from .test_folded_bulk_vs_scalar import _random_folded_instance
+from .test_masked_vs_scalar import _random_instance as _random_masked_instance
 
 MATCH_ABS = 1e-9
 
@@ -99,63 +105,84 @@ def test_cone_order_matches_dynamic_folded(seed):
     _assert_same_picks(pool, folded, evaluator, random.Random(seed + 1))
 
 
-@pytest.mark.parametrize(
-    "scheme,epsilon",
-    [("exact", 0.0), ("lazy", 0.07), ("eager", 0.07), ("hybrid", 0.07)],
-)
-def test_delta_handoff_matches_replay(scheme, epsilon):
-    for seed in range(6):
-        pool, events = _random_instance(seed)
-        network = build_targets(events)
-        results = {
-            handoff: compile_distributed(
-                network,
-                pool,
-                scheme=scheme,
-                epsilon=epsilon,
-                workers=3,
-                job_size=2,
-                handoff=handoff,
+def _prefix_walk(rng, variables, steps):
+    """Random job prefixes: identical, deeper, shallower, sibling, cousin."""
+    prefix = ()
+    for _ in range(steps):
+        move = rng.choice(("same", "deeper", "shallower", "sibling", "cousin"))
+        if move == "shallower":
+            prefix = prefix[: rng.randint(0, len(prefix))]
+        elif move == "sibling" and prefix:
+            variable, value = prefix[-1]
+            prefix = prefix[:-1] + ((variable, not value),)
+        elif move != "same":
+            if move == "cousin":  # branch off a random ancestor
+                prefix = prefix[: rng.randint(0, len(prefix))]
+            taken = {variable for variable, _ in prefix}
+            free = [index for index in range(variables) if index not in taken]
+            rng.shuffle(free)
+            prefix += tuple(
+                (variable, rng.random() < 0.5)
+                for variable in free[: rng.randint(1, 2)]
             )
-            for handoff in ("delta", "replay")
-        }
-        for name in network.targets:
-            delta_bounds = results["delta"].bounds[name]
-            replay_bounds = results["replay"].bounds[name]
-            assert delta_bounds[0] == pytest.approx(
-                replay_bounds[0], abs=MATCH_ABS
-            )
-            assert delta_bounds[1] == pytest.approx(
-                replay_bounds[1], abs=MATCH_ABS
-            )
-        # Same job DAG, same decision trees: the handoff only moves
-        # evaluator state, never the exploration.
-        assert results["delta"].jobs == results["replay"].jobs
-        assert results["delta"].tree_nodes == results["replay"].tree_nodes
+        yield prefix
 
 
-def test_delta_handoff_matches_replay_folded():
-    for seed in range(4):
-        pool, folded = _random_folded_instance(seed)
-        results = {
-            handoff: compile_distributed(
-                folded,
-                pool,
-                scheme="exact",
-                workers=3,
-                job_size=2,
-                handoff=handoff,
+def _assert_seek_matches_root_replay(network, variables, tier, rng):
+    """One persistent cursor vs. a fresh evaluator pushed from the root."""
+    engine = f"masked:{tier}"
+    cursor = _PrefixCursor(network, engine)
+    seeker = cursor.ensure()
+    assert seeker.kernel == tier
+    for prefix in _prefix_walk(rng, variables, steps=14):
+        cursor.seek(prefix)
+        replayed = make_evaluator(network, engine=engine)
+        replayed.push()
+        for variable, value in prefix:
+            replayed.push(variable, value)
+        assert cursor.applied == prefix
+        assert seeker.depth == replayed.depth == 1 + len(prefix)
+        # Item order too: a forked child's prefix is assignment.items().
+        assert list(seeker.assignment.items()) == list(prefix)
+        assert list(replayed.assignment.items()) == list(prefix)
+        for column in (
+            "bstate", "lo", "hi", "may_u", "may_def", "resolved_mask"
+        ):
+            np.testing.assert_array_equal(  # NaN == NaN here
+                getattr(seeker, column), getattr(replayed, column), column
             )
-            for handoff in ("delta", "replay")
-        }
-        for name in folded.targets:
-            assert results["delta"].bounds[name][0] == pytest.approx(
-                results["replay"].bounds[name][0], abs=MATCH_ABS
-            )
-            assert results["delta"].bounds[name][1] == pytest.approx(
-                results["replay"].bounds[name][1], abs=MATCH_ABS
-            )
-        assert results["delta"].jobs == results["replay"].jobs
+        # repr() makes NaN payloads comparable.
+        assert [repr(trail_entries(f)) for f in seeker._frames] == [
+            repr(trail_entries(f)) for f in replayed._frames
+        ]
+    cursor.release()
+    assert (seeker.depth, seeker.assignment, cursor.applied) == (0, {}, ())
+
+
+@pytest.mark.parametrize("tier", ["python", "native"])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_seek_matches_root_replay_flat(tier, seed):
+    if tier == "native":
+        require_native()
+    # Half of these instances carry vector c-values.
+    pool, events = _random_masked_instance(seed)
+    network = build_targets(events)
+    _assert_seek_matches_root_replay(
+        network, len(pool), tier, random.Random(seed + 2)
+    )
+
+
+@pytest.mark.parametrize("tier", ["python", "native"])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_seek_matches_root_replay_folded(tier, seed):
+    if tier == "native":
+        require_native()
+    pool, folded = _random_folded_instance(seed)
+    _assert_seek_matches_root_replay(
+        folded, len(pool), tier, random.Random(seed + 2)
+    )
 
 
 def test_delta_handoff_matches_sequential_exact():

@@ -39,7 +39,7 @@ from repro.engine.kernels import (
     available_kernels,
     make_masked_evaluator,
 )
-from repro.engine.masked import MaskedEvaluator, masked_program, patch_is_plain
+from repro.engine.masked import MaskedEvaluator, masked_program
 from repro.engine.registry import run_scheme
 from repro.events.expressions import (
     TRUE,
@@ -391,29 +391,6 @@ def test_kmeans_bulk_schemes_match_naive_scalar():
         assert naive[name][1] == pytest.approx(exact, abs=MATCH_ABS)
         lower, upper = carlo.raw.bounds[name]
         assert lower - MATCH_ABS <= exact <= upper + MATCH_ABS, name
-
-
-@pytest.mark.parametrize("tier", TIERS)
-def test_vector_network_patches_are_plain_scalars(tier):
-    """No pickled ``NumState`` arrays on the wire, whatever the network."""
-    for label, platform in _cluster_platforms():
-        network = platform.network
-        variables = len(platform.dataset.pool)
-        sender = make_masked_evaluator(network, kernel=tier)
-        receiver = make_masked_evaluator(network, kernel="python")
-        sender.push()
-        for index in range(variables):
-            sender.push(index, index % 2 == 0)
-        patch = sender.export_patch(0)
-        assert any(entries for _, _, entries in patch), label
-        assert patch_is_plain(patch), label
-        receiver.apply_patch(patch)
-        for node_id in range(len(network.nodes)):
-            assert _close(
-                sender.node_state(node_id), receiver.node_state(node_id)
-            ), (label, node_id)
-        receiver.rewind_to(0)
-        sender.rewind_to(0)
 
 
 def test_mismatched_widths_are_rejected_at_lowering():

@@ -18,7 +18,6 @@ from repro.analysis.kernel_hygiene import RULE as HYGIENE_RULE
 from repro.analysis.registry_dispatch import RULE as REGISTRY_RULE
 from repro.analysis.runner import injected_findings, main as check_main
 from repro.analysis.trail_discipline import RULE as TRAIL_RULE
-from repro.analysis.wire_format import RULE as WIRE_RULE
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -40,7 +39,6 @@ class TestFramework:
             "trail-discipline",
             "registry-dispatch",
             "barrier-determinism",
-            "wire-format",
             "kernel-hygiene",
         }
 
@@ -48,12 +46,12 @@ class TestFramework:
         allow = parse_allow(
             "x = 1\n"
             "y = 2  # repro: allow[trail-discipline]\n"
-            "# repro: allow[wire-format, kernel-hygiene]\n"
+            "# repro: allow[barrier-determinism, kernel-hygiene]\n"
             "z = 3\n"
         )
         assert allow == {
             2: frozenset({"trail-discipline"}),
-            3: frozenset({"wire-format", "kernel-hygiene"}),
+            3: frozenset({"barrier-determinism", "kernel-hygiene"}),
         }
 
     def test_suppression_same_line_and_line_above(self):
@@ -121,8 +119,6 @@ class TestTrailDiscipline:
             "        self.assignment[var] = val\n"
             "    def pop(self):\n"
             "        self._b[0] = 0\n"
-            "    def apply_patch(self, patch):\n"
-            "        self._lo[1] = 0.5\n"
             "    def rewind_to(self, mark):\n"
             "        self._mu[2] = True\n"
         )
@@ -241,74 +237,6 @@ class TestBarrierDeterminism:
         assert [f.line for f in found] == [3]
 
 
-class TestWireFormat:
-    PATH = "src/repro/engine/custom.py"
-
-    def test_bad_raw_column_in_export_patch(self):
-        bad = (
-            "class Ev:\n"
-            "    def export_patch(self, base):\n"
-            "        return [(0, 7, self._b[7])]\n"
-        )
-        found = findings_for(WIRE_RULE, self.PATH, bad)
-        assert found and found[0].rule == "wire-format"
-
-    def test_bad_frame_iter(self):
-        bad = (
-            "class KFrame:\n"
-            "    def __iter__(self):\n"
-            "        yield (0, 1, self.b[0])\n"
-        )
-        assert findings_for(WIRE_RULE, self.PATH, bad)
-
-    def test_good_cast_reads(self):
-        good = (
-            "class Ev:\n"
-            "    def export_patch(self, base):\n"
-            "        return [(0, 7, int(self._b[7]), float(self._lo[7]))]\n"
-        )
-        assert not findings_for(WIRE_RULE, self.PATH, good)
-
-    def test_vec_column_exempt(self):
-        # Reads of anything but the five scalar columns are not the
-        # rule's business (the historical ``_vec`` side map is gone).
-        good = (
-            "class Ev:\n"
-            "    def export_patch(self, base):\n"
-            "        return [(2, 3, self._side.get(3))]\n"
-        )
-        assert not findings_for(WIRE_RULE, self.PATH, good)
-
-    def test_raw_read_outside_wire_functions_fine(self):
-        good = (
-            "class Ev:\n"
-            "    def peek(self, vid):\n"
-            "        return (self._b[vid], self._lo[vid])\n"
-        )
-        assert not findings_for(WIRE_RULE, self.PATH, good)
-
-    def test_transport_wire_helpers_in_scope(self):
-        # PR 8: the socket transport ships the same patches over TCP,
-        # so its _wire* payload builders are checked too.
-        assert WIRE_RULE.applies("src/repro/compile/transport.py")
-        assert WIRE_RULE.applies("src/repro/compile/distributed.py")
-        assert not WIRE_RULE.applies("src/repro/compile/compiler.py")
-        bad = (
-            "def _wire_outcome(self, vid):\n"
-            "    return (vid, self._b[vid])\n"
-        )
-        assert findings_for(
-            WIRE_RULE, "src/repro/compile/transport.py", bad
-        )
-        good = (
-            "def _wire_outcome(self, vid):\n"
-            "    return (vid, int(self._b[vid]))\n"
-        )
-        assert not findings_for(
-            WIRE_RULE, "src/repro/compile/transport.py", good
-        )
-
-
 class TestKernelHygiene:
     def test_bad_numba_import(self):
         found = findings_for(
@@ -355,7 +283,7 @@ class TestRepositoryIsClean:
     def test_injected_violation_produces_findings(self):
         found = injected_findings(load_rules())
         rules_hit = {f.rule for f in found}
-        assert {"kernel-hygiene", "wire-format", "trail-discipline"} <= rules_hit
+        assert {"kernel-hygiene", "trail-discipline"} <= rules_hit
 
     def test_runner_exit_codes(self, capsys):
         assert check_main(["--root", str(REPO_ROOT)]) == 0

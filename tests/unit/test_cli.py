@@ -209,7 +209,7 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "kernel-hygiene" in out and "trail-discipline" in out
-        assert len(out.strip().splitlines()) == 5
+        assert len(out.strip().splitlines()) == 4
 
     def test_check_inject_violation_fails(self, capsys):
         code = main(["check", "--inject-violation"])

@@ -242,8 +242,17 @@ class TestProcessExecution:
             coordinator.close()
 
 
+def _free_port() -> int:
+    """A loopback port nothing listens on (for ``listen=`` runs)."""
+    import socket
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
 def make_wide_instance(seed: int = 5):
-    """A wider instance whose waves outnumber workers * pipeline_depth.
+    """A wider instance whose waves outnumber workers * PIPELINE_DEPTH.
 
     Stealing only has material to work with when a generation leaves
     jobs queued after the initial top-up, so the steal tests need many
@@ -370,15 +379,10 @@ class TestSocketExecution:
         # processes join via serve_worker() (the `repro cluster
         # --connect` entry point) and the run matches the simulation.
         import multiprocessing
-        import socket as socket_module
 
         from repro.compile.transport import serve_worker
 
-        probe = socket_module.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        address = f"127.0.0.1:{port}"
+        address = f"127.0.0.1:{_free_port()}"
         context = multiprocessing.get_context("spawn")
         joiners = [
             context.Process(
@@ -409,6 +413,73 @@ class TestSocketExecution:
                 if process.is_alive():  # pragma: no cover - hung joiner
                     process.terminate()
                     process.join(5.0)
+
+
+    def test_oversize_frame_drops_the_worker_and_the_run_completes(self):
+        # One honest serve_worker() process and one hostile peer that
+        # joins properly, then answers its first job with a forged
+        # length header: the coordinator must drop it (not buffer
+        # towards 4 EiB, not crash) and finish on the survivor.
+        import multiprocessing
+        import socket as socket_module
+        import threading
+
+        from repro.compile.transport import HEADER, FramedStream, serve_worker
+
+        port = _free_port()
+        address = f"127.0.0.1:{port}"
+        finished = threading.Event()
+
+        def hostile():
+            while True:
+                try:
+                    sock = socket_module.create_connection(("127.0.0.1", port))
+                    break
+                except OSError:
+                    if finished.wait(0.05):
+                        return
+            stream = FramedStream(sock)
+            try:
+                stream.send(("hello", 0))
+                _, worker_id, _ = stream.recv()
+                stream.send(("ready", worker_id))
+                stream.recv()  # the first job
+                sock.sendall(HEADER.pack(1 << 62))
+                finished.wait(60.0)  # stay connected: no EOF to blame
+            except (EOFError, OSError):
+                pass
+            finally:
+                stream.close()
+
+        honest = multiprocessing.get_context("spawn").Process(
+            target=serve_worker, args=(address, 30.0), daemon=True
+        )
+        honest.start()
+        intruder = threading.Thread(target=hostile, daemon=True)
+        intruder.start()
+        pool, network, _ = make_instance()
+        coordinator = DistributedCompiler(
+            network, pool, workers=2, job_size=1, listen=address
+        )
+        try:
+            simulated = coordinator.run(scheme="exact")
+            result = coordinator.run(
+                scheme="exact", execution="socket", timeout=60.0
+            )
+            assert result.jobs == simulated.jobs
+            assert result.tree_nodes == simulated.tree_nodes
+            assert result.bounds == simulated.bounds
+            assert result.extra["worker_failures"] >= 1.0
+            assert len(coordinator._process_pool.alive_workers()) == 1
+        finally:
+            finished.set()
+            coordinator.close()
+            intruder.join(10.0)
+            honest.join(10.0)
+            if honest.is_alive():  # pragma: no cover - hung joiner
+                honest.terminate()
+                honest.join(5.0)
+        assert not intruder.is_alive()
 
 
 class TestShutdownReporting:

@@ -238,102 +238,3 @@ class TestIterativeDFS:
         before = sys.getrecursionlimit()
         compile_network(network, pool)
         assert sys.getrecursionlimit() == before
-
-
-class TestColumnPatches:
-    """export_patch/apply_patch — the cross-process wire format."""
-
-    @staticmethod
-    def _columns(evaluator):
-        import math
-
-        def clean(values):
-            return [
-                None if isinstance(v, float) and math.isnan(v) else v
-                for v in values
-            ]
-
-        return (
-            list(evaluator._b),
-            clean(evaluator._lo),
-            clean(evaluator._hi),
-            list(evaluator._mu),
-            list(evaluator._md),
-            list(evaluator._resolved),
-            sorted(evaluator.assignment.items()),
-            evaluator.depth,
-        )
-
-    def _random_walk(self, evaluator, rng, steps):
-        evaluator.push()
-        count = len(
-            {
-                int(v)
-                for v in evaluator._prog.var_index.tolist()
-                if int(v) >= 0
-            }
-        )
-        for _ in range(steps):
-            free = [
-                index
-                for index in range(count)
-                if index not in evaluator.assignment
-            ]
-            if not free:
-                break
-            evaluator.push(rng.choice(free), rng.random() < 0.5)
-
-    def test_patch_reproduces_state_write_for_write(self):
-        import pickle
-        import random
-
-        from ..conftest import random_event
-
-        for seed in range(25):
-            rng = random.Random(seed)
-            pool = make_pool(
-                [rng.uniform(0.05, 0.95) for _ in range(rng.randint(3, 6))]
-            )
-            events = {
-                f"t{i}": random_event(pool, rng, depth=rng.randint(1, 3))
-                for i in range(rng.randint(1, 3))
-            }
-            network = build_targets(events)
-            sender = MaskedEvaluator(network)
-            self._random_walk(sender, rng, rng.randint(1, 5))
-            base = rng.randint(1, sender.depth)
-            # The patch must survive pickling: it is a wire format.
-            patch = pickle.loads(pickle.dumps(sender.export_patch(base)))
-            receiver = MaskedEvaluator(network)
-            receiver.push()
-            for variable in sender._frame_vars[1:base]:
-                receiver.push(variable, sender.assignment[variable])
-            evals_before = receiver.evals
-            receiver.apply_patch(patch)
-            assert receiver.evals == evals_before  # no re-evaluation
-            assert self._columns(receiver) == self._columns(sender)
-
-    def test_patched_frames_pop_like_swept_ones(self):
-        network = small_network()
-        sender = MaskedEvaluator(network)
-        sender.push()
-        sender.push(0, True)
-        sender.push(1, False)
-        patch = sender.export_patch(1)
-        receiver = MaskedEvaluator(network)
-        receiver.push()
-        receiver.apply_patch(patch)
-        assert self._columns(receiver) == self._columns(sender)
-        receiver.rewind_to(0)
-        sender.rewind_to(0)
-        baseline = MaskedEvaluator(network)
-        assert self._columns(receiver) == self._columns(baseline)
-        assert self._columns(sender) == self._columns(baseline)
-
-    def test_export_patch_validates_base_depth(self):
-        evaluator = MaskedEvaluator(small_network())
-        evaluator.push()
-        with pytest.raises(ValueError):
-            evaluator.export_patch(5)
-        with pytest.raises(ValueError):
-            evaluator.export_patch(-1)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.compile.compiler import compile_network, make_evaluator
-from repro.compile.distributed import DistributedCompiler
 from repro.compile.folded_eval import FoldedEvaluator
 from repro.compile.ordering import (
     ConeInfluenceOrder,
@@ -160,11 +159,3 @@ class TestTrailRewind:
         assert evaluator.depth == 0
         assert evaluator.assignment == {}
         assert evaluator.resolved == {}
-
-
-class TestHandoffValidation:
-    def test_unknown_handoff_rejected(self):
-        pool = make_pool([0.5, 0.5, 0.5])
-        network = influence_network()
-        with pytest.raises(ValueError):
-            DistributedCompiler(network, pool, handoff="teleport")

@@ -3,23 +3,24 @@
 The codec-level contracts the cluster relies on: length-prefixed frames
 survive arbitrary TCP segmentation, a peer that dies mid-frame is
 observed as EOF with the partial frame *discarded* (never delivered as
-a truncated record), and the patch payloads that ride the frames stay
-plain Python scalars.
+a truncated record), and a forged length header is refused before its
+body is buffered.
 """
 
 import pickle
 import socket
+import time
 
-import numpy as np
 import pytest
 
+from repro.compile import transport
 from repro.compile.transport import (
     HEADER,
+    FrameTooLarge,
     FramedStream,
     parse_address,
     serve_worker,
 )
-from repro.engine.masked import patch_is_plain, patch_wire_size
 
 
 def tcp_pair():
@@ -128,6 +129,67 @@ class TestFramedStream:
             receiver.close()
 
 
+class TestFrameCap:
+    """A length header is outside input: it is checked before it is trusted."""
+
+    FORGED = HEADER.pack(1 << 62)  # 4 EiB: allocating it would kill the host
+
+    def test_forged_header_raises_before_the_body_is_read(self):
+        client, server = tcp_pair()
+        receiver = FramedStream(server)
+        try:
+            client.sendall(self.FORGED + b"x" * 100)
+            assert issubclass(FrameTooLarge, ValueError)
+            with pytest.raises(FrameTooLarge):
+                receiver.recv()
+            # Nothing was buffered towards the claimed length.
+            assert receiver.bytes_received <= HEADER.size + 100
+        finally:
+            client.close()
+            receiver.close()
+
+    def test_forged_header_raises_from_the_nonblocking_drain(self):
+        client, server = tcp_pair()
+        sender, receiver = FramedStream(client), FramedStream(server)
+        try:
+            sender.send(("done", 0, 1, "honest"))
+            client.sendall(self.FORGED)
+            deadline = time.monotonic() + 10.0
+            with pytest.raises(FrameTooLarge):
+                while time.monotonic() < deadline:  # until the header lands
+                    receiver.receive_available()
+        finally:
+            sender.close()
+            receiver.close()
+
+    def test_frame_exactly_at_the_cap_passes_one_byte_more_does_not(
+        self, monkeypatch
+    ):
+        record = ("done", 0, 1, "x" * 64)
+        body = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+        client, server = tcp_pair()
+        sender, receiver = FramedStream(client), FramedStream(server)
+        try:
+            monkeypatch.setattr(transport, "MAX_FRAME_BYTES", len(body))
+            sender.send(record)
+            assert receiver.recv() == record
+            sender.send(record)
+            drained = []
+            while not drained:
+                drained, eof = receiver.receive_available()
+                assert not eof
+            assert drained == [record]
+            monkeypatch.setattr(transport, "MAX_FRAME_BYTES", len(body) - 1)
+            with pytest.raises(FrameTooLarge):
+                sender.send(record)  # refused locally, nothing on the wire
+            client.sendall(HEADER.pack(len(body)) + body)
+            with pytest.raises(FrameTooLarge):
+                receiver.recv()
+        finally:
+            sender.close()
+            receiver.close()
+
+
 class TestServeWorker:
     def test_gives_up_after_retry_deadline(self):
         # Nothing listens on the probed port: the worker retries until
@@ -138,47 +200,3 @@ class TestServeWorker:
         probe.close()
         with pytest.raises(OSError):
             serve_worker(f"127.0.0.1:{port}", retry_seconds=0.3)
-
-
-class TestPatchWireContract:
-    PLAIN_FRAMES = (
-        (4, True, ((0, 4, 1), (1, 2, 0.25, 0.75, True, False))),
-        (None, None, ()),
-    )
-
-    def test_plain_frames_pass(self):
-        assert patch_is_plain(self.PLAIN_FRAMES)
-
-    def test_numpy_scalars_are_rejected(self):
-        leaked_num = (
-            (4, True, ((1, 2, np.float64(0.25), 0.75, True, False),)),
-        )
-        assert not patch_is_plain(leaked_num)
-        leaked_bool = ((4, np.bool_(True), ((0, 4, 1),)),)
-        assert not patch_is_plain(leaked_bool)
-        leaked_vid = ((np.int64(4), True, ((0, 4, 1),)),)
-        assert not patch_is_plain(leaked_vid)
-
-    def test_wire_size_is_the_pickled_frame_cost(self):
-        assert patch_wire_size(self.PLAIN_FRAMES) == len(
-            pickle.dumps(
-                tuple(self.PLAIN_FRAMES), protocol=pickle.HIGHEST_PROTOCOL
-            )
-        )
-
-    def test_real_exported_patches_are_plain(self):
-        # End to end: a patch exported by the evaluator (the thing the
-        # transports actually ship) satisfies the validator.
-        from repro.engine.masked import MaskedEvaluator
-        from repro.events.expressions import conj, var
-        from repro.network.build import build_targets
-
-        network = build_targets({"t": conj([var(0), var(1), var(2)])})
-        evaluator = MaskedEvaluator(network)
-        evaluator.push()
-        evaluator.push(0, True)
-        evaluator.push(1, False)
-        patch = evaluator.export_patch(1)
-        assert patch, "expected a non-empty patch"
-        assert patch_is_plain(patch)
-        assert patch_wire_size(patch) > 0
