@@ -3,9 +3,8 @@
 The paper's compiler "chooses a next variable x' such that it influences
 as many events as possible".  We compare the static frequency heuristic
 (our default proxy), the dynamic influence recomputation closest to the
-paper's description (``dynamic`` = cone-aware scoring, ``dynamic-scan``
-= the reference network scan; identical trees by construction), and a
-naive index order.  Better orders resolve targets earlier and explore
+paper's description (``dynamic`` = cone-aware scoring), and a naive
+index order.  Better orders resolve targets earlier and explore
 fewer decision-tree nodes; ``benchmarks/bench_ordering_cone.py``
 measures the scoring cost itself.
 
@@ -20,7 +19,7 @@ from repro.compile.compiler import compile_network
 
 from .common import EPSILON, make_workload
 
-ORDERS = ("frequency", "dynamic", "dynamic-scan", "index")
+ORDERS = ("frequency", "dynamic", "index")
 
 
 def workload():

@@ -1,18 +1,20 @@
-"""Socket-cluster execution: scaling and work stealing.
+"""The worker pool: exactness, spawn cost, stealing, adaptive sizing.
 
-Three questions, answered on the paper's k-medoids workloads:
+Four questions, answered on the paper's k-medoids workloads:
 
-* **Is socket mode an exact replica?**  Every row first asserts that
-  ``execution="socket"`` (workers joined over TCP through the framed
-  codec of :mod:`repro.compile.transport`) produces the same job DAG,
-  the same decision trees, and bounds within 1e-9 of the deterministic
-  simulation — the generation-barrier contract, now across a network
-  hop.
+* **Is process mode an exact replica?**  Every row first asserts that
+  ``execution="process"`` produces the same job DAG, the same decision
+  trees, and bounds within 1e-9 of the deterministic simulation — the
+  generation-barrier contract of :mod:`repro.compile.distributed` — for
+  both ways the one pool gets its workers: ``pair`` (spawned locally on
+  private socket pairs) and ``listen`` (``serve_worker`` processes, the
+  ``repro cluster --connect`` entry point, joined over loopback TCP).
 
-* **How does the cluster scale?**  Exact wall clock over 2/4/8 local
-  socket workers, with the wire traffic (framed bytes sent/received)
-  each worker count generates.  On a single-CPU container the scaling
-  rows are parity checks, not wins; the CPU budget is recorded.
+* **What does the pool cost?**  Spawn/join seconds, the cold first run,
+  the median warm run and the framed bytes on the wire at 2 and 4
+  workers, with the CPU budget the numbers were taken under
+  (``cpu_count`` / ``cpu_affinity``).  On a single-CPU container the
+  rows are parity checks, not wins.
 
 * **What does in-generation work stealing buy?**  A deliberately skewed
   pool — one worker slowed by a fault-injected per-job sleep — run with
@@ -21,10 +23,14 @@ Three questions, answered on the paper's k-medoids workloads:
   (not CPU contention), the steal-on run finishes measurably earlier
   even on one CPU, asserted outside ``--smoke``.
 
+* **Where does adaptive sizing settle?**  ``job_size="adaptive"``
+  against the fixed default: the depth the cost model picks, and exact
+  bounds that do not move with the partition.
+
 This file's gate is its exactness assertions (``max_abs_diff`` 0.0 on
-every row, ``steals > 0``).  Wall-clock ratios across scheduling
-policies depend on the CPU budget and are recorded under
-non-``speedup`` names so the regression gate does not guard them.
+every row, ``steals > 0``).  Wall-clock numbers depend on the CPU
+budget and are recorded under non-``speedup`` names so the regression
+gate does not guard them.
 
 Results are printed paper-style and written to ``BENCH_cluster.json``
 at the repository root (override with ``--output``; ``--smoke`` runs a
@@ -36,20 +42,28 @@ Run the full sweep:  python -m benchmarks.bench_cluster
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import multiprocessing
 import os
+import socket
+import statistics
 import time
 from pathlib import Path
 from typing import Dict, List
 
 from repro.compile.distributed import DistributedCompiler
+from repro.compile.transport import serve_worker
 
 from .common import assert_identical_runs, make_workload
 
-WORKER_SWEEP = (2, 4, 8)
+POOL_KINDS = ("pair", "listen")
+WORKER_SWEEP = (2, 4)
 SMOKE_WORKER_SWEEP = (2,)
-OBJECTS = 7
-SMOKE_OBJECTS = 5
+OBJECT_SWEEP = (7, 8)
+SMOKE_OBJECT_SWEEP = (5,)
+WARM_RUNS = 15
+SMOKE_WARM_RUNS = 3
 JOB_SIZE = 3
 MATCH_ABS = 1e-9
 STEAL_SLEEP = 0.004
@@ -64,70 +78,107 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def sweep_scaling(objects: int, worker_sweep) -> List[Dict[str, float]]:
-    """Exact socket runs over the worker sweep, parity asserted."""
+@contextlib.contextmanager
+def pooled_coordinator(kind: str, workload, workers: int, **kwargs):
+    """A coordinator whose pool is spawned (``pair``) or joined (``listen``)."""
+    joiners = []
+    if kind == "listen":
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            address = "127.0.0.1:%d" % probe.getsockname()[1]
+        kwargs["listen"] = address
+        context = multiprocessing.get_context("spawn")
+        joiners = [
+            context.Process(
+                target=serve_worker, args=(address, 30.0), daemon=True
+            )
+            for _ in range(workers)
+        ]
+        for joiner in joiners:
+            joiner.start()
+    coordinator = DistributedCompiler(
+        workload.network, workload.dataset.pool, targets=workload.targets,
+        workers=workers, **kwargs,
+    )
+    try:
+        yield coordinator
+    finally:
+        coordinator.close()
+        for joiner in joiners:
+            joiner.join(10.0)
+            if joiner.is_alive():  # pragma: no cover - hung joiner
+                joiner.terminate()
+                joiner.join(5.0)
+
+
+def sweep_pools(object_sweep, worker_sweep, warm_runs) -> List[Dict[str, float]]:
+    """Simulate vs process over both pool kinds, parity asserted."""
     rows = []
-    workload = make_workload(objects, "independent", seed=1)
-    pool = workload.dataset.pool
-    for workers in worker_sweep:
-        coordinator = DistributedCompiler(
-            workload.network, pool, targets=workload.targets,
-            workers=workers, job_size=JOB_SIZE,
-        )
-        try:
-            simulated = coordinator.run(scheme="exact", execution="simulate")
-            coordinator.run(scheme="exact", execution="socket")  # join+warm
-            started = time.perf_counter()
-            clustered = coordinator.run(scheme="exact", execution="socket")
-            socket_seconds = time.perf_counter() - started
-            diff = assert_identical_runs(
-                clustered, simulated, f"{workers} workers socket"
-            )
-            rows.append(
-                {
-                    "objects": objects,
-                    "variables": workload.variables,
-                    "scheme": "exact-d",
-                    "workers": workers,
-                    "job_size": JOB_SIZE,
-                    "jobs": clustered.jobs,
-                    "tree_nodes": clustered.tree_nodes,
-                    "simulate_seconds": simulated.seconds,
-                    "socket_seconds": socket_seconds,
-                    "spawn_seconds": clustered.extra["spawn_seconds"],
-                    "wire_bytes_sent": clustered.extra["wire_bytes_sent"],
-                    "wire_bytes_received": (
-                        clustered.extra["wire_bytes_received"]
-                    ),
-                    "max_abs_diff": diff,
-                }
-            )
-        finally:
-            coordinator.close()
+    for objects in object_sweep:
+        workload = make_workload(objects, "independent", seed=1)
+        for workers in worker_sweep:
+            for kind in POOL_KINDS:
+                with pooled_coordinator(
+                    kind, workload, workers, job_size=JOB_SIZE
+                ) as coordinator:
+                    simulated = coordinator.run(scheme="exact")
+                    started = time.perf_counter()
+                    cold = coordinator.run(scheme="exact", execution="process")
+                    cold_seconds = time.perf_counter() - started
+                    warm = []
+                    for _ in range(warm_runs):
+                        started = time.perf_counter()
+                        process = coordinator.run(
+                            scheme="exact", execution="process"
+                        )
+                        warm.append(time.perf_counter() - started)
+                diff = max(
+                    assert_identical_runs(
+                        run, simulated, f"n={objects} w={workers} {kind}"
+                    )
+                    for run in (cold, process)
+                )
+                rows.append(
+                    {
+                        "objects": objects,
+                        "variables": workload.variables,
+                        "scheme": "exact-d",
+                        "pool": kind,
+                        "workers": workers,
+                        "job_size": JOB_SIZE,
+                        "jobs": process.jobs,
+                        "tree_nodes": process.tree_nodes,
+                        "simulate_seconds": simulated.seconds,
+                        "process_seconds": statistics.median(warm),
+                        "process_cold_seconds": cold_seconds,
+                        # ``listen``: the wait for the joiners' interpreters.
+                        "spawn_seconds": cold.extra["spawn_seconds"],
+                        "wire_bytes_sent": process.extra["wire_bytes_sent"],
+                        "wire_bytes_received": (
+                            process.extra["wire_bytes_received"]
+                        ),
+                        "max_abs_diff": diff,
+                    }
+                )
     return rows
 
 
 def sweep_stealing(objects: int) -> Dict[str, float]:
-    """Skewed 2-worker cluster, stealing on vs off; trees must match."""
+    """Skewed 2-worker pool, stealing on vs off; trees must match."""
     workload = make_workload(objects, "independent", seed=1)
-    pool = workload.dataset.pool
     slow = {"worker": 0, "sleep_per_job": STEAL_SLEEP}
     results = {}
     seconds = {}
     for steal in (True, False):
-        coordinator = DistributedCompiler(
-            workload.network, pool, targets=workload.targets,
-            workers=2, job_size=1, fault_injection=slow, steal=steal,
-        )
-        try:
-            coordinator.run(scheme="exact", execution="socket")  # join+warm
+        with pooled_coordinator(
+            "pair", workload, 2, job_size=1, fault_injection=slow, steal=steal
+        ) as coordinator:
+            coordinator.run(scheme="exact", execution="process")  # spawn+warm
             started = time.perf_counter()
             results[steal] = coordinator.run(
-                scheme="exact", execution="socket"
+                scheme="exact", execution="process"
             )
             seconds[steal] = time.perf_counter() - started
-        finally:
-            coordinator.close()
     diff = assert_identical_runs(
         results[True], results[False], "steal on vs off"
     )
@@ -155,6 +206,48 @@ def sweep_stealing(objects: int) -> Dict[str, float]:
     }
 
 
+def sweep_adaptive(object_sweep, workers: int) -> List[Dict[str, float]]:
+    """The cost model's chosen depth vs the fixed default."""
+    rows = []
+    for objects in object_sweep:
+        workload = make_workload(objects, "independent", seed=1)
+        pool = workload.dataset.pool
+        fixed = DistributedCompiler(
+            workload.network, pool, targets=workload.targets,
+            workers=workers, job_size=JOB_SIZE,
+        )
+        # A target well above the measured ~2-5 ms per default-depth job,
+        # so the cost model visibly coarsens the fork depth.
+        adaptive = DistributedCompiler(
+            workload.network, pool, targets=workload.targets,
+            workers=workers, job_size="adaptive", target_job_cost=0.02,
+        )
+        fixed_result = fixed.run(scheme="exact")
+        started = time.perf_counter()
+        adaptive_result = adaptive.run(scheme="exact")
+        adaptive_seconds = time.perf_counter() - started
+        # Exact bounds are partition-independent: sizing must not move them.
+        max_diff = max(
+            max(
+                abs(fixed_result.bounds[name][0] - adaptive_result.bounds[name][0]),
+                abs(fixed_result.bounds[name][1] - adaptive_result.bounds[name][1]),
+            )
+            for name in fixed_result.bounds
+        )
+        assert max_diff <= MATCH_ABS, f"adaptive sizing moved bounds: {max_diff}"
+        rows.append(
+            {
+                "objects": objects,
+                "fixed_jobs": fixed_result.jobs,
+                "adaptive_jobs": adaptive_result.jobs,
+                "final_job_size": adaptive_result.extra["job_size"],
+                "adaptive_seconds": adaptive_seconds,
+                "max_abs_diff": max_diff,
+            }
+        )
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -167,26 +260,31 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    objects = SMOKE_OBJECTS if args.smoke else OBJECTS
+    object_sweep = SMOKE_OBJECT_SWEEP if args.smoke else OBJECT_SWEEP
     worker_sweep = SMOKE_WORKER_SWEEP if args.smoke else WORKER_SWEEP
+    warm_runs = SMOKE_WARM_RUNS if args.smoke else WARM_RUNS
     cpus = _available_cpus()
 
-    scaling_rows = sweep_scaling(objects, worker_sweep)
-    stealing = sweep_stealing(objects)
+    pool_rows = sweep_pools(object_sweep, worker_sweep, warm_runs)
+    stealing = sweep_stealing(object_sweep[0])
+    adaptive_rows = sweep_adaptive(object_sweep, worker_sweep[-1])
 
-    print(f"\n== Socket scaling (exact, n={objects}, {cpus} CPU(s)) ==")
+    print(f"\n== Simulate vs the worker pool (exact, {cpus} CPU(s)) ==")
     print(
-        f"{'workers':>8}  {'jobs':>6}  {'simulate s':>11}  {'socket s':>9}"
-        f"  {'spawn s':>8}  {'wire out':>10}  {'wire in':>10}"
+        f"{'objects':>8}  {'pool':>7}  {'workers':>8}  {'jobs':>6}"
+        f"  {'simulate s':>11}  {'warm s':>8}  {'cold s':>8}"
+        f"  {'spawn s':>8}  {'wire out':>10}  {'wire in':>9}"
     )
-    for row in scaling_rows:
+    for row in pool_rows:
         print(
-            f"{row['workers']:>8}  {row['jobs']:>6}"
+            f"{row['objects']:>8}  {row['pool']:>7}  {row['workers']:>8}"
+            f"  {row['jobs']:>6}"
             f"  {row['simulate_seconds']:>11.4f}"
-            f"  {row['socket_seconds']:>9.4f}"
+            f"  {row['process_seconds']:>8.4f}"
+            f"  {row['process_cold_seconds']:>8.4f}"
             f"  {row['spawn_seconds']:>8.4f}"
             f"  {row['wire_bytes_sent']:>10.0f}"
-            f"  {row['wire_bytes_received']:>10.0f}"
+            f"  {row['wire_bytes_received']:>9.0f}"
         )
 
     print("\n== Work stealing on a skewed pool (2 workers, job_size=1) ==")
@@ -197,6 +295,17 @@ def main(argv=None) -> int:
         f"({stealing['wallclock_ratio_steal_off_vs_on']:.2f}x)"
     )
 
+    print("\n== Adaptive job sizing (exact, partition-independent bounds) ==")
+    print(
+        f"{'objects':>8}  {'fixed jobs':>11}  {'adaptive jobs':>14}"
+        f"  {'final d':>8}"
+    )
+    for row in adaptive_rows:
+        print(
+            f"{row['objects']:>8}  {row['fixed_jobs']:>11}"
+            f"  {row['adaptive_jobs']:>14}  {row['final_job_size']:>8.0f}"
+        )
+
     if not args.smoke:
         win = stealing["wallclock_ratio_steal_off_vs_on"]
         assert win >= STEAL_WIN_TARGET, (
@@ -205,7 +314,7 @@ def main(argv=None) -> int:
         )
     if cpus < 2:
         print(
-            f"\nnote: only {cpus} CPU available — the scaling rows are "
+            f"\nnote: only {cpus} CPU available — the pool rows are "
             "parity checks here; wall-clock wins need a multi-core "
             "machine."
         )
@@ -217,8 +326,9 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "cpu_affinity": cpus,
         "steal_win_target": STEAL_WIN_TARGET,
-        "scaling": scaling_rows,
+        "pools": pool_rows,
         "stealing": stealing,
+        "adaptive": adaptive_rows,
         # Deliberately NOT named *speedup*: wall-clock ratios across
         # scheduling policies depend on the machine's CPU budget and
         # the injected skew, so the regression gate must not auto-guard

@@ -6,8 +6,8 @@ intersected with the masked engine's resolved column
 (:class:`~repro.compile.ordering.ConeInfluenceOrder`,
 ``order="dynamic"``), against the reference per-choice Python scan over
 the network adjacency
-(:class:`~repro.compile.ordering.DynamicInfluenceOrder`,
-``order="dynamic-scan"``).  Both must pick the same variable at every
+(:class:`~repro.compile.ordering.DynamicInfluenceOrder`, which has no
+``order=`` name: it is constructed here directly).  Both must pick the same variable at every
 branching point, so end-to-end runs must explore identical trees — the
 speedup is pure scoring cost.
 
@@ -28,7 +28,7 @@ from typing import Dict, List
 
 import pytest
 
-from repro.compile.compiler import compile_network
+from repro.compile.compiler import ShannonCompiler
 from repro.compile.ordering import ConeInfluenceOrder, DynamicInfluenceOrder
 from repro.engine.masked import MaskedEvaluator
 
@@ -56,6 +56,17 @@ def _check_agreement(left, right, context: str) -> float:
         f"orderings diverged by {max_diff} ({context})"
     )
     return max_diff
+
+
+def _compile(workload, scan: bool, scheme="exact", epsilon=0.0):
+    """One compile under the cone order, or under the reference scan."""
+    compiler = ShannonCompiler(
+        workload.network, workload.dataset.pool, targets=workload.targets,
+        order="dynamic",
+    )
+    if scan:
+        compiler.order = DynamicInfluenceOrder(workload.network)
+    return compiler.run(scheme=scheme, epsilon=epsilon)
 
 
 def _time_choices(order, evaluator, repeats: int) -> float:
@@ -109,40 +120,31 @@ def sweep_end_to_end(object_sweep) -> List[Dict[str, float]]:
     rows = []
     for objects in object_sweep:
         workload = make_workload(objects, "independent", seed=1)
-        pool = workload.dataset.pool
         for scheme, epsilon in (("exact", 0.0), ("hybrid", EPSILON)):
             results = {}
-            for order in ("dynamic-scan", "dynamic"):
+            for scan in (True, False):
                 # One throwaway run warms the per-network caches so the
                 # measurement is the steady state.
-                compile_network(
-                    workload.network, pool, scheme=scheme, epsilon=epsilon,
-                    targets=workload.targets, order=order,
-                )
-                results[order] = compile_network(
-                    workload.network, pool, scheme=scheme, epsilon=epsilon,
-                    targets=workload.targets, order=order,
-                )
+                _compile(workload, scan, scheme, epsilon)
+                results[scan] = _compile(workload, scan, scheme, epsilon)
             max_diff = _check_agreement(
-                results["dynamic"], results["dynamic-scan"],
-                f"{scheme} n={objects}",
+                results[False], results[True], f"{scheme} n={objects}"
             )
-            assert (
-                results["dynamic"].tree_nodes
-                == results["dynamic-scan"].tree_nodes
-            ), "cone order diverged from the reference picks"
+            assert results[False].tree_nodes == results[True].tree_nodes, (
+                "cone order diverged from the reference picks"
+            )
             rows.append(
                 {
                     "objects": objects,
                     "variables": workload.variables,
                     "scheme": scheme,
                     "epsilon": epsilon,
-                    "tree_nodes": results["dynamic"].tree_nodes,
-                    "scan_seconds": max(results["dynamic-scan"].seconds, 1e-9),
-                    "cone_seconds": max(results["dynamic"].seconds, 1e-9),
+                    "tree_nodes": results[False].tree_nodes,
+                    "scan_seconds": max(results[True].seconds, 1e-9),
+                    "cone_seconds": max(results[False].seconds, 1e-9),
                     "speedup": (
-                        results["dynamic-scan"].seconds
-                        / max(results["dynamic"].seconds, 1e-9)
+                        results[True].seconds
+                        / max(results[False].seconds, 1e-9)
                     ),
                     "max_abs_diff": max_diff,
                 }
@@ -220,17 +222,10 @@ def small_workload():
     return make_workload(5, "independent", seed=1)
 
 
-@pytest.mark.parametrize("order", ["dynamic-scan", "dynamic"])
-def bench_dynamic_orders(benchmark, small_workload, order):
-    workload = small_workload
+@pytest.mark.parametrize("scan", [True, False], ids=["scan", "cone"])
+def bench_dynamic_orders(benchmark, small_workload, scan):
     benchmark.group = "ordering n=5"
-    benchmark(
-        compile_network,
-        workload.network,
-        workload.dataset.pool,
-        targets=workload.targets,
-        order=order,
-    )
+    benchmark(_compile, small_workload, scan)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 The PR 5 design: every distributed job is a pure function of its
 creation message, and all scheduling decisions happen at generation
-barriers in creation order, so ``simulate``/``threads``/``process``
-execution produces identical trees and bounds.  PR 8 adds the socket
-transport and in-generation work stealing: steal decisions (victim
+barriers in creation order, so ``simulate`` and ``process`` execution
+produce identical trees and bounds.  The worker pool adds
+in-generation work stealing: steal decisions (victim
 selection, queue ordering) and the framed wire protocol live in
 ``compile/transport.py`` and must obey the same discipline — a steal
 policy that consults wall clocks or set order would assign jobs

@@ -1,15 +1,15 @@
 """kernel-tier hygiene: compiled-tier access lives in engine/kernels.py.
 
-The kernel tier ladder (numba jit, ctypes-loaded native C, python) is
+The kernel tier ladder (ctypes-loaded native C, python) is
 deliberately confined to :mod:`repro.engine.kernels`: that module owns
 backend construction, per-process self-validation against the Python
 oracle, fallback on failure, and the ``BACKEND_ERRORS`` diagnostics.
 (:mod:`repro.engine.cgen`, which writes the native tier's C from the
-kernel source, is plain text-in, text-out and imports neither.)  A ``numba`` or ``ctypes`` import anywhere else creates a
-second compiled path that skips all of it — no validation sweep, no
-recorded rejection reason, no tier reporting in ``result.extra`` — and
-reintroduces the hard optional-dependency coupling the ladder exists to
-absorb (numba is absent from the base install).
+kernel source, is plain text-in, text-out and imports neither.)  A
+``ctypes`` import anywhere else — or a jit compiler such as ``numba``,
+a tier that was measured by nobody and deleted — creates a second
+compiled path that skips all of it: no validation sweep, no recorded
+rejection reason, no tier reporting in ``result.extra``.
 
 Everything under ``src/repro/`` except ``engine/kernels.py`` is in
 scope; benchmarks and tests may import what they measure.

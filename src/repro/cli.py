@@ -175,7 +175,7 @@ def _command_cluster(args: argparse.Namespace) -> int:
         return status
     execution = args.execution
     if args.listen is not None:
-        execution = "socket"
+        execution = "process"
         if args.workers is None:
             print(
                 "--listen requires --workers N (the number of --connect "
@@ -381,16 +381,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="distributed job size d, or 'adaptive' to pick "
                               "it from measured per-job costs (default 3)")
     cluster.add_argument("--execution",
-                         choices=("simulate", "threads", "process", "socket"),
+                         choices=("simulate", "process"),
                          default="simulate",
                          help="distributed execution mode: deterministic "
-                              "simulation, a thread pool, true "
-                              "multi-process workers, or workers joined "
-                              "over TCP (default simulate)")
+                              "simulation or true multi-process workers "
+                              "(default simulate)")
     cluster.add_argument("--listen", metavar="HOST:PORT", default=None,
-                         help="coordinate a socket cluster: wait for "
-                              "--workers N remote '--connect' workers on "
-                              "this address (implies --execution socket)")
+                         help="wait for --workers N remote '--connect' "
+                              "workers on this address instead of "
+                              "spawning them (implies --execution process)")
     cluster.add_argument("--connect", metavar="HOST:PORT", default=None,
                          help="run as a cluster worker: join the "
                               "coordinator listening at this address and "
@@ -403,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "stealing, message waits, adaptive job sizing")
     cluster.add_argument("--kernel", choices=KERNEL_NAMES, default=None,
                          help="evaluator kernel tier for kernel-capable "
-                              "schemes: auto (default; numba, then native "
-                              "C, then python), or an explicit tier")
+                              "schemes: auto (default; native C, then "
+                              "python), or an explicit tier")
     cluster.add_argument("--evidence", action="append", type=_parse_evidence,
                          default=None, metavar="VAR[=BOOL]|EVENT",
                          help="condition evidence-capable schemes "

@@ -9,8 +9,8 @@ generation sees the same coordinator snapshot — global bounds, its share
 of the eager scheme's global budget, pooled hybrid residuals — and the
 results are merged at the generation barrier in creation order.  A job
 is therefore a *pure function of its creation-time inputs*, which makes
-the decision trees and bounds identical across all four execution
-modes, however jobs are scheduled:
+the decision trees and bounds identical across both execution modes,
+however jobs are scheduled:
 
 * ``execution="simulate"`` (default) — jobs run sequentially in creation
   order, like the paper's own evaluation ("timings … were obtained by
@@ -19,16 +19,15 @@ modes, however jobs are scheduled:
   schedule (greedy assignment of ready jobs to the earliest available
   worker, plus a per-job communication overhead) is replayed from the
   recorded costs.
-* ``execution="threads"`` — a thread pool; persistent per-thread
-  evaluators, shared memory.  CPython's GIL prevents actual speedups;
-  kept for functional parity.
-* ``execution="process"`` — true multi-process execution: persistent
-  worker processes (``multiprocessing``, spawn-safe) each deserialize
-  the network — and the :class:`~repro.engine.masked.MaskedProgram`,
-  shipped pickled — **once at startup**, then receive jobs as small
-  self-contained messages (the job's assignment prefix, its budgets and
-  the barrier's bound snapshot).  Results stream back as ``(bounds
-  deltas, eval count, cost)`` records.
+* ``execution="process"`` — true multi-process execution on the one
+  worker pool of :mod:`repro.compile.transport`: persistent workers —
+  spawned locally on private socket pairs, or, with
+  ``listen="host:port"``, remote ``repro cluster --connect`` processes —
+  each deserialize the network and the pickled
+  :class:`~repro.engine.masked.MaskedProgram` **once at join**, then
+  receive jobs as small self-contained messages (the job's assignment
+  prefix, its budgets and the barrier's bound snapshot).  Results
+  stream back as ``(bounds deltas, eval count, cost)`` records.
 
 **Reaching a job root.**  A job message carries its *prefix* and nothing
 else about evaluator state — the paper's job.  Each worker, in every mode,
@@ -53,15 +52,7 @@ the one case where the job partition (and, for the ε-schemes, the tree
 shape) is not bit-reproducible across runs or modes — bounds remain
 certified regardless.
 
-Two transports carry the process-mode wire protocol (see
-:mod:`repro.compile.transport`): the original single-host pipe pool
-(``execution="process"``) and a TCP socket transport
-(``execution="socket"``) whose workers can live on other machines —
-``repro cluster --listen host:port`` accepts ``repro cluster --connect``
-workers, which deserialize the network and the pickled masked program
-once at join and then receive the same job messages as the pipe
-workers.  On top of either transport the coordinator runs a
-bounded-inflight scheduler:
+On top of the pool the coordinator runs a bounded-inflight scheduler:
 
 * **work stealing inside a generation** — the barrier constrains merge
   order, not assignment: per-worker job queues are held coordinator-
@@ -80,11 +71,8 @@ from __future__ import annotations
 import heapq
 import os
 import pickle
-import struct
-import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -92,18 +80,11 @@ from ..network.nodes import EventNetwork
 from ..worlds.variables import VariablePool
 from .compiler import ShannonCompiler, make_evaluator
 from .result import CompilationResult
-from .transport import PipeTransport, SocketTransport, WorkerTransport
+from .transport import WorkerTransport
 
-EXECUTIONS = ("simulate", "threads", "process", "socket")
-#: The execution modes backed by a worker pool (pipe or socket).
-POOLED_EXECUTIONS = ("process", "socket")
-# How result.extra["execution"] encodes the mode.
-_EXECUTION_CODES = {
-    "simulate": 0.0,
-    "threads": 1.0,
-    "process": 2.0,
-    "socket": 3.0,
-}
+EXECUTIONS = ("simulate", "process")
+# How result.extra["execution"] encodes the mode (1.0 and 3.0 retired).
+_EXECUTION_CODES = {"simulate": 0.0, "process": 2.0}
 #: Jobs kept in flight per pooled worker: the next message crosses the
 #: wire while the current job runs.
 PIPELINE_DEPTH = 2
@@ -406,23 +387,21 @@ def _serve_jobs(
     compiler: _JobCompiler,
     cursor: _PrefixCursor,
     fault: dict,
-    recv_record,
-    send_record,
-    send_partial,
+    stream,
 ) -> None:
-    """One worker's serving loop, shared by both transports.
+    """One worker's serving loop over its :class:`FramedStream`.
 
-    Records arrive through ``recv_record`` — ``("job", message)`` until
-    a ``("stop",)`` record ends the session — and results leave through
-    ``send_record``.  The time spent blocked in ``recv_record`` is
-    measured per job and reported in the outcome (``recv_wait``): the
-    next message is already buffered while the current job runs, so the
-    wait collapses towards zero.
+    Records arrive as ``("job", message)`` until a ``("stop",)`` record
+    ends the session, and results leave on the same stream.  The time
+    spent blocked in ``stream.recv`` is measured per job and reported
+    in the outcome (``recv_wait``): the next message is already
+    buffered while the current job runs, so the wait collapses towards
+    zero.
 
     ``fault`` drives the crash-injection tests: ``crash_on_job`` dies
     hard before running the n-th job, ``stall_on_job`` sleeps,
     ``partial_send_on_job`` ships a frame header with a truncated body
-    via ``send_partial`` and then dies — the mid-send scenario — and
+    and then dies — the mid-send scenario — and
     ``sleep_per_job`` slows every job down (skew for the stealing tests
     and benchmarks).
     """
@@ -430,9 +409,9 @@ def _serve_jobs(
     jobs_seen = 0
     while True:
         waited_from = time.perf_counter()
-        record = recv_record()
+        record = stream.recv()
         recv_wait = time.perf_counter() - waited_from
-        if record is None or record[0] == "stop":
+        if record[0] == "stop":
             break
         message = record[1]
         jobs_seen += 1
@@ -448,11 +427,11 @@ def _serve_jobs(
             outcome.recv_wait = recv_wait
             done = ("done", worker_id, message.job_index, outcome)
             if targeted and jobs_seen == fault.get("partial_send_on_job"):
-                send_partial(done)
+                stream.send_partial(done)
                 os._exit(17)  # die between frame header and body
-            send_record(done)
+            stream.send(done)
         except Exception:
-            send_record(
+            stream.send(
                 (
                     "error",
                     worker_id,
@@ -461,45 +440,6 @@ def _serve_jobs(
                 )
             )
             break
-
-
-def _worker_main(worker_id: int, payload: bytes, job_queue, result_conn) -> None:
-    """Pipe-transport worker entry point: deserialize once, serve jobs.
-
-    Every result is a ``("done", ...)`` or ``("error", ...)`` record on
-    the worker's **private result pipe**.  One writer per pipe, no
-    shared locks: a worker that dies mid-send can corrupt only its own
-    stream, which the coordinator observes as EOF — with a shared
-    queue, a crash inside the write-lock window would wedge every
-    surviving worker.
-    """
-    try:
-        config = pickle.loads(payload)
-        compiler, cursor = _build_worker_state(config)
-        fault = config.get("fault") or {}
-
-        def send_partial(record) -> None:
-            # A multiprocessing.Connection frame is a 4-byte length
-            # header plus the pickled body; claim a large body and ship
-            # a few bytes of it, so the coordinator's recv sees the
-            # stream end mid-frame (EOFError), like a TCP peer dying
-            # between frame header and body.
-            os.write(
-                result_conn.fileno(),
-                struct.pack("!i", 1 << 20) + b"mid-frame",
-            )
-
-        _serve_jobs(
-            worker_id,
-            compiler,
-            cursor,
-            fault,
-            recv_record=job_queue.get,
-            send_record=result_conn.send,
-            send_partial=send_partial,
-        )
-    except KeyboardInterrupt:  # pragma: no cover - interactive teardown
-        pass
 
 
 def _worker_payload(
@@ -511,7 +451,7 @@ def _worker_payload(
     program,
     fault: Optional[dict] = None,
 ) -> bytes:
-    """The pickled join-time config both transports ship to workers."""
+    """The pickled join-time config the ``init`` record ships."""
     from ..network.serialize import network_to_dict, pool_to_dict
 
     return pickle.dumps(
@@ -595,19 +535,17 @@ class DistributedCompiler:
     ) -> CompilationResult:
         """Compile with ``workers`` workers; returns merged bounds.
 
-        ``execution="simulate"`` (default; ``"simulated"`` is accepted
-        as an alias) measures per-job cost and reports the simulated
-        makespan in ``result.makespan``; ``execution="threads"`` runs
-        jobs on a thread pool; ``execution="process"`` runs them on
-        persistent worker processes; ``execution="socket"`` runs them
-        on workers joined over TCP — spawned locally, or (with
-        ``listen="host:port"``) remote ``repro cluster --connect``
-        workers.  ``timeout`` bounds the whole run
-        in every mode and raises ``TimeoutError`` on expiry — checked
-        continuously while collecting process results (the pool is
-        torn down, no orphans) and at job/generation boundaries in the
-        in-memory modes (a single in-flight job is never interrupted).
-        All modes produce identical trees and bounds: a job is a pure
+        ``execution="simulate"`` (default) measures per-job cost and
+        reports the simulated makespan in ``result.makespan``;
+        ``execution="process"`` runs the jobs on persistent worker
+        processes — spawned locally, or (with ``listen="host:port"``)
+        remote ``repro cluster --connect`` workers.  ``timeout`` bounds
+        the whole run in both modes and raises ``TimeoutError`` on
+        expiry — checked continuously while collecting process results
+        (the pool is torn down, no orphans) and at job/generation
+        boundaries under ``simulate`` (a single in-flight job is never
+        interrupted).
+        Both modes produce identical trees and bounds: a job is a pure
         function of its creation-time inputs, merged at deterministic
         generation barriers.  The one carve-out is
         ``job_size="adaptive"``: the sizer consumes *measured* job
@@ -620,32 +558,22 @@ class DistributedCompiler:
         # The registry gate rejects schemes not marked distributed-capable;
         # the Shannon-set check guards against plugin schemes claiming the
         # capability, since the job compiler only implements Algorithm 1.
-        from ..engine.registry import (
-            CAP_CLUSTER,
-            CAP_DISTRIBUTED,
-            get_scheme,
-        )
+        from ..engine.registry import CAP_DISTRIBUTED, get_scheme
         from .compiler import SCHEMES
 
         if not get_scheme(scheme).has(CAP_DISTRIBUTED) or scheme not in SCHEMES:
             raise ValueError(f"scheme {scheme!r} is not distributed-capable")
         if scheme == "exact":
             epsilon = 0.0
-        if execution == "simulated":
-            execution = "simulate"
         if execution not in EXECUTIONS:
             raise ValueError(
                 f"unknown execution mode {execution!r}; "
                 f"expected one of {EXECUTIONS}"
             )
-        if execution == "socket" and not get_scheme(scheme).has(CAP_CLUSTER):
-            raise ValueError(f"scheme {scheme!r} is not cluster-capable")
         deadline = None if timeout is None else time.monotonic() + timeout
         if execution == "simulate":
             return self._run_simulated(scheme, epsilon, deadline)
-        if execution == "threads":
-            return self._run_threaded(scheme, epsilon, deadline)
-        return self._run_pooled(scheme, epsilon, deadline, execution)
+        return self._run_pooled(scheme, epsilon, deadline)
 
     @property
     def workers_killed(self) -> int:
@@ -680,7 +608,7 @@ class DistributedCompiler:
             pass
 
     # ------------------------------------------------------------------
-    # The deterministic generation engine shared by all execution modes
+    # The deterministic generation engine shared by both execution modes
     # ------------------------------------------------------------------
 
     def _run_generations(self, scheme, epsilon, execute_wave, deadline=None):
@@ -889,73 +817,16 @@ class DistributedCompiler:
                 heapq.heappush(ready, (finish, child))
         return makespan
 
-    def _run_threaded(
-        self, scheme: str, epsilon: float, deadline: Optional[float] = None
-    ) -> CompilationResult:
-        """Thread-pool execution: same barriers, shared-memory workers."""
-        thread_state = threading.local()
-        cursors: List[_PrefixCursor] = []
-        registry_lock = threading.Lock()
+    # -- process mode ---------------------------------------------------
 
-        def worker_state():
-            state = getattr(thread_state, "state", None)
-            if state is None:
-                # Each thread owns a persistent compiler + cursor: the
-                # evaluator and its applied prefix are recycled across
-                # the thread's jobs — a fresh masked evaluator would
-                # repeat the baseline sweep per job.
-                compiler = _JobCompiler(
-                    self.network, self.pool, targets=self.target_names,
-                    order=self.order, engine=self.engine,
-                )
-                cursor = _PrefixCursor(self.network, self.engine)
-                cursor.evaluator = compiler.evaluator
-                state = (compiler, cursor)
-                thread_state.state = state
-                with registry_lock:
-                    cursors.append(cursor)
-            return state
-
-        def run_one(message):
-            compiler, cursor = worker_state()
-            return _run_job(compiler, cursor, message)
-
-        started = time.perf_counter()
-        try:
-            with ThreadPoolExecutor(max_workers=self.workers) as executor:
-
-                def execute_wave(wave, messages):
-                    futures = [
-                        executor.submit(run_one, message)
-                        for message in messages
-                    ]
-                    return [future.result() for future in futures]
-
-                bounds, executed, parent_of, totals, job_size, sizer = (
-                    self._run_generations(
-                        scheme, epsilon, execute_wave, deadline=deadline
-                    )
-                )
-        finally:
-            for cursor in cursors:
-                cursor.release()
-        elapsed = time.perf_counter() - started
-        return self._result(
-            scheme, epsilon, bounds, executed, totals,
-            seconds=elapsed, makespan=elapsed, job_size=job_size,
-            execution="threads", sizer=sizer,
-        )
-
-    # -- pooled modes (pipe and socket transports) ----------------------
-
-    def _ensure_process_pool(self, kind: str = "pipe") -> WorkerTransport:
+    def _ensure_process_pool(self) -> WorkerTransport:
         pool = self._process_pool
         if pool is not None:
-            if pool.kind == kind and pool.alive_workers():
+            if pool.alive_workers():
                 return pool
-            # Wrong transport, or a half-dead pool: replace it, folding
-            # any workers the teardown had to kill into the tally the
-            # next successful run reports.
+            # Every worker died: replace the pool, folding any workers
+            # the teardown had to kill into the tally the next
+            # successful run reports.
             self.close(force=True)
         from ..engine.masked import MaskedEvaluator, masked_program
 
@@ -971,26 +842,19 @@ class DistributedCompiler:
             program,
             fault=self.fault_injection,
         )
-        if kind == "pipe":
-            pool = PipeTransport(payload, self.workers, _worker_main)
-        elif self.listen is not None:
-            pool = SocketTransport.listen_for(
+        if self.listen is not None:
+            pool = WorkerTransport.listen_for(
                 payload, self.workers, self.listen
             )
         else:
-            pool = SocketTransport.spawn_local(payload, self.workers)
+            pool = WorkerTransport.spawn(payload, self.workers)
         self._process_pool = pool
         return pool
 
     def _run_pooled(
-        self,
-        scheme: str,
-        epsilon: float,
-        deadline: Optional[float],
-        execution: str,
+        self, scheme: str, epsilon: float, deadline: Optional[float]
     ) -> CompilationResult:
-        kind = "pipe" if execution == "process" else "socket"
-        pool = self._ensure_process_pool(kind)
+        pool = self._ensure_process_pool()
         self._steals = 0
         self._recv_wait_by_worker = {}
         started = time.perf_counter()
@@ -1015,7 +879,7 @@ class DistributedCompiler:
         result = self._result(
             scheme, epsilon, bounds, executed, totals,
             seconds=elapsed, makespan=elapsed, job_size=job_size,
-            execution=execution, sizer=sizer,
+            execution="process", sizer=sizer,
         )
         result.extra["spawn_seconds"] = pool.spawn_seconds
         result.extra["worker_failures"] = float(pool.worker_failures)
@@ -1026,10 +890,9 @@ class DistributedCompiler:
         )
         for worker_id, waited in sorted(self._recv_wait_by_worker.items()):
             result.extra[f"recv_wait_w{worker_id}"] = waited
-        if isinstance(pool, SocketTransport):
-            sent, received = pool.wire_bytes()
-            result.extra["wire_bytes_sent"] = float(sent)
-            result.extra["wire_bytes_received"] = float(received)
+        sent, received = pool.wire_bytes()
+        result.extra["wire_bytes_sent"] = float(sent)
+        result.extra["wire_bytes_received"] = float(received)
         return result
 
     def _execute_process_wave(self, pool, wave, messages, deadline):

@@ -189,7 +189,7 @@ class ConeInfluenceOrder:
         return best_index
 
 
-ORDER_NAMES = ("frequency", "dynamic", "dynamic-scan", "cone", "index")
+ORDER_NAMES = ("frequency", "dynamic", "index")
 
 
 def make_order(
@@ -197,25 +197,24 @@ def make_order(
 ) -> VariableOrder:
     """Resolve an ordering spec (name or explicit sequence) to a strategy.
 
-    ``"frequency"`` is the static default; ``"dynamic"`` (and its alias
-    ``"cone"``) is the cone-aware dynamic order, ``"dynamic-scan"`` the
-    reference network-scanning implementation it replaced, ``"index"``
-    plain ascending variable indices.  Any explicit sequence of variable
-    indices is wrapped in a :class:`GivenOrder`.
+    ``"frequency"`` is the static default; ``"dynamic"`` is the
+    cone-aware dynamic order; ``"index"`` plain ascending variable
+    indices.  Any explicit sequence of variable indices is wrapped in a
+    :class:`GivenOrder`.  (:class:`DynamicInfluenceOrder`, the reference
+    scan the property suite checks ``"dynamic"`` against pick for pick,
+    has no name here: construct it directly.)
 
     >>> make_order(EventNetwork(), "alphabetical")
     Traceback (most recent call last):
         ...
     ValueError: unknown variable order 'alphabetical'; expected one of \
-('frequency', 'dynamic', 'dynamic-scan', 'cone', 'index') or a sequence
+('frequency', 'dynamic', 'index') or a sequence
     """
     if isinstance(order, str):
         if order == "frequency":
             return FrequencyOrder(network)
-        if order in ("dynamic", "cone"):
+        if order == "dynamic":
             return ConeInfluenceOrder(network)
-        if order == "dynamic-scan":
-            return DynamicInfluenceOrder(network)
         if order == "index":
             return GivenOrder(sorted(network.variables()))
         raise ValueError(

@@ -1,34 +1,37 @@
-"""Worker transports for the distributed compiler.
+"""The worker transport of the distributed compiler.
 
-The coordinator/worker wire protocol is transport-agnostic: both sides
-exchange small pickled *records* — ``("job", message)`` and ``("stop",)``
-towards the worker, ``("done", worker_id, job_index, outcome)`` and
-``("error", worker_id, job_index, traceback)`` back — and two transports
-carry them:
+Coordinator and workers exchange small pickled *records* —
+``("job", message)`` and ``("stop",)`` towards the worker,
+``("done", worker_id, job_index, outcome)`` and
+``("error", worker_id, job_index, traceback)`` back — through
+:class:`FramedStream`, a length-prefixed framed codec over one stream
+socket: an 8-byte big-endian length header followed by the pickled
+record.  A frame header claiming more than :data:`MAX_FRAME_BYTES`
+raises :class:`FrameTooLarge` before any of its body is read.
 
-* :class:`PipeTransport` — the original single-host pool: spawn-safe
-  worker processes, one ``multiprocessing.Queue`` per worker for jobs
-  and one **private result pipe** per worker for outcomes (one writer
-  per pipe: a worker that dies mid-send corrupts only its own stream,
-  which the coordinator observes as EOF).
-* :class:`SocketTransport` — workers join over TCP, so they can live on
-  other machines (``repro cluster --listen`` / ``--connect``).  Records
-  travel through :class:`FramedStream`, a length-prefixed framed codec:
-  an 8-byte big-endian length header followed by the pickled record.
-  Workers deserialize the network and the pickled
-  :class:`~repro.engine.masked.MaskedProgram` **once at join** (the
-  ``init`` handshake ships the same payload the pipe workers get) and
-  then receive the same self-contained job messages as the pipe
-  workers.  A frame header claiming more than :data:`MAX_FRAME_BYTES`
-  raises :class:`FrameTooLarge` before any of its body is read.
+:class:`WorkerTransport` is the one pool behind
+``execution="process"``.  :meth:`WorkerTransport.spawn` starts
+spawn-safe local workers, each on one end of a private
+``socket.socketpair()`` — a stream is bound to its process by
+construction and nothing listens anywhere;
+:meth:`WorkerTransport.listen_for` binds ``listen="host:port"`` and
+accepts ``repro cluster --connect`` workers, which can live on other
+machines.  Either way a worker joins with the same ``hello → init →
+ready`` handshake, deserializes the network and the pickled
+:class:`~repro.engine.masked.MaskedProgram` **once** from the ``init``
+payload, and then serves self-contained job messages until stopped.
+One writer per stream: a worker that dies mid-send corrupts only its
+own stream, which the coordinator observes as EOF.
 
-Both transports expose the same coordinator-side surface — ``workers``
-(a list of :class:`WorkerHandle`), ``alive_workers()``, ``wait()``,
-``shutdown()`` — so the scheduling layer in
-:mod:`repro.compile.distributed` (work stealing, bounded in-flight
-dispatch, crash recovery) is written once against this interface.
-Steal and dispatch decisions never consult wall-clock time (the
-``barrier-determinism`` lint covers this module too).
+The frame payload is still ``pickle``: a ``--listen`` port must only
+face trusted peers (ROADMAP item 4, the safe wire, replaces the codec).
+
+The scheduling layer in :mod:`repro.compile.distributed` (work
+stealing, bounded in-flight dispatch, crash recovery) is written
+against ``workers`` (a list of :class:`WorkerHandle`),
+``alive_workers()``, ``wait()`` and ``shutdown()``.  Steal and dispatch
+decisions never consult wall-clock time (the ``barrier-determinism``
+lint covers this module too).
 """
 
 from __future__ import annotations
@@ -40,8 +43,7 @@ import socket as socket_module
 import struct
 import time
 from collections import deque
-from multiprocessing.connection import wait as connection_wait
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 #: Frame header: payload length as an 8-byte big-endian unsigned int.
 HEADER = struct.Struct(">Q")
@@ -52,10 +54,14 @@ HEADER = struct.Struct(">Q")
 #: buffer without bound.
 MAX_FRAME_BYTES = 1 << 28
 
-#: The transports a worker pool can run on.
-TRANSPORTS = ("pipe", "socket")
-
 _RECV_CHUNK = 1 << 16
+
+#: How long a connection to a ``listen=`` port may take over its join
+#: handshake before it is dropped as not-a-worker.
+HANDSHAKE_SECONDS = 30.0
+
+#: How long a spawned worker gets to boot its interpreter and join.
+SPAWN_SECONDS = 120.0
 
 
 def parse_address(address: str) -> Tuple[str, int]:
@@ -86,7 +92,7 @@ def _checked_length(length: int) -> int:
 
 
 class FramedStream:
-    """Length-prefixed pickled records over one TCP socket.
+    """Length-prefixed pickled records over one stream socket.
 
     Every frame is ``HEADER.pack(len(body)) + body`` where ``body`` is
     the pickled record.  :meth:`recv` blocks for exactly one record;
@@ -99,9 +105,10 @@ class FramedStream:
     """
 
     def __init__(self, sock: socket_module.socket) -> None:
-        sock.setsockopt(
-            socket_module.IPPROTO_TCP, socket_module.TCP_NODELAY, 1
-        )
+        if sock.family in (socket_module.AF_INET, socket_module.AF_INET6):
+            sock.setsockopt(
+                socket_module.IPPROTO_TCP, socket_module.TCP_NODELAY, 1
+            )
         self.sock = sock
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -186,183 +193,23 @@ class FramedStream:
 
 
 class WorkerHandle:
-    """Coordinator-side state for one worker, transport-independent.
+    """Coordinator-side state for one worker.
 
     ``pending`` is the worker's creation-order queue of job indices for
     the current generation — held coordinator-side so idle workers can
     *steal* from a loaded peer's queue; ``assigned`` maps the indices
-    actually shipped (in flight) to their :class:`Job`.
+    actually shipped (in flight) to their :class:`Job`.  ``process`` is
+    the spawned worker behind ``stream`` (``None`` for a remote join).
     """
 
-    def __init__(self, worker_id: int) -> None:
-        self.worker_id = worker_id
-        self.assigned: Dict[int, object] = {}
-        self.pending: Deque[int] = deque()
-
-    def send(self, record) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def alive(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def mark_dead(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class WorkerTransport:
-    """Common coordinator-side surface of both transports."""
-
-    kind = "abstract"
-
-    def __init__(self) -> None:
-        self.workers: List[WorkerHandle] = []
-        self.spawn_seconds = 0.0
-        self.worker_failures = 0
-        self.killed_worker_ids: List[int] = []
-
-    def alive_workers(self) -> List[WorkerHandle]:
-        return [worker for worker in self.workers if worker.alive()]
-
-    def wait(self, timeout: float):  # pragma: no cover - abstract
-        """Collect ready worker records; returns ``[(handle, record)]``."""
-        raise NotImplementedError
-
-    def shutdown(
-        self,
-        force: bool = False,
-        timeout: float = 5.0,
-        kill_deadline: float = 1.0,
-    ) -> List[int]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class _PipeWorkerHandle(WorkerHandle):
-    def __init__(self, worker_id: int, process, job_queue, reader) -> None:
-        super().__init__(worker_id)
-        self.process = process
-        self.job_queue = job_queue
-        self.reader = reader  # our end of the worker's result pipe
-
-    def send(self, record) -> None:
-        try:
-            self.job_queue.put(record)
-        except (OSError, ValueError):  # pragma: no cover - torn queue
-            pass
-
-    def alive(self) -> bool:
-        return self.reader is not None and self.process.is_alive()
-
-    def mark_dead(self) -> None:
-        if self.reader is not None:
-            try:
-                self.reader.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
-            self.reader = None
-
-
-class PipeTransport(WorkerTransport):
-    """Persistent spawn-safe worker processes plus their queues."""
-
-    kind = "pipe"
-
-    def __init__(
-        self, payload: bytes, workers: int, worker_main: Callable
-    ) -> None:
-        import multiprocessing
-
-        super().__init__()
-        context = multiprocessing.get_context("spawn")
-        started = time.perf_counter()
-        try:
-            for worker_id in range(workers):
-                job_queue = context.Queue()
-                reader, writer = context.Pipe(duplex=False)
-                process = context.Process(
-                    target=worker_main,
-                    args=(worker_id, payload, job_queue, writer),
-                    daemon=True,
-                )
-                process.start()
-                # Close our copy of the write end: the worker now holds
-                # the only one, so its death surfaces as EOF on
-                # ``reader``.
-                writer.close()
-                self.workers.append(
-                    _PipeWorkerHandle(worker_id, process, job_queue, reader)
-                )
-        except BaseException:
-            # Partial spawn (e.g. the OS process limit): the caller
-            # never sees this pool object, so reap the workers that
-            # did start before re-raising.
-            self.shutdown(force=True)
-            raise
-        self.spawn_seconds = time.perf_counter() - started
-
-    def wait(self, timeout: float):
-        readers = {
-            worker.reader: worker
-            for worker in self.workers
-            if worker.reader is not None
-        }
-        if not readers:
-            return []
-        ready = connection_wait(list(readers), timeout=timeout)
-        records = []
-        for reader in ready:
-            worker = readers[reader]
-            try:
-                record = reader.recv()
-            except (EOFError, OSError):
-                # The worker died (possibly mid-send: only its own
-                # stream is affected); the scheduler requeues its jobs.
-                worker.mark_dead()
-                continue
-            records.append((worker, record))
-        return records
-
-    def shutdown(
-        self,
-        force: bool = False,
-        timeout: float = 5.0,
-        kill_deadline: float = 1.0,
-    ) -> List[int]:
-        """Stop every worker; escalate to ``terminate()`` when needed.
-
-        The stop record is always sent, even under ``force=True``, so
-        healthy workers get the chance to exit cleanly; ``force`` only
-        shortens the join deadline to ``kill_deadline`` before the
-        stragglers are terminated.  Returns the ids of the workers that
-        had to be killed (the caller reports them in ``result.extra``).
-        """
-        killed: List[int] = []
-        for worker in self.workers:
-            if worker.alive():
-                worker.send(("stop",))
-        deadline = time.monotonic() + (kill_deadline if force else timeout)
-        for worker in self.workers:
-            remaining = max(0.0, deadline - time.monotonic())
-            worker.process.join(remaining)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout)
-                killed.append(worker.worker_id)
-        for worker in self.workers:
-            worker.job_queue.cancel_join_thread()
-            worker.job_queue.close()
-            worker.mark_dead()
-        self.killed_worker_ids.extend(killed)
-        self.workers = []
-        return killed
-
-
-class _SocketWorkerHandle(WorkerHandle):
     def __init__(
         self, worker_id: int, stream: FramedStream, process=None
     ) -> None:
-        super().__init__(worker_id)
+        self.worker_id = worker_id
+        self.assigned: Dict[int, object] = {}
+        self.pending: Deque[int] = deque()
         self.stream: Optional[FramedStream] = stream
-        self.process = process  # local spawn only; None for remote joins
+        self.process = process
 
     def send(self, record) -> None:
         if self.stream is None:
@@ -384,46 +231,71 @@ class _SocketWorkerHandle(WorkerHandle):
             self.stream = None
 
 
-class SocketTransport(WorkerTransport):
-    """Workers joined over TCP; local-spawned or remote ``--connect``."""
+def _expect(stream: FramedStream, kind: str) -> None:
+    record = stream.recv()
+    if not (isinstance(record, tuple) and record[:1] == (kind,)):
+        raise ValueError(f"expected a {kind!r} record from the worker")
 
-    kind = "socket"
+
+def _handshake(
+    stream: FramedStream, worker_id: int, payload: bytes, timeout: float
+) -> None:
+    """Coordinator side of the join: ``hello`` → ``init`` → ``ready``.
+
+    The worker opens with ``("hello", pid)``; the coordinator replies
+    ``("init", worker_id, payload)``; the worker deserializes the
+    payload — network, variable pool, masked program — once, and
+    confirms with ``("ready", worker_id)``.  Anything else raises.
+    """
+    stream.sock.settimeout(timeout)
+    _expect(stream, "hello")
+    stream.send(("init", worker_id, payload))
+    _expect(stream, "ready")
+    stream.sock.settimeout(None)
+
+
+class WorkerTransport:
+    """The worker pool: one framed stream per spawned or remote worker."""
 
     def __init__(self) -> None:
-        super().__init__()
+        self.workers: List[WorkerHandle] = []
+        self.spawn_seconds = 0.0
+        self.worker_failures = 0
         self.listener: Optional[socket_module.socket] = None
-        self.address: Optional[Tuple[str, int]] = None
-        self._local_processes: list = []
 
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def spawn_local(
-        cls,
-        payload: bytes,
-        workers: int,
-        host: str = "127.0.0.1",
-        join_timeout: float = 120.0,
-    ) -> "SocketTransport":
-        """Listen on an ephemeral port and spawn local socket workers."""
+    def spawn(cls, payload: bytes, workers: int) -> "WorkerTransport":
+        """Spawn local workers, each on its own private socket pair."""
         import multiprocessing
 
         transport = cls()
         started = time.perf_counter()
-        transport._listen(host, 0)
-        bound_host, port = transport.address
         context = multiprocessing.get_context("spawn")
         try:
-            for _ in range(workers):
+            for worker_id in range(workers):
+                ours, theirs = socket_module.socketpair()
+                stream = FramedStream(ours)
                 process = context.Process(
-                    target=_socket_worker_main,
-                    args=(bound_host, port),
-                    daemon=True,
+                    target=_spawned_worker_main, args=(theirs,), daemon=True
                 )
-                process.start()
-                transport._local_processes.append(process)
-            transport._accept_workers(payload, workers, join_timeout)
+                # Close our copy of the worker's end once it is handed
+                # over: the worker then holds the only one, so its death
+                # surfaces as EOF on ``ours``.
+                with theirs:
+                    process.start()
+                transport.workers.append(
+                    WorkerHandle(worker_id, stream, process)
+                )
+            for worker in transport.workers:
+                _handshake(
+                    worker.stream, worker.worker_id, payload, SPAWN_SECONDS
+                )
         except BaseException:
+            # Partial spawn (e.g. the OS process limit): the caller
+            # never sees this pool object, so reap the workers that
+            # did start before re-raising.
             transport.shutdown(force=True)
             raise
         transport.spawn_seconds = time.perf_counter() - started
@@ -436,83 +308,64 @@ class SocketTransport(WorkerTransport):
         workers: int,
         address: str,
         join_timeout: Optional[float] = None,
-    ) -> "SocketTransport":
-        """Bind ``address`` and wait for ``workers`` remote joins."""
+    ) -> "WorkerTransport":
+        """Bind ``address`` and wait for ``workers`` remote joins.
+
+        A connection that fails the handshake — closes, stays silent,
+        sends garbage or an oversize frame — is closed and skipped; the
+        join keeps waiting until ``join_timeout``.
+        """
         transport = cls()
         started = time.perf_counter()
         host, port = parse_address(address)
-        transport._listen(host, port)
-        try:
-            transport._accept_workers(payload, workers, join_timeout)
-        except BaseException:
-            transport.shutdown(force=True)
-            raise
-        transport.spawn_seconds = time.perf_counter() - started
-        return transport
-
-    def _listen(self, host: str, port: int) -> None:
         listener = socket_module.socket(
             socket_module.AF_INET, socket_module.SOCK_STREAM
         )
         listener.setsockopt(
             socket_module.SOL_SOCKET, socket_module.SO_REUSEADDR, 1
         )
-        listener.bind((host, port))
-        listener.listen(16)
-        self.listener = listener
-        self.address = listener.getsockname()[:2]
-
-    def _accept_workers(
-        self, payload: bytes, workers: int, join_timeout: Optional[float]
-    ) -> None:
-        """Run the join handshake until ``workers`` workers are ready.
-
-        Handshake: the worker connects and sends ``("hello", pid)``;
-        the coordinator assigns the next worker id (accept order) and
-        replies ``("init", worker_id, payload)``; the worker
-        deserializes the payload — network, variable pool, masked
-        program — once, and confirms with ``("ready", worker_id)``.
-        """
+        transport.listener = listener
         deadline = (
             None if join_timeout is None
             else time.monotonic() + join_timeout
         )
-        joined: List[_SocketWorkerHandle] = []
-        while len(joined) < workers:
-            self.listener.settimeout(0.5)
-            try:
-                conn, _ = self.listener.accept()
-            except socket_module.timeout:
-                if deadline is not None and time.monotonic() > deadline:
-                    raise TimeoutError(
-                        f"only {len(joined)}/{workers} workers joined "
-                        "before the join timeout"
-                    )
-                continue
-            stream = FramedStream(conn)
-            conn.settimeout(30.0)
-            hello = stream.recv()
-            if not (isinstance(hello, tuple) and hello[0] == "hello"):
-                stream.close()
-                continue
-            worker_id = len(joined)
-            stream.send(("init", worker_id, payload))
-            ready = stream.recv()
-            if not (isinstance(ready, tuple) and ready[0] == "ready"):
-                stream.close()
-                continue
-            conn.settimeout(None)
-            process = (
-                self._local_processes[worker_id]
-                if worker_id < len(self._local_processes)
-                else None
-            )
-            joined.append(_SocketWorkerHandle(worker_id, stream, process))
-        self.workers.extend(joined)
+        try:
+            listener.bind((host, port))
+            listener.listen(16)
+            listener.settimeout(0.5)
+            while len(transport.workers) < workers:
+                try:
+                    conn, _ = listener.accept()
+                except socket_module.timeout:
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise TimeoutError(
+                            f"only {len(transport.workers)}/{workers} "
+                            "workers joined before the join timeout"
+                        )
+                    continue
+                stream = FramedStream(conn)
+                worker_id = len(transport.workers)
+                try:
+                    _handshake(stream, worker_id, payload, HANDSHAKE_SECONDS)
+                except Exception:
+                    # Not a worker (port scan, health check, hostile
+                    # peer): unpickling its bytes can raise anything.
+                    stream.close()
+                    continue
+                transport.workers.append(WorkerHandle(worker_id, stream))
+        except BaseException:
+            transport.shutdown(force=True)
+            raise
+        transport.spawn_seconds = time.perf_counter() - started
+        return transport
 
     # -- runtime --------------------------------------------------------
 
+    def alive_workers(self) -> List[WorkerHandle]:
+        return [worker for worker in self.workers if worker.alive()]
+
     def wait(self, timeout: float):
+        """Collect ready worker records; returns ``[(handle, record)]``."""
         channels = {
             worker.stream.fileno(): worker
             for worker in self.workers
@@ -537,6 +390,8 @@ class SocketTransport(WorkerTransport):
                 drained, eof = [], True
             records.extend((worker, record) for record in drained)
             if eof:
+                # The worker died (possibly mid-send: only its own
+                # stream is affected, the half frame is discarded).
                 worker.mark_dead()
         return records
 
@@ -548,10 +403,13 @@ class SocketTransport(WorkerTransport):
     ) -> List[int]:
         """Stop every worker with a bounded per-worker join deadline.
 
-        Remote workers get the stop record and their connection closed;
-        local-spawned workers are additionally joined (``force=True``
-        shortens the deadline to ``kill_deadline``) and terminated —
-        and reported — when they overstay it.
+        The stop record is always sent, even under ``force=True``, so
+        healthy workers get the chance to exit cleanly.  Remote workers
+        then have their connection closed; spawned workers are joined
+        (``force`` shortens the deadline to ``kill_deadline``) and
+        terminated when they overstay it.  Returns the ids of the
+        workers that had to be killed (the caller reports them in
+        ``result.extra``).
         """
         killed: List[int] = []
         for worker in self.workers:
@@ -569,19 +427,10 @@ class SocketTransport(WorkerTransport):
                 killed.append(worker.worker_id)
         for worker in self.workers:
             worker.mark_dead()
-        for process in self._local_processes:
-            if process.is_alive():  # pragma: no cover - spawn aborted early
-                process.terminate()
-                process.join(timeout)
         if self.listener is not None:
-            try:
-                self.listener.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
+            self.listener.close()
             self.listener = None
-        self.killed_worker_ids.extend(killed)
         self.workers = []
-        self._local_processes = []
         return killed
 
     def wire_bytes(self) -> Tuple[int, int]:
@@ -600,35 +449,19 @@ class SocketTransport(WorkerTransport):
 # ----------------------------------------------------------------------
 
 
-def serve_worker(
-    address: str,
-    retry_seconds: float = 10.0,
-    fault: Optional[dict] = None,
+def _serve_connection(
+    sock: socket_module.socket, fault: Optional[dict] = None
 ) -> int:
-    """Join a coordinator at ``address`` and serve jobs until stopped.
+    """Join the coordinator behind ``sock`` and serve jobs until stopped.
 
-    The ``repro cluster --connect host:port`` entry point: connect
-    (retrying for up to ``retry_seconds`` while the coordinator is
-    still coming up), run the join handshake, deserialize the shipped
-    network/program payload once, then loop on job records until the
-    stop record — or the coordinator's disappearance — ends the
-    session.  Returns a process exit status (0).
+    Run the join handshake, deserialize the shipped network/program
+    payload once, then loop on job records until the stop record — or
+    the coordinator's disappearance — ends the session.
     """
     # Lazy import: this module is the transport layer underneath
     # repro.compile.distributed, which imports it at module scope.
     from .distributed import _build_worker_state, _serve_jobs
 
-    host, port = parse_address(address)
-    deadline = time.monotonic() + retry_seconds
-    while True:
-        try:
-            sock = socket_module.create_connection((host, port), timeout=5.0)
-            break
-        except OSError:
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.1)
-    sock.settimeout(None)
     stream = FramedStream(sock)
     try:
         stream.send(("hello", os.getpid()))
@@ -642,15 +475,7 @@ def serve_worker(
             fault = config.get("fault") or {}
         stream.send(("ready", worker_id))
         try:
-            _serve_jobs(
-                worker_id,
-                compiler,
-                cursor,
-                fault,
-                recv_record=stream.recv,
-                send_record=stream.send,
-                send_partial=stream.send_partial,
-            )
+            _serve_jobs(worker_id, compiler, cursor, fault, stream)
         except (EOFError, OSError):
             # The coordinator went away; nothing left to serve.
             pass
@@ -659,9 +484,35 @@ def serve_worker(
     return 0
 
 
-def _socket_worker_main(host: str, port: int) -> None:
-    """Spawn target for locally-launched socket workers."""
+def serve_worker(
+    address: str,
+    retry_seconds: float = 10.0,
+    fault: Optional[dict] = None,
+) -> int:
+    """Join a coordinator at ``address`` and serve jobs until stopped.
+
+    The ``repro cluster --connect host:port`` entry point: connect
+    (retrying for up to ``retry_seconds`` while the coordinator is
+    still coming up), then serve like a spawned worker.  Returns a
+    process exit status (0).
+    """
+    host, port = parse_address(address)
+    deadline = time.monotonic() + retry_seconds
+    while True:
+        try:
+            sock = socket_module.create_connection((host, port), timeout=5.0)
+            break
+        except OSError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.1)
+    sock.settimeout(None)
+    return _serve_connection(sock, fault)
+
+
+def _spawned_worker_main(sock: socket_module.socket) -> None:
+    """Spawn target: serve the coordinator on our end of its socket pair."""
     try:
-        serve_worker(f"{host}:{port}", retry_seconds=30.0)
+        _serve_connection(sock)
     except KeyboardInterrupt:  # pragma: no cover - interactive teardown
         pass

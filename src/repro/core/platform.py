@@ -246,9 +246,8 @@ class ENFrame:
         ``naive-scalar``/``montecarlo-scalar`` oracles.  Passing
         ``workers`` switches distributed-capable schemes to the
         distributed compiler (``hybrid-d`` & friends, Section 4.4),
-        where ``execution`` picks the mode (``"simulate"``,
-        ``"threads"``, ``"process"`` — true multi-process workers — or
-        ``"socket"`` — workers joined over TCP; with
+        where ``execution`` picks the mode (``"simulate"`` or
+        ``"process"`` — true multi-process workers; with
         ``listen="host:port"`` the run waits for remote
         ``repro cluster --connect`` workers instead of spawning local
         ones) and ``job_size`` is the fork depth (an ``int`` or

@@ -431,7 +431,7 @@ def make_bulk_evaluator(
     Boolean outputs and share the numeric path bit-for-bit; pass
     ``packed=False`` to force the original one-bool-per-world columns.
     ``kernel`` names the segment-kernel tier for the flat packed
-    evaluator (``"auto"``/``"numba"``/``"native"``/``"python"``, see
+    evaluator (``"auto"``/``"native"``/``"python"``, see
     :mod:`repro.engine.kernels`).
     """
     if packed is None:

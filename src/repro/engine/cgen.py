@@ -1,7 +1,7 @@
 """Lower a kernel function's Python AST to C99.
 
-The masked sweep and the packed segment kernel are written once, in the
-restricted Python ``numba.njit`` also accepts (``_masked_sweep`` and
+The masked sweep and the packed segment kernel are written once, in a
+restricted Python over NumPy arrays (``_masked_sweep`` and
 ``_packed_segments`` in :mod:`repro.engine.kernels`); the native tier's
 C is *derived* from that text by :func:`emit_c`, so the two cannot
 drift.  A construct outside the subset — or inside it but read
@@ -24,8 +24,8 @@ for element ``i`` of a tuple return.  Each local gets one C type
 (``int64_t``, ``uint64_t`` or ``double``): the widest its assignments
 need, inferred from the declared element types.
 
-Imports neither ``ctypes`` nor ``numba``; loaded only when the native
-library has to be built.
+Does not import ``ctypes``; loaded only when the native library has to
+be built.
 """
 
 from __future__ import annotations

@@ -6,13 +6,13 @@ dispatch over flat arrays (:class:`repro.engine.masked.MaskedEvaluator`).
 This module compiles that loop out of Python:
 
 * :func:`_masked_sweep` is the single-source kernel: one plain-Python
-  function over NumPy arrays, written in the subset that is
-  *numba-jittable as is* (the ``"numba"`` tier) — it is source, never a
-  tier of its own;
-* the ``"native"`` tier's C is *generated* from that same function
-  (:mod:`repro.engine.cgen` lowers its AST; nothing is hand-mirrored,
-  so the two cannot drift), built with the system C compiler into a
-  shared library cached on disk;
+  function over NumPy arrays, written in the subset
+  :mod:`repro.engine.cgen` lowers — it is source, never a tier of its
+  own;
+* the ``"native"`` tier's C is *generated* from that function
+  (``cgen`` lowers its AST; nothing is hand-mirrored, so the two cannot
+  drift), built with the system C compiler into a shared library cached
+  on disk;
 * :class:`KernelMaskedEvaluator` swaps the evaluator's columns to
   shared NumPy buffers the kernel mutates in place, with trail frames
   kept as arrays and restored vectorized on ``pop()``.
@@ -26,9 +26,9 @@ canned network before handing it out (falling back on any mismatch).
 
 Tier selection (:func:`make_masked_evaluator`, reachable from every
 scheme via ``make_evaluator(..., kernel=...)`` and ``repro cluster
---kernel``): ``"auto"`` prefers numba, then native, then pure Python;
-naming an unavailable tier falls back down the same ladder.  The
-``REPRO_KERNEL`` environment variable overrides the default (CI uses
+--kernel``): ``"auto"`` prefers native, then pure Python; naming an
+unavailable tier falls back down the same ladder.  The ``REPRO_KERNEL``
+environment variable overrides the default (CI uses
 ``REPRO_KERNEL=python`` for the fallback leg).  The tier never depends
 on the network: :func:`repro.engine.masked.masked_program` lowers
 vector-valued c-values to scalar lanes and negative ``POW`` exponents to
@@ -81,7 +81,7 @@ _INF = float("inf")
 #: Public kernel tier names, in fallback order (``auto`` resolves to
 #: the first available compiled tier; ``python`` is the original
 #: :class:`MaskedEvaluator`).
-KERNEL_NAMES = ("auto", "numba", "native", "python")
+KERNEL_NAMES = ("auto", "native", "python")
 
 #: Why a backend was rejected, by name (introspection/debugging only).
 BACKEND_ERRORS: Dict[str, str] = {}
@@ -89,11 +89,11 @@ BACKEND_ERRORS: Dict[str, str] = {}
 #: How ``result.extra["kernel_tier"]`` encodes the tier that ran
 #: (``extra`` is a float dict; mirrors ``_EXECUTION_CODES``).  "numpy"
 #: is the packed bulk evaluator's vectorized no-compiler fallback.
-#: (1.0 was a tier that no longer exists; the others keep their codes.)
+#: (1.0 and 3.0 were tiers that no longer exist; the others keep their
+#: codes.)
 KERNEL_TIER_CODES: Dict[str, float] = {
     "python": 0.0,
     "native": 2.0,
-    "numba": 3.0,
     "numpy": 4.0,
 }
 
@@ -111,11 +111,11 @@ def record_kernel_tier(extra: Dict[str, object], evaluator) -> None:
 # ----------------------------------------------------------------------
 # The single-source sweep kernel (plain Python over NumPy arrays).
 #
-# This function is handed to numba.njit verbatim AND is the text the
-# native tier's C is generated from, so edit it alone, inside the subset
-# both accept: repro.engine.cgen lists it, and rejects — with the line —
-# anything else or anything C would read differently (``//``, chained
-# comparisons, ``%`` by a non-literal, ...).  Mind the exact Python
+# This function is the text the native tier's C is generated from, so
+# edit it alone, inside the subset repro.engine.cgen lists: it rejects —
+# with the line — anything else or anything C would read differently
+# (``//``, chained comparisons, ``%`` by a non-literal, ...).  Mind the
+# exact Python
 # semantics being reproduced (min/max fold order, NaN comparisons, pow):
 # MaskedEvaluator._compute_* in repro.engine.masked stays the
 # independent oracle every built tier is validated against.
@@ -761,9 +761,10 @@ class _Backend:
     """One compiled kernel tier.
 
     ``sweep_py`` is a callable taking the full array argument list of
-    :func:`_masked_sweep` (the numba tier); ``sweep_c`` is a raw ctypes
-    function for the native tier (the evaluator precomputes its pointer
-    arguments).  Either may be ``None``.
+    :func:`_masked_sweep` (the kernel source itself, which the test
+    suite runs as a reference); ``sweep_c`` is a raw ctypes function for
+    the native tier (the evaluator precomputes its pointer arguments).
+    Either may be ``None``.
     """
 
     def __init__(self, name, sweep_py=None, packed_py=None, lib=None):
@@ -790,20 +791,12 @@ class _Backend:
             self.packed_py(ops, out, arg_off, arg_idx, matrix, np.uint64(tail))
 
 
-def _make_numba_backend() -> _Backend:
-    import numba
-
-    sweep = numba.njit(cache=False)(_masked_sweep)
-    packed = numba.njit(cache=False)(_packed_segments)
-    return _Backend("numba", sweep_py=sweep, packed_py=packed)
-
-
 def _make_native_backend() -> _Backend:
     return _Backend("native", lib=_build_native_library())
 
 
 #: The compiled tiers, top of the ladder first.
-_BUILDERS = {"numba": _make_numba_backend, "native": _make_native_backend}
+_BUILDERS = {"native": _make_native_backend}
 
 _BACKEND_CACHE: Dict[str, Optional[_Backend]] = {}
 
@@ -901,13 +894,13 @@ def get_backend(name: str = "auto") -> Optional[_Backend]:
 
     Backends are built once per process and self-validated against the
     Python evaluator before first use; an unavailable or non-validating
-    tier falls back down the ladder (numba → native → python), with the
-    reason recorded in :data:`BACKEND_ERRORS`.
+    tier falls back down the ladder (native → python), with the reason
+    recorded in :data:`BACKEND_ERRORS`.
     """
     if name == "python":
         return None
     if name == "auto":
-        name = "numba"  # the top rung; falls through below
+        name = "native"  # the top rung
     if name not in _BUILDERS:
         raise ValueError(
             f"unknown kernel {name!r}; expected one of {KERNEL_NAMES}"
@@ -922,16 +915,12 @@ def get_backend(name: str = "auto") -> Optional[_Backend]:
             BACKEND_ERRORS[name] = "failed self-validation against the oracle"
             backend = None
         _BACKEND_CACHE[name] = backend
-    backend = _BACKEND_CACHE[name]
-    if backend is None and name == "numba":
-        return get_backend("native")
-    return backend
+    return _BACKEND_CACHE[name]
 
 
 def _is_live(name: str) -> bool:
-    """Whether the compiled tier ``name`` itself (not a fallback) loads."""
-    backend = get_backend(name)
-    return backend is not None and backend.name == name
+    """Whether the compiled tier ``name`` loads and self-validates."""
+    return get_backend(name) is not None
 
 
 def available_kernels() -> Tuple[str, ...]:
@@ -1174,7 +1163,7 @@ def kernel_status() -> Dict[str, object]:
     Returns a dict with:
 
     * ``tiers`` — ``{name: {"live": bool, "error": str | None}}`` for
-      each concrete tier (``numba``/``native``/``python``), probing
+      each concrete tier (``native``/``python``), probing
       each backend (which self-validates against the Python oracle on
       first use);
     * ``default`` — what :func:`default_kernel` returns;

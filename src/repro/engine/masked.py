@@ -682,7 +682,7 @@ class MaskedEvaluator:
 
     #: Which kernel tier drives the cone sweeps.  ``"python"`` here; the
     #: compiled subclasses (:mod:`repro.engine.kernels`) override it with
-    #: the backend that actually ran (``"native"``/``"numba"``).
+    #: the backend that actually ran (``"native"``).
     kernel = "python"
 
     def __init__(self, network: EventNetwork) -> None:

@@ -18,7 +18,7 @@ Two evaluators share the format:
 * :class:`PackedBulkEvaluator` (flat networks) compiles the schedule
   into a *plan*: runs of consecutive AND/OR/NOT nodes become segments
   dispatched as one call into the kernel tier of
-  :mod:`repro.engine.kernels` (native/numba when available, a
+  :mod:`repro.engine.kernels` (native when available, a
   vectorized NumPy loop otherwise) over a single ``(slots, words)``
   word matrix;
 * :class:`PackedFoldedBulkEvaluator` (folded networks) keeps the base

@@ -18,11 +18,8 @@ Capabilities drive dispatch-time normalisation:
 * ``statistical`` — bounds hold with a confidence level, not with
   certainty (Monte Carlo);
 * ``distributed`` — the scheme can run under the job-based distributed
-  compiler (``workers=`` is honoured; otherwise it is ignored);
-* ``cluster`` — the distributed run can span machines over the socket
-  transport (``execution="socket"`` plus ``listen=`` for remote
-  ``repro cluster --connect`` workers; dropped to ``"simulate"`` for
-  schemes without it);
+  compiler (``workers=`` is honoured, and with it ``execution`` and
+  ``listen``; otherwise they are ignored);
 * ``exact`` — bounds collapse to the exact probability;
 * ``timeout`` — the scheme honours a wall-clock budget;
 * ``bulk`` — the scheme evaluates through the vectorized bulk engine;
@@ -50,7 +47,6 @@ from ..worlds.variables import VariablePool
 CAP_EPSILON = "epsilon"
 CAP_STATISTICAL = "statistical"
 CAP_DISTRIBUTED = "distributed"
-CAP_CLUSTER = "cluster"
 CAP_EXACT = "exact"
 CAP_TIMEOUT = "timeout"
 CAP_BULK = "bulk"
@@ -63,7 +59,6 @@ CAPABILITIES = frozenset(
         CAP_EPSILON,
         CAP_STATISTICAL,
         CAP_DISTRIBUTED,
-        CAP_CLUSTER,
         CAP_EXACT,
         CAP_TIMEOUT,
         CAP_BULK,
@@ -174,15 +169,14 @@ class SchemeOptions:
 
     ``order`` names a variable-ordering strategy for the Shannon
     schemes (``"frequency"``, ``"dynamic"`` — the cone-aware dynamic
-    order — ``"dynamic-scan"``, ``"cone"``, ``"index"``, or an explicit
-    index sequence; see :func:`repro.compile.ordering.make_order`).
+    order — ``"index"``, or an explicit index sequence; see
+    :func:`repro.compile.ordering.make_order`).
 
     ``execution`` selects how a ``distributed``-capable scheme runs its
-    workers (``"simulate"``, ``"threads"``, ``"process"``, or — for
-    ``cluster``-capable schemes — ``"socket"``; see
+    workers (``"simulate"`` or ``"process"``; see
     :mod:`repro.compile.distributed`); ``job_size`` is the distributed
     fork depth, either an explicit ``int`` or ``"adaptive"`` for the
-    online cost model.  ``listen`` (``"host:port"``) makes a socket run
+    online cost model.  ``listen`` (``"host:port"``) makes a process run
     wait for remote ``repro cluster --connect`` workers instead of
     spawning them locally.
 
@@ -383,9 +377,8 @@ def normalise_options(
     to their defaults for schemes without the ``statistical``
     capability; ``workers`` is dropped for schemes that are not
     ``distributed``-capable — and with it ``execution``, which reverts
-    to ``"simulate"`` — ``execution="socket"`` (and with it ``listen``)
-    is dropped to ``"simulate"`` for distributed schemes without the
-    ``cluster`` capability, and ``timeout`` is dropped for schemes
+    to ``"simulate"``, as does ``listen`` to ``None`` unless the run is
+    ``execution="process"`` — and ``timeout`` is dropped for schemes
     without the ``timeout`` capability (matching the historical facade
     behaviour where e.g. ``naive`` ignored ``workers``), *except* for
     distributed runs, where it bounds the whole run in process mode (a
@@ -410,10 +403,7 @@ def normalise_options(
             )
     statistical = spec.has(CAP_STATISTICAL)
     distributed = spec.has(CAP_DISTRIBUTED) and workers is not None
-    cluster = distributed and spec.has(CAP_CLUSTER)
     normalised_execution = execution if distributed else "simulate"
-    if normalised_execution == "socket" and not cluster:
-        normalised_execution = "simulate"
     return SchemeOptions(
         epsilon=epsilon if spec.has(CAP_EPSILON) else 0.0,
         order=order if ordering is None else ordering,
@@ -425,7 +415,7 @@ def normalise_options(
         seed=seed if statistical else 0,
         confidence=confidence if statistical else 0.95,
         kernel=kernel if spec.has(CAP_KERNEL) else None,
-        listen=listen if normalised_execution == "socket" else None,
+        listen=listen if normalised_execution == "process" else None,
         evidence=canonical_evidence if spec.has(CAP_EVIDENCE) else (),
     )
 

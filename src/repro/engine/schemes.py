@@ -6,8 +6,7 @@ registers the paper's six schemes plus the two scalar cross-validation
 oracles:
 
 * ``exact`` / ``lazy`` / ``eager`` / ``hybrid`` — Shannon expansion
-  (Algorithm 1), distributed-capable via ``workers=`` and
-  cluster-capable via ``execution="socket"``;
+  (Algorithm 1), distributed-capable via ``workers=``;
 * ``naive`` — bulk-vectorized world enumeration (flat and folded
   networks alike);
 * ``montecarlo`` — bulk-vectorized MCDB-style sampling (flat and folded
@@ -28,7 +27,6 @@ from ..network.nodes import EventNetwork
 from ..worlds.variables import VariablePool
 from .registry import (
     CAP_BULK,
-    CAP_CLUSTER,
     CAP_DISTRIBUTED,
     CAP_EPSILON,
     CAP_EVIDENCE,
@@ -161,7 +159,7 @@ def register_builtins() -> None:
     register_scheme(
         "exact",
         _make_shannon_runner("exact"),
-        capabilities={CAP_EXACT, CAP_DISTRIBUTED, CAP_CLUSTER, CAP_KERNEL},
+        capabilities={CAP_EXACT, CAP_DISTRIBUTED, CAP_KERNEL},
         description=(
             "Shannon expansion until every target is resolved on every branch"
         ),
@@ -175,7 +173,7 @@ def register_builtins() -> None:
         register_scheme(
             scheme,
             _make_shannon_runner(scheme),
-            capabilities={CAP_EPSILON, CAP_DISTRIBUTED, CAP_CLUSTER, CAP_KERNEL},
+            capabilities={CAP_EPSILON, CAP_DISTRIBUTED, CAP_KERNEL},
             description=description,
             replace=True,
         )
@@ -214,7 +212,6 @@ def register_builtins() -> None:
             CAP_EXACT,
             CAP_EVIDENCE,
             CAP_DISTRIBUTED,
-            CAP_CLUSTER,
             CAP_KERNEL,
         },
         description="exact conditional probabilities P(target | evidence)",
@@ -227,7 +224,6 @@ def register_builtins() -> None:
             CAP_EPSILON,
             CAP_EVIDENCE,
             CAP_DISTRIBUTED,
-            CAP_CLUSTER,
             CAP_KERNEL,
         },
         description=(

@@ -76,9 +76,9 @@ from .protocol import ProtocolError, Request, json_response, read_request
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]{1,128}$")
 
-#: Execution modes a served query may request; ``socket`` needs remote
-#: workers joined to the *caller's* coordinator and is not servable.
-SERVABLE_EXECUTIONS = ("simulate", "threads", "process")
+#: Execution modes a served query may request (``process`` spawns local
+#: workers; a served query cannot ask for ``listen=``).
+SERVABLE_EXECUTIONS = ("simulate", "process")
 
 
 class ServeError(Exception):

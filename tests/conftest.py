@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 import sys
 
@@ -46,8 +47,8 @@ def source_backend():
     """The kernel *source* run as plain Python: a test-local reference.
 
     Not a registered tier — ``_masked_sweep``/``_packed_segments`` are
-    the text the native C is generated from and numba's input; running
-    them un-jitted gives the differential suites a second execution of
+    the text the native C is generated from; running them as plain
+    Python gives the differential suites a second execution of
     that text that owes nothing to the emitter or a compiler.
     """
     from repro.engine import kernels
@@ -111,6 +112,61 @@ def random_event(pool, rng, depth=3):
         csum(terms),
         guard(TRUE, rng.uniform(-2.0, 2.0)),
     )
+
+
+#: The two ways ``execution="process"`` gets its workers.
+POOL_KINDS = ("pair", "listen")
+
+
+def free_port() -> int:
+    """A loopback port nothing listens on (for ``listen=`` runs)."""
+    import socket
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+@contextlib.contextmanager
+def pooled_coordinator(kind, network, pool, workers=2, **kwargs):
+    """A ``DistributedCompiler`` whose process pool is of ``kind``.
+
+    ``"pair"`` spawns local workers on private socket pairs (the
+    default); ``"listen"`` binds a free loopback port and starts
+    ``workers`` out-of-tree ``serve_worker()`` processes — the ``repro
+    cluster --connect`` entry point — that join it.  Everything is torn
+    down on exit, stalled joiners included.
+    """
+    import multiprocessing
+
+    from repro.compile.distributed import DistributedCompiler
+    from repro.compile.transport import serve_worker
+
+    joiners = []
+    if kind == "listen":
+        address = f"127.0.0.1:{free_port()}"
+        kwargs["listen"] = address
+        context = multiprocessing.get_context("spawn")
+        joiners = [
+            context.Process(
+                target=serve_worker, args=(address, 30.0), daemon=True
+            )
+            for _ in range(workers)
+        ]
+        for joiner in joiners:
+            joiner.start()
+    coordinator = DistributedCompiler(
+        network, pool, workers=workers, **kwargs
+    )
+    try:
+        yield coordinator
+    finally:
+        coordinator.close(force=True)
+        for joiner in joiners:
+            joiner.join(2.0)
+            if joiner.is_alive():  # crashed-into-stall or never joined
+                joiner.terminate()
+                joiner.join(5.0)
 
 
 @pytest.fixture

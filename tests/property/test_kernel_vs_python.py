@@ -1,8 +1,7 @@
 """Property tests: the kernel-tier masked sweeps against the Python tier.
 
-The kernel tiers (:mod:`repro.engine.kernels`: the numba-jitted sweep
-and the C generated from the same source) must be *state-for-state*
-equivalent to the pure-Python
+The kernel tier (:mod:`repro.engine.kernels`: the C generated from the
+single-source sweep) must be *state-for-state* equivalent to the pure-Python
 :class:`~repro.engine.masked.MaskedEvaluator` — the same three-valued
 Boolean state and the same numeric abstraction for every node, under
 every partial assignment reachable by a random push/pop walk, on flat
@@ -10,9 +9,9 @@ and folded networks alike.  The four Shannon schemes (plus their
 ``workers=`` runs) must produce identical bounds whichever tier sweeps
 the cones.
 
-``numba`` and ``native`` join the matrix whenever they import/compile
-and pass self-validation; a host with neither runs no compiled tier
-(and ``BACKEND_ERRORS`` says why).  The kernel *source* run as plain
+``native`` joins the matrix whenever it compiles and passes
+self-validation; a host without a C compiler runs no compiled tier (and
+``BACKEND_ERRORS`` says why).  The kernel *source* run as plain
 Python is compared with the C generated from it in
 ``tests/unit/test_cgen.py``.
 """

@@ -10,11 +10,11 @@ four schemes on both kernel tiers.  Every worker reaches a job root by
 seeking its own cursor there; a seek that left one column off a root
 replay would shift some bound.
 
-``execution="socket"`` inherits the whole contract: the same jobs ride
-a framed TCP stream instead of pipes, idle workers may *steal* queued
-jobs, and two jobs are kept in flight per worker — none of which may
-move a single tree node, because stealing only reassigns *which*
-worker computes a job and merges stay creation-ordered.
+The whole contract holds for both ways the one pool gets its workers —
+spawned on private socket pairs, or joined over TCP through
+``listen=`` — and with idle workers *stealing* queued jobs, which only
+reassigns *which* worker computes a job: merges stay creation-ordered,
+so not a single tree node may move.
 """
 
 from __future__ import annotations
@@ -24,10 +24,14 @@ import random
 import pytest
 
 from repro.compile.compiler import compile_network
-from repro.compile.distributed import DistributedCompiler
 from repro.network.build import build_targets
 
-from ..conftest import make_pool, random_event
+from ..conftest import (
+    POOL_KINDS,
+    make_pool,
+    pooled_coordinator,
+    random_event,
+)
 from .test_folded_bulk_vs_scalar import _random_folded_instance
 
 MATCH_ABS = 1e-9  # against the sequential compiler; modes match exactly
@@ -51,86 +55,63 @@ def _assert_identical(left, right, context: str) -> None:
     assert left.bounds == right.bounds, context
 
 
+def _assert_pool_matches_simulation(coordinator, context: str) -> None:
+    """All four schemes: the pool's run is the simulation, bit for bit."""
+    for scheme, epsilon in SCHEMES:
+        simulated = coordinator.run(
+            scheme=scheme, epsilon=epsilon, execution="simulate"
+        )
+        process = coordinator.run(scheme=scheme, epsilon=epsilon, execution="process")
+        _assert_identical(process, simulated, f"{scheme}/{context}")
+
+
 @pytest.mark.parametrize("kernel", ["python", "auto"])
 def test_process_matches_simulated_all_schemes(kernel):
-    # One coordinator per tier: the persistent worker pool is reused
-    # across all schemes, keeping spawn cost out of the loop.
+    # One coordinator per tier and pool kind: the persistent worker pool
+    # is reused across all schemes, keeping spawn cost out of the loop.
     pool, network = _random_instance(11)
-    coordinator = DistributedCompiler(
-        network, pool, workers=2, job_size=2, kernel=kernel
-    )
-    try:
-        for scheme, epsilon in SCHEMES:
-            simulated = coordinator.run(
-                scheme=scheme, epsilon=epsilon, execution="simulate"
-            )
-            process = coordinator.run(
-                scheme=scheme, epsilon=epsilon, execution="process"
-            )
-            _assert_identical(
-                process, simulated, f"{scheme}/{kernel} process vs simulated"
-            )
-        if kernel == "python":
-            assert coordinator._compiler.evaluator.kernel == "python"
-    finally:
-        coordinator.close()
+    for pool_kind in POOL_KINDS:
+        with pooled_coordinator(
+            pool_kind, network, pool, job_size=2, kernel=kernel
+        ) as coordinator:
+            _assert_pool_matches_simulation(coordinator, f"{kernel}/{pool_kind}")
+            if kernel == "python":
+                assert coordinator._compiler.evaluator.kernel == "python"
+
+
+def test_process_matches_simulated_without_stealing():
+    # Stealing (the default, above) only reassigns which worker runs a
+    # job; switching it off must not move a tree node either.
+    pool, network = _random_instance(11)
+    for pool_kind in POOL_KINDS:
+        with pooled_coordinator(
+            pool_kind, network, pool, job_size=2, steal=False
+        ) as coordinator:
+            _assert_pool_matches_simulation(coordinator, f"no-steal/{pool_kind}")
 
 
 def test_process_matches_simulated_random_instances():
     for seed in range(3):
         pool, network = _random_instance(seed)
-        coordinator = DistributedCompiler(network, pool, workers=2, job_size=1)
-        try:
+        with pooled_coordinator(
+            POOL_KINDS[seed % 2], network, pool, job_size=1
+        ) as coordinator:
             simulated = coordinator.run(scheme="hybrid", epsilon=0.05)
             process = coordinator.run(
                 scheme="hybrid", epsilon=0.05, execution="process"
             )
-            threaded = coordinator.run(
-                scheme="hybrid", epsilon=0.05, execution="threads"
-            )
             _assert_identical(process, simulated, f"seed {seed}")
-            _assert_identical(threaded, simulated, f"seed {seed} (threads)")
-        finally:
-            coordinator.close()
-
-
-@pytest.mark.parametrize("steal", [True, False], ids=["steal", "no-steal"])
-def test_socket_matches_simulated_all_schemes(steal):
-    # Same pool-reuse pattern as the process test: one socket cluster
-    # (2 local TCP workers) serves all four schemes.
-    pool, network = _random_instance(11)
-    coordinator = DistributedCompiler(network, pool, workers=2, job_size=2, steal=steal)
-    try:
-        for scheme, epsilon in SCHEMES:
-            simulated = coordinator.run(
-                scheme=scheme, epsilon=epsilon, execution="simulate"
-            )
-            clustered = coordinator.run(
-                scheme=scheme, epsilon=epsilon, execution="socket"
-            )
-            _assert_identical(
-                clustered,
-                simulated,
-                f"{scheme}/steal={steal} socket vs simulated",
-            )
-    finally:
-        coordinator.close()
 
 
 def test_process_matches_sequential_exact_folded():
     pool, folded = _random_folded_instance(2)
     sequential = compile_network(folded, pool)
-    coordinator = DistributedCompiler(folded, pool, workers=2, job_size=2)
-    try:
-        process = coordinator.run(scheme="exact", execution="process")
-        simulated = coordinator.run(scheme="exact", execution="simulate")
-    finally:
-        coordinator.close()
-    _assert_identical(process, simulated, "folded exact")
-    for name in folded.targets:
-        assert process.bounds[name][0] == pytest.approx(
-            sequential.bounds[name][0], abs=MATCH_ABS
-        )
-        assert process.bounds[name][1] == pytest.approx(
-            sequential.bounds[name][1], abs=MATCH_ABS
-        )
+    for pool_kind in POOL_KINDS:
+        with pooled_coordinator(pool_kind, folded, pool, job_size=2) as coordinator:
+            process = coordinator.run(scheme="exact", execution="process")
+            simulated = coordinator.run(scheme="exact", execution="simulate")
+        _assert_identical(process, simulated, f"folded exact/{pool_kind}")
+        for name in folded.targets:
+            assert process.bounds[name] == pytest.approx(
+                sequential.bounds[name], abs=MATCH_ABS
+            )

@@ -5,9 +5,9 @@ vertex into scalar lane vertices, so k-medoids and k-means — the
 paper's workloads, whose c-values are feature vectors — run on every
 kernel tier.  The contracts pinned down here:
 
-* every live tier (Python list columns, numba, the generated native
-  C) walks the *same* lowered program and stays
-  bit-identical to the others: columns, resolved mask, trail entries in
+* every live tier (Python list columns, the generated native C) walks
+  the *same* lowered program and stays bit-identical to the other:
+  columns, resolved mask, trail entries in
   order, ``evals``;
 * the lowered program agrees with the untouched scalar oracles
   (:class:`PartialEvaluator` / :class:`FoldedEvaluator`, which keep
@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro import ENFrame, KMedoidsSpec, MCLSpec
-from repro.compile.compiler import make_evaluator
+from repro.compile.compiler import ShannonCompiler, make_evaluator
 from repro.compile.ordering import ConeInfluenceOrder, DynamicInfluenceOrder
 from repro.compile.partial import NumState
 from repro.correlations.schemes import make_lineage
@@ -300,14 +300,13 @@ def test_ordering_picks_match_scan_when_lanes_resolve_apart(tier):
         _assert_same_picks(
             dataset.pool, network, evaluator, random.Random(seed), steps=8
         )
-        trees = {
-            order: run_scheme(
-                "exact", network, dataset.pool, targets=platform.target_names,
-                order=order, kernel=tier,
-            ).tree_nodes
-            for order in ("dynamic", "dynamic-scan")
-        }
-        assert trees["dynamic"] == trees["dynamic-scan"]
+        compiler = ShannonCompiler(
+            network, dataset.pool, targets=platform.target_names,
+            order="dynamic", kernel=tier,
+        )
+        cone_tree = compiler.run().tree_nodes
+        compiler.order = DynamicInfluenceOrder(network)
+        assert compiler.run().tree_nodes == cone_tree
 
 
 def _cluster_platforms():

@@ -41,10 +41,10 @@ class TestParser:
 
     def test_cluster_flags_parse(self):
         args = build_parser().parse_args(
-            ["cluster", "--execution", "socket", "--listen", "0.0.0.0:7453",
+            ["cluster", "--execution", "process", "--listen", "0.0.0.0:7453",
              "--workers", "2", "--join-timeout", "5", "--verbose"]
         )
-        assert args.execution == "socket"
+        assert args.execution == "process"
         assert args.listen == "0.0.0.0:7453"
         assert args.join_timeout == 5.0
         assert args.verbose
@@ -94,11 +94,11 @@ class TestCommands:
         assert code == 0
         assert "exact-cond" in capsys.readouterr().out
 
-    def test_cluster_socket_verbose(self, capsys):
+    def test_cluster_process_verbose(self, capsys):
         code = main(
             ["cluster", "--objects", "8", "--algorithm", "exact",
              "--workers", "2", "--group-size", "2",
-             "--execution", "socket", "--verbose"]
+             "--execution", "process", "--verbose"]
         )
         assert code == 0
         output = capsys.readouterr().out
@@ -140,8 +140,6 @@ class TestCommands:
             line for line in capsys.readouterr().out.splitlines()
             if line.startswith("kernel: ")
         )
-        # (An absent numba may be listed next to it: every recorded
-        # rejection is printed.)
         assert line.startswith("kernel: python (")
         assert "native: no C compiler" in line
 
@@ -194,9 +192,9 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "kernel tiers" in out
-        for tier in ("numba", "native", "python"):
+        for tier in ("native", "python"):
             assert tier in out
-        assert "interpreted" not in out
+        assert "interpreted" not in out and "numba" not in out
         assert "default:" in out
 
     def test_check_runs_clean_on_this_repo(self, capsys):

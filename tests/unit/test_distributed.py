@@ -7,7 +7,12 @@ from repro.compile.distributed import DistributedCompiler, compile_distributed
 from repro.events.expressions import conj, disj, negate, var
 from repro.events.probability import event_probability
 
-from ..conftest import make_pool, random_event
+from ..conftest import (
+    free_port,
+    make_pool,
+    pooled_coordinator,
+    random_event,
+)
 
 
 def make_instance():
@@ -99,36 +104,6 @@ class TestDistributedApproximation:
                 assert upper - lower <= 0.1 + 1e-9
 
 
-class TestThreadedExecution:
-    def test_threaded_soundness(self):
-        pool, network, events = make_instance()
-        result = compile_distributed(
-            network,
-            pool,
-            scheme="hybrid",
-            epsilon=0.1,
-            workers=3,
-            job_size=2,
-            execution="threads",
-        )
-        for name, event in events.items():
-            probability = event_probability(event, pool)
-            lower, upper = result.bounds[name]
-            assert lower - 1e-9 <= probability <= upper + 1e-9
-
-    def test_threaded_exact_matches(self):
-        pool, network, events = make_instance()
-        sequential = compile_network(network, pool)
-        result = compile_distributed(
-            network, pool, scheme="exact", workers=2, job_size=2,
-            execution="threads",
-        )
-        for name in events:
-            assert result.bounds[name][0] == pytest.approx(
-                sequential.bounds[name][0]
-            )
-
-
 class TestValidation:
     def test_bad_parameters(self):
         pool, network, _ = make_instance()
@@ -139,116 +114,10 @@ class TestValidation:
         coordinator = DistributedCompiler(network, pool)
         with pytest.raises(ValueError):
             coordinator.run(scheme="bogus")
-        with pytest.raises(ValueError):
-            coordinator.run(execution="mpi")
-
-
-class TestProcessExecution:
-    def test_process_exact_matches_sequential(self):
-        pool, network, events = make_instance()
-        sequential = compile_network(network, pool)
-        result = compile_distributed(
-            network, pool, scheme="exact", workers=2, job_size=2,
-            execution="process",
-        )
-        for name in events:
-            assert result.bounds[name][0] == pytest.approx(
-                sequential.bounds[name][0]
-            )
-            assert result.bounds[name][1] == pytest.approx(
-                sequential.bounds[name][1]
-            )
-        assert result.extra["execution"] == 2.0
-
-    def test_worker_crash_requeues_with_dead_worker_excluded(self):
-        import multiprocessing
-
-        pool, network, _ = make_instance()
-        reference = compile_distributed(
-            network, pool, scheme="exact", workers=2, job_size=1
-        )
-        coordinator = DistributedCompiler(
-            network, pool, workers=2, job_size=1,
-            fault_injection={"worker": 1, "crash_on_job": 2},
-        )
-        try:
-            result = coordinator.run(scheme="exact", execution="process")
-            # The crashed worker's jobs were requeued on the survivor:
-            # the run completes with identical trees and bounds.
-            assert result.tree_nodes == reference.tree_nodes
-            assert result.jobs == reference.jobs
-            for name in reference.bounds:
-                assert result.bounds[name][0] == pytest.approx(
-                    reference.bounds[name][0]
-                )
-            assert result.extra["worker_failures"] >= 1.0
-            # The dead worker is out of the pool; the survivor carried it.
-            process_pool = coordinator._process_pool
-            alive = process_pool.alive_workers()
-            assert len(alive) == 1
-            assert alive[0].worker_id == 0
-        finally:
-            coordinator.close(force=True)
-        assert not multiprocessing.active_children()
-
-    def test_timeout_tears_down_pool_without_orphans(self):
-        import multiprocessing
-
-        pool, network, _ = make_instance()
-        coordinator = DistributedCompiler(
-            network, pool, workers=2, job_size=1,
-            fault_injection={"worker": 0, "stall_on_job": 1},
-        )
-        try:
-            with pytest.raises(TimeoutError):
-                coordinator.run(
-                    scheme="exact", execution="process", timeout=1.5
-                )
-            assert coordinator._process_pool is None
-        finally:
-            coordinator.close(force=True)
-        assert not multiprocessing.active_children()
-
-    def test_interrupt_tears_down_pool_without_orphans(self, monkeypatch):
-        import multiprocessing
-
-        pool, network, _ = make_instance()
-        coordinator = DistributedCompiler(network, pool, workers=2, job_size=2)
-
-        def interrupted(*args, **kwargs):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(
-            DistributedCompiler, "_execute_process_wave", interrupted
-        )
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                coordinator.run(scheme="exact", execution="process")
-            # The exception path must have force-closed the pool.
-            assert coordinator._process_pool is None
-        finally:
-            coordinator.close(force=True)
-        assert not multiprocessing.active_children()
-
-    def test_pool_persists_across_runs(self):
-        pool, network, _ = make_instance()
-        coordinator = DistributedCompiler(network, pool, workers=2, job_size=2)
-        try:
-            coordinator.run(scheme="exact", execution="process")
-            first_pool = coordinator._process_pool
-            coordinator.run(scheme="hybrid", epsilon=0.1, execution="process")
-            assert coordinator._process_pool is first_pool
-        finally:
-            coordinator.close()
-
-
-def _free_port() -> int:
-    """A loopback port nothing listens on (for ``listen=`` runs)."""
-    import socket
-
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
+        # The retired modes and the old alias are errors, not aliases.
+        for execution in ("mpi", "threads", "socket", "simulated"):
+            with pytest.raises(ValueError, match="unknown execution mode"):
+                coordinator.run(execution=execution)
 
 
 def make_wide_instance(seed: int = 5):
@@ -268,152 +137,211 @@ def make_wide_instance(seed: int = 5):
     return pool, build_targets(events)
 
 
-class TestSocketExecution:
-    def test_socket_exact_matches_sequential(self):
+def _assert_same_tree(result, reference):
+    assert result.tree_nodes == reference.tree_nodes
+    assert result.jobs == reference.jobs
+    for name in reference.bounds:
+        assert result.bounds[name] == pytest.approx(reference.bounds[name])
+
+
+class TestProcessExecution:
+    """The one worker pool, its workers spawned on local socket pairs."""
+
+    pool_kind = "pair"
+
+    def test_process_exact_matches_sequential(self):
         pool, network, events = make_instance()
         sequential = compile_network(network, pool)
-        coordinator = DistributedCompiler(network, pool, workers=2, job_size=2)
-        try:
-            result = coordinator.run(scheme="exact", execution="socket")
-        finally:
-            coordinator.close()
+        with pooled_coordinator(
+            self.pool_kind, network, pool, job_size=2
+        ) as coordinator:
+            result = coordinator.run(scheme="exact", execution="process")
         for name in events:
-            assert result.bounds[name][0] == pytest.approx(
-                sequential.bounds[name][0]
+            assert result.bounds[name] == pytest.approx(
+                sequential.bounds[name]
             )
-            assert result.bounds[name][1] == pytest.approx(
-                sequential.bounds[name][1]
-            )
-        assert result.extra["execution"] == 3.0
+        assert result.extra["execution"] == 2.0
         assert result.extra["wire_bytes_sent"] > 0.0
         assert result.extra["wire_bytes_received"] > 0.0
 
-    def test_socket_requires_cluster_capability(self):
-        from repro.engine.registry import (
-            CAP_DISTRIBUTED,
-            register_scheme,
-            reset_registry,
-        )
-
-        pool, network, _ = make_instance()
-
-        def runner(network, pool, targets, options):  # pragma: no cover
-            raise AssertionError("never dispatched")
-
-        register_scheme(
-            "hybrid",
-            runner,
-            capabilities={CAP_DISTRIBUTED},
-            description="hybrid without cluster capability",
-            replace=True,
-        )
-        try:
-            coordinator = DistributedCompiler(network, pool, workers=2)
-            with pytest.raises(ValueError, match="not cluster-capable"):
-                coordinator.run(scheme="hybrid", execution="socket")
-        finally:
-            reset_registry()
-
-    def test_stealing_moves_jobs_and_keeps_the_tree(self):
-        # Worker 0 is slowed on every job; with wide waves the idle
-        # worker must steal from its queue, and the merged tree must
-        # still match the no-steal and simulated runs exactly.
-        pool, network = make_wide_instance()
-        slow = {"worker": 0, "sleep_per_job": 0.005}
-        runs = {}
-        for steal in (True, False):
-            coordinator = DistributedCompiler(
-                network, pool, workers=2, job_size=1,
-                fault_injection=slow, steal=steal,
-            )
-            try:
-                runs[steal] = coordinator.run(
-                    scheme="exact", execution="socket"
-                )
-            finally:
-                coordinator.close()
-        assert runs[True].extra["steals"] > 0.0
-        assert runs[False].extra["steals"] == 0.0
-        assert runs[True].tree_nodes == runs[False].tree_nodes
-        assert runs[True].jobs == runs[False].jobs
-        for name in runs[True].bounds:
-            assert runs[True].bounds[name] == pytest.approx(
-                runs[False].bounds[name]
-            )
-
-    @pytest.mark.parametrize("execution", ["process", "socket"])
-    def test_mid_patch_send_crash_recovers(self, execution):
-        # The worker dies after shipping a frame header with a truncated
-        # body: the partial frame must be discarded (never delivered),
-        # its jobs requeued on the survivor, and the tree unchanged.
+    def _assert_death_is_survived(self, fault: str) -> None:
         import multiprocessing
 
         pool, network, _ = make_instance()
         reference = compile_distributed(
             network, pool, scheme="exact", workers=2, job_size=1
         )
-        coordinator = DistributedCompiler(
-            network, pool, workers=2, job_size=1,
-            fault_injection={"worker": 1, "partial_send_on_job": 1},
-        )
-        try:
-            result = coordinator.run(scheme="exact", execution=execution)
-            assert result.tree_nodes == reference.tree_nodes
-            assert result.jobs == reference.jobs
-            for name in reference.bounds:
-                assert result.bounds[name][0] == pytest.approx(
-                    reference.bounds[name][0]
-                )
-                assert result.bounds[name][1] == pytest.approx(
-                    reference.bounds[name][1]
-                )
+        with pooled_coordinator(
+            self.pool_kind, network, pool, job_size=1,
+            fault_injection={"worker": 1, fault: 2},
+        ) as coordinator:
+            result = coordinator.run(scheme="exact", execution="process")
+            # The dead worker's jobs were requeued on the survivor: the
+            # run completes with identical trees and bounds.
+            _assert_same_tree(result, reference)
             assert result.extra["worker_failures"] >= 1.0
+            # The dead worker is out of the pool; the survivor carried it.
             alive = coordinator._process_pool.alive_workers()
             assert [worker.worker_id for worker in alive] == [0]
-        finally:
-            coordinator.close(force=True)
         assert not multiprocessing.active_children()
 
-    def test_listen_accepts_remote_connect_workers(self):
-        # The cross-machine path on localhost: two out-of-tree worker
-        # processes join via serve_worker() (the `repro cluster
-        # --connect` entry point) and the run matches the simulation.
+    def test_worker_crash_requeues_with_dead_worker_excluded(self):
+        self._assert_death_is_survived("crash_on_job")
+
+    def test_partial_send_crash_recovers(self):
+        # The worker dies after shipping a frame header with a truncated
+        # body: the partial frame must be discarded (never delivered).
+        self._assert_death_is_survived("partial_send_on_job")
+
+    def test_timeout_tears_down_pool_without_orphans(self):
         import multiprocessing
 
-        from repro.compile.transport import serve_worker
+        pool, network, _ = make_instance()
+        with pooled_coordinator(
+            self.pool_kind, network, pool, job_size=1,
+            fault_injection={"worker": 0, "stall_on_job": 1},
+        ) as coordinator:
+            with pytest.raises(TimeoutError):
+                coordinator.run(
+                    scheme="exact", execution="process", timeout=1.5
+                )
+            assert coordinator._process_pool is None
+        assert not multiprocessing.active_children()
 
-        address = f"127.0.0.1:{_free_port()}"
-        context = multiprocessing.get_context("spawn")
-        joiners = [
-            context.Process(
-                target=serve_worker, args=(address, 30.0), daemon=True
-            )
-            for _ in range(2)
-        ]
-        for process in joiners:
-            process.start()
+    def test_interrupt_tears_down_pool_without_orphans(self, monkeypatch):
+        import multiprocessing
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(
+            DistributedCompiler, "_execute_process_wave", interrupted
+        )
+        pool, network, _ = make_instance()
+        with pooled_coordinator(
+            self.pool_kind, network, pool, job_size=2
+        ) as coordinator:
+            with pytest.raises(KeyboardInterrupt):
+                coordinator.run(scheme="exact", execution="process")
+            # The exception path must have force-closed the pool.
+            assert coordinator._process_pool is None
+        assert not multiprocessing.active_children()
+
+    def test_pool_persists_across_runs(self):
+        pool, network, _ = make_instance()
+        with pooled_coordinator(
+            self.pool_kind, network, pool, job_size=2
+        ) as coordinator:
+            coordinator.run(scheme="exact", execution="process")
+            first_pool = coordinator._process_pool
+            coordinator.run(scheme="hybrid", epsilon=0.1, execution="process")
+            assert coordinator._process_pool is first_pool
+
+    def test_stealing_moves_jobs_and_keeps_the_tree(self):
+        # Worker 0 is slowed on every job; with wide waves the idle
+        # worker must steal from its queue, and the merged tree must
+        # still match the no-steal and simulated runs exactly.
+        pool, network = make_wide_instance()
+        slow = {"worker": 0, "sleep_per_job": 0.002}
+        runs = {}
+        for steal in (True, False):
+            with pooled_coordinator(
+                self.pool_kind, network, pool, job_size=1,
+                fault_injection=slow, steal=steal,
+            ) as coordinator:
+                runs[steal] = coordinator.run(
+                    scheme="exact", execution="process"
+                )
+        assert runs[True].extra["steals"] > 0.0
+        assert runs[False].extra["steals"] == 0.0
+        _assert_same_tree(runs[True], runs[False])
+
+
+class TestProcessExecutionOverListen(TestProcessExecution):
+    """The same contracts with ``--connect`` workers joined over TCP."""
+
+    pool_kind = "listen"
+
+
+class TestSocketExecution:
+    """Who may — and who may not — reach the coordinator's sockets."""
+
+    def test_local_pool_opens_no_listening_socket(self, monkeypatch):
+        import socket
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run without listen= must not listen")
+
+        monkeypatch.setattr(socket.socket, "listen", refuse)
+        pool, network, _ = make_instance()
+        with pooled_coordinator(
+            "pair", network, pool, job_size=2
+        ) as coordinator:
+            coordinator.run(scheme="exact", execution="process")
+            transport = coordinator._process_pool
+            assert transport.listener is None
+            families = {
+                worker.stream.sock.family for worker in transport.workers
+            }
+            assert families == {socket.AF_UNIX}
+            # A stream is bound to its process by construction.
+            assert all(worker.process.is_alive() for worker in transport.workers)
+
+    def test_stray_connections_do_not_abort_the_join(self, monkeypatch):
+        # A port scan (connect, close), garbage bytes, a forged length
+        # header, a record that is not a hello and a peer that never
+        # speaks must each be dropped; the real worker that joins after
+        # them carries the run.
+        import socket
+        import threading
+
+        from repro.compile import transport
+        from repro.compile.transport import HEADER, FramedStream, serve_worker
+
+        monkeypatch.setattr(transport, "HANDSHAKE_SECONDS", 0.3)
+        port = free_port()
+        address = f"127.0.0.1:{port}"
+        finished = threading.Event()
+
+        def connect():
+            while True:
+                try:
+                    return socket.create_connection(("127.0.0.1", port))
+                except OSError:
+                    if finished.wait(0.05):
+                        raise
+
+        def strays_then_a_worker():
+            connect().close()
+            with connect() as garbage:
+                garbage.sendall(HEADER.pack(9) + b"not-a-pkl")
+            with connect() as forged:
+                forged.sendall(HEADER.pack(1 << 62))
+            with connect() as impostor:
+                FramedStream(impostor).send(("ready", 0))
+            with connect():  # silent until the handshake times out
+                serve_worker(address, 30.0)
+
+        joiner = threading.Thread(target=strays_then_a_worker, daemon=True)
+        joiner.start()
         pool, network, _ = make_instance()
         coordinator = DistributedCompiler(
-            network, pool, workers=2, job_size=2, listen=address
+            network, pool, workers=1, job_size=2, listen=address
         )
         try:
-            simulated = coordinator.run(scheme="hybrid", epsilon=0.1)
+            simulated = coordinator.run(scheme="exact")
             result = coordinator.run(
-                scheme="hybrid", epsilon=0.1, execution="socket"
+                scheme="exact", execution="process", timeout=60.0
             )
+            assert result.jobs == simulated.jobs
             assert result.tree_nodes == simulated.tree_nodes
-            for name in simulated.bounds:
-                assert result.bounds[name] == pytest.approx(
-                    simulated.bounds[name]
-                )
+            assert result.bounds == simulated.bounds
+            assert result.extra["worker_failures"] == 0.0
         finally:
+            finished.set()
             coordinator.close()
-            for process in joiners:
-                process.join(10.0)
-                if process.is_alive():  # pragma: no cover - hung joiner
-                    process.terminate()
-                    process.join(5.0)
-
+            joiner.join(10.0)
+        assert not joiner.is_alive()
 
     def test_oversize_frame_drops_the_worker_and_the_run_completes(self):
         # One honest serve_worker() process and one hostile peer that
@@ -426,7 +354,7 @@ class TestSocketExecution:
 
         from repro.compile.transport import HEADER, FramedStream, serve_worker
 
-        port = _free_port()
+        port = free_port()
         address = f"127.0.0.1:{port}"
         finished = threading.Event()
 
@@ -464,7 +392,7 @@ class TestSocketExecution:
         try:
             simulated = coordinator.run(scheme="exact")
             result = coordinator.run(
-                scheme="exact", execution="socket", timeout=60.0
+                scheme="exact", execution="process", timeout=60.0
             )
             assert result.jobs == simulated.jobs
             assert result.tree_nodes == simulated.tree_nodes

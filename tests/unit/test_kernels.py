@@ -89,31 +89,31 @@ class TestBackendSelection:
         kernels = available_kernels()
         assert "auto" in kernels
         assert "python" in kernels
-        # The kernel source is the generator's input and numba's, never
-        # a tier: every other name needs a toolchain.
-        assert KERNEL_NAMES == ("auto", "numba", "native", "python")
+        # The kernel source is the generator's input, never a tier;
+        # two rungs, and numba (measurable by nobody) is not one.
+        assert KERNEL_NAMES == ("auto", "native", "python")
 
     def test_python_tier_has_no_backend(self):
         assert get_backend("python") is None
 
     def test_unknown_tier_rejected(self):
-        for name in ("fortran", "interpreted"):  # never a tier; no longer one
+        # never a tier; no longer one (x2)
+        for name in ("fortran", "interpreted", "numba"):
             with pytest.raises(ValueError, match="unknown kernel"):
                 get_backend(name)
             with pytest.raises(ValueError, match="unknown kernel"):
                 make_masked_evaluator(_scalar_network(), kernel=name)
 
     def test_unavailable_tiers_record_their_reason(self):
-        # Whichever compiled tier is missing on this host must say why
-        # instead of silently degrading.
-        for name in ("numba", "native"):
-            if get_backend(name) is None:
-                assert name in BACKEND_ERRORS, BACKEND_ERRORS
+        # A compiled tier missing on this host must say why instead of
+        # silently degrading.
+        if get_backend("native") is None:
+            assert "native" in BACKEND_ERRORS, BACKEND_ERRORS
 
     def test_auto_resolves_to_a_concrete_tier(self):
         backend = get_backend("auto")
         if backend is not None:
-            assert backend.name in ("numba", "native")
+            assert backend.name == "native"
 
     def test_default_kernel_honours_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "python")
@@ -143,7 +143,7 @@ class TestBackendSelection:
     def test_kernel_status_reports_every_tier(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         status = kernel_status()
-        assert set(status["tiers"]) == {"numba", "native", "python"}
+        assert set(status["tiers"]) == {"native", "python"}
         assert status["tiers"]["python"]["live"] is True
         for name, tier in status["tiers"].items():
             if not tier["live"] and name != "python":
@@ -268,8 +268,8 @@ class TestEvaluatorConstruction:
         assert result.bounds["p"] == pytest.approx(expected.bounds["p"])
 
     def test_python_tier_only_without_a_live_backend(self, monkeypatch):
-        # The fallback is about the process (no compiler, no numba),
-        # never about the network.
+        # The fallback is about the process (no compiler), never about
+        # the network.
         monkeypatch.setattr(kernels_module, "get_backend", lambda name: None)
         for network in (_scalar_network(), _vector_network()):
             evaluator = make_masked_evaluator(network, kernel="native")

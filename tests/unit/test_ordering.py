@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.compile.compiler import compile_network, make_evaluator
+from repro.compile.compiler import (
+    ShannonCompiler,
+    compile_network,
+    make_evaluator,
+)
 from repro.compile.folded_eval import FoldedEvaluator
 from repro.compile.ordering import (
     ConeInfluenceOrder,
@@ -92,16 +96,16 @@ class TestMakeOrder:
     def test_dynamic_resolves_to_cone_order(self):
         network = influence_network()
         assert isinstance(make_order(network, "dynamic"), ConeInfluenceOrder)
-        assert isinstance(make_order(network, "cone"), ConeInfluenceOrder)
-        assert isinstance(
-            make_order(network, "dynamic-scan"), DynamicInfluenceOrder
-        )
+        # One dynamic order: the alias and the reference scan have no name.
+        for retired in ("cone", "dynamic-scan"):
+            with pytest.raises(ValueError, match="unknown variable order"):
+                make_order(network, retired)
 
     def test_all_named_orders_agree_on_probability(self):
         pool = make_pool([0.4, 0.5, 0.6])
         network = influence_network()
         expected = compile_network(network, pool).bounds
-        for order in ("dynamic", "dynamic-scan", "cone", "index"):
+        for order in ("dynamic", "index"):
             result = compile_network(network, pool, order=order)
             for name, bounds in expected.items():
                 assert result.bounds[name] == pytest.approx(bounds)
@@ -110,8 +114,11 @@ class TestMakeOrder:
         pool = make_pool([0.4, 0.5, 0.6])
         network = influence_network()
         cone = compile_network(network, pool, order="dynamic")
-        scan = compile_network(network, pool, order="dynamic-scan")
+        reference = ShannonCompiler(network, pool)
+        reference.order = DynamicInfluenceOrder(network)
+        scan = reference.run()
         assert cone.tree_nodes == scan.tree_nodes
+        assert cone.bounds == scan.bounds
 
 
 class TestTrailRewind:

@@ -110,12 +110,12 @@ class TestSegmentKernels:
             # Tail invariant after every op, including NOT and empty AND.
             assert matrix[slot][-1] == (matrix[slot][-1] & tail_mask(worlds))
 
-    @pytest.mark.parametrize("tier", ["source", "native", "numba"])
+    @pytest.mark.parametrize("tier", ["source", "native"])
     def test_kernel_segments_match_numpy(self, tier):
-        # "source" is _packed_segments itself, run un-jitted: the text
-        # the other two are compiled from.
+        # "source" is _packed_segments itself, run as plain Python: the
+        # text the native tier is compiled from.
         backend = source_backend() if tier == "source" else get_backend(tier)
-        if backend is None or backend.name != tier:
+        if backend is None:
             pytest.skip(f"{tier} tier unavailable: {BACKEND_ERRORS.get(tier)}")
         worlds, matrix, ops, out, arg_off, arg_idx, expected = self._case()
         _run_segments(

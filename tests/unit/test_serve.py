@@ -370,6 +370,7 @@ class TestValidation:
             dict(scheme="exact", targets=[]),
             dict(scheme="exact", kernel="warp-drive"),
             dict(scheme="exact", execution="socket"),
+            dict(scheme="exact", execution="threads"),
             dict(scheme="exact", ordering=1.5),
         ):
             with pytest.raises(ServeClientError) as err:

@@ -1,10 +1,11 @@
-"""Unit tests for the framed socket transport (PR 8).
+"""Unit tests for the framed stream transport.
 
-The codec-level contracts the cluster relies on: length-prefixed frames
-survive arbitrary TCP segmentation, a peer that dies mid-frame is
+The codec-level contracts the worker pool relies on: length-prefixed
+frames survive arbitrary segmentation, a peer that dies mid-frame is
 observed as EOF with the partial frame *discarded* (never delivered as
 a truncated record), and a forged length header is refused before its
-body is buffered.
+body is buffered — over the ``AF_UNIX`` pair a spawned worker gets and
+over the TCP connection a ``--connect`` worker makes.
 """
 
 import pickle
@@ -25,7 +26,7 @@ from repro.compile.transport import (
 
 def tcp_pair():
     """A connected loopback TCP socket pair (AF_INET, so TCP_NODELAY
-    applies, exactly like the real transport)."""
+    applies, exactly like a ``--connect`` worker's stream)."""
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
@@ -47,8 +48,10 @@ class TestParseAddress:
 
 
 class TestFramedStream:
+    make_pair = staticmethod(tcp_pair)
+
     def test_roundtrip_preserves_records(self):
-        client, server = tcp_pair()
+        client, server = self.make_pair()
         sender, receiver = FramedStream(client), FramedStream(server)
         try:
             records = [("job", {"depth": 3}), ("done", 0, 7, [1.0, 2.0]),
@@ -62,7 +65,7 @@ class TestFramedStream:
             receiver.close()
 
     def test_receive_available_drains_complete_frames_only(self):
-        client, server = tcp_pair()
+        client, server = self.make_pair()
         sender, receiver = FramedStream(client), FramedStream(server)
         try:
             sender.send(("done", 0, 1, "first"))
@@ -87,7 +90,7 @@ class TestFramedStream:
             receiver.close()
 
     def test_peer_death_mid_frame_surfaces_as_eof_not_a_record(self):
-        client, server = tcp_pair()
+        client, server = self.make_pair()
         receiver = FramedStream(server)
         try:
             body = pickle.dumps(("done", 1, 9, "truncated"))
@@ -105,7 +108,7 @@ class TestFramedStream:
     def test_send_partial_is_a_faithful_crash_model(self):
         # send_partial ships header + truncated body, exactly what a
         # worker killed mid-sendall leaves on the wire.
-        client, server = tcp_pair()
+        client, server = self.make_pair()
         sender, receiver = FramedStream(client), FramedStream(server)
         try:
             sender.send_partial(("done", 0, 0, "half"))
@@ -119,7 +122,7 @@ class TestFramedStream:
             receiver.close()
 
     def test_blocking_recv_raises_eof_on_close(self):
-        client, server = tcp_pair()
+        client, server = self.make_pair()
         receiver = FramedStream(server)
         try:
             client.close()
@@ -132,10 +135,11 @@ class TestFramedStream:
 class TestFrameCap:
     """A length header is outside input: it is checked before it is trusted."""
 
+    make_pair = staticmethod(tcp_pair)
     FORGED = HEADER.pack(1 << 62)  # 4 EiB: allocating it would kill the host
 
     def test_forged_header_raises_before_the_body_is_read(self):
-        client, server = tcp_pair()
+        client, server = self.make_pair()
         receiver = FramedStream(server)
         try:
             client.sendall(self.FORGED + b"x" * 100)
@@ -149,7 +153,7 @@ class TestFrameCap:
             receiver.close()
 
     def test_forged_header_raises_from_the_nonblocking_drain(self):
-        client, server = tcp_pair()
+        client, server = self.make_pair()
         sender, receiver = FramedStream(client), FramedStream(server)
         try:
             sender.send(("done", 0, 1, "honest"))
@@ -167,7 +171,7 @@ class TestFrameCap:
     ):
         record = ("done", 0, 1, "x" * 64)
         body = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        client, server = tcp_pair()
+        client, server = self.make_pair()
         sender, receiver = FramedStream(client), FramedStream(server)
         try:
             monkeypatch.setattr(transport, "MAX_FRAME_BYTES", len(body))
@@ -188,6 +192,16 @@ class TestFrameCap:
         finally:
             sender.close()
             receiver.close()
+
+
+class TestFramedStreamOverSocketpair(TestFramedStream):
+    """The same contracts on a spawned worker's ``AF_UNIX`` pair."""
+
+    make_pair = staticmethod(socket.socketpair)
+
+
+class TestFrameCapOverSocketpair(TestFrameCap):
+    make_pair = staticmethod(socket.socketpair)
 
 
 class TestServeWorker:
