@@ -16,7 +16,7 @@ through the scheme registry:
 
 All three must agree to 1e-9 on the shared final-iteration targets; a
 Monte Carlo section compares the scalar and bulk samplers at a fixed
-sample budget.  Results are printed paper-style and written to
+sample budget.  Every timing is the median of ``REPEATS`` runs.  Results are printed paper-style and written to
 ``BENCH_folded.json`` at the repository root (override with
 ``--output``; ``--smoke`` runs a seconds-scale subset for CI).
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import time
 from pathlib import Path
 from typing import Dict, List
@@ -53,6 +54,9 @@ GROUP_SIZE = 1
 MC_SAMPLES = 2000
 SMOKE_MC_SAMPLES = 200
 MATCH_ABS = 1e-9
+# Each side of a row is the median of this many runs: single timings of
+# these millisecond-scale runs spread wider than the 25 % gate.
+REPEATS = 5
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_folded.json"
 
 
@@ -70,10 +74,18 @@ def networks_for(objects: int, iterations: int):
 
 
 def _timed(scheme: str, network, pool, targets, **options) -> Dict[str, object]:
-    started = time.perf_counter()
-    result = run_scheme(scheme, network, pool, targets=targets, **options)
-    wall = time.perf_counter() - started
-    return {"result": result, "seconds": max(result.seconds, 1e-9), "wall": wall}
+    """One scheme's result and its median ``seconds`` over ``REPEATS`` runs."""
+    seconds, walls = [], []
+    for _ in range(REPEATS):
+        started = time.perf_counter()
+        result = run_scheme(scheme, network, pool, targets=targets, **options)
+        walls.append(time.perf_counter() - started)
+        seconds.append(max(result.seconds, 1e-9))
+    return {
+        "result": result,
+        "seconds": statistics.median(seconds),
+        "wall": statistics.median(walls),
+    }
 
 
 def sweep_naive(objects: int, iteration_sweep) -> List[Dict[str, float]]:
@@ -245,14 +257,17 @@ def small_folded():
 def bench_folded_naive_paths(benchmark, small_folded, scheme):
     dataset, folded, targets = small_folded
     benchmark.group = "folded naive n=5 it=3"
-    benchmark(_timed, scheme, folded, dataset.pool, targets)
+    benchmark(run_scheme, scheme, folded, dataset.pool, targets=targets)
 
 
 @pytest.mark.parametrize("scheme", ["montecarlo", "montecarlo-scalar"])
 def bench_folded_montecarlo_paths(benchmark, small_folded, scheme):
     dataset, folded, targets = small_folded
     benchmark.group = "folded montecarlo n=5 it=3"
-    benchmark(_timed, scheme, folded, dataset.pool, targets, samples=200, seed=1)
+    benchmark(
+        run_scheme, scheme, folded, dataset.pool, targets=targets,
+        samples=200, seed=1,
+    )
 
 
 if __name__ == "__main__":

@@ -1,35 +1,33 @@
-"""Packed-column and kernel-tier benchmark: the word-wise inner loops.
+"""Kernel benchmark: the two kernels over the lowered program.
 
-Two seams carry the engines' hot loops after this change, and this
-benchmark measures both against the implementations they replaced:
+Both engines' hot loops run on one lowered program
+(:class:`repro.engine.masked.MaskedProgram`), and this benchmark times
+each kernel against the rung it replaces:
 
-* **Packed Boolean bulk sweeps** — the naive/Monte-Carlo world batches
-  evaluate AND/OR/NOT over ``uint64`` words packing 64 worlds each
-  (:mod:`repro.engine.packed`) instead of one-bool-per-world arrays.
-  Measured on a synthetic bool-heavy layered circuit (the shape where
-  connective cost dominates) at >= 4096 worlds per batch; the headline
-  ``speedup_packed_bool`` gates the word-wise representation itself.
-  The packed evaluator's *numpy fallback* (``kernel="python"``) is also
-  timed — as an ungated ratio — to show the representation, not the
-  segment kernel, carries most of the win.
+* **World block** — the naive/Monte Carlo world batches run the
+  program two-valued, 64 worlds per ``uint64`` word, in one native call
+  (:class:`repro.engine.kernels.WorldBlockEvaluator`) instead of one
+  NumPy expression per vertex (the dense ``python`` rung,
+  :class:`repro.engine.bulk.BulkEvaluator` /
+  :class:`~repro.engine.bulk.FoldedBulkEvaluator`).  Measured on one
+  flat and one folded k-medoids network (mutex lineage, 2-d readings)
+  over a batch of sampled worlds; the headline
+  ``min_speedup_world_block`` gates the smaller of the two ratios.
 
 * **Masked cone sweeps through the kernel tier** — the Shannon schemes'
   leaf masking dispatches per-vertex through
-  :mod:`repro.engine.kernels` (numba-jitted or C, ``auto``-selected)
-  instead of the pure-Python loop.  Measured as push/pop walks over
-  every variable of a k-medoids-shaped clustering workload over 1-d
-  readings (guarded scalar readings, pairwise distance atoms, Boolean
-  medoid events).  The 1-d shape predates the lane lowering and is
-  kept so the committed ratios stay comparable; it is no longer the
-  only clustering shape the kernel tier accepts — vector c-values are
-  lowered to scalar lanes at program construction, and the 2-d paper
-  workload is measured end to end by ``benchmarks/e2e``'s
-  ``shannon-deep``.  The headline ``speedup_masked_kernel`` gates the
-  jit/native tier against the Python tier.  A full Shannon compile
-  ratio is recorded as ungated context.
+  :mod:`repro.engine.kernels` (native C, ``auto``-selected) instead of
+  the pure-Python loop.  Measured as push/pop walks over every variable
+  of a k-medoids-shaped clustering workload over 1-d readings (guarded
+  scalar readings, pairwise distance atoms, Boolean medoid events).
+  The 1-d shape predates the lane lowering and is kept so the committed
+  ratios stay comparable; the 2-d paper workload is measured end to end
+  by ``benchmarks/e2e``'s ``shannon-deep``.  The headline
+  ``speedup_masked_kernel`` gates the native tier against the Python
+  tier.  A full Shannon compile ratio is recorded as ungated context.
 
-Every timed pair is cross-checked first (bit-for-bit for the packed
-columns, state-for-state for the walks) — the speedup is only reported
+Every timed pair is cross-checked first (world for world for the world
+block, state for state for the walks) — the speedup is only reported
 once agreement passes.  Results are printed paper-style and written to
 ``BENCH_packed.json`` at the repository root (override with
 ``--output``; ``--smoke`` runs a seconds-scale subset for CI).
@@ -42,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import statistics
 import time
 from pathlib import Path
 from typing import Dict, List
@@ -50,9 +49,11 @@ import numpy as np
 import pytest
 
 from repro.compile.compiler import compile_network
+from repro.data.datasets import sensor_dataset
 from repro.engine.bulk import make_bulk_evaluator
 from repro.engine.kernels import (
     KernelMaskedEvaluator,
+    WorldBlockEvaluator,
     get_backend,
     make_masked_evaluator,
 )
@@ -64,50 +65,24 @@ from repro.events.expressions import (
     csum,
     disj,
     guard,
-    negate,
     var,
 )
+from repro.mining.kmedoids import KMedoidsSpec, build_kmedoids_folded
 from repro.network.build import build_targets
 from repro.worlds.variables import VariablePool
 
-from .common import Series, print_table
+from .common import Series, make_workload, print_table
 
-WORLD_SWEEP = (8192, 16384, 32768)
-SMOKE_WORLD_SWEEP = (16384,)
-CIRCUIT_VARIABLES = 48
-CIRCUIT_WIDTH = 256
-CIRCUIT_DEPTH = 6
-SMOKE_CIRCUIT_WIDTH = 192
-SMOKE_CIRCUIT_DEPTH = 5
+# (objects, worlds) per world-block row; each row times one flat and
+# one folded network.
+BLOCK_SWEEP = ((16, 8192), (24, 8192))
+SMOKE_BLOCK_SWEEP = ((16, 4096),)
 OBJECT_SWEEP = (16, 20, 24)
 SMOKE_OBJECT_SWEEP = (20,)
 WALK_ROUNDS = 6
 SMOKE_WALK_ROUNDS = 4
 MATCH_ABS = 1e-9
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_packed.json"
-
-
-def bool_circuit(variables: int, width: int, depth: int, seed: int = 0):
-    """A layered random circuit of AND/OR/NOT over ``variables`` inputs.
-
-    Connective-only on purpose: this is the population the packed
-    representation turns into word-wise ops, with no numeric boundary
-    to unpack at until the final targets.
-    """
-    rng = random.Random(seed)
-    layer = [var(index) for index in range(variables)]
-    for _ in range(depth):
-        next_layer = []
-        for _ in range(width):
-            fan_in = rng.randint(2, 4)
-            children = [rng.choice(layer) for _ in range(fan_in)]
-            gate = conj(children) if rng.random() < 0.5 else disj(children)
-            if rng.random() < 0.3:
-                gate = negate(gate)
-            next_layer.append(gate)
-        layer = next_layer
-    targets = {f"out{index}": rng.choice(layer) for index in range(8)}
-    return build_targets(targets)
 
 
 def scalar_clustering_workload(objects: int, seed: int = 0):
@@ -155,49 +130,61 @@ def scalar_clustering_workload(objects: int, seed: int = 0):
     return pool, build_targets(targets)
 
 
-def _time_bulk(evaluator, assignments, targets, repeats: int = 3) -> float:
-    best = float("inf")
+def _median_bulk(evaluator, assignments, targets, repeats: int = 5) -> float:
+    runs = []
     for _ in range(repeats):
         started = time.perf_counter()
         evaluator.evaluate(assignments, targets)
-        best = min(best, time.perf_counter() - started)
-    return max(best, 1e-9)
+        runs.append(time.perf_counter() - started)
+    return max(statistics.median(runs), 1e-9)
 
 
-def sweep_packed_bool(world_sweep, width, depth) -> List[Dict[str, float]]:
-    network = bool_circuit(CIRCUIT_VARIABLES, width, depth, seed=2)
-    targets = list(network.targets.values())
-    dense = make_bulk_evaluator(network, packed=False)
-    packed = make_bulk_evaluator(network)  # auto kernel
-    fallback = make_bulk_evaluator(network, kernel="python")  # numpy segments
-    rng = np.random.default_rng(11)
+def kmedoids_networks(objects: int):
+    """One flat and one folded k-medoids network over mutex lineage."""
+    flat = make_workload(objects, "mutex", seed=3, iterations=3)
+    dataset = sensor_dataset(objects, scheme="mutex", seed=3)
+    folded = build_kmedoids_folded(dataset, KMedoidsSpec(k=2, iterations=3))
+    return (
+        ("flat", flat.dataset.pool, flat.network),
+        ("folded", dataset.pool, folded),
+    )
+
+
+def sweep_world_block(block_sweep) -> List[Dict[str, float]]:
     rows = []
-    for worlds in world_sweep:
-        assignments = rng.random((worlds, CIRCUIT_VARIABLES)) < 0.5
-        expected = dense.evaluate(assignments, targets)
-        for candidate in (packed, fallback):
-            actual = candidate.evaluate(assignments, targets)
+    for objects, worlds in block_sweep:
+        for shape, pool, network in kmedoids_networks(objects):
+            targets = list(network.targets.values())
+            dense = make_bulk_evaluator(network, kernel="python")
+            block = make_bulk_evaluator(network, kernel="auto")
+            assert isinstance(block, WorldBlockEvaluator), (
+                "no compiled kernel tier available; cannot benchmark the seam"
+            )
+            rng = np.random.default_rng(objects)
+            assignments = rng.random((worlds, len(pool))) < np.asarray(
+                pool.probabilities
+            )
+            expected = dense.evaluate(assignments, targets)
+            actual = block.evaluate(assignments, targets)
             for node_id in targets:
                 assert np.array_equal(
-                    np.asarray(actual[node_id], dtype=bool),
-                    np.asarray(expected[node_id], dtype=bool),
-                ), f"packed engine diverged at W={worlds}"
-        dense_seconds = _time_bulk(dense, assignments, targets)
-        packed_seconds = _time_bulk(packed, assignments, targets)
-        fallback_seconds = _time_bulk(fallback, assignments, targets)
-        rows.append(
-            {
-                "worlds": worlds,
-                "variables": CIRCUIT_VARIABLES,
-                "network_nodes": len(network.nodes),
-                "kernel": packed.kernel,
-                "dense_seconds": dense_seconds,
-                "packed_seconds": packed_seconds,
-                "numpy_fallback_seconds": fallback_seconds,
-                "speedup": dense_seconds / packed_seconds,
-                "fallback_ratio": dense_seconds / fallback_seconds,
-            }
-        )
+                    actual[node_id], np.asarray(expected[node_id], dtype=bool)
+                ), f"world block diverged on the {shape} network"
+            dense_seconds = _median_bulk(dense, assignments, targets)
+            block_seconds = _median_bulk(block, assignments, targets)
+            rows.append(
+                {
+                    "shape": shape,
+                    "objects": objects,
+                    "worlds": worlds,
+                    "variables": len(pool),
+                    "network_nodes": len(network.nodes),
+                    "kernel": block.kernel,
+                    "dense_seconds": dense_seconds,
+                    "block_seconds": block_seconds,
+                    "speedup": dense_seconds / block_seconds,
+                }
+            )
     return rows
 
 
@@ -309,35 +296,31 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    world_sweep = SMOKE_WORLD_SWEEP if args.smoke else WORLD_SWEEP
-    width = SMOKE_CIRCUIT_WIDTH if args.smoke else CIRCUIT_WIDTH
-    depth = SMOKE_CIRCUIT_DEPTH if args.smoke else CIRCUIT_DEPTH
+    block_sweep = SMOKE_BLOCK_SWEEP if args.smoke else BLOCK_SWEEP
     object_sweep = SMOKE_OBJECT_SWEEP if args.smoke else OBJECT_SWEEP
     rounds = SMOKE_WALK_ROUNDS if args.smoke else WALK_ROUNDS
 
-    packed_rows = sweep_packed_bool(world_sweep, width, depth)
+    block_rows = sweep_world_block(block_sweep)
     masked_rows = sweep_masked_kernel(object_sweep, rounds)
 
-    dense_line = Series("dense bool")
-    packed_line = Series("packed words")
-    fallback_line = Series("packed numpy")
-    for row in packed_rows:
-        dense_line.add(row["worlds"], {"seconds": row["dense_seconds"]})
-        packed_line.add(row["worlds"], {"seconds": row["packed_seconds"]})
-        fallback_line.add(
-            row["worlds"], {"seconds": row["numpy_fallback_seconds"]}
+    for shape in ("flat", "folded"):
+        dense_line = Series("dense numpy")
+        block_line = Series("world block")
+        for row in block_rows:
+            if row["shape"] == shape:
+                dense_line.add(row["objects"], {"seconds": row["dense_seconds"]})
+                block_line.add(row["objects"], {"seconds": row["block_seconds"]})
+        print_table(
+            f"World-block bulk sweeps ({shape} k-medoids, sampled worlds)",
+            "objects",
+            [dense_line, block_line],
+            [objects for objects, _ in block_sweep],
         )
-    print_table(
-        "Packed Boolean bulk sweeps (layered AND/OR/NOT circuit)",
-        "worlds",
-        [dense_line, packed_line, fallback_line],
-        world_sweep,
-    )
-    print("\npacked-column speedups (dense seconds / packed seconds):")
-    for row in packed_rows:
+    print("\nworld-block speedups (dense seconds / world-block seconds):")
+    for row in block_rows:
         print(
-            f"  W={row['worlds']:6d} kernel={row['kernel']:11s} "
-            f"{row['speedup']:6.2f}x  (numpy fallback {row['fallback_ratio']:5.2f}x)"
+            f"  {row['shape']:6s} n={row['objects']} W={row['worlds']:6d} "
+            f"kernel={row['kernel']:7s} {row['speedup']:6.2f}x"
         )
     print("\nmasked cone-sweep speedups (python tier / kernel tier):")
     for row in masked_rows:
@@ -350,20 +333,15 @@ def main(argv=None) -> int:
         "benchmark": "packed_kernels",
         "smoke": bool(args.smoke),
         "epsilon_match": MATCH_ABS,
-        "packed_bool": packed_rows,
+        "world_block": block_rows,
         "masked_kernel": masked_rows,
         # Gated headline ratios (see benchmarks/check_regression.py):
-        "speedup_packed_bool": min(row["speedup"] for row in packed_rows),
+        "min_speedup_world_block": min(row["speedup"] for row in block_rows),
         "speedup_masked_kernel": min(row["speedup"] for row in masked_rows),
-        # Ungated context: the numpy fallback of the packed engine and
-        # the end-to-end compile ratio of the kernel tier.
-        "ratio_packed_numpy_fallback": min(
-            row["fallback_ratio"] for row in packed_rows
-        ),
+        # Ungated context: the end-to-end compile ratio of the kernel tier.
         "ratio_compile_kernel": min(
             row["compile_ratio"] for row in masked_rows
         ),
-        "target_speedup_packed_bool": 8.0,
         "target_speedup_masked_kernel": 3.0,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
@@ -376,20 +354,15 @@ def main(argv=None) -> int:
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def small_circuit():
-    network = bool_circuit(24, 48, 3, seed=5)
-    rng = np.random.default_rng(3)
-    assignments = rng.random((4096, 24)) < 0.5
-    return network, assignments, list(network.targets.values())
-
-
-@pytest.mark.parametrize("packed", [False, True])
-def bench_packed_bulk(benchmark, small_circuit, packed):
-    network, assignments, targets = small_circuit
-    evaluator = make_bulk_evaluator(network, packed=packed)
-    benchmark.group = "packed bulk W=4096"
-    benchmark(evaluator.evaluate, assignments, targets)
+@pytest.mark.parametrize("kernel", ["python", "auto"])
+def bench_world_block(benchmark, kernel):
+    if kernel != "python" and get_backend("auto") is None:
+        pytest.skip("no compiled kernel tier on this host")
+    _, pool, network = kmedoids_networks(8)[1]
+    assignments = np.random.default_rng(3).random((4096, len(pool))) < 0.5
+    evaluator = make_bulk_evaluator(network, kernel=kernel)
+    benchmark.group = "folded k-medoids bulk W=4096"
+    benchmark(evaluator.evaluate, assignments, list(network.targets.values()))
 
 
 @pytest.mark.parametrize("kernel", ["python", "auto"])

@@ -8,14 +8,12 @@ ratio regresses by more than the tolerance band** (default 25%) —
 the CI ``bench-regression`` job runs exactly this after regenerating
 the ``--smoke`` trajectories.
 
-Two baseline tiers live in the repository:
-
-* ``BENCH_*.json`` at the repository root — full-sweep measurement
-  records, regenerated manually (see docs/BENCHMARKS.md);
-* ``benchmarks/baselines/BENCH_*.json`` — the smoke-scale trajectories
-  CI regenerates on every push.  Smoke sweeps are smaller, so their
-  ratios differ systematically from the full runs; gating smoke
-  against smoke keeps the comparison like-for-like.
+The baselines are ``benchmarks/baselines/BENCH_*.json``, the only
+committed benchmark numbers: smoke-scale trajectories that CI
+regenerates on every push.  Smoke sweeps are smaller than the full
+ones (which write git-ignored ``BENCH_*.json`` records to the
+repository root), so their ratios differ systematically; gating smoke
+against smoke keeps the comparison like-for-like.
 
 ``--inject-slowdown FACTOR`` divides every fresh ratio by ``FACTOR``
 before comparing — a self-test that demonstrates the gate actually

@@ -62,7 +62,6 @@ IMPLEMENTATION_MODULES = (
     "repro.worlds.naive",
     "repro.engine.bulk",
     "repro.engine.masked",
-    "repro.engine.packed",
 )
 
 

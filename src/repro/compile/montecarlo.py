@@ -57,7 +57,6 @@ def monte_carlo_probabilities(
     samples: int = 1000,
     seed: int = 0,
     confidence: float = 0.95,
-    packed: Optional[bool] = None,
     kernel: Optional[str] = None,
 ) -> CompilationResult:
     """Estimate target probabilities from ``samples`` sampled worlds.
@@ -68,9 +67,8 @@ def monte_carlo_probabilities(
     count; bounds are *not* certified — they can exclude the true
     probability with probability ``1 - confidence`` per target.
 
-    Sampling is always vectorized through the bulk engine (folded
-    networks sweep their loop layer once per iteration); there is no
-    scalar fallback.  Deterministic per seed, but the scalar oracle
+    Sampling is always vectorized through the bulk engine, flat and
+    folded networks alike; there is no scalar fallback.  Deterministic per seed, but the scalar oracle
     draws from a different generator, so per-seed estimates differ
     between the two.
     """
@@ -83,7 +81,6 @@ def monte_carlo_probabilities(
         samples=samples,
         seed=seed,
         confidence=confidence,
-        packed=packed,
         kernel=kernel,
     )
 

@@ -10,7 +10,12 @@ semantics mirror the scalar evaluators exactly on total valuations —
 atoms true — so results match the oracles bit-for-bit up to summation
 order.
 
-Two entry points replace the hot loops of the baselines:
+This dense sweep is the ``python`` rung of the bulk engine and the
+oracle the compiled world block
+(:class:`repro.engine.kernels.WorldBlockEvaluator`, 64 worlds per
+``uint64`` word over the lowered program) is validated against;
+:func:`make_bulk_evaluator` picks between them.  Two entry points
+replace the hot loops of the baselines:
 
 * :func:`bulk_naive_probabilities` — exact probabilities by enumerating
   all ``2^|X|`` worlds in chunks (the paper's naive per-world baseline);
@@ -110,7 +115,7 @@ def _compare(op_code: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     if holds.ndim > 1:
         # Vector comparisons hold when every component does (matching the
         # point-interval semantics of the partial evaluator).
-        holds = holds.reshape(holds.shape[0], -1).all(axis=1)
+        holds = holds.all(axis=tuple(range(1, holds.ndim)))
     return holds
 
 
@@ -257,10 +262,8 @@ class BulkEvaluator:
             right = values[int(children[1])]
             diff = np.abs(left.value - right.value)
             metric = int(flat.dist_metric[node_id])
-            if diff.ndim == 1:
-                components = diff.reshape(worlds, 1)
-            else:
-                components = diff.reshape(worlds, -1)
+            # One row of components per world (an empty batch included).
+            components = diff.reshape(worlds, int(np.prod(diff.shape[1:])))
             if metric == 0:  # euclidean
                 value = np.sqrt(np.sum(components**2, axis=1))
             elif metric == 1:  # sqeuclidean
@@ -418,34 +421,24 @@ class FoldedBulkEvaluator(BulkEvaluator):
 
 
 def make_bulk_evaluator(
-    network: EventNetwork,
-    packed: Optional[bool] = None,
-    kernel: Optional[str] = None,
-) -> BulkEvaluator:
-    """Evaluator matching the network flavour (flat or folded).
+    network: EventNetwork, kernel: Optional[str] = None
+) -> "BulkEvaluator | WorldBlockEvaluator":
+    """The bulk evaluator for ``network`` on the requested kernel tier.
 
-    ``packed`` selects the bit-packed Boolean world columns
-    (:mod:`repro.engine.packed`): 64 worlds per ``uint64`` word, with
-    pack/unpack only at the numeric boundary.  The default (``None``)
-    enables packing — the packed evaluators are drop-in equal on
-    Boolean outputs and share the numeric path bit-for-bit; pass
-    ``packed=False`` to force the original one-bool-per-world columns.
-    ``kernel`` names the segment-kernel tier for the flat packed
-    evaluator (``"auto"``/``"native"``/``"python"``, see
-    :mod:`repro.engine.kernels`).
+    With a live compiled tier (``kernel=None`` defers to
+    :func:`repro.engine.kernels.default_kernel`) this is the world-block
+    kernel over the lowered program, flat and folded networks alike;
+    otherwise, or for ``kernel="python"``, the dense NumPy sweep above.
+    The two agree world for world.
     """
-    if packed is None:
-        packed = True
+    from . import kernels
+
+    name = kernel if kernel is not None else kernels.default_kernel()
+    backend = kernels.get_backend(name)  # rejects an unknown name
+    if backend is not None:
+        return kernels.WorldBlockEvaluator(network, backend)
     if isinstance(network, FoldedNetwork):
-        if packed:
-            from .packed import PackedFoldedBulkEvaluator
-
-            return PackedFoldedBulkEvaluator(network)
         return FoldedBulkEvaluator(network)
-    if packed:
-        from .packed import PackedBulkEvaluator
-
-        return PackedBulkEvaluator(network, kernel=kernel)
     return BulkEvaluator(network)
 
 
@@ -536,7 +529,6 @@ def bulk_naive_probabilities(
     world_key_nodes: Optional[Sequence[int]] = None,
     timeout: Optional[float] = None,
     chunk_size: int = DEFAULT_CHUNK,
-    packed: Optional[bool] = None,
     kernel: Optional[str] = None,
 ) -> CompilationResult:
     """Exact target probabilities by vectorized world enumeration.
@@ -545,14 +537,13 @@ def bulk_naive_probabilities(
     :func:`repro.worlds.naive.naive_probabilities_scalar`: same bounds,
     counters, ``world_key_nodes`` world accounting, and timeout
     semantics (partial sums with ``extra['timed_out'] = 1``), but whole
-    chunks of worlds are evaluated per network sweep.  ``packed`` /
-    ``kernel`` select the column representation and kernel tier (see
-    :func:`make_bulk_evaluator`).
+    chunks of worlds are evaluated per network sweep.  ``kernel``
+    selects the tier (see :func:`make_bulk_evaluator`).
     """
     names = list(targets) if targets is not None else list(network.targets)
     target_ids = [network.targets[name] for name in names]
     key_ids = list(world_key_nodes) if world_key_nodes is not None else []
-    evaluator = make_bulk_evaluator(network, packed=packed, kernel=kernel)
+    evaluator = make_bulk_evaluator(network, kernel=kernel)
     probabilities = np.asarray(pool.probabilities, dtype=float)
     variable_count = len(pool)
     world_count = 1 << variable_count
@@ -599,7 +590,6 @@ def bulk_naive_probabilities(
     )
     result.extra["timed_out"] = 1.0 if timed_out else 0.0
     result.extra["vectorized"] = 1.0
-    result.extra["packed"] = 1.0 if getattr(evaluator, "packed", False) else 0.0
     return result
 
 
@@ -611,7 +601,6 @@ def bulk_monte_carlo_probabilities(
     seed: int = 0,
     confidence: float = 0.95,
     chunk_size: int = DEFAULT_CHUNK,
-    packed: Optional[bool] = None,
     kernel: Optional[str] = None,
 ) -> CompilationResult:
     """Vectorized MCDB-style estimation: sample worlds in whole batches.
@@ -627,7 +616,7 @@ def bulk_monte_carlo_probabilities(
     z = z_score(confidence)  # validates the confidence level
     names = list(targets) if targets is not None else list(network.targets)
     target_ids = [network.targets[name] for name in names]
-    evaluator = make_bulk_evaluator(network, packed=packed, kernel=kernel)
+    evaluator = make_bulk_evaluator(network, kernel=kernel)
     probabilities = np.asarray(pool.probabilities, dtype=float)
     rng = np.random.default_rng(seed)
     hits = {name: 0 for name in names}
@@ -661,5 +650,4 @@ def bulk_monte_carlo_probabilities(
     result.extra["samples"] = float(samples)
     result.extra["confidence"] = confidence
     result.extra["vectorized"] = 1.0
-    result.extra["packed"] = 1.0 if getattr(evaluator, "packed", False) else 0.0
     return result

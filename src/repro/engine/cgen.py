@@ -1,8 +1,8 @@
 """Lower a kernel function's Python AST to C99.
 
-The masked sweep and the packed segment kernel are written once, in a
+The masked sweep and the world block are written once, in a
 restricted Python over NumPy arrays (``_masked_sweep`` and
-``_packed_segments`` in :mod:`repro.engine.kernels`); the native tier's
+``_world_block`` in :mod:`repro.engine.kernels`); the native tier's
 C is *derived* from that text by :func:`emit_c`, so the two cannot
 drift.  A construct outside the subset — or inside it but read
 differently by C — raises :class:`KernelSourceError` naming the line.

@@ -16,8 +16,10 @@ interval division:
 
 which is exactly the historical ``db/conditioning.py`` arithmetic, now
 reachable from every entry point through the registry.  An evidence
-probability with upper bound ``0`` raises ``ZeroDivisionError``:
-conditioning on an almost-surely-false event is undefined.
+probability with upper bound ``0`` raises
+:class:`~repro.engine.registry.ImpossibleEvidenceError` (a
+``ZeroDivisionError``): conditioning on an almost-surely-false event is
+undefined.
 
 The derived network is a *copy* because the original may be shared (the
 service layer caches materialised networks); growing it in place would
@@ -43,7 +45,7 @@ from ..network.build import _payload_key
 from ..network.folded import FoldedNetwork
 from ..network.nodes import EventNetwork, Kind, Node
 from ..worlds.variables import VariablePool
-from .registry import SchemeOptions, run_scheme
+from .registry import ImpossibleEvidenceError, SchemeOptions, run_scheme
 
 #: The derived network's target name for the evidence constraint.
 EVIDENCE_TARGET = "__evidence__"
@@ -170,7 +172,7 @@ def run_conditioned(
     )
     constraint_lower, constraint_upper = raw.bounds[constraint_name]
     if constraint_upper <= 0.0:
-        raise ZeroDivisionError(
+        raise ImpossibleEvidenceError(
             "cannot condition on an event with zero probability"
         )
     bounds = {}

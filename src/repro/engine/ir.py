@@ -33,8 +33,7 @@ ATOM_OPS: Dict[str, int] = {"<=": 0, "<": 1, ">=": 2, ">": 3, "==": 4}
 DIST_METRICS: Dict[str, int] = {"euclidean": 0, "sqeuclidean": 1, "manhattan": 2}
 
 # Kind codes whose nodes are Boolean-valued.  Shared by the masked
-# engine, the packed bulk columns, and the kernel tier — one
-# classification, three consumers.
+# program (and so by both kernels) — one classification.
 BOOL_KIND_CODES = frozenset(
     int(kind)
     for kind in (

@@ -1,4 +1,4 @@
-"""Compiled kernel tiers for the masked engine and the packed bulk engine.
+"""Compiled kernel tiers: the three-valued cone sweep and the world block.
 
 The masked evaluator's hot loop — ``push(var, value)`` walking the
 variable's cone and recomputing dirty vertices — is pure per-vertex
@@ -36,9 +36,11 @@ vector-valued c-values to scalar lanes and negative ``POW`` exponents to
 vectors included — is a program over the scalar columns the kernels
 sweep.
 
-The shared library also carries ``packed_segments``, generated the same
-way from :func:`_packed_segments`: the word-wise segment kernel behind
-the bit-packed bulk evaluator (:mod:`repro.engine.packed`).
+The shared library also carries ``world_block``, generated the same way
+from :func:`_world_block`: the lowered program run two-valued, 64 worlds
+per ``uint64`` word, for ``naive`` and ``montecarlo``
+(:class:`WorldBlockEvaluator`).  The dense NumPy sweep of
+:mod:`repro.engine.bulk` is its fallback and its validation oracle.
 """
 
 from __future__ import annotations
@@ -51,13 +53,13 @@ import shlex
 import subprocess
 import tempfile
 import warnings
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..compile.partial import B_FALSE, B_TRUE, B_UNKNOWN, NumState
 from ..network.nodes import EventNetwork, Kind
-from .masked import _TAG_BOOL, MaskedEvaluator, MaskedProgram
+from .masked import _TAG_BOOL, MaskedEvaluator, MaskedProgram, masked_program
 
 _K_TRUE = int(Kind.TRUE)
 _K_FALSE = int(Kind.FALSE)
@@ -87,14 +89,12 @@ KERNEL_NAMES = ("auto", "native", "python")
 BACKEND_ERRORS: Dict[str, str] = {}
 
 #: How ``result.extra["kernel_tier"]`` encodes the tier that ran
-#: (``extra`` is a float dict; mirrors ``_EXECUTION_CODES``).  "numpy"
-#: is the packed bulk evaluator's vectorized no-compiler fallback.
-#: (1.0 and 3.0 were tiers that no longer exist; the others keep their
+#: (``extra`` is a float dict; mirrors ``_EXECUTION_CODES``).  (1.0,
+#: 3.0 and 4.0 were tiers that no longer exist; the others keep their
 #: codes.)
 KERNEL_TIER_CODES: Dict[str, float] = {
     "python": 0.0,
     "native": 2.0,
-    "numpy": 4.0,
 }
 
 
@@ -566,45 +566,209 @@ def _masked_sweep(
     return n_trail, evals
 
 
-def _packed_segments(ops, out, arg_off, arg_idx, matrix, tail):
-    """Evaluate one run of packed AND/OR/NOT ops over the word matrix.
+def _world_block(
+    var_words,
+    roots,
+    out,
+    kinds,
+    var_index,
+    atom_op,
+    pow_exp,
+    metric,
+    child_off,
+    child_idx,
+    is_bool,
+    guard_val,
+    bit,
+    sched,
+    strip_of,
+    word,
+    strips,
+):
+    """The program run two-valued over 64-world blocks; returns the rows swept.
 
-    ``matrix`` is ``(slots, words)`` uint64; ``tail`` masks bits past
-    the world count in the last word (the packed-column invariant:
-    those bits are always zero).  Op codes: 0 = AND, 1 = OR, 2 = NOT.
+    ``var_words[x, k]`` holds variable ``x`` in worlds ``64k .. 64k + 63``
+    (world ``64k + j`` is ``bit[j] == 1 << j``) and ``out[r * blocks + k]``
+    receives root ``r``'s word.  A Boolean row is one word of ``word``; a
+    numeric row's word is where it is defined and its values are a strip
+    of 64 doubles in ``strips`` (``rows * 64`` of them), written only in
+    blocks where the row is defined somewhere.  ``strip_of`` must arrive
+    zeroed.
     """
-    n_words = matrix.shape[1]
-    if n_words == 0:
-        return 0
-    last = n_words - 1
-    for i in range(ops.shape[0]):
-        op = ops[i]
-        o = out[i]
-        a0 = arg_off[i]
-        a1 = arg_off[i + 1]
-        if op == 2:
-            src = arg_idx[a0]
-            for w in range(n_words):
-                matrix[o, w] = ~matrix[src, w]
-            matrix[o, last] = matrix[o, last] & tail
-        elif op == 0:
-            for w in range(n_words):
-                acc = ~np.uint64(0)
-                for e in range(a0, a1):
-                    acc = acc & matrix[arg_idx[e], w]
-                matrix[o, w] = acc
-            matrix[o, last] = matrix[o, last] & tail
-        else:
-            for w in range(n_words):
-                acc = np.uint64(0)
-                for e in range(a0, a1):
-                    acc = acc | matrix[arg_idx[e], w]
-                matrix[o, w] = acc
-    return 0
+    n_blocks = var_words.shape[1]
+    n_roots = roots.shape[0]
+    rows = kinds.shape[0]
+    zero = np.uint64(0)
+    ones = ~zero
+    # Mark the rows the roots read: ids are topological, so one reverse pass.
+    for r in range(n_roots):
+        strip_of[roots[r]] = 1
+    for k in range(rows):
+        v = rows - 1 - k
+        if strip_of[v] != 0:
+            for e in range(child_off[v], child_off[v + 1]):
+                strip_of[child_idx[e]] = 1
+    # Schedule them.  A numeric row owns strip ``row``, except that COND
+    # and LOOP_IN read their operand's strip instead of copying it; a
+    # GUARD strip is its constant, written once for every block.
+    n_live = 0
+    for row in range(rows):
+        if strip_of[row] != 0:
+            sched[n_live] = row
+            n_live += 1
+            kind = kinds[row]
+            c0 = child_off[row]
+            strip_of[row] = row
+            if kind == _K_COND:
+                strip_of[row] = strip_of[child_idx[c0 + 1]]
+            elif kind == _K_LOOP_IN:
+                strip_of[row] = strip_of[child_idx[c0]]
+            elif kind == _K_GUARD:
+                g = guard_val[row]
+                for j in range(64):
+                    strips[row * 64 + j] = g
+    for blk in range(n_blocks):
+        for k in range(n_live):
+            v = sched[k]
+            kind = kinds[v]
+            c0 = child_off[v]
+            c1 = child_off[v + 1]
+            if is_bool[v] != 0:
+                if kind == _K_VAR:
+                    w = var_words[var_index[v], blk]
+                elif kind == _K_AND:
+                    w = ones
+                    for e in range(c0, c1):
+                        w = w & word[child_idx[e]]
+                elif kind == _K_OR:
+                    w = zero
+                    for e in range(c0, c1):
+                        w = w | word[child_idx[e]]
+                elif kind == _K_NOT:
+                    w = ~word[child_idx[c0]]
+                elif kind == _K_ATOM:
+                    # Interleaved lane pairs; true where a side is undefined.
+                    defined = ones
+                    for e in range(c0, c1):
+                        defined = defined & word[child_idx[e]]
+                    w = ones
+                    if defined != zero:
+                        op = atom_op[v]
+                        for e in range(c0, c1, 2):
+                            ls = strip_of[child_idx[e]] * 64
+                            rs = strip_of[child_idx[e + 1]] * 64
+                            m = zero
+                            if op == 0:  # <=
+                                for j in range(64):
+                                    m = m | (bit[j] if strips[ls + j] <= strips[rs + j] else zero)
+                            elif op == 1:  # <
+                                for j in range(64):
+                                    m = m | (bit[j] if strips[ls + j] < strips[rs + j] else zero)
+                            elif op == 2:  # >=
+                                for j in range(64):
+                                    m = m | (bit[j] if strips[ls + j] >= strips[rs + j] else zero)
+                            elif op == 3:  # >
+                                for j in range(64):
+                                    m = m | (bit[j] if strips[ls + j] > strips[rs + j] else zero)
+                            else:  # ==
+                                for j in range(64):
+                                    m = m | (bit[j] if strips[ls + j] == strips[rs + j] else zero)
+                            w = w & m
+                    w = w | ~defined
+                elif kind == _K_TRUE:
+                    w = ones
+                elif kind == _K_FALSE:
+                    w = zero
+                else:  # LOOP_IN copy
+                    w = word[child_idx[c0]]
+                word[v] = w
+            else:
+                s = strip_of[v] * 64
+                if kind == _K_COND:
+                    w = word[child_idx[c0]] & word[child_idx[c0 + 1]]
+                elif kind == _K_SUM:
+                    # ``u`` is the identity: undefined lanes add nothing.
+                    w = zero
+                    for j in range(64):
+                        strips[s + j] = 0.0
+                    for e in range(c0, c1):
+                        ch = child_idx[e]
+                        cw = word[ch]
+                        cs = strip_of[ch] * 64
+                        w = w | cw
+                        if cw == ones:
+                            for j in range(64):
+                                strips[s + j] = strips[s + j] + strips[cs + j]
+                        elif cw != zero:
+                            for j in range(64):
+                                strips[s + j] = strips[s + j] + (
+                                    strips[cs + j] if (cw & bit[j]) != zero else 0.0
+                                )
+                elif kind == _K_PROD:
+                    w = ones
+                    for e in range(c0, c1):
+                        w = w & word[child_idx[e]]
+                    if w != zero:
+                        for j in range(64):
+                            strips[s + j] = 1.0
+                        for e in range(c0, c1):
+                            cs = strip_of[child_idx[e]] * 64
+                            for j in range(64):
+                                strips[s + j] = strips[s + j] * strips[cs + j]
+                elif kind == _K_INV:
+                    ch = child_idx[c0]
+                    w = word[ch]
+                    if w != zero:
+                        cs = strip_of[ch] * 64
+                        nonzero = zero
+                        for j in range(64):
+                            x = strips[cs + j]
+                            if x != 0.0:  # 1/0 is undefined, never inf
+                                strips[s + j] = 1.0 / x
+                                nonzero = nonzero | bit[j]
+                        w = w & nonzero
+                elif kind == _K_POW:
+                    ch = child_idx[c0]
+                    w = word[ch]
+                    if w != zero:
+                        cs = strip_of[ch] * 64
+                        exp = pow_exp[v]  # >= 0: negative lowered to INV
+                        for j in range(64):
+                            strips[s + j] = strips[cs + j] ** exp
+                elif kind == _K_DIST:
+                    # Lane pairs reduced left to right, as in _masked_sweep.
+                    w = ones
+                    for e in range(c0, c1):
+                        w = w & word[child_idx[e]]
+                    if w != zero:
+                        wide = c1 - c0 > 2
+                        squared = metric[v] == 1 or (wide and metric[v] == 0)
+                        for j in range(64):
+                            strips[s + j] = 0.0
+                        for e in range(c0, c1, 2):
+                            ls = strip_of[child_idx[e]] * 64
+                            rs = strip_of[child_idx[e + 1]] * 64
+                            if squared:
+                                for j in range(64):
+                                    x = strips[ls + j] - strips[rs + j]
+                                    strips[s + j] = strips[s + j] + x * x
+                            else:
+                                for j in range(64):
+                                    x = strips[ls + j] - strips[rs + j]
+                                    strips[s + j] = strips[s + j] + (-x if x < 0.0 else x)
+                        if wide and metric[v] == 0:
+                            for j in range(64):
+                                strips[s + j] = math.sqrt(strips[s + j])
+                else:  # GUARD, LOOP_IN: the strip is ready
+                    w = word[child_idx[c0]]
+                word[v] = w
+        for r in range(n_roots):
+            out[r * n_blocks + blk] = word[roots[r]]
+    return n_live
 
 
 # ----------------------------------------------------------------------
-# The native tier: C generated from the two functions above
+# The native tier: C generated from the two kernels above
 # (repro.engine.cgen), built with the system compiler and loaded via
 # ctypes.  The code is generic over programs (all structure arrives as
 # runtime arrays), so one shared library serves the whole process; it
@@ -637,12 +801,21 @@ _SIGNATURES: Dict[str, Dict[str, str]] = {
         "t_mu": "uint8_t *", "t_md": "uint8_t *",
         "return": "int64_t", "return[1]": "int64_t *",
     },
-    "_packed_segments": {
-        "ops": "const int64_t *", "ops.shape[0]": "int64_t",
-        "out": "const int64_t *",
-        "arg_off": "const int64_t *", "arg_idx": "const int64_t *",
-        "matrix": "uint64_t *", "matrix.shape[1]": "int64_t",
-        "tail": "uint64_t",
+    "_world_block": {
+        "var_words": "const uint64_t *", "var_words.shape[1]": "int64_t",
+        "roots": "const int64_t *", "roots.shape[0]": "int64_t",
+        "out": "uint64_t *",
+        # The same program arrays as the sweep's, parents aside.
+        "kinds": "const int64_t *", "kinds.shape[0]": "int64_t",
+        "var_index": "const int64_t *",
+        "atom_op": "const int64_t *", "pow_exp": "const int64_t *",
+        "metric": "const int64_t *",
+        "child_off": "const int64_t *", "child_idx": "const int64_t *",
+        "is_bool": "const uint8_t *", "guard_val": "const double *",
+        "bit": "const uint64_t *",
+        # Scratch, allocated per call.
+        "sched": "int64_t *", "strip_of": "int64_t *",
+        "word": "uint64_t *", "strips": "double *",
         "return": "int64_t",
     },
 }
@@ -739,7 +912,6 @@ def _build_native_library() -> ctypes.CDLL:
 
 _CTYPES = {
     "int64_t": ctypes.c_int64,
-    "uint64_t": ctypes.c_uint64,
     "double": ctypes.c_double,
 }
 
@@ -760,35 +932,31 @@ def _bind(lib: ctypes.CDLL, name: str):
 class _Backend:
     """One compiled kernel tier.
 
-    ``sweep_py`` is a callable taking the full array argument list of
-    :func:`_masked_sweep` (the kernel source itself, which the test
-    suite runs as a reference); ``sweep_c`` is a raw ctypes function for
-    the native tier (the evaluator precomputes its pointer arguments).
-    Either may be ``None``.
+    ``sweep_py`` / ``block_py`` are callables taking the full array
+    argument lists of :func:`_masked_sweep` / :func:`_world_block` (the
+    kernel source itself, which the test suite runs as a reference);
+    ``sweep_c`` / ``block_c`` are raw ctypes functions for the native
+    tier (the masked evaluator precomputes its sweep's pointer
+    arguments).  Any of them may be ``None``.
     """
 
-    def __init__(self, name, sweep_py=None, packed_py=None, lib=None):
+    def __init__(self, name, sweep_py=None, block_py=None, lib=None):
         self.name = name
         self.sweep_py = sweep_py
-        self.packed_py = packed_py
+        self.block_py = block_py
         self.sweep_c = _bind(lib, "_masked_sweep") if lib else None
-        self.packed_c = _bind(lib, "_packed_segments") if lib else None
+        self.block_c = _bind(lib, "_world_block") if lib else None
 
-    def run_packed(self, ops, out, arg_off, arg_idx, matrix, tail) -> None:
-        """Dispatch one packed segment through this tier."""
-        if self.packed_c is not None:
-            self.packed_c(
-                ops.ctypes.data,
-                len(ops),
-                out.ctypes.data,
-                arg_off.ctypes.data,
-                arg_idx.ctypes.data,
-                matrix.ctypes.data,
-                matrix.shape[1],
-                int(tail),
-            )
-        else:
-            self.packed_py(ops, out, arg_off, arg_idx, matrix, np.uint64(tail))
+    def run_block(self, var_words, roots, out, kinds, *arrays) -> int:
+        """One :func:`_world_block` call through this tier."""
+        if self.block_c is None:
+            return int(self.block_py(var_words, roots, out, kinds, *arrays))
+        return self.block_c(
+            var_words.ctypes.data, var_words.shape[1],
+            roots.ctypes.data, len(roots), out.ctypes.data,
+            kinds.ctypes.data, len(kinds),
+            *(array.ctypes.data for array in arrays),
+        )
 
 
 def _make_native_backend() -> _Backend:
@@ -802,12 +970,19 @@ _BACKEND_CACHE: Dict[str, Optional[_Backend]] = {}
 
 
 def _validate_backend(backend: _Backend) -> bool:
-    """Drive a canned walk against the Python evaluator; True on parity."""
+    """Check both kernels on a canned network; True on parity.
+
+    The sweep drives a push/pop walk against the Python evaluator; the
+    world block evaluates 70 worlds (a full block and a partial one)
+    against the dense NumPy sweep.
+    """
     # Deferred: building networks pulls in packages that import this one.
     from ..events.expressions import (
-        atom, cdist, conj, csum, disj, guard, negate, var,
+        atom, cdist, cinv, cond, conj, cpow, cprod, csum, disj, guard,
+        negate, var,
     )
     from ..network.build import build_targets
+    from .bulk import BulkEvaluator
 
     try:
         events = {
@@ -828,6 +1003,15 @@ def _validate_backend(backend: _Backend) -> bool:
                     ]),
                 ),
                 guard(disj([var(0), var(2)]), 1.25),
+            ),
+            # COND, PROD, POW and an INV whose operand can be zero.
+            "k": atom(
+                ">",
+                cprod([
+                    cinv(guard(var(0), 1.0) + guard(var(1), -1.0)),
+                    cpow(cond(var(2), guard(var(1), 1.5)), 2),
+                ]),
+                guard(var(2), -2.0),
             ),
         }
         network = build_targets(events)
@@ -867,24 +1051,11 @@ def _validate_backend(backend: _Backend) -> bool:
         candidate.rewind_to(0)
         if [_norm(candidate._state_of(n)) for n in nodes] != baseline:
             return False
-        # Packed twin: NOT/AND/OR over three slots vs plain numpy.
-        ops = np.asarray([2, 0, 1], dtype=np.int64)
-        out = np.asarray([2, 3, 4], dtype=np.int64)
-        arg_off = np.asarray([0, 1, 3, 5], dtype=np.int64)
-        arg_idx = np.asarray([0, 0, 1, 2, 3], dtype=np.int64)
-        rng = np.random.default_rng(0)
-        base = rng.integers(0, 1 << 63, size=(5, 3), dtype=np.int64).astype(
-            np.uint64
-        )
-        tail = np.uint64((1 << 40) - 1)
-        base[:, -1] &= tail
-        expected = base.copy()
-        expected[2] = ~expected[0]
-        expected[2, -1] &= tail
-        expected[3] = expected[0] & expected[1]
-        expected[4] = expected[2] | expected[3]
-        backend.run_packed(ops, out, arg_off, arg_idx, base, tail)
-        return bool(np.array_equal(base, expected))
+        assignments = np.random.default_rng(0).random((70, 3)) < 0.5
+        roots = list(network.targets.values())
+        expected = BulkEvaluator(network).evaluate(assignments, roots)
+        actual = WorldBlockEvaluator(network, backend).evaluate(assignments, roots)
+        return all(np.array_equal(actual[r], expected[r]) for r in roots)
     except Exception:
         return False
 
@@ -937,7 +1108,6 @@ def _kernel_program(program: MaskedProgram) -> Dict[str, np.ndarray]:
     cached = getattr(program, "_kernel_cache", None)
     if cached is not None:
         return cached
-    par_off, par_idx = program.parents_csr()
     cached = {
         "kinds": np.ascontiguousarray(program.kinds, dtype=np.int64),
         "var_index": np.ascontiguousarray(program.var_index, dtype=np.int64),
@@ -946,8 +1116,6 @@ def _kernel_program(program: MaskedProgram) -> Dict[str, np.ndarray]:
         "metric": np.ascontiguousarray(program.dist_metric, dtype=np.int64),
         "child_off": np.ascontiguousarray(program.child_offsets, dtype=np.int64),
         "child_idx": np.ascontiguousarray(program.child_indices, dtype=np.int64),
-        "par_off": np.ascontiguousarray(par_off, dtype=np.int64),
-        "par_idx": np.ascontiguousarray(par_idx, dtype=np.int64),
         "is_bool": np.ascontiguousarray(program.is_bool, dtype=np.uint8),
         "guard_val": np.ascontiguousarray(program.guard_value, dtype=np.float64),
     }
@@ -1041,11 +1209,12 @@ class KernelMaskedEvaluator(MaskedEvaluator):
         self._t_md = np.zeros(size, dtype=np.uint8)
         self._evals_out = np.zeros(1, dtype=np.int64)
         k = self._karrays
+        par_off, par_idx = program.parents_csr()  # int64, contiguous
         self._py_args = (
             self._assign,
             k["kinds"], k["var_index"], k["atom_op"], k["pow_exp"],
-            k["metric"], k["child_off"], k["child_idx"], k["par_off"],
-            k["par_idx"], k["is_bool"], k["guard_val"],
+            k["metric"], k["child_off"], k["child_idx"], par_off, par_idx,
+            k["is_bool"], k["guard_val"],
             self._b, self._lo, self._hi, self._mu, self._md,
             self._resolved, self._dirty,
             self._t_tag, self._t_vid, self._t_b, self._t_lo, self._t_hi,
@@ -1129,6 +1298,100 @@ class KernelMaskedEvaluator(MaskedEvaluator):
     def _restore_frame(self, frame) -> None:
         if len(frame):  # a bare push() opens an empty list frame
             frame.restore(self)
+
+
+# ----------------------------------------------------------------------
+# The world-block evaluator
+# ----------------------------------------------------------------------
+
+#: ``_BITS[j] == 1 << j``: the world block's lane masks (cgen has no shifts).
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
+def n_words(worlds: int) -> int:
+    """Words (64-world blocks) needed for ``worlds`` worlds."""
+    return (int(worlds) + 63) // 64
+
+
+def pack_bool_column(columns: np.ndarray) -> np.ndarray:
+    """Pack bool columns ``(..., W)`` into ``(..., n_words(W))`` uint64 words.
+
+    World ``w`` is bit ``w % 64`` of word ``w // 64``; bits past ``W``
+    are zero.
+    """
+    columns = np.asarray(columns, dtype=bool)
+    worlds = columns.shape[-1]
+    padded = np.zeros(columns.shape[:-1] + (n_words(worlds) * 64,), dtype=bool)
+    padded[..., :worlds] = columns
+    return np.packbits(padded, axis=-1, bitorder="little").view(np.uint64)
+
+
+def unpack_bool_column(words: np.ndarray, worlds: int) -> np.ndarray:
+    """The inverse of :func:`pack_bool_column` (the first ``worlds`` bits)."""
+    bits = np.unpackbits(
+        np.ascontiguousarray(words).view(np.uint8),
+        axis=-1,
+        count=int(worlds),
+        bitorder="little",
+    )
+    return bits.view(np.bool_)
+
+
+class WorldBlockEvaluator:
+    """Bulk evaluation through :func:`_world_block`, 64 worlds per word.
+
+    A drop-in for the dense :class:`repro.engine.bulk.BulkEvaluator` —
+    the same ``evaluate`` contract and the same Boolean outcome in every
+    world — on flat and folded networks alike: both are one
+    :class:`~repro.engine.masked.MaskedProgram` (lanes lowered,
+    iterations unrolled), and one kernel call sweeps every block of a
+    batch.  Only Boolean nodes can be read out; numeric strips never
+    leave the kernel.
+    """
+
+    def __init__(self, network: EventNetwork, backend: _Backend) -> None:
+        self.kernel = backend.name
+        self._backend = backend
+        self._program = program = masked_program(network)
+        k = _kernel_program(program)
+        self._arrays = (
+            k["kinds"], k["var_index"], k["atom_op"], k["pow_exp"],
+            k["metric"], k["child_off"], k["child_idx"], k["is_bool"],
+            k["guard_val"], _BITS,
+        )
+        self._variables = int(program.var_index.max(initial=-1)) + 1
+
+    def evaluate(
+        self, assignments: np.ndarray, node_ids: Sequence[int]
+    ) -> Dict[int, np.ndarray]:
+        """Boolean outcomes of ``node_ids`` in every world of the batch.
+
+        ``assignments`` is a ``(W, |X|)`` bool matrix, one total
+        valuation per row; returns ``{node_id: (W,) bool}``.
+        """
+        program = self._program
+        roots = program.final_vertex[np.asarray(node_ids, dtype=np.int64)]
+        if not program.is_bool[roots].all():
+            raise TypeError("the world block reads out Boolean nodes only")
+        if assignments.shape[1] < self._variables:
+            raise IndexError(
+                f"the network reads {self._variables} variables, "
+                f"the batch assigns {assignments.shape[1]}"
+            )
+        var_words = pack_bool_column(np.transpose(assignments))
+        out = np.empty(len(roots) * var_words.shape[1], dtype=np.uint64)
+        rows = len(program)
+        self._backend.run_block(
+            var_words, roots, out, *self._arrays,
+            np.empty(rows, dtype=np.int64),  # sched
+            np.zeros(rows, dtype=np.int64),  # strip_of
+            np.empty(rows, dtype=np.uint64),  # word
+            np.zeros(rows * 64),  # strips
+        )
+        outcomes = unpack_bool_column(
+            out.reshape(len(roots), var_words.shape[1]), assignments.shape[0]
+        )
+        return {int(node): outcomes[i] for i, node in enumerate(node_ids)}
 
 
 _warned_unknown_kernel = False

@@ -24,11 +24,9 @@ Capabilities drive dispatch-time normalisation:
 * ``timeout`` — the scheme honours a wall-clock budget;
 * ``bulk`` — the scheme evaluates through the vectorized bulk engine;
 * ``kernel`` — the scheme's evaluator honours ``kernel=`` tier
-  selection (:mod:`repro.engine.kernels`: jitted/native cone sweeps for
-  the masked engine, compiled segment dispatch for the packed bulk
-  engine); for schemes without it, ``kernel`` is dropped;
-* ``packed`` — the scheme's bulk evaluation runs over bit-packed
-  Boolean world columns (:mod:`repro.engine.packed`);
+  selection (:mod:`repro.engine.kernels`: native cone sweeps for the
+  masked engine, the native world block — 64 worlds per word — for the
+  bulk engine); for schemes without it, ``kernel`` is dropped;
 * ``evidence`` — the scheme conditions its answers on an evidence list
   (:func:`normalise_evidence`); for schemes without it, ``evidence``
   is dropped so conditioned and unconditioned requests cannot fragment
@@ -51,7 +49,6 @@ CAP_EXACT = "exact"
 CAP_TIMEOUT = "timeout"
 CAP_BULK = "bulk"
 CAP_KERNEL = "kernel"
-CAP_PACKED = "packed"
 CAP_EVIDENCE = "evidence"
 
 CAPABILITIES = frozenset(
@@ -63,10 +60,17 @@ CAPABILITIES = frozenset(
         CAP_TIMEOUT,
         CAP_BULK,
         CAP_KERNEL,
-        CAP_PACKED,
         CAP_EVIDENCE,
     }
 )
+
+
+class ImpossibleEvidenceError(ZeroDivisionError):
+    """Conditioning on evidence whose probability is zero.
+
+    ``P(t | C)`` is undefined when ``P(C) = 0``; the service answers 422.
+    A ``ZeroDivisionError``, so callers that caught that still do.
+    """
 
 
 def normalise_evidence(evidence) -> Tuple[tuple, ...]:

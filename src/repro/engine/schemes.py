@@ -32,7 +32,6 @@ from .registry import (
     CAP_EVIDENCE,
     CAP_EXACT,
     CAP_KERNEL,
-    CAP_PACKED,
     CAP_STATISTICAL,
     CAP_TIMEOUT,
     SchemeOptions,
@@ -180,7 +179,7 @@ def register_builtins() -> None:
     register_scheme(
         "naive",
         _run_naive,
-        capabilities={CAP_EXACT, CAP_TIMEOUT, CAP_BULK, CAP_KERNEL, CAP_PACKED},
+        capabilities={CAP_EXACT, CAP_TIMEOUT, CAP_BULK, CAP_KERNEL},
         description="vectorized brute-force enumeration of all possible worlds",
         replace=True,
     )
@@ -194,7 +193,7 @@ def register_builtins() -> None:
     register_scheme(
         "montecarlo",
         _run_montecarlo,
-        capabilities={CAP_STATISTICAL, CAP_BULK, CAP_KERNEL, CAP_PACKED},
+        capabilities={CAP_STATISTICAL, CAP_BULK, CAP_KERNEL},
         description="vectorized MCDB-style Monte Carlo estimation",
         replace=True,
     )

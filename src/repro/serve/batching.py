@@ -53,7 +53,7 @@ class ShuttingDown(Exception):
 
 
 class ComputeError(Exception):
-    """The engine pass for this request's group raised."""
+    """The engine pass for this request's group raised (``__cause__``)."""
 
 
 @dataclass(eq=False)
@@ -244,6 +244,7 @@ class BatchingExecutor:
         except Exception as exc:  # noqa: BLE001 - fault isolation boundary
             self.failed += len(pending)
             failure = ComputeError(f"{type(exc).__name__}: {exc}")
+            failure.__cause__ = exc
             for job in pending:
                 if not job.future.done():
                     job.future.set_exception(failure)

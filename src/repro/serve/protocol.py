@@ -31,6 +31,7 @@ STATUS_PHRASES = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
+    422: "Unprocessable Entity",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }

@@ -50,6 +50,7 @@ from typing import Dict, Optional, Tuple
 
 from ..compile.ordering import ORDER_NAMES
 from ..engine.registry import (
+    ImpossibleEvidenceError,
     available_schemes,
     get_scheme,
     normalise_evidence,
@@ -571,6 +572,8 @@ class ReproServer:
         except (QueueFull, ShuttingDown) as exc:
             return 503, {"error": str(exc)}
         except ComputeError as exc:
+            if isinstance(exc.__cause__, ImpossibleEvidenceError):
+                return 422, {"error": str(exc)}
             return 500, {"error": str(exc)}
         return 200, response
 

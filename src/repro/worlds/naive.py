@@ -4,8 +4,8 @@ The paper's baseline "computes an equivalent clustering by explicitly
 iterating over all possible worlds" (Section 5, "Algorithms").  All
 networks — flat and folded alike — route through the vectorized bulk
 engine (:mod:`repro.engine.bulk`), which evaluates whole chunks of
-worlds per network sweep (folded networks sweep their loop layer once
-per iteration).  The original per-world recursive evaluator survives as
+worlds per sweep: 64 per word in the native world block, or as NumPy
+matrices without a compiler.  The original per-world evaluator survives as
 :func:`naive_probabilities_scalar`, kept purely as the cross-validation
 oracle for the bulk engine.
 """
@@ -27,15 +27,13 @@ def naive_probabilities(
     targets: Optional[Sequence[str]] = None,
     world_key_nodes: Optional[Sequence[int]] = None,
     timeout: Optional[float] = None,
-    packed: Optional[bool] = None,
     kernel: Optional[str] = None,
 ) -> CompilationResult:
     """Exact target probabilities by brute-force world enumeration.
 
-    Evaluates all worlds at once through the bulk engine — flat networks
-    in one sweep per chunk, folded networks with one loop-layer sweep
-    per iteration (:class:`repro.engine.ir.FoldedFlatIR`); there is no
-    scalar fallback.  ``world_key_nodes`` optionally names Boolean nodes
+    Evaluates all worlds at once through the bulk engine, one sweep per
+    chunk for flat and folded networks alike; there is no scalar
+    fallback.  ``world_key_nodes`` optionally names Boolean nodes
     (typically the input-object lineage events) whose joint outcome
     identifies a world; ``extra['distinct_worlds']`` then counts
     distinct signatures.  ``timeout`` (seconds) aborts the run; the
@@ -49,7 +47,6 @@ def naive_probabilities(
         targets=targets,
         world_key_nodes=world_key_nodes,
         timeout=timeout,
-        packed=packed,
         kernel=kernel,
     )
 

@@ -46,17 +46,17 @@ def require_native():
 def source_backend():
     """The kernel *source* run as plain Python: a test-local reference.
 
-    Not a registered tier — ``_masked_sweep``/``_packed_segments`` are
-    the text the native C is generated from; running them as plain
-    Python gives the differential suites a second execution of
-    that text that owes nothing to the emitter or a compiler.
+    Not a registered tier — ``_masked_sweep``/``_world_block`` are the
+    text the native C is generated from; running them as plain Python
+    gives the differential suites a second execution of that text that
+    owes nothing to the emitter or a compiler.
     """
     from repro.engine import kernels
 
     return kernels._Backend(
         "source",
         sweep_py=kernels._masked_sweep,
-        packed_py=kernels._packed_segments,
+        block_py=kernels._world_block,
     )
 
 

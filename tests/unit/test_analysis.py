@@ -246,7 +246,7 @@ class TestKernelHygiene:
 
     def test_bad_ctypes_from_import(self):
         bad = "from ctypes import CDLL\n"
-        assert findings_for(HYGIENE_RULE, "src/repro/engine/packed.py", bad)
+        assert findings_for(HYGIENE_RULE, "src/repro/engine/bulk.py", bad)
 
     def test_kernels_module_exempt(self):
         assert not HYGIENE_RULE.applies("src/repro/engine/kernels.py")

@@ -5,8 +5,8 @@ the emitter (:mod:`repro.engine.cgen`) and of what it is fed.
   run as plain Python (``conftest.source_backend``, a test-local
   backend, not a tier): every state column, the trail buffers in
   emission order and ``evals``, bit for bit, on random push/pop walks
-  over flat, folded and vector-lane networks; packed segments at
-  63/64/65 worlds;
+  over flat, folded and vector-lane networks; the world block's words,
+  strips and scratch at 63/64/65 worlds over the same networks;
 * construction — edit one statement of the Python text and the emitted
   C changes with it and still matches the edited Python, including the
   edits a statement-stream comparison of two hand-written twins could
@@ -29,8 +29,8 @@ import numpy as np
 import pytest
 
 from repro.engine import cgen, kernels
-from repro.engine.kernels import KernelMaskedEvaluator
-from repro.engine.packed import n_words, tail_mask
+from repro.engine.kernels import KernelMaskedEvaluator, pack_bool_column
+from repro.engine.masked import masked_program
 from repro.network.build import build_targets
 
 from ..conftest import require_native, source_backend
@@ -44,7 +44,7 @@ from ..property.test_vector_lowering import (
 COLUMNS = ("_b", "_lo", "_hi", "_mu", "_md", "_resolved", "_dirty", "_assign")
 TRAIL = ("tag", "vid", "b", "lo", "hi", "mu", "md")
 KERNEL_TEXT = inspect.getsource(kernels._masked_sweep) + inspect.getsource(
-    kernels._packed_segments
+    kernels._world_block
 )
 
 
@@ -76,6 +76,33 @@ def walk_pair(pool, network, reference_backend, candidate_backend, seed, steps=1
     )
 
 
+def block_arrays(pool, network, worlds, seed):
+    """One :func:`_world_block` argument list over every Boolean vertex."""
+    program = masked_program(network)
+    k = kernels._kernel_program(program)
+    rows = len(program)
+    assignments = np.random.default_rng(seed).random((worlds, len(pool))) < 0.5
+    var_words = pack_bool_column(assignments.T)
+    roots = np.flatnonzero(program.is_bool).astype(np.int64)
+    return [
+        var_words, roots, np.zeros(len(roots) * var_words.shape[1], np.uint64),
+        k["kinds"], k["var_index"], k["atom_op"], k["pow_exp"], k["metric"],
+        k["child_off"], k["child_idx"], k["is_bool"], k["guard_val"],
+        kernels._BITS, np.zeros(rows, np.int64), np.zeros(rows, np.int64),
+        np.zeros(rows, np.uint64), np.zeros(rows * 64),
+    ]
+
+
+def block_pair(pool, network, reference_backend, candidate_backend, seed, worlds):
+    """Both backends' world block on copies of one argument list: the
+    return value and every written array, bit for bit."""
+    arrays = block_arrays(pool, network, worlds, seed)
+    ours, theirs = [a.copy() for a in arrays], [a.copy() for a in arrays]
+    assert candidate_backend.run_block(*ours) == reference_backend.run_block(*theirs)
+    for index, (mine, reference) in enumerate(zip(ours, theirs)):
+        assert _bits(mine) == _bits(reference), index
+
+
 def _instances(seed):
     pool, events = _random_instance(seed)
     yield pool, build_targets(events)
@@ -99,31 +126,13 @@ def test_native_sweep_matches_the_python_source_bit_for_bit(seed):
 
 
 @pytest.mark.parametrize("worlds", [63, 64, 65])
-def test_native_packed_segments_match_the_python_source(worlds):
+def test_native_world_block_matches_the_python_source(worlds):
+    # Every Boolean vertex is a root, so each one's words are compared;
+    # the strips and the scratch arrays must agree too.
     native = require_native()
-    rng = np.random.default_rng(worlds)
-    slots, inputs = 12, 4
-    base = rng.integers(0, 1 << 63, size=(slots, n_words(worlds)), dtype=np.int64)
-    base = base.astype(np.uint64) << np.uint64(1) | np.uint64(1)  # bit 63 too
-    base[:, -1] &= tail_mask(worlds)
-    ops, out, args = [], [], []
-    for slot in range(inputs, slots):
-        op = int(rng.integers(0, 3))
-        arity = 1 if op == 2 else int(rng.integers(0, 4))  # AND()/OR() included
-        ops.append(op)
-        out.append(slot)
-        args.append([int(a) for a in rng.integers(0, slot, size=arity)])
-    arrays = [
-        np.asarray(ops, dtype=np.int64),
-        np.asarray(out, dtype=np.int64),
-        np.cumsum([0] + [len(a) for a in args]).astype(np.int64),
-        np.asarray([i for a in args for i in a], dtype=np.int64),
-    ]
-    ours, theirs = base.copy(), base.copy()
-    native.run_packed(*arrays, ours, tail_mask(worlds))
-    source_backend().run_packed(*arrays, theirs, tail_mask(worlds))
-    assert _bits(ours) == _bits(theirs)
-    assert not (ours[:, -1] & ~tail_mask(worlds)).any()  # no ghost bits past W
+    for seed in range(3):
+        for pool, network in _instances(seed + worlds):
+            block_pair(pool, network, source_backend(), native, seed, worlds)
 
 
 def test_generated_c_is_clean_under_strict_warnings(tmp_path):
@@ -180,7 +189,7 @@ MUTATIONS = {
         "a_md = 0\n                    for e in range(c0, c1):",
         "a_md = 0\n                    for e in range(c0 + 1, c1):",
     ),
-    "packed bitwise op dropped": ("acc = ~np.uint64(0)", "acc = np.uint64(0)"),
+    "world-block bitwise op dropped": ("    ones = ~zero\n", "    ones = zero\n"),
 }
 
 
@@ -195,7 +204,7 @@ def _backends_from(text, tmp_path):
     python = kernels._Backend(
         "mutant-python",
         sweep_py=namespace["_masked_sweep"],
-        packed_py=namespace["_packed_segments"],
+        block_py=namespace["_world_block"],
     )
     so_path = str(tmp_path / "mutant.so")
     kernels._compile_shared(_emit(text), so_path, ["cc"], [])
@@ -213,6 +222,7 @@ def test_an_edit_to_the_python_is_an_edit_to_the_c(label, tmp_path):
     for seed in range(4):
         for pool, network in _instances(seed):
             walk_pair(pool, network, python, native, seed, steps=6)
+            block_pair(pool, network, python, native, seed, worlds=65)
     assert kernels._validate_backend(native) == kernels._validate_backend(python)
 
 

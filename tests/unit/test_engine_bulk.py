@@ -26,6 +26,7 @@ from repro.events.expressions import (
     negate,
     var,
 )
+from repro.engine.kernels import WorldBlockEvaluator, get_backend
 from repro.events.probability import event_probability
 from repro.network.build import NetworkBuilder, build_targets
 from repro.worlds.naive import lineage_nodes, naive_probabilities_scalar
@@ -216,12 +217,22 @@ class TestFoldedBulk:
         return builder.folded
 
     def test_make_bulk_evaluator_dispatches(self):
+        # The python rung matches the network flavour; a compiled tier
+        # runs both flavours as one lowered program.
         folded = self._counter(2)
-        assert isinstance(make_bulk_evaluator(folded), FoldedBulkEvaluator)
         flat = build_targets({"t": var(0)})
-        evaluator = make_bulk_evaluator(flat)
+        assert isinstance(
+            make_bulk_evaluator(folded, kernel="python"), FoldedBulkEvaluator
+        )
+        evaluator = make_bulk_evaluator(flat, kernel="python")
         assert isinstance(evaluator, BulkEvaluator)
         assert not isinstance(evaluator, FoldedBulkEvaluator)
+        if get_backend("native") is not None:
+            for network in (folded, flat):
+                assert isinstance(
+                    make_bulk_evaluator(network, kernel="native"),
+                    WorldBlockEvaluator,
+                )
 
     def test_counter_semantics(self):
         # With x0 true the slot reaches `iterations`, so P[big] = P[x0].

@@ -213,12 +213,9 @@ class TestBackendSelection:
 
     def test_tier_codes_cover_every_concrete_tier(self):
         # result.extra carries floats, so tiers are coded; every name a
-        # KernelMaskedEvaluator (or packed evaluator) can report must
-        # have a code.
-        for name in KERNEL_NAMES:
-            if name != "auto":
-                assert name in KERNEL_TIER_CODES
-        assert "numpy" in KERNEL_TIER_CODES  # packed fallback tier
+        # KernelMaskedEvaluator can report must have a code, and nothing
+        # else has one (bulk results carry no tier).
+        assert set(KERNEL_TIER_CODES) == set(KERNEL_NAMES) - {"auto"}
 
 
 class TestEvaluatorConstruction:
@@ -304,10 +301,25 @@ class TestEvaluatorConstruction:
         broken = kernels_module._Backend(
             "broken",
             sweep_py=wrong_metric,
-            packed_py=kernels_module._packed_segments,
+            block_py=kernels_module._world_block,
         )
         assert not kernels_module._validate_backend(broken)
         assert kernels_module._validate_backend(source_backend())
+
+    def test_self_validation_covers_the_world_block(self):
+        # A world block that gets one comparison wrong in one world must
+        # get the tier rejected, however right its cone sweep is.
+        def one_world_off(var_words, roots, out, *rest):
+            swept = kernels_module._world_block(var_words, roots, out, *rest)
+            out[0] ^= np.uint64(1 << 5)
+            return swept
+
+        broken = kernels_module._Backend(
+            "broken",
+            sweep_py=kernels_module._masked_sweep,
+            block_py=one_world_off,
+        )
+        assert not kernels_module._validate_backend(broken)
 
     def test_engine_string_carries_the_tier(self):
         require_native()
@@ -366,10 +378,11 @@ class TestRegistryIntegration:
         assert "naive-scalar" not in schemes
 
     def test_packed_capable_schemes(self):
-        schemes = available_schemes("packed")
-        assert "naive" in schemes
-        assert "montecarlo" in schemes
-        assert "exact" not in schemes
+        # Packing is no longer a property of a scheme: every bulk scheme
+        # runs the world block when a compiled tier is live.
+        with pytest.raises(ValueError, match="unknown capability"):
+            available_schemes("packed")
+        assert set(available_schemes("bulk")) == {"naive", "montecarlo"}
 
     def test_run_scheme_validates_kernel(self):
         network = _scalar_network()

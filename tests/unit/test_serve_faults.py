@@ -15,6 +15,7 @@ import http.client
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -88,8 +89,6 @@ class TestMidBatchFailure:
                 for thread in threads:
                     thread.start()
                 deadline_stats = ServeClient(port=server.port)
-                import time
-
                 deadline = time.monotonic() + 10.0
                 while time.monotonic() < deadline:
                     if deadline_stats.stats()["executor"]["pending"] >= 4:
@@ -112,6 +111,59 @@ class TestMidBatchFailure:
             assert server.server.executor.failed == 1
             # The server is still fully alive afterwards.
             assert client.query(network="net", scheme="exact")["bounds"]
+
+    def test_impossible_evidence_is_422_and_peers_answer(self):
+        # x0 never holds: conditioning on it is undefined, which is the
+        # request's fault (422), not the server's (500).
+        pool, network = small_instance()
+        pool.set_probability(0, 0.0)
+        with ServerThread() as server:
+            client = ServeClient(port=server.port)
+            client.put_network("net", network, pool)
+            plug_gate, plug_started = gated_scheme("serve-plug")
+            try:
+                plug = threading.Thread(
+                    target=client.query,
+                    kwargs=dict(network="net", scheme="serve-plug"),
+                )
+                plug.start()
+                assert plug_started.wait(10.0)
+                outcomes = {}
+
+                def ask(key, call, **options):
+                    try:
+                        outcomes[key] = call(network="net", **options)
+                    except ServeClientError as exc:
+                        outcomes[key] = exc
+
+                threads = [
+                    threading.Thread(
+                        target=ask, args=("impossible", client.condition),
+                        kwargs=dict(evidence=[[0, True]]),
+                    ),
+                    threading.Thread(
+                        target=ask, args=("peer", client.condition),
+                        kwargs=dict(evidence=[[1, True]]),
+                    ),
+                ]
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline:
+                    if client.stats()["executor"]["pending"] >= 3:
+                        break
+                    time.sleep(0.005)
+                plug_gate.set()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                plug.join(timeout=30.0)
+            finally:
+                unregister_scheme("serve-plug")
+            assert isinstance(outcomes["impossible"], ServeClientError)
+            assert outcomes["impossible"].status == 422
+            assert "ImpossibleEvidenceError" in outcomes["impossible"].message
+            assert outcomes["peer"]["bounds"]
+            assert server.server.executor.failed == 1
 
     def test_invalid_order_fails_at_admission_not_in_batch(self):
         pool, network = small_instance()
