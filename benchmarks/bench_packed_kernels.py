@@ -6,13 +6,15 @@ each kernel against the rung it replaces:
 
 * **World block** — the naive/Monte Carlo world batches run the
   program two-valued, 64 worlds per ``uint64`` word, in one native call
-  (:class:`repro.engine.kernels.WorldBlockEvaluator`) instead of one
-  NumPy expression per vertex (the dense ``python`` rung,
-  :class:`repro.engine.bulk.BulkEvaluator` /
-  :class:`~repro.engine.bulk.FoldedBulkEvaluator`).  Measured on one
-  flat and one folded k-medoids network (mutex lineage, 2-d readings)
-  over a batch of sampled worlds; the headline
-  ``min_speedup_world_block`` gates the smaller of the two ratios.
+  instead of the ``python`` rung's NumPy sweep of the same rows, one
+  ``(W,)`` column per row (both rungs of
+  :class:`repro.engine.bulk.BulkEvaluator`).  Measured on one flat and
+  one folded k-medoids network (mutex lineage, 2-d readings) over a
+  batch of sampled worlds; the headline ``min_speedup_world_block``
+  gates the smaller of the two ratios.  Its denominator is the NumPy
+  rung, so the ratio moves when that rung does: the committed baseline
+  is the row sweep's (about 8x at 16 objects, where the per-vertex dense
+  sweep it replaced read about 16x).
 
 * **Masked cone sweeps through the kernel tier** — the Shannon schemes'
   leaf masking dispatches per-vertex through
@@ -53,7 +55,6 @@ from repro.data.datasets import sensor_dataset
 from repro.engine.bulk import make_bulk_evaluator
 from repro.engine.kernels import (
     KernelMaskedEvaluator,
-    WorldBlockEvaluator,
     get_backend,
     make_masked_evaluator,
 )
@@ -151,28 +152,28 @@ def kmedoids_networks(objects: int):
 
 
 def sweep_world_block(block_sweep) -> List[Dict[str, float]]:
-    rows = []
+    results = []
     for objects, worlds in block_sweep:
         for shape, pool, network in kmedoids_networks(objects):
             targets = list(network.targets.values())
-            dense = make_bulk_evaluator(network, kernel="python")
+            rows = make_bulk_evaluator(network, kernel="python")
             block = make_bulk_evaluator(network, kernel="auto")
-            assert isinstance(block, WorldBlockEvaluator), (
+            assert block.kernel != "python", (
                 "no compiled kernel tier available; cannot benchmark the seam"
             )
             rng = np.random.default_rng(objects)
             assignments = rng.random((worlds, len(pool))) < np.asarray(
                 pool.probabilities
             )
-            expected = dense.evaluate(assignments, targets)
+            expected = rows.evaluate(assignments, targets)
             actual = block.evaluate(assignments, targets)
             for node_id in targets:
                 assert np.array_equal(
                     actual[node_id], np.asarray(expected[node_id], dtype=bool)
                 ), f"world block diverged on the {shape} network"
-            dense_seconds = _median_bulk(dense, assignments, targets)
+            rows_seconds = _median_bulk(rows, assignments, targets)
             block_seconds = _median_bulk(block, assignments, targets)
-            rows.append(
+            results.append(
                 {
                     "shape": shape,
                     "objects": objects,
@@ -180,12 +181,12 @@ def sweep_world_block(block_sweep) -> List[Dict[str, float]]:
                     "variables": len(pool),
                     "network_nodes": len(network.nodes),
                     "kernel": block.kernel,
-                    "dense_seconds": dense_seconds,
+                    "rows_seconds": rows_seconds,
                     "block_seconds": block_seconds,
-                    "speedup": dense_seconds / block_seconds,
+                    "speedup": rows_seconds / block_seconds,
                 }
             )
-    return rows
+    return results
 
 
 def _walk(evaluator, variables: int, rounds: int) -> float:
@@ -304,19 +305,19 @@ def main(argv=None) -> int:
     masked_rows = sweep_masked_kernel(object_sweep, rounds)
 
     for shape in ("flat", "folded"):
-        dense_line = Series("dense numpy")
+        rows_line = Series("numpy rows")
         block_line = Series("world block")
         for row in block_rows:
             if row["shape"] == shape:
-                dense_line.add(row["objects"], {"seconds": row["dense_seconds"]})
+                rows_line.add(row["objects"], {"seconds": row["rows_seconds"]})
                 block_line.add(row["objects"], {"seconds": row["block_seconds"]})
         print_table(
             f"World-block bulk sweeps ({shape} k-medoids, sampled worlds)",
             "objects",
-            [dense_line, block_line],
+            [rows_line, block_line],
             [objects for objects, _ in block_sweep],
         )
-    print("\nworld-block speedups (dense seconds / world-block seconds):")
+    print("\nworld-block speedups (numpy-row seconds / world-block seconds):")
     for row in block_rows:
         print(
             f"  {row['shape']:6s} n={row['objects']} W={row['worlds']:6d} "

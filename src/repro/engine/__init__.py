@@ -1,17 +1,19 @@
 """The unified evaluation-engine layer.
 
-Three pieces compose into one substrate shared by every probability
+Four pieces compose into one substrate shared by every probability
 computation scheme:
 
 * :mod:`repro.engine.ir` — flattens an event network once into
   topologically-ordered NumPy arrays (kind codes, CSR operand tables,
   constants), cached per network;
+* :mod:`repro.engine.masked` — lowers those arrays into the one
+  program every evaluator runs (scalar lanes, folded iterations
+  unrolled), and the Shannon compiler's partial-evaluation abstraction
+  as columns over it, with per-variable cone recomputation on ``push``
+  and trailed column restores on ``pop``;
 * :mod:`repro.engine.bulk` — evaluates every compilation target over
-  *all* possible worlds (or all Monte Carlo samples) simultaneously as
-  Boolean/float matrices, replacing per-valuation recursion;
-* :mod:`repro.engine.masked` — the Shannon compiler's partial-evaluation
-  abstraction as columns over the flat IR, with per-variable cone
-  recomputation on ``push`` and trailed column restores on ``pop``;
+  *all* possible worlds (or all Monte Carlo samples) of a batch in one
+  sweep of that program, replacing per-valuation recursion;
 * :mod:`repro.engine.registry` — the scheme registry through which the
   platform facade, the CLI, the distributed compiler, and the benchmark
   harness all dispatch; schemes declare capabilities (epsilon-aware,
@@ -21,7 +23,6 @@ computation scheme:
 
 from .bulk import (
     BulkEvaluator,
-    FoldedBulkEvaluator,
     bulk_monte_carlo_probabilities,
     bulk_naive_probabilities,
     make_bulk_evaluator,
@@ -32,7 +33,6 @@ from .ir import (
     UnsupportedNetworkError,
     flatten,
     flatten_folded,
-    supports_bulk,
 )
 from .masked import MaskedEvaluator, MaskedProgram, masked_program
 from .registry import (
@@ -55,7 +55,6 @@ from .registry import (
 
 __all__ = [
     "BulkEvaluator",
-    "FoldedBulkEvaluator",
     "FoldedFlatIR",
     "CAP_BULK",
     "CAP_DISTRIBUTED",
@@ -81,6 +80,5 @@ __all__ = [
     "register_scheme",
     "reset_registry",
     "run_scheme",
-    "supports_bulk",
     "unregister_scheme",
 ]

@@ -1,21 +1,21 @@
 """Vectorized bulk-world evaluation of event networks.
 
 Where the scalar baselines evaluate the network once per valuation (one
-recursive Python traversal per world), the bulk evaluator sweeps the
-flattened network (:mod:`repro.engine.ir`) once, carrying *all* worlds
-of a batch simultaneously: Boolean nodes become ``(W,)`` bool arrays,
-numeric nodes become a ``(defined mask, value array)`` pair.  The
-semantics mirror the scalar evaluators exactly on total valuations —
-``u`` is the identity of addition, annihilates multiplication, makes
-atoms true — so results match the oracles bit-for-bit up to summation
-order.
+recursive Python traversal per world), the bulk evaluator runs the
+network's lowered program (:func:`repro.engine.masked.masked_program`:
+vector c-values as scalar lanes, folded iterations unrolled into rows)
+once per batch, carrying *all* worlds of the batch at once.  The
+semantics mirror the scalar evaluators on total valuations — ``u`` is
+the identity of addition, annihilates multiplication, makes atoms true.
 
-This dense sweep is the ``python`` rung of the bulk engine and the
-oracle the compiled world block
-(:class:`repro.engine.kernels.WorldBlockEvaluator`, 64 worlds per
-``uint64`` word over the lowered program) is validated against;
-:func:`make_bulk_evaluator` picks between them.  Two entry points
-replace the hot loops of the baselines:
+:class:`BulkEvaluator` has two rungs over that one program: the
+compiled world block (:func:`repro.engine.kernels._world_block`, 64
+worlds per ``uint64`` word, one native call per batch) whenever a
+kernel backend is live, and otherwise a NumPy sweep of the same rows
+with one ``(W,)`` column per row.  The NumPy rung is also the oracle
+the world block is validated against; both reduce lanes left to right,
+so they agree world for world.  Two entry points replace the hot loops
+of the baselines:
 
 * :func:`bulk_naive_probabilities` — exact probabilities by enumerating
   all ``2^|X|`` worlds in chunks (the paper's naive per-world baseline);
@@ -27,22 +27,14 @@ from __future__ import annotations
 
 import math
 import time
-from collections import ChainMap
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..compile.result import CompilationResult
-from ..network.folded import FoldedNetwork
 from ..network.nodes import EventNetwork, Kind
 from ..worlds.variables import VariablePool
-from .ir import (
-    FlatNetwork,
-    FoldedFlatIR,
-    UnsupportedNetworkError,
-    flatten,
-    flatten_folded,
-)
+from .masked import MaskedProgram, masked_program
 
 _K_TRUE = int(Kind.TRUE)
 _K_FALSE = int(Kind.FALSE)
@@ -60,73 +52,174 @@ _K_POW = int(Kind.POW)
 _K_DIST = int(Kind.DIST)
 
 # Worlds processed per batch by the enumerating/sampling drivers; bounds
-# peak memory at (live nodes) x chunk x dimension floats.
+# peak memory at (live rows) x chunk floats.
 DEFAULT_CHUNK = 1 << 14
 
+# ATOM comparison codes (repro.engine.ir.ATOM_OPS) as ufuncs.
+_COMPARE = (np.less_equal, np.less, np.greater_equal, np.greater, np.equal)
 
-class _Num:
-    """Per-batch numeric state: a defined mask plus the defined values.
 
-    ``value`` rows where ``defined`` is false hold arbitrary *finite*
-    numbers — every producer fills masked-out slots with a safe constant
-    so downstream arithmetic never trips on inf/nan.
+def _row_plan(program: MaskedProgram, roots: Sequence[int]) -> List[tuple]:
+    """The sweep over the rows ``roots`` read (cached per root set).
+
+    One ``(row, kind, operands, payload, dead)`` step per live row, in
+    order.  ``payload`` is the row's variable, comparison, exponent,
+    metric or constant; ``dead`` lists the rows read for the last time
+    at that step, so the sweep drops them (roots excepted).
     """
+    key = tuple(sorted(set(roots)))
+    plan = program._row_plans.get(key)
+    if plan is not None:
+        return plan
+    operands = program.py_children()
+    live = bytearray(len(program))
+    for root in key:
+        live[root] = 1
+    for row in range(len(program) - 1, -1, -1):  # rows are topological
+        if live[row]:
+            for child in operands[row]:
+                live[child] = 1
+    rows = [row for row, flag in enumerate(live) if flag]
+    last_read: Dict[int, int] = {}
+    for step, row in enumerate(rows):
+        for child in operands[row]:
+            last_read[child] = step
+    dead: List[List[int]] = [[] for _ in rows]
+    for child, step in last_read.items():
+        if child not in key:
+            dead[step].append(child)
+    payloads = {
+        _K_VAR: program.var_index,
+        _K_ATOM: program.atom_op,
+        _K_POW: program.pow_exponent,
+        _K_DIST: program.dist_metric,
+        _K_GUARD: program.guard_value,
+    }
+    kinds = program.kinds.tolist()
+    plan = []
+    for step, row in enumerate(rows):
+        column = payloads.get(kinds[row])
+        payload = None if column is None else column[row].item()
+        plan.append((row, kinds[row], operands[row], payload, tuple(dead[step])))
+    program._row_plans[key] = plan
+    return plan
 
-    __slots__ = ("defined", "value")
 
-    def __init__(self, defined: np.ndarray, value: np.ndarray) -> None:
-        self.defined = defined
-        self.value = value
+def _sweep_rows(
+    plan: List[tuple], columns: np.ndarray, worlds: int
+) -> Dict[int, object]:
+    """Run ``plan`` over ``(W,)`` columns: ``_world_block``'s row semantics.
 
-    def mask(self) -> np.ndarray:
-        """``defined`` broadcast to the shape of ``value``."""
-        extra = self.value.ndim - 1
-        if extra == 0:
-            return self.defined
-        return self.defined.reshape(self.defined.shape + (1,) * extra)
-
-
-def _per_world(left: np.ndarray, right: np.ndarray):
-    """Both operands at the same rank, so they broadcast world by world.
-
-    A scalar c-value is a ``(W,)`` column and a vector one ``(W, d)``;
-    NumPy aligns trailing axes, so the scalar side gains the missing
-    axes before the two meet in a sum or product.
+    ``columns[x]`` holds variable ``x`` in every world.  A Boolean row is
+    a bool array; a numeric row is a ``(defined, value)`` pair whose
+    values where undefined are arbitrary.  ``COND`` and ``LOOP_IN`` alias
+    their operand's arrays, and lanes reduce left to right.
     """
-    extra = left.ndim - right.ndim
-    if extra > 0:
-        right = right.reshape(right.shape + (1,) * extra)
-    elif extra < 0:
-        left = left.reshape(left.shape + (1,) * -extra)
-    return left, right
-
-
-def _compare(op_code: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    if op_code == 0:
-        holds = left <= right
-    elif op_code == 1:
-        holds = left < right
-    elif op_code == 2:
-        holds = left >= right
-    elif op_code == 3:
-        holds = left > right
-    else:
-        holds = left == right
-    if holds.ndim > 1:
-        # Vector comparisons hold when every component does (matching the
-        # point-interval semantics of the partial evaluator).
-        holds = holds.all(axis=tuple(range(1, holds.ndim)))
-    return holds
+    values: Dict[int, object] = {}
+    for row, kind, operands, payload, dead in plan:
+        if kind == _K_VAR:
+            value = columns[payload]
+        elif kind == _K_AND:
+            value = np.ones(worlds, dtype=bool)
+            for child in operands:
+                value &= values[child]
+        elif kind == _K_OR:
+            value = np.zeros(worlds, dtype=bool)
+            for child in operands:
+                value |= values[child]
+        elif kind == _K_NOT:
+            value = ~values[operands[0]]
+        elif kind == _K_ATOM:
+            # Interleaved lane pairs; true where a side is undefined.
+            defined = np.ones(worlds, dtype=bool)
+            holds = np.ones(worlds, dtype=bool)
+            compare = _COMPARE[payload]
+            for i in range(0, len(operands), 2):
+                left, right = values[operands[i]], values[operands[i + 1]]
+                defined &= left[0]
+                defined &= right[0]
+                holds &= compare(left[1], right[1])
+            value = holds | ~defined
+        elif kind == _K_GUARD:
+            value = (values[operands[0]], np.broadcast_to(payload, (worlds,)))
+        elif kind == _K_COND:
+            event, (defined, number) = values[operands[0]], values[operands[1]]
+            value = (event & defined, number)
+        elif kind == _K_SUM:
+            # ``u`` is the identity: undefined lanes add nothing.
+            defined = np.zeros(worlds, dtype=bool)
+            total = np.zeros(worlds)
+            for child in operands:
+                term_defined, term = values[child]
+                defined |= term_defined
+                total += np.where(term_defined, term, 0.0)
+            value = (defined, total)
+        elif kind == _K_PROD:
+            defined = np.ones(worlds, dtype=bool)
+            product = np.ones(worlds)
+            for child in operands:
+                factor_defined, factor = values[child]
+                defined &= factor_defined
+                product *= factor
+            value = (defined, product)
+        elif kind == _K_INV:
+            defined, number = values[operands[0]]
+            nonzero = number != 0.0  # 1/0 is undefined, never inf
+            inverse = np.divide(1.0, number, out=np.ones(worlds), where=nonzero)
+            value = (defined & nonzero, inverse)
+        elif kind == _K_POW:
+            defined, number = values[operands[0]]
+            value = (defined, number**payload)  # >= 0: negative lowered to INV
+        elif kind == _K_DIST:
+            wide = len(operands) > 2
+            squared = payload == 1 or (wide and payload == 0)
+            defined = np.ones(worlds, dtype=bool)
+            total = np.zeros(worlds)
+            for i in range(0, len(operands), 2):
+                left, right = values[operands[i]], values[operands[i + 1]]
+                defined &= left[0]
+                defined &= right[0]
+                diff = left[1] - right[1]
+                total += diff * diff if squared else np.abs(diff)
+            if wide and payload == 0:
+                total = np.sqrt(total)
+            value = (defined, total)
+        elif kind == _K_TRUE:
+            value = np.ones(worlds, dtype=bool)
+        elif kind == _K_FALSE:
+            value = np.zeros(worlds, dtype=bool)
+        else:  # LOOP_IN: the operand's value, Boolean or numeric
+            value = values[operands[0]]
+        values[row] = value
+        for child in dead:
+            del values[child]
+    return values
 
 
 class BulkEvaluator:
-    """Evaluates network nodes over a whole batch of total valuations."""
+    """Evaluates Boolean network nodes over a whole batch of total valuations.
 
-    def __init__(self, network: EventNetwork) -> None:
-        self.network = network
-        self.flat: FlatNetwork = flatten(network)
+    Flat and folded networks alike run as one
+    :class:`~repro.engine.masked.MaskedProgram`: through
+    ``backend.run_block`` (the world block, 64 worlds per word) when a
+    kernel backend is given, otherwise as the NumPy row sweep.
+    ``kernel`` names the rung that runs.
+    """
 
-    # ------------------------------------------------------------------
+    def __init__(self, network: EventNetwork, backend=None) -> None:
+        self.kernel = "python" if backend is None else backend.name
+        self._backend = backend
+        self._program = program = masked_program(network)
+        self._variables = int(program.var_index.max(initial=-1)) + 1
+        if backend is not None:
+            from .kernels import _BITS, _kernel_program
+
+            k = _kernel_program(program)
+            self._arrays = (
+                k["kinds"], k["var_index"], k["atom_op"], k["pow_exp"],
+                k["metric"], k["child_off"], k["child_idx"], k["is_bool"],
+                k["guard_val"], _BITS,
+            )
 
     def evaluate(
         self, assignments: np.ndarray, node_ids: Sequence[int]
@@ -134,312 +227,60 @@ class BulkEvaluator:
         """Boolean outcomes of ``node_ids`` in every world of the batch.
 
         ``assignments`` is a ``(W, |X|)`` bool matrix: row ``w`` is the
-        total valuation of world ``w``.  Returns ``{node_id: (W,) bool}``
-        for the requested (Boolean) nodes.
+        total valuation of world ``w``.  Returns ``{node_id: (W,) bool}``.
         """
-        flat = self.flat
-        roots = [int(node_id) for node_id in node_ids]
-        order = flat.schedule(roots)
-        remaining = flat.use_counts(order)
-        keep = set(roots)
-        worlds = assignments.shape[0]
-        values: Dict[int, object] = {}
-
-        for raw_id in order:
-            node_id = int(raw_id)
-            kind = int(flat.kinds[node_id])
-            children = flat.children(node_id)
-            values[node_id] = self._compute(
-                kind, node_id, children, values, assignments, worlds
+        program = self._program
+        roots = program.final_vertex[np.asarray(node_ids, dtype=np.int64)]
+        if not program.is_bool[roots].all():
+            raise TypeError("bulk evaluation reads out Boolean nodes only")
+        if assignments.shape[1] < self._variables:
+            raise IndexError(
+                f"the network reads {self._variables} variables, "
+                f"the batch assigns {assignments.shape[1]}"
             )
-            for raw_child in children:
-                child = int(raw_child)
-                remaining[child] -= 1
-                if remaining[child] == 0 and child not in keep:
-                    del values[child]
-
-        return {node_id: values[node_id] for node_id in roots}
-
-    # ------------------------------------------------------------------
-
-    def _compute(
-        self,
-        kind: int,
-        node_id: int,
-        children: np.ndarray,
-        values: Dict[int, object],
-        assignments: np.ndarray,
-        worlds: int,
-    ):
-        flat = self.flat
-        if kind == _K_VAR:
-            return assignments[:, flat.var_index[node_id]]
-        if kind == _K_TRUE:
-            return np.ones(worlds, dtype=bool)
-        if kind == _K_FALSE:
-            return np.zeros(worlds, dtype=bool)
-        if kind == _K_NOT:
-            return ~values[int(children[0])]
-        if kind == _K_AND:
-            result = np.ones(worlds, dtype=bool)
-            for child in children:
-                result = result & values[int(child)]
-            return result
-        if kind == _K_OR:
-            result = np.zeros(worlds, dtype=bool)
-            for child in children:
-                result = result | values[int(child)]
-            return result
-        if kind == _K_ATOM:
-            left: _Num = values[int(children[0])]
-            right: _Num = values[int(children[1])]
-            holds = _compare(int(flat.atom_op[node_id]), left.value, right.value)
-            # Atoms are true whenever either side is undefined.
-            return holds | ~left.defined | ~right.defined
-        if kind == _K_GUARD:
-            event = values[int(children[0])]
-            constant = np.asarray(flat.guard_values[node_id], dtype=float)
-            value = np.broadcast_to(constant, (worlds,) + constant.shape)
-            return _Num(event, value)
-        if kind == _K_COND:
-            event = values[int(children[0])]
-            child: _Num = values[int(children[1])]
-            return _Num(event & child.defined, child.value)
-        if kind == _K_SUM:
-            defined = np.zeros(worlds, dtype=bool)
-            total = None
-            for raw_child in children:
-                term: _Num = values[int(raw_child)]
-                defined = defined | term.defined
-                contribution = np.where(term.mask(), term.value, 0.0)
-                if total is None:
-                    total = contribution
-                else:
-                    total, contribution = _per_world(total, contribution)
-                    total = total + contribution
-            if total is None:  # empty sum: undefined everywhere
-                return _Num(defined, np.zeros(worlds))
-            return _Num(defined, total)
-        if kind == _K_PROD:
-            defined = np.ones(worlds, dtype=bool)
-            product = None
-            for raw_child in children:
-                factor: _Num = values[int(raw_child)]
-                defined = defined & factor.defined
-                if product is None:
-                    product = factor.value
-                else:
-                    product, value = _per_world(product, factor.value)
-                    product = product * value
-            if product is None:  # empty product is 1
-                return _Num(defined, np.ones(worlds))
-            return _Num(defined, product)
-        if kind == _K_INV:
-            child = values[int(children[0])]
-            if child.value.ndim > 1:
-                raise TypeError("invert is only defined for scalar c-values")
-            nonzero = child.value != 0.0
-            defined = child.defined & nonzero
-            value = np.divide(
-                1.0,
-                child.value,
-                out=np.ones(worlds),
-                where=nonzero,
-            )
-            return _Num(defined, value)
-        if kind == _K_POW:
-            child = values[int(children[0])]
-            exponent = int(flat.pow_exponent[node_id])
-            if exponent >= 0:
-                return _Num(child.defined, child.value**exponent)
-            if child.value.ndim > 1:
-                raise TypeError("invert is only defined for scalar c-values")
-            nonzero = child.value != 0.0
-            powered = np.where(nonzero, child.value, 1.0) ** (-exponent)
-            return _Num(child.defined & nonzero, 1.0 / powered)
-        if kind == _K_DIST:
-            left = values[int(children[0])]
-            right = values[int(children[1])]
-            diff = np.abs(left.value - right.value)
-            metric = int(flat.dist_metric[node_id])
-            # One row of components per world (an empty batch included).
-            components = diff.reshape(worlds, int(np.prod(diff.shape[1:])))
-            if metric == 0:  # euclidean
-                value = np.sqrt(np.sum(components**2, axis=1))
-            elif metric == 1:  # sqeuclidean
-                value = np.sum(components**2, axis=1)
-            else:  # manhattan
-                value = np.sum(components, axis=1)
-            return _Num(left.defined & right.defined, value)
-        raise TypeError(f"cannot bulk-evaluate node kind {Kind(kind)!r}")
-
-
-class FoldedBulkEvaluator(BulkEvaluator):
-    """Bulk evaluation of folded networks: one layer sweep per iteration.
-
-    The loop-independent prefix is evaluated once per batch; the
-    loop-dependent layer is then swept ``iterations`` times as whole
-    boolean/float matrices, with each slot's loop-input node fed the
-    value its *next* node produced in the previous sweep (the *init*
-    node's value for the first sweep).  Node values read at the end
-    match the scalar :class:`repro.compile.folded_eval.FoldedEvaluator`
-    at the final iteration.  Folded layers are small by construction
-    (the whole point of the encoding), so no mid-sweep freeing is done.
-
-    Only the slots reachable from the requested roots are carried:
-    unreachable slots get no state column and are never read, so
-    evaluating a subset of targets on a multi-slot network is safe.
-    """
-
-    def __init__(self, network: FoldedNetwork) -> None:
-        self.network = network
-        self.ir: FoldedFlatIR = flatten_folded(network)
-        self.flat = self.ir.flat
-
-    def evaluate(
-        self, assignments: np.ndarray, node_ids: Sequence[int]
-    ) -> Dict[int, np.ndarray]:
-        ir = self.ir
-        roots = [int(node_id) for node_id in node_ids]
-        prefix, layer = ir.split(roots)
-        worlds = assignments.shape[0]
-
-        prefix_values: Dict[int, object] = {}
-        for raw_id in prefix:
-            node_id = int(raw_id)
-            prefix_values[node_id] = self._compute(
-                int(self.flat.kinds[node_id]),
-                node_id,
-                self.flat.children(node_id),
-                prefix_values,
-                assignments,
-                worlds,
-            )
-
-        layer_ids = [int(raw_id) for raw_id in layer]
-        layer_values: Dict[int, object] = {}
-        values = ChainMap(layer_values, prefix_values)
-        if ir.has_loop_dependent_init:
-            # Cross-slot init chains: the first iteration needs the
-            # demand-driven order of the scalar evaluator (a loop input
-            # at iteration 0 is its slot's init *at iteration 0*).
-            self._first_sweep_demand_driven(
-                layer_ids, layer_values, values, assignments, worlds
-            )
+        if self._backend is not None:
+            outcomes = self._run_block(assignments, roots)
         else:
-            # Every init is loop-independent, i.e. already in the prefix
-            # (``.get``: slots unreachable from the roots have no value
-            # and no reader).
-            state = [prefix_values.get(int(i)) for i in ir.init_ids]
-            self._sweep(layer_ids, state, layer_values, values, assignments, worlds)
-        for _ in range(ir.iterations - 1):
-            state = [values.get(int(n)) for n in ir.next_ids]
-            self._sweep(layer_ids, state, layer_values, values, assignments, worlds)
+            rows = roots.tolist()
+            columns = np.ascontiguousarray(np.transpose(assignments))
+            with np.errstate(all="ignore"):  # undefined lanes hold anything
+                values = _sweep_rows(
+                    _row_plan(program, rows), columns, len(assignments)
+                )
+            outcomes = [values[row] for row in rows]
+        return {int(node): outcomes[i] for i, node in enumerate(node_ids)}
 
-        return {node_id: values[node_id] for node_id in roots}
+    def _run_block(self, assignments: np.ndarray, roots: np.ndarray) -> np.ndarray:
+        """One :func:`~repro.engine.kernels._world_block` call for the batch."""
+        from .kernels import pack_bool_column, unpack_bool_column
 
-    def _sweep(
-        self,
-        layer_ids: List[int],
-        state: List[object],
-        layer_values: Dict[int, object],
-        values: "ChainMap",
-        assignments: np.ndarray,
-        worlds: int,
-    ) -> None:
-        """One iteration: recompute the loop layer from the slot state."""
-        flat = self.flat
-        loop_slot = self.ir.loop_slot
-        layer_values.clear()
-        for node_id in layer_ids:
-            slot = int(loop_slot[node_id])
-            if slot >= 0:
-                layer_values[node_id] = state[slot]
-                continue
-            layer_values[node_id] = self._compute(
-                int(flat.kinds[node_id]),
-                node_id,
-                flat.children(node_id),
-                values,
-                assignments,
-                worlds,
-            )
-
-    def _first_sweep_demand_driven(
-        self,
-        layer_ids: List[int],
-        layer_values: Dict[int, object],
-        values: "ChainMap",
-        assignments: np.ndarray,
-        worlds: int,
-    ) -> None:
-        """Iteration 0 with loop inputs resolving through their inits.
-
-        Demand order is kept with an explicit two-phase stack (visit
-        children, then compute) — cross-slot init chains can be as deep
-        as the slot count, so the recursion limit must not bound them.
-        """
-        flat = self.flat
-        ir = self.ir
-        in_progress: set = set()
-
-        layer_values.clear()
-        for root in layer_ids:
-            stack: List[Tuple[int, int]] = [(int(root), 0)]
-            while stack:
-                node_id, phase = stack.pop()
-                if phase == 0:
-                    if values.get(node_id) is not None:
-                        continue
-                    if node_id in in_progress:
-                        raise UnsupportedNetworkError(
-                            "cyclic slot initialisation in folded network"
-                        )
-                    in_progress.add(node_id)
-                    stack.append((node_id, 1))
-                    slot = int(ir.loop_slot[node_id])
-                    if slot >= 0:
-                        stack.append((int(ir.init_ids[slot]), 0))
-                    else:
-                        for child in flat.children(node_id):
-                            stack.append((int(child), 0))
-                    continue
-                slot = int(ir.loop_slot[node_id])
-                if slot >= 0:
-                    result = values[int(ir.init_ids[slot])]
-                else:
-                    result = self._compute(
-                        int(flat.kinds[node_id]),
-                        node_id,
-                        flat.children(node_id),
-                        values,
-                        assignments,
-                        worlds,
-                    )
-                in_progress.discard(node_id)
-                layer_values[node_id] = result
+        var_words = pack_bool_column(np.transpose(assignments))
+        blocks = var_words.shape[1]
+        out = np.empty(len(roots) * blocks, dtype=np.uint64)
+        rows = len(self._program)
+        self._backend.run_block(
+            var_words, roots, out, *self._arrays,
+            np.empty(rows, dtype=np.int64),  # sched
+            np.zeros(rows, dtype=np.int64),  # strip_of
+            np.empty(rows, dtype=np.uint64),  # word
+            np.zeros(rows * 64),  # strips
+        )
+        return unpack_bool_column(out.reshape(len(roots), blocks), len(assignments))
 
 
 def make_bulk_evaluator(
     network: EventNetwork, kernel: Optional[str] = None
-) -> "BulkEvaluator | WorldBlockEvaluator":
+) -> BulkEvaluator:
     """The bulk evaluator for ``network`` on the requested kernel tier.
 
-    With a live compiled tier (``kernel=None`` defers to
-    :func:`repro.engine.kernels.default_kernel`) this is the world-block
-    kernel over the lowered program, flat and folded networks alike;
-    otherwise, or for ``kernel="python"``, the dense NumPy sweep above.
-    The two agree world for world.
+    ``kernel=None`` defers to :func:`repro.engine.kernels.default_kernel`;
+    the world block runs whenever that tier's backend is live, the NumPy
+    rows otherwise (or for ``kernel="python"``).
     """
     from . import kernels
 
     name = kernel if kernel is not None else kernels.default_kernel()
-    backend = kernels.get_backend(name)  # rejects an unknown name
-    if backend is not None:
-        return kernels.WorldBlockEvaluator(network, backend)
-    if isinstance(network, FoldedNetwork):
-        return FoldedBulkEvaluator(network)
-    return BulkEvaluator(network)
+    return BulkEvaluator(network, kernels.get_backend(name))  # rejects unknown
 
 
 # ----------------------------------------------------------------------

@@ -1,27 +1,26 @@
 """Flattened intermediate representation of event networks.
 
 An :class:`~repro.network.nodes.EventNetwork` stores nodes as Python
-records; every evaluator that walks them pays interpreter overhead per
-node *per world*.  Flattening turns the network into a handful of NumPy
-arrays — kind codes, a CSR operand table, and per-kind payload columns —
-computed once and cached on the network, so bulk evaluators can sweep
-the whole DAG in topological order with one vectorized operation per
-node regardless of how many worlds are being evaluated.
+records.  Flattening turns the network into a handful of NumPy arrays —
+kind codes, a CSR operand table, and per-kind payload columns — computed
+once and cached on the network.  These arrays are the input of
+:func:`repro.engine.masked.masked_program`, which lowers them into the
+one program every evaluator runs; they also own the node-level variable
+cones the orderings read.
 
 Folded networks (:class:`~repro.network.folded.FoldedNetwork`) carry
 loop-input slots whose meaning changes per iteration, so they have no
 *static* flat form (:func:`flatten` raises
 :class:`UnsupportedNetworkError` on them).  They flatten through
 :func:`flatten_folded` instead, which produces a :class:`FoldedFlatIR`:
-loop-input nodes become state columns, the loop-independent prefix is
-scheduled once, and the loop-dependent layer is scheduled for one sweep
-per iteration with slot state carried via the init/next node bindings.
+the iteration template plus each slot's loop-input/init/next binding,
+which ``masked_program`` unrolls into one row per iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -73,8 +72,6 @@ class FlatNetwork:
     dist_metric: np.ndarray  # (N,) int8 — DIST_METRICS code, else -1
     guard_values: Dict[int, object]  # node id -> constant (float or vector)
     targets: Dict[str, int]
-    _schedules: Dict[Tuple[int, ...], np.ndarray] = field(default_factory=dict)
-    _use_counts: Dict[bytes, np.ndarray] = field(default_factory=dict)
     _parents: "Tuple[np.ndarray, np.ndarray] | None" = None
     _var_cones: Dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -85,30 +82,6 @@ class FlatNetwork:
         return self.child_indices[
             self.child_offsets[node_id] : self.child_offsets[node_id + 1]
         ]
-
-    def schedule(self, roots: Sequence[int]) -> np.ndarray:
-        """Node ids reachable from ``roots``, in evaluation order.
-
-        Node ids are already topological (children precede parents), so
-        the schedule is the sorted reachable set.  Cached per root set —
-        repeated bulk runs over the same targets pay for reachability
-        once.
-        """
-        key = tuple(sorted(set(int(r) for r in roots)))
-        cached = self._schedules.get(key)
-        if cached is not None:
-            return cached
-        seen = np.zeros(len(self.kinds), dtype=bool)
-        stack = list(key)
-        while stack:
-            node_id = stack.pop()
-            if seen[node_id]:
-                continue
-            seen[node_id] = True
-            stack.extend(int(c) for c in self.children(node_id))
-        order = np.flatnonzero(seen)
-        self._schedules[key] = order
-        return order
 
     def parents(self) -> Tuple[np.ndarray, np.ndarray]:
         """CSR parent adjacency ``(offsets, indices)`` (cached).
@@ -138,52 +111,27 @@ class FlatNetwork:
         self._var_cones[var_index] = cone
         return cone
 
-    def use_counts(self, order: np.ndarray) -> np.ndarray:
-        """How many scheduled parents consume each node (for freeing).
-
-        Cached per schedule (evaluators decrement the counts in place,
-        so a fresh copy is returned each call).
-        """
-        key = order.tobytes()
-        counts = self._use_counts.get(key)
-        if counts is None:
-            counts = np.zeros(len(self.kinds), dtype=np.int64)
-            for node_id in order:
-                for child in self.children(int(node_id)):
-                    counts[child] += 1
-            self._use_counts[key] = counts
-        return counts.copy()
-
 
 @dataclass
 class FoldedFlatIR:
-    """A folded network flattened for iteration-swept bulk evaluation.
+    """A folded network's iteration template, flattened.
 
     ``flat`` holds the whole template as a :class:`FlatNetwork` (loop
     inputs included); the extra columns bind each loop-input node to its
-    slot.  Evaluators run the loop-independent *prefix* once, then sweep
-    the loop-dependent *layer* ``iterations`` times, feeding each slot's
-    loop-input node the value its *next* node produced in the previous
-    sweep (its *init* node's value for the first sweep) — the matrix form
-    of the per-iteration mask ``M[t][v]`` of Section 4.2.
+    slot.  :func:`repro.engine.masked.masked_program` unrolls it: the
+    loop-independent nodes once, the loop-dependent ones ``iterations``
+    times, each slot's loop-input reading its *init* node at the first
+    iteration and its *next* node of the previous one after that — the
+    per-iteration mask ``M[t][v]`` of Section 4.2.
     """
 
     flat: FlatNetwork
     iterations: int
-    slot_names: Tuple[str, ...]
     loop_in_ids: np.ndarray  # (S,) int64 — loop-input node per slot
     init_ids: np.ndarray  # (S,) int64 — initial-value node per slot
     next_ids: np.ndarray  # (S,) int64 — iteration-update node per slot
     loop_slot: np.ndarray  # (N,) int64 — slot index of LOOP_IN nodes, else -1
     loop_dependent: np.ndarray  # (N,) bool — value can change across iterations
-    # True when some slot is initialised from a loop-dependent node (a
-    # cross-slot init chain): the first iteration then needs the
-    # demand-driven evaluation order of the scalar evaluator instead of
-    # the plain topological layer sweep.
-    has_loop_dependent_init: bool = False
-    _splits: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict
-    )
     _var_cones: Dict[int, np.ndarray] = field(default_factory=dict)
 
     def var_cone(self, var_index: int) -> np.ndarray:
@@ -205,35 +153,6 @@ class FoldedFlatIR:
         cone = _upward_closure(self.flat, var_index, extra_edges=feeds)
         self._var_cones[var_index] = cone
         return cone
-
-    def split(self, roots: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """``(prefix, layer)`` schedules for evaluating ``roots``.
-
-        Reachability follows the implicit loop edges (a loop input needs
-        its slot's init and next nodes); both schedules are in node-id
-        (topological) order.  Cached per root set.
-        """
-        key = tuple(sorted(set(int(r) for r in roots)))
-        cached = self._splits.get(key)
-        if cached is not None:
-            return cached
-        seen = np.zeros(len(self.flat), dtype=bool)
-        stack = list(key)
-        while stack:
-            node_id = stack.pop()
-            if seen[node_id]:
-                continue
-            seen[node_id] = True
-            stack.extend(int(c) for c in self.flat.children(node_id))
-            slot = int(self.loop_slot[node_id])
-            if slot >= 0:
-                stack.append(int(self.init_ids[slot]))
-                stack.append(int(self.next_ids[slot]))
-        reachable = np.flatnonzero(seen)
-        dependent = self.loop_dependent[reachable]
-        prefix_layer = (reachable[~dependent], reachable[dependent])
-        self._splits[key] = prefix_layer
-        return prefix_layer
 
 
 def parents_csr(
@@ -291,22 +210,6 @@ def _upward_closure(
     return np.flatnonzero(seen)
 
 
-def supports_bulk(network: EventNetwork) -> bool:
-    """Can this network be flattened for bulk evaluation?
-
-    ``ValueError`` covers incomplete folded networks (unbound slots),
-    which are no more evaluable than networks without a flat form.
-    """
-    try:
-        if isinstance(network, FoldedNetwork):
-            flatten_folded(network)
-        else:
-            flatten(network)
-    except (UnsupportedNetworkError, ValueError):
-        return False
-    return True
-
-
 def flatten(network: EventNetwork) -> FlatNetwork:
     """Flatten ``network`` (cached: repeated calls reuse the arrays).
 
@@ -337,13 +240,12 @@ def flatten_folded(network: FoldedNetwork) -> FoldedFlatIR:
     network.check_complete()
     flat = _flatten_uncached(network, allow_loop_inputs=True)
 
-    slot_names = tuple(network.slots)
-    loop_in_ids = np.empty(len(slot_names), dtype=np.int64)
-    init_ids = np.empty(len(slot_names), dtype=np.int64)
-    next_ids = np.empty(len(slot_names), dtype=np.int64)
+    slots = len(network.slots)
+    loop_in_ids = np.empty(slots, dtype=np.int64)
+    init_ids = np.empty(slots, dtype=np.int64)
+    next_ids = np.empty(slots, dtype=np.int64)
     loop_slot = np.full(len(network.nodes), -1, dtype=np.int64)
-    for slot, name in enumerate(slot_names):
-        loop_in, init_node, next_node = network.slots[name]
+    for slot, (loop_in, init_node, next_node) in enumerate(network.slots.values()):
         loop_in_ids[slot] = loop_in
         init_ids[slot] = init_node
         next_ids[slot] = next_node
@@ -356,13 +258,11 @@ def flatten_folded(network: FoldedNetwork) -> FoldedFlatIR:
     ir = FoldedFlatIR(
         flat=flat,
         iterations=network.iterations,
-        slot_names=slot_names,
         loop_in_ids=loop_in_ids,
         init_ids=init_ids,
         next_ids=next_ids,
         loop_slot=loop_slot,
         loop_dependent=loop_dependent,
-        has_loop_dependent_init=bool(loop_dependent[init_ids].any()),
     )
     try:
         network._folded_flat_ir = (len(network.nodes), ir)
@@ -389,7 +289,7 @@ def _flatten_uncached(
         if kind is Kind.LOOP_IN and not allow_loop_inputs:
             raise UnsupportedNetworkError(
                 "folded networks (loop-input nodes) have no static flat "
-                "form; flatten_folded() builds their iteration-swept IR"
+                "form; flatten_folded() builds their iteration template"
             )
         kinds[node.id] = int(kind)
         child_lists.append(node.children)

@@ -39,8 +39,8 @@ sweep.
 The shared library also carries ``world_block``, generated the same way
 from :func:`_world_block`: the lowered program run two-valued, 64 worlds
 per ``uint64`` word, for ``naive`` and ``montecarlo``
-(:class:`WorldBlockEvaluator`).  The dense NumPy sweep of
-:mod:`repro.engine.bulk` is its fallback and its validation oracle.
+(:class:`repro.engine.bulk.BulkEvaluator`).  The NumPy row sweep there
+is its fallback and its validation oracle.
 """
 
 from __future__ import annotations
@@ -53,13 +53,13 @@ import shlex
 import subprocess
 import tempfile
 import warnings
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..compile.partial import B_FALSE, B_TRUE, B_UNKNOWN, NumState
 from ..network.nodes import EventNetwork, Kind
-from .masked import _TAG_BOOL, MaskedEvaluator, MaskedProgram, masked_program
+from .masked import _TAG_BOOL, MaskedEvaluator, MaskedProgram
 
 _K_TRUE = int(Kind.TRUE)
 _K_FALSE = int(Kind.FALSE)
@@ -974,7 +974,7 @@ def _validate_backend(backend: _Backend) -> bool:
 
     The sweep drives a push/pop walk against the Python evaluator; the
     world block evaluates 70 worlds (a full block and a partial one)
-    against the dense NumPy sweep.
+    against the NumPy row sweep.
     """
     # Deferred: building networks pulls in packages that import this one.
     from ..events.expressions import (
@@ -1054,7 +1054,7 @@ def _validate_backend(backend: _Backend) -> bool:
         assignments = np.random.default_rng(0).random((70, 3)) < 0.5
         roots = list(network.targets.values())
         expected = BulkEvaluator(network).evaluate(assignments, roots)
-        actual = WorldBlockEvaluator(network, backend).evaluate(assignments, roots)
+        actual = BulkEvaluator(network, backend).evaluate(assignments, roots)
         return all(np.array_equal(actual[r], expected[r]) for r in roots)
     except Exception:
         return False
@@ -1301,7 +1301,7 @@ class KernelMaskedEvaluator(MaskedEvaluator):
 
 
 # ----------------------------------------------------------------------
-# The world-block evaluator
+# World-block words
 # ----------------------------------------------------------------------
 
 #: ``_BITS[j] == 1 << j``: the world block's lane masks (cgen has no shifts).
@@ -1335,63 +1335,6 @@ def unpack_bool_column(words: np.ndarray, worlds: int) -> np.ndarray:
         bitorder="little",
     )
     return bits.view(np.bool_)
-
-
-class WorldBlockEvaluator:
-    """Bulk evaluation through :func:`_world_block`, 64 worlds per word.
-
-    A drop-in for the dense :class:`repro.engine.bulk.BulkEvaluator` —
-    the same ``evaluate`` contract and the same Boolean outcome in every
-    world — on flat and folded networks alike: both are one
-    :class:`~repro.engine.masked.MaskedProgram` (lanes lowered,
-    iterations unrolled), and one kernel call sweeps every block of a
-    batch.  Only Boolean nodes can be read out; numeric strips never
-    leave the kernel.
-    """
-
-    def __init__(self, network: EventNetwork, backend: _Backend) -> None:
-        self.kernel = backend.name
-        self._backend = backend
-        self._program = program = masked_program(network)
-        k = _kernel_program(program)
-        self._arrays = (
-            k["kinds"], k["var_index"], k["atom_op"], k["pow_exp"],
-            k["metric"], k["child_off"], k["child_idx"], k["is_bool"],
-            k["guard_val"], _BITS,
-        )
-        self._variables = int(program.var_index.max(initial=-1)) + 1
-
-    def evaluate(
-        self, assignments: np.ndarray, node_ids: Sequence[int]
-    ) -> Dict[int, np.ndarray]:
-        """Boolean outcomes of ``node_ids`` in every world of the batch.
-
-        ``assignments`` is a ``(W, |X|)`` bool matrix, one total
-        valuation per row; returns ``{node_id: (W,) bool}``.
-        """
-        program = self._program
-        roots = program.final_vertex[np.asarray(node_ids, dtype=np.int64)]
-        if not program.is_bool[roots].all():
-            raise TypeError("the world block reads out Boolean nodes only")
-        if assignments.shape[1] < self._variables:
-            raise IndexError(
-                f"the network reads {self._variables} variables, "
-                f"the batch assigns {assignments.shape[1]}"
-            )
-        var_words = pack_bool_column(np.transpose(assignments))
-        out = np.empty(len(roots) * var_words.shape[1], dtype=np.uint64)
-        rows = len(program)
-        self._backend.run_block(
-            var_words, roots, out, *self._arrays,
-            np.empty(rows, dtype=np.int64),  # sched
-            np.zeros(rows, dtype=np.int64),  # strip_of
-            np.empty(rows, dtype=np.uint64),  # word
-            np.zeros(rows * 64),  # strips
-        )
-        outcomes = unpack_bool_column(
-            out.reshape(len(roots), var_words.shape[1]), assignments.shape[0]
-        )
-        return {int(node): outcomes[i] for i, node in enumerate(node_ids)}
 
 
 _warned_unknown_kernel = False

@@ -162,6 +162,8 @@ class MaskedProgram:
     _parents_csr: "Tuple[np.ndarray, np.ndarray] | None" = None
     _var_vertices: Dict[int, List[int]] = field(default_factory=dict)
     _py_cones: Dict[int, List[int]] = field(default_factory=dict)
+    # The bulk row sweep's schedules, per root set (repro.engine.bulk).
+    _row_plans: Dict[Tuple[int, ...], list] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.kinds)

@@ -4,8 +4,9 @@ The paper's baseline "computes an equivalent clustering by explicitly
 iterating over all possible worlds" (Section 5, "Algorithms").  All
 networks — flat and folded alike — route through the vectorized bulk
 engine (:mod:`repro.engine.bulk`), which evaluates whole chunks of
-worlds per sweep: 64 per word in the native world block, or as NumPy
-matrices without a compiler.  The original per-world evaluator survives as
+worlds per sweep of the lowered program: 64 per word in the native
+world block, or one NumPy column per row without a compiler.  The
+original per-world evaluator survives as
 :func:`naive_probabilities_scalar`, kept purely as the cross-validation
 oracle for the bulk engine.
 """

@@ -1,14 +1,13 @@
-"""Property tests: the world-block kernel against the dense NumPy rung.
+"""Property tests: the world-block kernel against the NumPy row rung.
 
-The world block (:func:`repro.engine.kernels._world_block`, driven by
-:class:`~repro.engine.kernels.WorldBlockEvaluator`) runs the lowered
-program two-valued over 64-world words; the dense sweep of
-:mod:`repro.engine.bulk` is the ``python`` rung it replaces whenever a
-compiled tier is live.  The two must agree *exactly*: the same Boolean
-outcome in every world for every target, flat and folded, scalar and
-vector c-values, at every batch size around the 64-world word — so
-``naive`` bounds are equal bit for bit and ``montecarlo`` hit counts
-are identical per seed.
+Both rungs of :class:`repro.engine.bulk.BulkEvaluator` run the same
+lowered program: the world block (:func:`repro.engine.kernels._world_block`)
+over 64-world words, the ``python`` rung as one NumPy column per row.
+The two must agree *exactly*: the same Boolean outcome in every world
+for every target, flat and folded, scalar and vector c-values at every
+width, at every batch size around the 64-world word — so ``naive``
+bounds are equal bit for bit and ``montecarlo`` hit counts are
+identical per seed.
 
 ``python``/``native`` name the world block's two executions: its source
 run as plain Python (``conftest.source_backend``) and the C generated
@@ -29,13 +28,11 @@ from repro.compile.montecarlo import monte_carlo_probabilities
 from repro.engine import bulk, kernels
 from repro.engine.bulk import (
     BulkEvaluator,
-    FoldedBulkEvaluator,
     bulk_naive_probabilities,
     enumerate_worlds,
     make_bulk_evaluator,
 )
-from repro.engine.kernels import WorldBlockEvaluator
-from repro.events.expressions import TRUE, atom, cinv, guard, var
+from repro.events.expressions import TRUE, atom, cdist, cinv, guard, var
 from repro.network.build import build_targets
 from repro.network.nodes import EventNetwork, Kind
 from repro.worlds.naive import naive_probabilities
@@ -54,7 +51,7 @@ BOUNDARY_WORLDS = (1, 63, 64, 65, 127, 128, 200)
 
 def _world_block(network, tier="native"):
     backend = source_backend() if tier == "python" else require_native()
-    return WorldBlockEvaluator(network, backend)
+    return BulkEvaluator(network, backend)
 
 
 def _world_matrix(rng, worlds, variables):
@@ -67,9 +64,9 @@ def _world_matrix(rng, worlds, variables):
 def assert_same_outcomes(network, assignments, tier="native"):
     """Exact Boolean equality, world for world, for every target."""
     targets = list(network.targets.values())
-    dense = make_bulk_evaluator(network, kernel="python")
-    assert isinstance(dense, BulkEvaluator)
-    expected = dense.evaluate(assignments, targets)
+    rows = make_bulk_evaluator(network, kernel="python")
+    assert rows.kernel == "python"
+    expected = rows.evaluate(assignments, targets)
     actual = _world_block(network, tier).evaluate(assignments, targets)
     for node_id in targets:
         assert actual[node_id].dtype == bool
@@ -93,14 +90,13 @@ def test_packed_matches_dense_flat(kernel, seed):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_packed_matches_dense_folded(seed):
     pool, folded = _random_folded_instance(seed)
-    assert isinstance(make_bulk_evaluator(folded, kernel="python"),
-                      FoldedBulkEvaluator)
+    assert make_bulk_evaluator(folded, kernel="python").kernel == "python"
     rng = random.Random(seed + 1)
     worlds = rng.choice(BOUNDARY_WORLDS)
     assert_same_outcomes(folded, _world_matrix(rng, worlds, len(pool)))
 
 
-@pytest.mark.parametrize("width", (1, 2, 3))
+@pytest.mark.parametrize("width", (1, 2, 3, 9))
 @pytest.mark.parametrize("seed", range(6))
 def test_vector_lanes_match_dense(width, seed):
     # Lane-wise SUM/PROD/COND, INV of a count, n-ary DIST under all
@@ -112,6 +108,35 @@ def test_vector_lanes_match_dense(width, seed):
     )
     pool, folded = _folded_vector_instance(seed, width)
     assert_same_outcomes(folded, _world_matrix(rng, 130, len(pool)))
+
+
+def test_wide_dist_reduces_left_to_right():
+    # Regression: the NumPy rung summed a width-9 DIST with np.sum, which
+    # is pairwise from width 8 on, while the world block sums left to
+    # right.  At this tie the rungs resolved the atom differently, so
+    # ``naive`` answered differently with and without a C compiler.
+    rng = np.random.default_rng(0)
+    a, b = rng.random(9), rng.random(9)
+    tie = 0.0
+    for x, y in zip(a, b):
+        tie += (x - y) * (x - y)
+    assert tie == 1.9406478306770025
+    network = build_targets({
+        "t": atom(
+            "<=",
+            cdist(guard(var(0), a), guard(TRUE, b), "sqeuclidean"),
+            guard(TRUE, tie),
+        )
+    })
+    target = network.targets["t"]
+    assignments = np.array([[True], [False]])
+    rows = make_bulk_evaluator(network, kernel="python")
+    assert rows.evaluate(assignments, [target])[target].tolist() == [True, True]
+    assert_same_outcomes(network, assignments, "python")
+    pool = make_pool([0.5])
+    assert naive_probabilities(network, pool, kernel="python").bounds == {
+        "t": (1.0, 1.0)
+    }
 
 
 def _network_of_empties():
@@ -205,11 +230,11 @@ def test_naive_probabilities_packed_matches_unpacked(kernel, monkeypatch):
         pool, events = _random_instance(seed)
         network = build_targets(events)
         evaluator = make_bulk_evaluator(network, kernel="native")
-        assert isinstance(evaluator, WorldBlockEvaluator)
+        assert evaluator.kernel == ("source" if kernel == "python" else "native")
         blocks = naive_probabilities(network, pool, kernel="native")
-        dense = naive_probabilities(network, pool, kernel="python")
-        assert blocks.bounds == dense.bounds  # bit for bit
-        assert blocks.tree_nodes == dense.tree_nodes
+        rows = naive_probabilities(network, pool, kernel="python")
+        assert blocks.bounds == rows.bounds  # bit for bit
+        assert blocks.tree_nodes == rows.tree_nodes
         assert "packed" not in blocks.extra and "kernel_tier" not in blocks.extra
 
 
@@ -218,8 +243,8 @@ def test_naive_probabilities_packed_matches_unpacked_folded():
     for seed in range(4):
         pool, folded = _random_folded_instance(seed)
         blocks = naive_probabilities(folded, pool, kernel="native")
-        dense = naive_probabilities(folded, pool, kernel="python")
-        assert blocks.bounds == dense.bounds
+        rows = naive_probabilities(folded, pool, kernel="python")
+        assert blocks.bounds == rows.bounds
 
 
 def test_monte_carlo_packed_matches_unpacked_per_seed():

@@ -5,7 +5,6 @@ import pytest
 
 from repro.engine.bulk import (
     BulkEvaluator,
-    FoldedBulkEvaluator,
     bulk_monte_carlo_probabilities,
     bulk_naive_probabilities,
     enumerate_worlds,
@@ -26,7 +25,7 @@ from repro.events.expressions import (
     negate,
     var,
 )
-from repro.engine.kernels import WorldBlockEvaluator, get_backend
+from repro.engine.kernels import get_backend
 from repro.events.probability import event_probability
 from repro.network.build import NetworkBuilder, build_targets
 from repro.worlds.naive import lineage_nodes, naive_probabilities_scalar
@@ -201,7 +200,14 @@ class TestBulkNaive:
 
 
 class TestFoldedBulk:
-    """Folded networks evaluate through the iteration-swept bulk path."""
+    """Folded networks evaluate as their unrolled program, on the default rung."""
+
+    kernel = None  # the process default (``REPRO_KERNEL`` or ``auto``)
+
+    @pytest.fixture(autouse=True)
+    def _pin_rung(self, monkeypatch):
+        if self.kernel is not None:
+            monkeypatch.setenv("REPRO_KERNEL", self.kernel)
 
     def _counter(self, iterations):
         from repro.events.expressions import literal
@@ -217,22 +223,18 @@ class TestFoldedBulk:
         return builder.folded
 
     def test_make_bulk_evaluator_dispatches(self):
-        # The python rung matches the network flavour; a compiled tier
-        # runs both flavours as one lowered program.
+        # Both flavours run as one lowered program on either rung; the
+        # rung depends only on whether a backend is live.
         folded = self._counter(2)
         flat = build_targets({"t": var(0)})
-        assert isinstance(
-            make_bulk_evaluator(folded, kernel="python"), FoldedBulkEvaluator
-        )
-        evaluator = make_bulk_evaluator(flat, kernel="python")
-        assert isinstance(evaluator, BulkEvaluator)
-        assert not isinstance(evaluator, FoldedBulkEvaluator)
-        if get_backend("native") is not None:
-            for network in (folded, flat):
-                assert isinstance(
-                    make_bulk_evaluator(network, kernel="native"),
-                    WorldBlockEvaluator,
-                )
+        live = get_backend("native") is not None
+        for network in (folded, flat):
+            assert make_bulk_evaluator(network, kernel="python").kernel == "python"
+            assert make_bulk_evaluator(network, kernel="native").kernel == (
+                "native" if live else "python"
+            )
+        if self.kernel == "python":  # the pin reaches the default rung
+            assert make_bulk_evaluator(folded).kernel == "python"
 
     def test_counter_semantics(self):
         # With x0 true the slot reaches `iterations`, so P[big] = P[x0].
@@ -464,6 +466,12 @@ class TestFoldedBulk:
         assert first.extra["vectorized"] == 1.0
         exact = bulk_naive_probabilities(folded, pool).bounds["big"][0]
         assert abs(first.probability("big") - exact) < 0.15
+
+
+class TestFoldedBulkPythonRung(TestFoldedBulk):
+    """The same regressions on the NumPy row sweep, compiler or not."""
+
+    kernel = "python"
 
 
 class TestBulkMonteCarlo:

@@ -8,8 +8,8 @@ from repro.engine.ir import (
     UnsupportedNetworkError,
     flatten,
     flatten_folded,
-    supports_bulk,
 )
+from repro.engine.masked import masked_program
 from repro.events.expressions import (
     TRUE,
     atom,
@@ -81,23 +81,6 @@ class TestFlatten:
         assert any(isinstance(v, np.ndarray) and v.shape == (2,) for v in vectors)
 
 
-class TestSchedule:
-    def test_schedule_is_topological_and_reachable_only(self):
-        network = build_targets({"a": var(0), "b": conj([var(1), var(2)])})
-        flat = flatten(network)
-        order = flat.schedule([network.targets["a"]])
-        # Only the VAR node for x0 is needed for target "a".
-        assert list(order) == [network.targets["a"]]
-        full = flat.schedule(sorted(network.targets.values()))
-        assert list(full) == sorted(full)
-
-    def test_schedule_cached(self):
-        network = _example_network()
-        flat = flatten(network)
-        roots = tuple(network.targets.values())
-        assert flat.schedule(roots) is flat.schedule(list(roots))
-
-
 def _kmedoids_folded(iterations=2):
     from repro.data.datasets import sensor_dataset
     from repro.mining.kmedoids import KMedoidsSpec, build_kmedoids_folded
@@ -109,46 +92,24 @@ def _kmedoids_folded(iterations=2):
 class TestFoldedFlatIR:
     def test_folded_networks_supported_through_folded_ir(self):
         folded = _kmedoids_folded()
-        assert supports_bulk(folded)
         # The *static* flattener still rejects loop inputs; the folded
         # path is a separate IR with explicit iteration state.
         with pytest.raises(UnsupportedNetworkError):
             flatten(folded)
         ir = flatten_folded(folded)
         assert ir.iterations == folded.iterations
-        assert set(ir.slot_names) == set(folded.slots)
+        assert len(ir.loop_in_ids) == len(folded.slots)
 
     def test_slot_columns_bind_loop_inputs(self):
         folded = _kmedoids_folded()
         ir = flatten_folded(folded)
-        for slot, name in enumerate(ir.slot_names):
+        for slot, name in enumerate(folded.slots):
             loop_in, init_node, next_node = folded.slots[name]
             assert ir.loop_in_ids[slot] == loop_in
             assert ir.init_ids[slot] == init_node
             assert ir.next_ids[slot] == next_node
             assert ir.loop_slot[loop_in] == slot
         assert int((ir.loop_slot >= 0).sum()) == len(folded.slots)
-
-    def test_split_partitions_by_loop_dependence(self):
-        folded = _kmedoids_folded()
-        ir = flatten_folded(folded)
-        prefix, layer = ir.split(sorted(folded.targets.values()))
-        dependent = folded.loop_dependent()
-        assert all(int(n) not in dependent for n in prefix)
-        assert all(int(n) in dependent for n in layer)
-        # Schedules stay topological and the split is cached per root set.
-        assert list(prefix) == sorted(prefix)
-        assert list(layer) == sorted(layer)
-        again = ir.split(sorted(folded.targets.values()))
-        assert again[0] is prefix and again[1] is layer
-
-    def test_split_reaches_init_and_next_through_loop_edges(self):
-        folded = _kmedoids_folded()
-        ir = flatten_folded(folded)
-        prefix, layer = ir.split(sorted(folded.targets.values()))
-        scheduled = set(int(n) for n in prefix) | set(int(n) for n in layer)
-        for loop_in, init_node, next_node in folded.slots.values():
-            assert {loop_in, init_node, next_node} <= scheduled
 
     def test_cached_per_network(self):
         folded = _kmedoids_folded()
@@ -159,13 +120,11 @@ class TestFoldedFlatIR:
         builder.add_target("t", atom(">=", LoopCVal("S"), literal(1.0)))
         with pytest.raises(ValueError):
             flatten_folded(builder.folded)
-        # Regression: the predicate must answer, not leak the ValueError.
-        assert not supports_bulk(builder.folded)
 
     def test_loop_dependent_initialiser_flagged(self):
         # A cross-slot init chain (A starts from B's value) is legal —
-        # the IR flags it so evaluators use the demand-driven first
-        # iteration instead of the plain layer sweep.
+        # the IR flags A's init as loop-dependent, so the unrolled program
+        # orders it inside the first iteration's row.
         builder = FoldedBuilder(2)
         slot_a, slot_b = LoopCVal("A"), LoopCVal("B")
         builder.add_target("t", atom(">=", slot_a, literal(1.0)))
@@ -174,8 +133,8 @@ class TestFoldedFlatIR:
         )
         builder.define_slot("B", init=literal(0.0), next_value=literal(0.0))
         ir = flatten_folded(builder.folded)
-        assert ir.has_loop_dependent_init
-        assert supports_bulk(builder.folded)
+        assert ir.loop_dependent[ir.init_ids].tolist() == [True, False]
+        assert len(masked_program(builder.folded)) > len(ir.flat)
 
     def test_cache_invalidated_when_slot_rebound(self):
         # Regression: define_slot changes iteration semantics without
@@ -191,4 +150,4 @@ class TestFoldedFlatIR:
         folded.define_slot("S", other_init, next_node)
         second = flatten_folded(folded)
         assert second is not first
-        assert second.init_ids[list(second.slot_names).index("S")] == other_init
+        assert second.init_ids[list(folded.slots).index("S")] == other_init

@@ -1,17 +1,11 @@
-"""Unit tests for the 64-world words of the world-block evaluator
-(:class:`repro.engine.kernels.WorldBlockEvaluator`)."""
+"""Unit tests for the 64-world words of the world block and the rung
+:class:`repro.engine.bulk.BulkEvaluator` picks."""
 
 import numpy as np
 import pytest
 
-from repro.engine.bulk import (
-    BulkEvaluator,
-    FoldedBulkEvaluator,
-    bulk_naive_probabilities,
-    make_bulk_evaluator,
-)
+from repro.engine.bulk import bulk_naive_probabilities, make_bulk_evaluator
 from repro.engine.kernels import (
-    WorldBlockEvaluator,
     n_words,
     pack_bool_column,
     unpack_bool_column,
@@ -87,14 +81,10 @@ class TestPackedEvaluators:
 
     def test_make_bulk_evaluator_dispatch(self):
         network = self._network()
-        assert type(make_bulk_evaluator(network, kernel="python")) is BulkEvaluator
+        assert make_bulk_evaluator(network, kernel="python").kernel == "python"
         require_native()
-        assert isinstance(
-            make_bulk_evaluator(network, kernel="native"), WorldBlockEvaluator
-        )
-        assert isinstance(
-            make_bulk_evaluator(network, kernel="auto"), WorldBlockEvaluator
-        )
+        assert make_bulk_evaluator(network, kernel="native").kernel == "native"
+        assert make_bulk_evaluator(network, kernel="auto").kernel == "native"
 
     def test_kernel_attribute_reports_tier(self):
         require_native()
@@ -105,11 +95,11 @@ class TestPackedEvaluators:
         require_native()
         network = self._network()
         blocks = make_bulk_evaluator(network, kernel="native")
-        dense = make_bulk_evaluator(network, kernel="python")
+        rows = make_bulk_evaluator(network, kernel="python")
         rng = np.random.default_rng(4)
         assignments = rng.random((100, 3)) < 0.5
         targets = list(network.targets.values())
-        expected = dense.evaluate(assignments, targets)
+        expected = rows.evaluate(assignments, targets)
         actual = blocks.evaluate(assignments, targets)
         for node_id in targets:
             np.testing.assert_array_equal(actual[node_id], expected[node_id])
@@ -125,17 +115,13 @@ class TestPackedEvaluators:
         builder.define_slot("flag", init=var(1), next_value=flag_next)
         builder.add_target("out", flag_next)
         folded = builder.folded
-        assert isinstance(
-            make_bulk_evaluator(folded, kernel="python"), FoldedBulkEvaluator
-        )
+        assert make_bulk_evaluator(folded, kernel="python").kernel == "python"
         require_native()
-        assert isinstance(
-            make_bulk_evaluator(folded, kernel="native"), WorldBlockEvaluator
-        )
+        assert make_bulk_evaluator(folded, kernel="native").kernel == "native"
         pool = make_pool([0.4, 0.7])
         blocks = bulk_naive_probabilities(folded, pool, kernel="native")
-        dense = bulk_naive_probabilities(folded, pool, kernel="python")
-        assert blocks.bounds == dense.bounds
+        rows = bulk_naive_probabilities(folded, pool, kernel="python")
+        assert blocks.bounds == rows.bounds
         assert blocks.bounds["out"][0] == pytest.approx(1 - 0.6 * 0.3, abs=1e-12)
 
     def test_unknown_kernel_rejected(self):
