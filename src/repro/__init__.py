@@ -14,28 +14,33 @@ Quickstart::
     platform = ENFrame.from_sensor_data(24, scheme="mutex", seed=1)
     platform.kmedoids(KMedoidsSpec(k=2, iterations=3))
     print(platform.run(scheme="hybrid", epsilon=0.1).summary())
+
+Exports are lazy: ``import repro`` (and every subpackage import) loads
+nothing but the package itself; the module defining a name is imported
+the first time that name is read (:mod:`repro._lazy`).  NumPy is first
+imported by whichever module needs it.
 """
 
-from .core import ENFrame, ProbabilisticResult
-from .data import ProbabilisticDataset, certain_dataset, sensor_dataset
-from .engine.registry import SchemeOptions
-from .mining import KMeansSpec, KMedoidsSpec, MCLSpec
-from .session import WhatIfSession
-from .worlds import VariablePool
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ENFrame",
-    "KMeansSpec",
-    "KMedoidsSpec",
-    "MCLSpec",
-    "ProbabilisticDataset",
-    "ProbabilisticResult",
-    "SchemeOptions",
-    "VariablePool",
-    "WhatIfSession",
-    "certain_dataset",
-    "sensor_dataset",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core.platform": ("ENFrame",),
+        ".core.result": ("ProbabilisticResult",),
+        ".data.datasets": (
+            "ProbabilisticDataset",
+            "certain_dataset",
+            "sensor_dataset",
+        ),
+        ".engine.registry": ("SchemeOptions",),
+        ".mining.kmeans": ("KMeansSpec",),
+        ".mining.kmedoids": ("KMedoidsSpec",),
+        ".mining.markov": ("MCLSpec",),
+        ".session.whatif": ("WhatIfSession",),
+        ".worlds.variables": ("VariablePool",),
+    },
+)
+__all__ += ["__version__"]

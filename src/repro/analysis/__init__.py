@@ -7,24 +7,20 @@ import hygiene.  See ``docs/ARCHITECTURE.md``, section "Enforced
 invariants".
 """
 
-from .core import (
-    Finding,
-    Rule,
-    SourceFile,
-    load_rules,
-    register_rule,
-    run_check,
-    source_from_text,
-)
-from .runner import main
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Finding",
-    "Rule",
-    "SourceFile",
-    "load_rules",
-    "main",
-    "register_rule",
-    "run_check",
-    "source_from_text",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core": (
+            "Finding",
+            "Rule",
+            "SourceFile",
+            "load_rules",
+            "register_rule",
+            "run_check",
+            "source_from_text",
+        ),
+        ".runner": ("main",),
+    },
+)

@@ -65,32 +65,6 @@ def injected_findings(rules: Iterable[Rule]) -> List[Finding]:
     return findings
 
 
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        metavar="PATH",
-        help="restrict the rules to these repo-relative files",
-    )
-    parser.add_argument(
-        "--root",
-        default=None,
-        help="repository root (default: nearest ancestor with pyproject.toml)",
-    )
-    parser.add_argument(
-        "--list",
-        action="store_true",
-        dest="list_rules",
-        help="list the registered rules and exit",
-    )
-    parser.add_argument(
-        "--inject-violation",
-        action="store_true",
-        help="also lint a deliberately broken virtual module; used by CI "
-        "to prove the gate can fail (must exit 1)",
-    )
-
-
 def handle(args: argparse.Namespace) -> int:
     rules = load_rules()
     if args.list_rules:
@@ -132,10 +106,12 @@ def handle(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from ..cli import add_check_arguments
+
     parser = argparse.ArgumentParser(
         prog="repro-check", description=__doc__.splitlines()[0]
     )
-    add_arguments(parser)
+    add_check_arguments(parser)
     return handle(parser.parse_args(argv))
 
 

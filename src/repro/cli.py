@@ -15,19 +15,18 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .compile.ordering import ORDER_NAMES
-from .core.platform import ENFrame
-from .engine.kernels import KERNEL_NAMES
-from .engine.registry import available_schemes
-from .mining.kmedoids import KMedoidsSpec
+if TYPE_CHECKING:
+    from .core.platform import ENFrame
 
 SCHEME_CHOICES = ("independent", "positive", "mutex", "conditional")
-# Every scheme in the registry is a CLI algorithm; plugging a new scheme
-# into repro.engine.registry exposes it here with no CLI change.
-ALGORITHM_CHOICES = available_schemes()
+
+#: NumPy's BLAS starts a thread pool on import that no subcommand uses;
+#: a CLI process asks for one thread unless the user exported a count.
+BLAS_THREAD_DEFAULTS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
@@ -50,6 +49,9 @@ def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_platform(args: argparse.Namespace) -> ENFrame:
+    from .core.platform import ENFrame
+    from .mining.kmedoids import KMedoidsSpec
+
     options = {"group_size": args.group_size, "certain_fraction": args.certain}
     if args.scheme == "positive":
         options["variables"] = args.variables
@@ -258,6 +260,34 @@ def _command_kernels(args: argparse.Namespace) -> int:
     return 0
 
 
+def add_check_arguments(parser: argparse.ArgumentParser) -> None:
+    """``repro check``'s arguments, declared here so that building the
+    parser imports no ``repro.analysis`` code."""
+    parser.add_argument(
+        "paths",
+        nargs="*",
+        metavar="PATH",
+        help="restrict the rules to these repo-relative files",
+    )
+    parser.add_argument(
+        "--root",
+        default=None,
+        help="repository root (default: nearest ancestor with pyproject.toml)",
+    )
+    parser.add_argument(
+        "--list",
+        action="store_true",
+        dest="list_rules",
+        help="list the registered rules and exit",
+    )
+    parser.add_argument(
+        "--inject-violation",
+        action="store_true",
+        help="also lint a deliberately broken virtual module; used by CI "
+        "to prove the gate can fail (must exit 1)",
+    )
+
+
 def _command_check(args: argparse.Namespace) -> int:
     from .analysis import runner
 
@@ -298,6 +328,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
+    from .engine.registry import available_schemes
     from .serve.server import ReproServer
 
     async def _main() -> int:
@@ -319,7 +350,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             f"(max batch {args.max_batch}, queue cap {args.max_pending}, "
             f"cache {args.cache_bytes} bytes)"
         )
-        print(f"schemes: {', '.join(ALGORITHM_CHOICES)}")
+        print(f"schemes: {', '.join(available_schemes())}")
         report = await server.serve_forever()
         abandoned = int(report.get("requests_abandoned", 0))
         if abandoned:
@@ -358,6 +389,10 @@ def _command_network(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .compile.ordering import ORDER_NAMES
+    from .engine.kernels import KERNEL_NAMES
+    from .engine.registry import available_schemes
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ENFrame: process probabilistic data (EDBT 2014 reproduction)",
@@ -368,7 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster", help="cluster uncertain sensor data probabilistically"
     )
     _add_dataset_arguments(cluster)
-    cluster.add_argument("--algorithm", choices=ALGORITHM_CHOICES,
+    # Every scheme in the registry is a CLI algorithm; plugging a new scheme
+    # into repro.engine.registry exposes it here with no CLI change.
+    cluster.add_argument("--algorithm", choices=available_schemes(),
                          default="hybrid", help="probability computation scheme")
     cluster.add_argument("--epsilon", type=float, default=0.1,
                          help="absolute error budget for approximations")
@@ -468,15 +505,16 @@ def build_parser() -> argparse.ArgumentParser:
     check = subparsers.add_parser(
         "check", help="run the repository's invariant lints (static analysis)"
     )
-    from .analysis import runner as _check_runner
-
-    _check_runner.add_arguments(check)
+    add_check_arguments(check)
     check.set_defaults(handler=_command_check)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # Before build_parser, whose imports load NumPy.
+    for name in BLAS_THREAD_DEFAULTS:
+        os.environ.setdefault(name, "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.handler(args)

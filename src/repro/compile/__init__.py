@@ -1,36 +1,21 @@
 """Probability computation: exact, approximate, and distributed (Section 4)."""
 
-from .compiler import SCHEMES, ShannonCompiler, compile_network, make_evaluator
-from .distributed import DistributedCompiler, Job, compile_distributed
-from .folded_eval import FoldedEvaluator
-from .ordering import (
-    ConeInfluenceOrder,
-    DynamicInfluenceOrder,
-    FrequencyOrder,
-    GivenOrder,
-    make_order,
-)
-from .partial import B_FALSE, B_TRUE, B_UNKNOWN, NumState, PartialEvaluator
-from .result import CompilationResult
+from .._lazy import lazy_exports
 
-__all__ = [
-    "B_FALSE",
-    "B_TRUE",
-    "B_UNKNOWN",
-    "CompilationResult",
-    "ConeInfluenceOrder",
-    "DistributedCompiler",
-    "DynamicInfluenceOrder",
-    "FoldedEvaluator",
-    "FrequencyOrder",
-    "GivenOrder",
-    "Job",
-    "NumState",
-    "PartialEvaluator",
-    "SCHEMES",
-    "ShannonCompiler",
-    "compile_distributed",
-    "compile_network",
-    "make_evaluator",
-    "make_order",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".compiler": ("SCHEMES", "ShannonCompiler", "compile_network", "make_evaluator"),
+        ".distributed": ("DistributedCompiler", "Job", "compile_distributed"),
+        ".folded_eval": ("FoldedEvaluator",),
+        ".ordering": (
+            "ConeInfluenceOrder",
+            "DynamicInfluenceOrder",
+            "FrequencyOrder",
+            "GivenOrder",
+            "make_order",
+        ),
+        ".partial": ("B_FALSE", "B_TRUE", "B_UNKNOWN", "NumState", "PartialEvaluator"),
+        ".result": ("CompilationResult",),
+    },
+)

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..events.values import lane_sum
 from ..network.nodes import EventNetwork, Kind
 
 # Three-valued Boolean states.
@@ -215,14 +216,14 @@ def num_dist(left: NumState, right: NumState, metric: str) -> NumState:
     abs_lo = np.where(spans_zero, 0.0, np.minimum(np.abs(diff_lo), np.abs(diff_hi)))
     abs_hi = np.maximum(np.abs(diff_lo), np.abs(diff_hi))
     if metric == "euclidean":
-        lo = float(np.sqrt(np.sum(abs_lo**2)))
-        hi = float(np.sqrt(np.sum(abs_hi**2)))
+        lo = math.sqrt(lane_sum(abs_lo * abs_lo))
+        hi = math.sqrt(lane_sum(abs_hi * abs_hi))
     elif metric == "sqeuclidean":
-        lo = float(np.sum(abs_lo**2))
-        hi = float(np.sum(abs_hi**2))
+        lo = lane_sum(abs_lo * abs_lo)
+        hi = lane_sum(abs_hi * abs_hi)
     elif metric == "manhattan":
-        lo = float(np.sum(abs_lo))
-        hi = float(np.sum(abs_hi))
+        lo = lane_sum(abs_lo)
+        hi = lane_sum(abs_hi)
     else:
         raise ValueError(f"unknown distance metric {metric!r}")
     return NumState(lo, hi, may_u, True)

@@ -1,6 +1,8 @@
 """The ENFrame platform facade."""
 
-from .platform import ENFrame
-from .result import ProbabilisticResult
+from .._lazy import lazy_exports
 
-__all__ = ["ENFrame", "ProbabilisticResult"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {".platform": ("ENFrame",), ".result": ("ProbabilisticResult",)},
+)

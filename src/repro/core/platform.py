@@ -19,7 +19,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,9 +27,7 @@ from ..data.datasets import ProbabilisticDataset, certain_dataset, sensor_datase
 from ..engine.registry import SchemeOptions, run_scheme
 from ..events.expressions import Event
 from ..events.program import EventProgram
-from ..lang.translate import Translator, dataset_externals, translate_source
 from ..mining import targets as target_factories
-from ..mining.kmeans import KMeansSpec, build_kmeans_program, kmeans_assignment_targets
 from ..mining.kmedoids import (
     KMedoidsSpec,
     build_kmedoids_folded,
@@ -39,6 +37,10 @@ from ..network.build import build_network
 from ..network.nodes import EventNetwork
 from ..worlds.variables import VariablePool
 from .result import ProbabilisticResult
+
+if TYPE_CHECKING:
+    from ..lang.translate import Translator
+    from ..mining.kmeans import KMeansSpec
 
 
 class ENFrame:
@@ -163,6 +165,8 @@ class ENFrame:
     ) -> "ENFrame":
         """Register k-means clustering (Figure 2); targets are the final
         object–cluster assignment events."""
+        from ..mining.kmeans import build_kmeans_program, kmeans_assignment_targets
+
         self._spec = spec
         program = build_kmeans_program(self.dataset, spec)
         names = kmeans_assignment_targets(
@@ -200,6 +204,8 @@ class ENFrame:
         (with concrete indices) whose final values become compilation
         targets, e.g. ``[("Centre", (0, 3))]``.
         """
+        from ..lang.translate import dataset_externals, translate_source
+
         externals = dataset_externals(self.dataset, params, init_indices)
         program, translator = translate_source(source, externals)
         names = [

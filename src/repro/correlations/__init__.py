@@ -1,25 +1,19 @@
 """Correlation models: the paper's lineage schemes and Bayesian networks."""
 
-from .bayes import BayesianNetwork, BayesNode, markov_chain
-from .schemes import (
-    Lineage,
-    SCHEME_FACTORIES,
-    conditional_lineage,
-    independent_lineage,
-    make_lineage,
-    mutex_lineage,
-    positive_lineage,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BayesNode",
-    "BayesianNetwork",
-    "Lineage",
-    "SCHEME_FACTORIES",
-    "conditional_lineage",
-    "independent_lineage",
-    "make_lineage",
-    "markov_chain",
-    "mutex_lineage",
-    "positive_lineage",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".bayes": ("BayesianNetwork", "BayesNode", "markov_chain"),
+        ".schemes": (
+            "Lineage",
+            "SCHEME_FACTORIES",
+            "conditional_lineage",
+            "independent_lineage",
+            "make_lineage",
+            "mutex_lineage",
+            "positive_lineage",
+        ),
+    },
+)

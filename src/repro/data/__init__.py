@@ -1,27 +1,22 @@
 """Datasets: synthetic sensor data and probabilistic dataset containers."""
 
-from .datasets import (
-    ProbabilisticDataset,
-    certain_dataset,
-    from_lineage,
-    sensor_dataset,
-)
-from .sensors import (
-    DEFAULT_REGIMES,
-    Regime,
-    fraction,
-    generate_sensor_readings,
-    normalise,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_REGIMES",
-    "ProbabilisticDataset",
-    "Regime",
-    "certain_dataset",
-    "fraction",
-    "from_lineage",
-    "generate_sensor_readings",
-    "normalise",
-    "sensor_dataset",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".datasets": (
+            "ProbabilisticDataset",
+            "certain_dataset",
+            "from_lineage",
+            "sensor_dataset",
+        ),
+        ".sensors": (
+            "DEFAULT_REGIMES",
+            "Regime",
+            "fraction",
+            "generate_sensor_readings",
+            "normalise",
+        ),
+    },
+)

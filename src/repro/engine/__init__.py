@@ -21,64 +21,41 @@ computation scheme:
   without touching the callers.
 """
 
-from .bulk import (
-    BulkEvaluator,
-    bulk_monte_carlo_probabilities,
-    bulk_naive_probabilities,
-    make_bulk_evaluator,
-)
-from .ir import (
-    FlatNetwork,
-    FoldedFlatIR,
-    UnsupportedNetworkError,
-    flatten,
-    flatten_folded,
-)
-from .masked import MaskedEvaluator, MaskedProgram, masked_program
-from .registry import (
-    CAP_BULK,
-    CAP_DISTRIBUTED,
-    CAP_EPSILON,
-    CAP_EXACT,
-    CAP_STATISTICAL,
-    CAP_TIMEOUT,
-    SchemeOptions,
-    SchemeSpec,
-    available_schemes,
-    get_scheme,
-    has_capability,
-    register_scheme,
-    reset_registry,
-    run_scheme,
-    unregister_scheme,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BulkEvaluator",
-    "FoldedFlatIR",
-    "CAP_BULK",
-    "CAP_DISTRIBUTED",
-    "CAP_EPSILON",
-    "CAP_EXACT",
-    "CAP_STATISTICAL",
-    "CAP_TIMEOUT",
-    "FlatNetwork",
-    "MaskedEvaluator",
-    "MaskedProgram",
-    "SchemeOptions",
-    "SchemeSpec",
-    "UnsupportedNetworkError",
-    "masked_program",
-    "available_schemes",
-    "bulk_monte_carlo_probabilities",
-    "bulk_naive_probabilities",
-    "flatten",
-    "flatten_folded",
-    "get_scheme",
-    "has_capability",
-    "make_bulk_evaluator",
-    "register_scheme",
-    "reset_registry",
-    "run_scheme",
-    "unregister_scheme",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".bulk": (
+            "BulkEvaluator",
+            "bulk_monte_carlo_probabilities",
+            "bulk_naive_probabilities",
+            "make_bulk_evaluator",
+        ),
+        ".ir": (
+            "FlatNetwork",
+            "FoldedFlatIR",
+            "UnsupportedNetworkError",
+            "flatten",
+            "flatten_folded",
+        ),
+        ".masked": ("MaskedEvaluator", "MaskedProgram", "masked_program"),
+        ".registry": (
+            "CAP_BULK",
+            "CAP_DISTRIBUTED",
+            "CAP_EPSILON",
+            "CAP_EXACT",
+            "CAP_STATISTICAL",
+            "CAP_TIMEOUT",
+            "SchemeOptions",
+            "SchemeSpec",
+            "available_schemes",
+            "get_scheme",
+            "has_capability",
+            "register_scheme",
+            "reset_registry",
+            "run_scheme",
+            "unregister_scheme",
+        ),
+    },
+)

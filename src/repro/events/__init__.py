@@ -5,97 +5,55 @@ Boolean events (Sections 3.1–3.2), their probabilistic interpretation
 (Section 3.3), and event programs (Section 3.4).
 """
 
-from .expressions import (
-    FALSE,
-    TRUE,
-    And,
-    Atom,
-    CDist,
-    CInv,
-    CPow,
-    CProd,
-    CRef,
-    CSum,
-    Cond,
-    CVal,
-    Event,
-    Expression,
-    Guard,
-    Not,
-    Or,
-    Ref,
-    Var,
-    atom,
-    cdist,
-    cinv,
-    cond,
-    conj,
-    cpow,
-    cprod,
-    cref,
-    csum,
-    disj,
-    guard,
-    literal,
-    negate,
-    ref,
-    var,
-)
-from .probability import (
-    cval_distribution,
-    event_probabilities,
-    event_probability,
-    expected_value,
-)
-from .program import EventProgram, eid
-from .semantics import Evaluator, evaluate_cval, evaluate_event
-from .values import UNDEFINED, Value, is_undefined
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FALSE",
-    "TRUE",
-    "UNDEFINED",
-    "And",
-    "Atom",
-    "CDist",
-    "CInv",
-    "CPow",
-    "CProd",
-    "CRef",
-    "CSum",
-    "Cond",
-    "CVal",
-    "Evaluator",
-    "Event",
-    "EventProgram",
-    "Expression",
-    "Guard",
-    "Not",
-    "Or",
-    "Ref",
-    "Value",
-    "Var",
-    "atom",
-    "cdist",
-    "cinv",
-    "cond",
-    "conj",
-    "cpow",
-    "cprod",
-    "cref",
-    "csum",
-    "cval_distribution",
-    "disj",
-    "eid",
-    "evaluate_cval",
-    "evaluate_event",
-    "event_probabilities",
-    "event_probability",
-    "expected_value",
-    "guard",
-    "is_undefined",
-    "literal",
-    "negate",
-    "ref",
-    "var",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".expressions": (
+            "FALSE",
+            "TRUE",
+            "And",
+            "Atom",
+            "CDist",
+            "CInv",
+            "CPow",
+            "CProd",
+            "CRef",
+            "CSum",
+            "Cond",
+            "CVal",
+            "Event",
+            "Expression",
+            "Guard",
+            "Not",
+            "Or",
+            "Ref",
+            "Var",
+            "atom",
+            "cdist",
+            "cinv",
+            "cond",
+            "conj",
+            "cpow",
+            "cprod",
+            "cref",
+            "csum",
+            "disj",
+            "guard",
+            "literal",
+            "negate",
+            "ref",
+            "var",
+        ),
+        ".probability": (
+            "cval_distribution",
+            "event_probabilities",
+            "event_probability",
+            "expected_value",
+        ),
+        ".program": ("EventProgram", "eid"),
+        ".semantics": ("Evaluator", "evaluate_cval", "evaluate_event"),
+        ".values": ("UNDEFINED", "Value", "is_undefined"),
+    },
+)

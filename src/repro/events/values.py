@@ -84,16 +84,32 @@ def power(value: Value, exponent: int) -> Value:
     return value**exponent
 
 
+def lane_sum(terms) -> float:
+    """Sum of per-lane distance terms, left to right.
+
+    The order both kernels accumulate a distance in.  ``np.sum`` adds
+    pairwise from eight terms on, which rounds wide distances
+    differently, so a scalar oracle would disagree with the engines it
+    checks on an atom that compares equal distances.
+    """
+    total = 0.0
+    for term in np.ravel(terms).tolist():
+        total += term
+    return total
+
+
 def euclidean(left: np.ndarray, right: np.ndarray) -> float:
-    return float(np.sqrt(np.sum((np.asarray(left) - np.asarray(right)) ** 2)))
+    return math.sqrt(squared_euclidean(left, right))
 
 
 def squared_euclidean(left: np.ndarray, right: np.ndarray) -> float:
-    return float(np.sum((np.asarray(left) - np.asarray(right)) ** 2))
+    diff = np.asarray(left, dtype=float) - np.asarray(right, dtype=float)
+    return lane_sum(diff * diff)
 
 
 def manhattan(left: np.ndarray, right: np.ndarray) -> float:
-    return float(np.sum(np.abs(np.asarray(left) - np.asarray(right))))
+    diff = np.asarray(left, dtype=float) - np.asarray(right, dtype=float)
+    return lane_sum(np.abs(diff))
 
 
 DISTANCE_FUNCTIONS = {

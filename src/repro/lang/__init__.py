@@ -1,32 +1,21 @@
 """ENFrame's user language: parsing, validation, execution, translation."""
 
-from .grammar import UserProgram
-from .interpreter import Externals, Interpreter, run_program
-from .labels import LabelGenerator, example3_trace
-from .parser import UserSyntaxError, parse_program
-from .translate import (
-    TranslationError,
-    TranslationExternals,
-    Translator,
-    dataset_externals,
-    translate_source,
-)
-from .validator import ValidationError, validate_program
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Externals",
-    "Interpreter",
-    "LabelGenerator",
-    "TranslationError",
-    "TranslationExternals",
-    "Translator",
-    "UserProgram",
-    "UserSyntaxError",
-    "ValidationError",
-    "dataset_externals",
-    "example3_trace",
-    "parse_program",
-    "run_program",
-    "translate_source",
-    "validate_program",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".grammar": ("UserProgram",),
+        ".interpreter": ("Externals", "Interpreter", "run_program"),
+        ".labels": ("LabelGenerator", "example3_trace"),
+        ".parser": ("UserSyntaxError", "parse_program"),
+        ".translate": (
+            "TranslationError",
+            "TranslationExternals",
+            "Translator",
+            "dataset_externals",
+            "translate_source",
+        ),
+        ".validator": ("ValidationError", "validate_program"),
+    },
+)

@@ -1,54 +1,33 @@
 """Mining algorithms: k-means, k-medoids, Markov clustering (Section 2.1)."""
 
-from .distance import METRICS, pairwise_distances, point_distance
-from .kmeans import (
-    KMeansSpec,
-    build_kmeans_program,
-    kmeans_assignment_targets,
-    kmeans_deterministic,
-    kmeans_in_world,
-)
-from .kmedoids import (
-    KMedoidsSpec,
-    build_kmedoids_folded,
-    build_kmedoids_program,
-    kmedoids_deterministic,
-    kmedoids_in_world,
-)
-from .markov import (
-    MCLSpec,
-    attraction_targets,
-    build_mcl_program,
-    mcl_in_world,
-    stochastic_graph,
-)
-from .programs import KMEANS_SOURCE, KMEDOIDS_SOURCE, MCL_SOURCE
-from .ties import break_ties, break_ties_1, break_ties_2, tie_break_events
+from .._lazy import lazy_exports
 
-__all__ = [
-    "KMEANS_SOURCE",
-    "KMEDOIDS_SOURCE",
-    "KMeansSpec",
-    "KMedoidsSpec",
-    "MCLSpec",
-    "MCL_SOURCE",
-    "METRICS",
-    "attraction_targets",
-    "break_ties",
-    "break_ties_1",
-    "break_ties_2",
-    "build_kmeans_program",
-    "build_kmedoids_folded",
-    "build_kmedoids_program",
-    "build_mcl_program",
-    "kmeans_assignment_targets",
-    "kmeans_deterministic",
-    "kmeans_in_world",
-    "kmedoids_deterministic",
-    "kmedoids_in_world",
-    "mcl_in_world",
-    "pairwise_distances",
-    "point_distance",
-    "stochastic_graph",
-    "tie_break_events",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".distance": ("METRICS", "pairwise_distances", "point_distance"),
+        ".kmeans": (
+            "KMeansSpec",
+            "build_kmeans_program",
+            "kmeans_assignment_targets",
+            "kmeans_deterministic",
+            "kmeans_in_world",
+        ),
+        ".kmedoids": (
+            "KMedoidsSpec",
+            "build_kmedoids_folded",
+            "build_kmedoids_program",
+            "kmedoids_deterministic",
+            "kmedoids_in_world",
+        ),
+        ".markov": (
+            "MCLSpec",
+            "attraction_targets",
+            "build_mcl_program",
+            "mcl_in_world",
+            "stochastic_graph",
+        ),
+        ".programs": ("KMEANS_SOURCE", "KMEDOIDS_SOURCE", "MCL_SOURCE"),
+        ".ties": ("break_ties", "break_ties_1", "break_ties_2", "tie_break_events"),
+    },
+)

@@ -1,18 +1,12 @@
 """Event networks: DAG representation of event programs (Section 4.1)."""
 
-from .build import NetworkBuilder, build_network, build_targets
-from .folded import FoldedBuilder, FoldedNetwork, LoopCVal, LoopEvent
-from .nodes import EventNetwork, Kind, Node
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EventNetwork",
-    "FoldedBuilder",
-    "FoldedNetwork",
-    "Kind",
-    "LoopCVal",
-    "LoopEvent",
-    "NetworkBuilder",
-    "Node",
-    "build_network",
-    "build_targets",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".build": ("NetworkBuilder", "build_network", "build_targets"),
+        ".folded": ("FoldedBuilder", "FoldedNetwork", "LoopCVal", "LoopEvent"),
+        ".nodes": ("EventNetwork", "Kind", "Node"),
+    },
+)

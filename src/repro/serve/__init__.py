@@ -8,20 +8,14 @@ All probability computation dispatches through
 :mod:`repro.engine.registry`, so every registered scheme is servable.
 """
 
-from .batching import BatchingExecutor, QueryJob
-from .cache import Artifact, ArtifactCache, DEFAULT_CACHE_BYTES
-from .client import ServeClient, ServeClientError
-from .server import ReproServer, ServeError, ServerThread
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Artifact",
-    "ArtifactCache",
-    "BatchingExecutor",
-    "DEFAULT_CACHE_BYTES",
-    "QueryJob",
-    "ReproServer",
-    "ServeClient",
-    "ServeClientError",
-    "ServeError",
-    "ServerThread",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".batching": ("BatchingExecutor", "QueryJob"),
+        ".cache": ("Artifact", "ArtifactCache", "DEFAULT_CACHE_BYTES"),
+        ".client": ("ServeClient", "ServeClientError"),
+        ".server": ("ReproServer", "ServeError", "ServerThread"),
+    },
+)

@@ -18,6 +18,10 @@ from typing import Dict, Optional
 
 MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 256 * 1024 * 1024
+#: Seconds a client has to send one whole request, headers and body; a
+#: slower one is answered 408 and disconnected, so a stalled peer cannot
+#: hold a connection task forever.
+READ_DEADLINE_SECONDS = 30.0
 
 #: Wire-protocol revision, stamped into every response envelope (error
 #: envelopes included) so clients can gate on compatibility.  Bump on
@@ -29,6 +33,7 @@ STATUS_PHRASES = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     422: "Unprocessable Entity",
@@ -38,7 +43,15 @@ STATUS_PHRASES = {
 
 
 class ProtocolError(Exception):
-    """Malformed request framing (maps to a 400 when answerable)."""
+    """Malformed request framing, answered with ``status`` when answerable."""
+
+    status = 400
+
+
+class RequestTimeout(ProtocolError):
+    """No whole request within :data:`READ_DEADLINE_SECONDS`."""
+
+    status = 408
 
 
 @dataclass
@@ -63,7 +76,20 @@ class Request:
 
 
 async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
-    """Parse one request; ``None`` on a clean EOF before any bytes."""
+    """Parse one request; ``None`` on a clean EOF before any bytes.
+
+    Raises :class:`RequestTimeout` when the request is not complete
+    within :data:`READ_DEADLINE_SECONDS`.
+    """
+    try:
+        return await asyncio.wait_for(_read_request(reader), READ_DEADLINE_SECONDS)
+    except asyncio.TimeoutError:
+        raise RequestTimeout(
+            f"no complete request within {READ_DEADLINE_SECONDS:g}s"
+        ) from None
+
+
+async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as exc:

@@ -442,7 +442,7 @@ class ReproServer:
                     return
                 status, payload = await self._dispatch(request)
             except ProtocolError as exc:
-                status, payload = 400, {"error": str(exc)}
+                status, payload = exc.status, {"error": str(exc)}
             except ServeError as exc:
                 status, payload = exc.status, {"error": str(exc)}
             except (

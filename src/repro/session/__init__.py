@@ -1,5 +1,7 @@
 """Interactive what-if sessions over compiled event networks."""
 
-from .whatif import WhatIfSession
+from .._lazy import lazy_exports
 
-__all__ = ["WhatIfSession"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__, {".whatif": ("WhatIfSession",)}
+)

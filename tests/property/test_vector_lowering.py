@@ -31,7 +31,7 @@ import pytest
 from repro import ENFrame, KMedoidsSpec, MCLSpec
 from repro.compile.compiler import ShannonCompiler, make_evaluator
 from repro.compile.ordering import ConeInfluenceOrder, DynamicInfluenceOrder
-from repro.compile.partial import NumState
+from repro.compile.partial import B_TRUE, NumState, PartialEvaluator
 from repro.correlations.schemes import make_lineage
 from repro.data.datasets import from_lineage, sensor_dataset
 from repro.engine.kernels import (
@@ -408,3 +408,34 @@ def test_inverting_a_vector_is_rejected_like_the_oracle():
     )
     with pytest.raises(TypeError, match="scalar c-values"):
         masked_program(network)
+
+
+def test_scalar_oracles_round_wide_distances_like_the_kernels():
+    """Regression: the oracles summed a width-9 distance pairwise.
+
+    ``np.sum`` reduces pairwise from eight terms on; both kernels add
+    lanes left to right.  An atom comparing a distance with its own
+    left-to-right sum is then true for the engines and false for
+    ``naive-scalar`` and :class:`PartialEvaluator`.
+    """
+    rng = np.random.default_rng(0)
+    a, b = rng.random(9), rng.random(9)
+    total = 0.0
+    for term in ((a - b) ** 2).tolist():
+        total += term
+    assert total == 1.9406478306770025
+    pool = VariablePool()
+    pool.add(0.3)
+    left = guard(var(0), a.tolist())
+    network = build_targets(
+        {"t": atom("<=", cdist(left, guard(TRUE, b.tolist()), "sqeuclidean"),
+                   guard(TRUE, total))}
+    )
+    for scheme in ("naive-scalar", "naive", "exact"):
+        bounds = run_scheme(scheme, network, pool, targets=["t"]).bounds
+        assert bounds["t"] == (1.0, 1.0), scheme
+    scalar = PartialEvaluator(network)
+    scalar.push()
+    scalar.push(0, True)
+    target = network.targets["t"]
+    assert scalar.target_states([target]) == {target: B_TRUE}

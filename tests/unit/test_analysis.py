@@ -269,6 +269,22 @@ class TestKernelHygiene:
             HYGIENE_RULE, "src/repro/compile/fastpath.py", good
         )
 
+    def test_pairwise_reductions_banned_in_the_scalar_oracles(self):
+        bad = (
+            "import numpy as np\n"
+            "def width(a, b):\n"
+            "    return float(np.sum(a)) + a.dot(b)\n"
+        )
+        for relpath in ("src/repro/compile/partial.py", "src/repro/events/values.py"):
+            found = findings_for(HYGIENE_RULE, relpath, bad)
+            assert [f.line for f in found] == [3, 3], relpath
+        # Elsewhere (the bulk rung, mining) a NumPy sum is not a finding.
+        assert not findings_for(HYGIENE_RULE, "src/repro/mining/distance.py", bad)
+
+    def test_left_to_right_sum_is_clean_in_the_scalar_oracles(self):
+        good = "def width(terms):\n    return lane_sum(terms) + sum(terms)\n"
+        assert not findings_for(HYGIENE_RULE, "src/repro/events/values.py", good)
+
 
 # ----------------------------------------------------------------------
 # The repository itself, and the runner

@@ -22,7 +22,7 @@ import pytest
 from repro.compile.result import CompilationResult
 from repro.engine.registry import register_scheme, unregister_scheme
 from repro.network.build import build_targets
-from repro.serve import ServeClient, ServeClientError, ServerThread
+from repro.serve import ServeClient, ServeClientError, ServerThread, protocol
 
 from ..conftest import make_pool, random_event
 
@@ -201,6 +201,27 @@ class TestClientDisconnect:
                 b"POST /query HTTP/1.1\r\nContent-Length: 999\r\n\r\n{"
             )
             raw.close()  # promised a body it never sent
+            assert client.query(network="net", scheme="exact")["bounds"]
+
+    def test_stalled_client_is_answered_408_and_closed(self, monkeypatch):
+        """Half a header and then silence: past the read deadline the
+        server answers 408, closes the connection, and keeps serving."""
+        monkeypatch.setattr(protocol, "READ_DEADLINE_SECONDS", 0.2)
+        pool, network = small_instance()
+        with ServerThread() as server:
+            client = ServeClient(port=server.port)
+            client.put_network("net", network, pool)
+            raw = socket.create_connection(("127.0.0.1", server.port))
+            raw.settimeout(10.0)
+            try:
+                raw.sendall(b"POST /query HTTP/1.1\r\nContent-Le")
+                reply = b""
+                while chunk := raw.recv(4096):  # until the server closes
+                    reply += chunk
+            finally:
+                raw.close()
+            assert reply.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+            assert b"no complete request within 0.2s" in reply
             assert client.query(network="net", scheme="exact")["bounds"]
 
     def test_disconnect_while_query_in_flight(self):
