@@ -20,7 +20,8 @@ which ``masked_program`` unrolls into one row per iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from itertools import chain
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -145,14 +146,17 @@ class FoldedFlatIR:
         cached = self._var_cones.get(var_index)
         if cached is not None:
             return cached
-        # Which loop inputs does each node feed (as an init/next node)?
-        feeds = (
+        cone = _upward_closure(self.flat, var_index, extra_edges=self.loop_feeds())
+        self._var_cones[var_index] = cone
+        return cone
+
+    def loop_feeds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The implicit loop edges ``(sources, loop inputs)``: a slot's
+        init and next nodes each feed its loop-input node."""
+        return (
             np.concatenate([self.init_ids, self.next_ids]),
             np.concatenate([self.loop_in_ids, self.loop_in_ids]),
         )
-        cone = _upward_closure(self.flat, var_index, extra_edges=feeds)
-        self._var_cones[var_index] = cone
-        return cone
 
 
 def parents_csr(
@@ -240,20 +244,12 @@ def flatten_folded(network: FoldedNetwork) -> FoldedFlatIR:
     network.check_complete()
     flat = _flatten_uncached(network, allow_loop_inputs=True)
 
-    slots = len(network.slots)
-    loop_in_ids = np.empty(slots, dtype=np.int64)
-    init_ids = np.empty(slots, dtype=np.int64)
-    next_ids = np.empty(slots, dtype=np.int64)
+    bindings = np.array(list(network.slots.values()), dtype=np.int64)
+    loop_in_ids, init_ids, next_ids = bindings.reshape(-1, 3).T.copy()
     loop_slot = np.full(len(network.nodes), -1, dtype=np.int64)
-    for slot, (loop_in, init_node, next_node) in enumerate(network.slots.values()):
-        loop_in_ids[slot] = loop_in
-        init_ids[slot] = init_node
-        next_ids[slot] = next_node
-        loop_slot[loop_in] = slot
-
-    dependent_ids = network.loop_dependent()
+    loop_slot[loop_in_ids] = np.arange(len(loop_in_ids))
     loop_dependent = np.zeros(len(network.nodes), dtype=bool)
-    loop_dependent[sorted(dependent_ids)] = True
+    loop_dependent[list(network.loop_dependent())] = True
 
     ir = FoldedFlatIR(
         flat=flat,
@@ -274,51 +270,51 @@ def flatten_folded(network: FoldedNetwork) -> FoldedFlatIR:
 def _flatten_uncached(
     network: EventNetwork, *, allow_loop_inputs: bool = False
 ) -> FlatNetwork:
-    count = len(network.nodes)
-    kinds = np.empty(count, dtype=np.int16)
+    # The kind and operand columns come from the node records in one
+    # comprehension each; checks and payload columns work on whole arrays.
+    nodes = network.nodes
+    count = len(nodes)
+    operand_lists = [node.children for node in nodes]
+    kinds = np.fromiter([node.kind for node in nodes], dtype=np.int16, count=count)
+    arity = np.fromiter(map(len, operand_lists), dtype=np.int64, count=count)
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(arity, out=offsets[1:])
+    child_indices = np.fromiter(
+        chain.from_iterable(operand_lists), dtype=np.int64, count=int(offsets[-1])
+    )
+
+    if not allow_loop_inputs and np.any(kinds == int(Kind.LOOP_IN)):
+        raise UnsupportedNetworkError(
+            "folded networks (loop-input nodes) have no static flat "
+            "form; flatten_folded() builds their iteration template"
+        )
+    owners = np.repeat(np.arange(count, dtype=np.int64), arity)
+    if np.any(child_indices >= owners):
+        raise UnsupportedNetworkError("network node order is not topological")
+
+    def payloads(kind: Kind) -> Tuple[np.ndarray, list]:
+        ids = np.flatnonzero(kinds == int(kind))
+        return ids, [nodes[node_id].payload for node_id in ids.tolist()]
+
     var_index = np.full(count, -1, dtype=np.int64)
     atom_op = np.full(count, -1, dtype=np.int8)
     pow_exponent = np.zeros(count, dtype=np.int64)
     dist_metric = np.full(count, -1, dtype=np.int8)
-    guard_values: Dict[int, object] = {}
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    child_lists: List[Tuple[int, ...]] = []
-
-    for node in network.nodes:
-        kind = node.kind
-        if kind is Kind.LOOP_IN and not allow_loop_inputs:
-            raise UnsupportedNetworkError(
-                "folded networks (loop-input nodes) have no static flat "
-                "form; flatten_folded() builds their iteration template"
-            )
-        kinds[node.id] = int(kind)
-        child_lists.append(node.children)
-        offsets[node.id + 1] = offsets[node.id] + len(node.children)
-        for child in node.children:
-            if child >= node.id:
-                raise UnsupportedNetworkError(
-                    "network node order is not topological"
-                )
-        if kind is Kind.VAR:
-            var_index[node.id] = node.payload
-        elif kind is Kind.ATOM:
-            atom_op[node.id] = ATOM_OPS[node.payload]
-        elif kind is Kind.POW:
-            pow_exponent[node.id] = node.payload
-        elif kind is Kind.DIST:
-            dist_metric[node.id] = DIST_METRICS[node.payload]
-        elif kind is Kind.GUARD:
-            value = node.payload
-            if isinstance(value, np.ndarray):
-                guard_values[node.id] = np.asarray(value, dtype=float)
-            else:
-                guard_values[node.id] = float(value)
-
-    child_indices = np.fromiter(
-        (c for children in child_lists for c in children),
-        dtype=np.int64,
-        count=int(offsets[-1]),
-    )
+    ids, values = payloads(Kind.VAR)
+    var_index[ids] = values
+    ids, values = payloads(Kind.ATOM)
+    atom_op[ids] = [ATOM_OPS[op] for op in values]
+    ids, values = payloads(Kind.POW)
+    pow_exponent[ids] = values
+    ids, values = payloads(Kind.DIST)
+    dist_metric[ids] = [DIST_METRICS[metric] for metric in values]
+    ids, values = payloads(Kind.GUARD)
+    guard_values: Dict[int, object] = {
+        node_id: np.asarray(value, dtype=float)
+        if isinstance(value, np.ndarray)
+        else float(value)
+        for node_id, value in zip(ids.tolist(), values)
+    }
     return FlatNetwork(
         kinds=kinds,
         child_offsets=offsets,

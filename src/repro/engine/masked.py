@@ -89,7 +89,7 @@ _K_POW = int(Kind.POW)
 _K_DIST = int(Kind.DIST)
 _K_LOOP_IN = int(Kind.LOOP_IN)
 
-_BOOL_KIND_CODES = BOOL_KIND_CODES
+_BOOL_KIND_ARRAY = np.asarray(sorted(BOOL_KIND_CODES), dtype=np.int16)
 
 # Trail entry tags: which columns an undo record restores.
 _TAG_BOOL = 0
@@ -147,8 +147,11 @@ class MaskedProgram:
     final_vertex: np.ndarray  # (N,) int64 — node's first lane at the last iteration
     node_width: np.ndarray  # (N,) int64 — lanes of a vector node, 0 = scalar/Boolean
     cone_source: object  # FlatNetwork or FoldedFlatIR (owns node-id cones)
-    # Folded only: per original node, its rows before lane expansion.
-    _node_rows: "List[np.ndarray] | None" = None
+    # Folded only: (first_row, loop_dependent, layer_size, iterations).
+    # Before lane expansion, node n owns row first_row[n], plus
+    # first_row[n] + t * layer_size for t < iterations when
+    # loop-dependent.
+    _unroll: "Tuple[np.ndarray, np.ndarray, int, int] | None" = None
     # Pre-expansion vertex w owns vertices [_lane_offsets[w],
     # _lane_offsets[w + 1]); None when no vertex was expanded.
     _lane_offsets: "np.ndarray | None" = None
@@ -167,11 +170,6 @@ class MaskedProgram:
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def children(self, vertex: int) -> np.ndarray:
-        return self.child_indices[
-            self.child_offsets[vertex] : self.child_offsets[vertex + 1]
-        ]
 
     def py_children(self) -> List[Tuple[int, ...]]:
         if self._py_children is None:
@@ -208,14 +206,11 @@ class MaskedProgram:
         if cached is not None:
             return cached
         cone = self.cone_source.var_cone(var_index)  # flat: rows are node ids
-        if self._node_rows is not None:
-            rows = self._node_rows
-            pieces = [rows[node_id] for node_id in cone]
-            cone = (
-                np.sort(np.concatenate(pieces))
-                if pieces
-                else np.empty(0, dtype=np.int64)
-            )
+        if self._unroll is not None:
+            first_row, dependent, layer_size, iterations = self._unroll
+            repeated = dependent[cone]
+            tiled = first_row[cone[repeated], None] + layer_size * np.arange(iterations)
+            cone = np.sort(np.concatenate([first_row[cone[~repeated]], tiled.ravel()]))
         if self._lane_offsets is not None:
             starts = self._lane_offsets[cone]
             cone = expand_ranges(starts, self._lane_offsets[cone + 1] - starts)
@@ -259,49 +254,61 @@ class MaskedProgram:
 # Numeric kinds evaluated lane by lane: the width of a vector operand is
 # the width of the result.  (GUARD is lane-wise too; its width comes from
 # its constant.  DIST and ATOM reduce the lanes of their operands.)
-_LANEWISE_KINDS = frozenset((_K_SUM, _K_PROD, _K_COND, _K_POW, _K_LOOP_IN))
+_LANEWISE_ARRAY = np.asarray(
+    (_K_SUM, _K_PROD, _K_COND, _K_POW, _K_LOOP_IN), dtype=np.int16
+)
 
 
 def _node_widths(
-    flat: FlatNetwork, loop_feeds: Dict[int, List[int]]
+    flat: FlatNetwork, loop_feeds: Tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """Per-node vector width (0 = Boolean or scalar), by propagation.
 
     A node is vector-valued when a vector guard constant can flow into
-    it.  Widths spread upwards from the vector guards through the parent
-    adjacency and through ``loop_feeds`` — a slot's init/next node feeds
-    its loop-input node — so only the vector part of the network is
-    visited.
+    it.  Widths spread upwards from the vector guards one frontier at a
+    time, through the parent adjacency and through ``loop_feeds`` —
+    ``(sources, loop inputs)``: a slot's init/next node feeds its
+    loop-input node — so only the vector part of the network is visited.
     """
     width = np.zeros(len(flat), dtype=np.int64)
-    work: List[int] = []
-    for node_id, value in flat.guard_values.items():
-        if isinstance(value, np.ndarray):
-            if value.ndim != 1 or value.size == 0:
-                raise UnsupportedNetworkError(
-                    "vector c-values must be non-empty 1-d arrays"
-                )
-            width[node_id] = value.size
-            work.append(node_id)
-    if not work:
+    vectors = [
+        (node_id, value)
+        for node_id, value in flat.guard_values.items()
+        if isinstance(value, np.ndarray)
+    ]
+    if not vectors:
         return width
-    kinds, exponents = flat.kinds, flat.pow_exponent
+    if any(value.ndim != 1 or value.size == 0 for _, value in vectors):
+        raise UnsupportedNetworkError(
+            "vector c-values must be non-empty 1-d arrays"
+        )
+    frontier = np.array([node_id for node_id, _ in vectors], dtype=np.int64)
+    width[frontier] = [value.size for _, value in vectors]
+    kinds = flat.kinds
+    inverting = (kinds == _K_INV) | ((kinds == _K_POW) & (flat.pow_exponent < 0))
+    lanewise = np.isin(kinds, _LANEWISE_ARRAY)
     offsets, parents = flat.parents()
-    while work:
-        node_id = work.pop()
-        lanes = width[node_id]
-        for raw in parents[offsets[node_id] : offsets[node_id + 1]]:
-            parent = int(raw)
-            kind = kinds[parent]
-            if kind == _K_INV or (kind == _K_POW and exponents[parent] < 0):
-                raise TypeError("invert is only defined for scalar c-values")
-            if kind in _LANEWISE_KINDS and width[parent] < lanes:
-                width[parent] = lanes
-                work.append(parent)
-        for loop_in in loop_feeds.get(node_id, ()):
-            if width[loop_in] < lanes:
-                width[loop_in] = lanes
-                work.append(loop_in)
+    sources, loop_inputs = loop_feeds
+    while len(frontier):
+        starts = offsets[frontier]
+        counts = offsets[frontier + 1] - starts
+        reached = parents[expand_ranges(starts, counts)]
+        if np.any(inverting[reached]):
+            raise TypeError("invert is only defined for scalar c-values")
+        keep = lanewise[reached]
+        # A boolean mask, not np.isin/np.unique: those load numpy.ma.
+        marked = np.zeros(len(width), dtype=bool)
+        marked[frontier] = True
+        fed = marked[sources]
+        reached = np.concatenate([reached[keep], loop_inputs[fed]])
+        lanes = np.concatenate(
+            [np.repeat(width[frontier], counts)[keep], width[sources[fed]]]
+        )
+        before = width[reached]
+        np.maximum.at(width, reached, lanes)
+        marked[:] = False  # now dedupes the next frontier
+        marked[reached[width[reached] > before]] = True
+        frontier = np.flatnonzero(marked)
     return width
 
 
@@ -407,15 +414,18 @@ def _lower_lanes(
 
 
 def _bool_flags(network: EventNetwork, kinds: np.ndarray) -> np.ndarray:
-    is_bool = np.isin(kinds, np.asarray(sorted(_BOOL_KIND_CODES), dtype=kinds.dtype))
-    for node in network.nodes:
-        if node.kind is Kind.LOOP_IN:
-            is_bool[node.id] = bool(node.payload[1])
+    """Boolean-valued nodes: the Boolean kinds and Boolean loop slots."""
+    is_bool = np.isin(kinds, _BOOL_KIND_ARRAY)
+    loop_ins = np.flatnonzero(kinds == _K_LOOP_IN)
+    is_bool[loop_ins] = [
+        bool(network.nodes[node_id].payload[1]) for node_id in loop_ins.tolist()
+    ]
     return is_bool
 
 
 def _flat_program(network: EventNetwork, flat: FlatNetwork) -> MaskedProgram:
-    width = _node_widths(flat, {})
+    no_feeds = np.empty(0, dtype=np.int64)
+    width = _node_widths(flat, (no_feeds, no_feeds))
     columns, lane_offsets, head = _lower_lanes(
         kinds=flat.kinds,
         child_offsets=flat.child_offsets,
@@ -437,30 +447,44 @@ def _flat_program(network: EventNetwork, flat: FlatNetwork) -> MaskedProgram:
     )
 
 
-def _layer_row_order(ir: FoldedFlatIR, layer_ids: np.ndarray) -> List[int]:
+def _layer_row_order(ir: FoldedFlatIR, layer_ids: np.ndarray) -> np.ndarray:
     """Topological order of the loop layer for the iteration-0 row.
 
     Within a row, a node depends on its loop-dependent children — except
     loop inputs, which at iteration 0 depend on their slot's *init* node
     (only an intra-row edge when the init is itself loop-dependent, i.e.
-    a cross-slot init chain).  Cycles mean the inits are mutually
-    recursive at iteration 0, which no evaluator can order.
+    a cross-slot init chain).  Children precede parents in id order, so
+    ``layer_ids`` is already topological unless some loop-dependent init
+    has a larger id than its loop input; only then does a depth-first
+    search run.  Cycles mean the inits are mutually recursive at
+    iteration 0, which no evaluator can order.
     """
-    flat, dependent = ir.flat, ir.loop_dependent
+    dependent = ir.loop_dependent
+    if not np.any(dependent[ir.init_ids] & (ir.init_ids > ir.loop_in_ids)):
+        return layer_ids
+    is_dependent = dependent.tolist()
+    loop_slot = ir.loop_slot.tolist()
+    init_ids = ir.init_ids.tolist()
+    offsets = ir.flat.child_offsets.tolist()
+    operands = ir.flat.child_indices.tolist()
     order: List[int] = []
     status: Dict[int, int] = {}  # 0 = visiting, 1 = done
 
     def intra_row_deps(node_id: int) -> List[int]:
-        slot = int(ir.loop_slot[node_id])
+        slot = loop_slot[node_id]
         if slot >= 0:
-            init_node = int(ir.init_ids[slot])
-            return [init_node] if dependent[init_node] else []
-        return [int(c) for c in flat.children(node_id) if dependent[c]]
+            init_node = init_ids[slot]
+            return [init_node] if is_dependent[init_node] else []
+        return [
+            child
+            for child in operands[offsets[node_id] : offsets[node_id + 1]]
+            if is_dependent[child]
+        ]
 
-    for root in layer_ids:
-        if int(root) in status:
+    for root in layer_ids.tolist():
+        if root in status:
             continue
-        stack: List[Tuple[int, int]] = [(int(root), 0)]
+        stack: List[Tuple[int, int]] = [(root, 0)]
         while stack:
             node_id, phase = stack.pop()
             if phase == 0:
@@ -478,17 +502,25 @@ def _layer_row_order(ir: FoldedFlatIR, layer_ids: np.ndarray) -> List[int]:
             else:
                 status[node_id] = 1
                 order.append(node_id)
-    return order
+    return np.asarray(order, dtype=np.int64)
 
 
 def _folded_program(network: FoldedNetwork, ir: FoldedFlatIR) -> MaskedProgram:
+    """Unroll the iteration template by tiling, with whole-array operations.
+
+    Rows are the loop-independent nodes once, in id order, then the loop
+    layer once per iteration: node ``n`` at iteration ``t`` is row
+    ``indep_pos[n]`` when loop-independent, else
+    ``indep_count + t * layer_size + dep_pos[n]``.  An operand reads its
+    child at the same iteration; a loop input reads its slot's *init* at
+    iteration 0 and the previous iteration's *next* after that.
+    """
     flat = ir.flat
     count = len(flat)
     dependent = ir.loop_dependent
     iterations = ir.iterations
     indep_ids = np.flatnonzero(~dependent)
-    layer_ids = np.flatnonzero(dependent)
-    row_order = _layer_row_order(ir, layer_ids)
+    row_order = _layer_row_order(ir, np.flatnonzero(dependent))
     layer_size = len(row_order)
     indep_count = len(indep_ids)
     total = indep_count + iterations * layer_size
@@ -498,103 +530,65 @@ def _folded_program(network: FoldedNetwork, ir: FoldedFlatIR) -> MaskedProgram:
     dep_pos = np.full(count, -1, dtype=np.int64)
     dep_pos[row_order] = np.arange(layer_size, dtype=np.int64)
 
-    def vertex(iteration: int, node_id: int) -> int:
-        if not dependent[node_id]:
-            return int(indep_pos[node_id])
-        return indep_count + iteration * layer_size + int(dep_pos[node_id])
-
-    kinds = np.empty(total, dtype=flat.kinds.dtype)
-    var_index = np.full(total, -1, dtype=np.int64)
-    atom_op = np.full(total, -1, dtype=np.int8)
-    pow_exponent = np.zeros(total, dtype=np.int64)
-    dist_metric = np.full(total, -1, dtype=np.int8)
-    guard_values: Dict[int, object] = {}
-    child_lists: List[List[int]] = []
-    offsets = np.zeros(total + 1, dtype=np.int64)
-    node_of = np.empty(total, dtype=np.int64)
-
-    def emit(vid: int, node_id: int, children: List[int]) -> None:
-        kinds[vid] = flat.kinds[node_id]
-        var_index[vid] = flat.var_index[node_id]
-        atom_op[vid] = flat.atom_op[node_id]
-        pow_exponent[vid] = flat.pow_exponent[node_id]
-        dist_metric[vid] = flat.dist_metric[node_id]
-        if node_id in flat.guard_values:
-            guard_values[vid] = flat.guard_values[node_id]
-        node_of[vid] = node_id
-        child_lists.append(children)
-        offsets[vid + 1] = len(children)
-
-    for node_id in indep_ids:
-        emit(
-            int(indep_pos[node_id]),
-            int(node_id),
-            [vertex(0, int(c)) for c in flat.children(int(node_id))],
+    def row(iteration: "int | np.ndarray", node_id: np.ndarray) -> np.ndarray:
+        return np.where(
+            dependent[node_id],
+            indep_count + iteration * layer_size + dep_pos[node_id],
+            indep_pos[node_id],
         )
-    for iteration in range(iterations):
-        for node_id in row_order:
-            vid = vertex(iteration, node_id)
-            slot = int(ir.loop_slot[node_id])
-            if slot >= 0:
-                if iteration == 0:
-                    source = vertex(0, int(ir.init_ids[slot]))
-                else:
-                    source = vertex(iteration - 1, int(ir.next_ids[slot]))
-                emit(vid, node_id, [source])
-            else:
-                emit(
-                    vid,
-                    node_id,
-                    [
-                        vertex(iteration, int(c))
-                        for c in flat.children(node_id)
-                    ],
-                )
-    np.cumsum(offsets[1:], out=offsets[1:])
-    child_indices = np.fromiter(
-        (c for children in child_lists for c in children),
-        dtype=np.int64,
-        count=int(offsets[-1]),
-    )
 
-    # Per-node flags, broadcast to vertices via node_of.
-    loop_feeds: Dict[int, List[int]] = {}
-    for slot, loop_in in enumerate(ir.loop_in_ids.tolist()):
-        loop_feeds.setdefault(int(ir.init_ids[slot]), []).append(loop_in)
-        loop_feeds.setdefault(int(ir.next_ids[slot]), []).append(loop_in)
-    node_width = _node_widths(flat, loop_feeds)
+    node_of = np.concatenate([indep_ids, np.tile(row_order, iterations)])
+    iteration_of = np.repeat(np.arange(iterations), layer_size)
+    iteration_of = np.concatenate([np.zeros(indep_count, np.int64), iteration_of])
+    kinds = flat.kinds[node_of]
+
+    # Operands: a row reads its node's children at its own iteration; a
+    # loop-input row has one operand, its slot's init or previous next.
+    loop_rows = np.flatnonzero(kinds == _K_LOOP_IN)
+    arity = np.diff(flat.child_offsets)[node_of]
+    arity[loop_rows] = 1
+    offsets = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(arity, out=offsets[1:])
+    owner = np.repeat(np.arange(total, dtype=np.int64), arity)
+    edge_iteration = iteration_of[owner]
+    child = np.empty(len(owner), dtype=np.int64)
+    plain = np.flatnonzero(kinds[owner] != _K_LOOP_IN)
+    rows = owner[plain]
+    child[plain] = flat.child_indices[
+        flat.child_offsets[node_of[rows]] + plain - offsets[rows]
+    ]
+    slot = ir.loop_slot[node_of[loop_rows]]
+    later = iteration_of[loop_rows] > 0
+    loop_edges = offsets[loop_rows]
+    child[loop_edges] = np.where(later, ir.next_ids[slot], ir.init_ids[slot])
+    edge_iteration[loop_edges] -= later
+    child_indices = row(edge_iteration, child)
+
+    guard_rows = np.flatnonzero(kinds == _K_GUARD)
+    guard_values = {
+        vid: flat.guard_values[node_id]
+        for vid, node_id in zip(guard_rows.tolist(), node_of[guard_rows].tolist())
+    }
+    node_width = _node_widths(flat, ir.loop_feeds())
     columns, lane_offsets, head = _lower_lanes(
         kinds=kinds,
         child_offsets=offsets,
         child_indices=child_indices,
-        var_index=var_index,
-        atom_op=atom_op,
-        pow_exponent=pow_exponent,
-        dist_metric=dist_metric,
+        var_index=flat.var_index[node_of],
+        atom_op=flat.atom_op[node_of],
+        pow_exponent=flat.pow_exponent[node_of],
+        dist_metric=flat.dist_metric[node_of],
         guard_values=guard_values,
         is_bool=_bool_flags(network, flat.kinds)[node_of],
         width=node_width[node_of],
     )
-
-    final_vertex = np.empty(count, dtype=np.int64)
-    rows: List[np.ndarray] = []
-    for node_id in range(count):
-        final_vertex[node_id] = head[vertex(iterations - 1, node_id)]
-        if dependent[node_id]:
-            base = indep_count + int(dep_pos[node_id])
-            rows.append(
-                base
-                + layer_size * np.arange(iterations, dtype=np.int64)
-            )
-        else:
-            rows.append(np.asarray([int(indep_pos[node_id])], dtype=np.int64))
-
+    nodes = np.arange(count, dtype=np.int64)
     return MaskedProgram(
         **columns,
-        final_vertex=final_vertex,
+        final_vertex=head[row(iterations - 1, nodes)],
         node_width=node_width,
         cone_source=ir,
-        _node_rows=rows,
+        _unroll=(row(0, nodes), dependent, layer_size, iterations),
         _lane_offsets=lane_offsets,
     )
 

@@ -12,7 +12,9 @@ representation flat and primitive.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import IntEnum
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 
@@ -75,6 +77,8 @@ class EventNetwork:
         self.names: Dict[str, int] = {}
         self._interner: Dict[tuple, int] = {}
         self._parents: Optional[List[Tuple[int, ...]]] = None
+        # (node count, variable -> parent count); see variable_frequencies.
+        self._frequencies: Optional[Tuple[int, Dict[int, int]]] = None
 
     # ------------------------------------------------------------------
     # Construction (used by the builder; not part of the public API)
@@ -116,13 +120,17 @@ class EventNetwork:
         }
 
     def variable_frequencies(self) -> Dict[int, int]:
-        """How many parents each random variable feeds (ordering heuristic)."""
-        counts: Dict[int, int] = {}
-        parents = self.parents()
-        for node in self.nodes:
-            if node.kind is Kind.VAR:
-                counts[node.payload] = len(parents[node.id])
-        return counts
+        """How many parents each random variable feeds (ordering heuristic).
+
+        Counted in one pass over the operand lists, without building the
+        parent adjacency, and cached until the network grows.
+        """
+        nodes, cached = self.nodes, self._frequencies
+        if cached is None or cached[0] != len(nodes):
+            fan_in = Counter(chain.from_iterable([node.children for node in nodes]))
+            counts = {n.payload: fan_in[n.id] for n in nodes if n.kind is Kind.VAR}
+            cached = self._frequencies = (len(nodes), counts)
+        return dict(cached[1])
 
     def parents(self) -> List[Tuple[int, ...]]:
         """Parent adjacency (computed lazily and cached)."""
