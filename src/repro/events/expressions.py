@@ -9,8 +9,9 @@ Two mutually recursive expression families:
   products, inverses, integer powers, distances, and ``EVENT ∧ CVAL``
   conditionals.
 
-All nodes are immutable and hashable so that event networks can share
-common subexpressions (hash-consing happens in :mod:`repro.network.build`).
+All nodes are immutable and hashable, with structural equality.  Event
+networks share common subexpressions by interning nodes, not by hashing
+expressions (see :mod:`repro.network.build`).
 Convenience constructors (:func:`conj`, :func:`disj`, :func:`csum`, ...)
 perform light simplification (constant folding, flattening) so that
 builders can generate large programs without blowing up the structure.
@@ -66,17 +67,23 @@ class Expression:
         return seen
 
     def references(self) -> Set[str]:
-        """The set of event identifiers referenced by the expression."""
+        """The set of event identifiers referenced by the expression.
+
+        References are leaves and usually most of what a declaration's
+        walk meets, so they skip the visited-set bookkeeping.
+        """
         seen: Set[str] = set()
         stack: list[Expression] = [self]
         visited: Set[int] = set()
         while stack:
             node = stack.pop()
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            if isinstance(node, (Ref, CRef)):
+            if type(node) in _REFERENCE_TYPES:
                 seen.add(node.name)
+                continue
+            key = id(node)
+            if key in visited:
+                continue
+            visited.add(key)
             stack.extend(node.children())
         return seen
 
@@ -497,6 +504,9 @@ class CRef(CVal):
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CRef) and other.name == self.name
+
+
+_REFERENCE_TYPES = (Ref, CRef)
 
 
 # ----------------------------------------------------------------------

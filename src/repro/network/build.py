@@ -9,7 +9,7 @@ common to several events are only represented once in such graphs").
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,12 +43,125 @@ def _payload_key(value) -> tuple:
     return ("scalar", value)
 
 
+#: How an expression of one type becomes a node: build its operands and
+#: intern.  Each rule reads its operand fields directly, because
+#: ``children()`` allocates a tuple per call and this runs once per
+#: expression object of a program.
+Rule = Callable[["NetworkBuilder", Expression], int]
+
+
+def _true(builder: NetworkBuilder, expression: _TrueEvent) -> int:
+    return builder.network._intern(Kind.TRUE, (), None, None)
+
+
+def _false(builder: NetworkBuilder, expression: _FalseEvent) -> int:
+    return builder.network._intern(Kind.FALSE, (), None, None)
+
+
+def _var(builder: NetworkBuilder, expression: Var) -> int:
+    index = expression.index
+    return builder.network._intern(Kind.VAR, (), index, index)
+
+
+def _ref(builder: NetworkBuilder, expression: Ref | CRef) -> int:
+    names = builder.network.names
+    if expression.name not in names:
+        raise KeyError(f"reference to {expression.name!r} before its declaration")
+    return names[expression.name]
+
+
+def _not(builder: NetworkBuilder, expression: Not) -> int:
+    child = builder.build(expression.child)
+    return builder.network._intern(Kind.NOT, (child,), None, None)
+
+
+def _and(builder: NetworkBuilder, expression: And) -> int:
+    children = tuple(map(builder.build, expression.operands))
+    return builder.network._intern(Kind.AND, children, None, None)
+
+
+def _or(builder: NetworkBuilder, expression: Or) -> int:
+    children = tuple(map(builder.build, expression.operands))
+    return builder.network._intern(Kind.OR, children, None, None)
+
+
+def _atom(builder: NetworkBuilder, expression: Atom) -> int:
+    children = (builder.build(expression.left), builder.build(expression.right))
+    op = expression.op
+    return builder.network._intern(Kind.ATOM, children, op, op)
+
+
+def _guard(builder: NetworkBuilder, expression: Guard) -> int:
+    event, value = builder.build(expression.event), expression.value
+    return builder.network._intern(Kind.GUARD, (event,), value, _payload_key(value))
+
+
+def _cond(builder: NetworkBuilder, expression: Cond) -> int:
+    children = (builder.build(expression.event), builder.build(expression.cval))
+    return builder.network._intern(Kind.COND, children, None, None)
+
+
+def _sum(builder: NetworkBuilder, expression: CSum) -> int:
+    children = tuple(map(builder.build, expression.terms))
+    return builder.network._intern(Kind.SUM, children, None, None)
+
+
+def _prod(builder: NetworkBuilder, expression: CProd) -> int:
+    children = tuple(map(builder.build, expression.factors))
+    return builder.network._intern(Kind.PROD, children, None, None)
+
+
+def _inv(builder: NetworkBuilder, expression: CInv) -> int:
+    child = builder.build(expression.child)
+    return builder.network._intern(Kind.INV, (child,), None, None)
+
+
+def _pow(builder: NetworkBuilder, expression: CPow) -> int:
+    child, exponent = builder.build(expression.child), expression.exponent
+    return builder.network._intern(Kind.POW, (child,), exponent, exponent)
+
+
+def _dist(builder: NetworkBuilder, expression: CDist) -> int:
+    children = (builder.build(expression.left), builder.build(expression.right))
+    metric = expression.metric
+    return builder.network._intern(Kind.DIST, children, metric, metric)
+
+
 class NetworkBuilder:
-    """Translates expressions into interned network nodes."""
+    """Translates expressions into interned network nodes.
+
+    Sharing is decided in one place, :meth:`EventNetwork._intern`'s
+    ``(kind, children, key)`` table: structurally equal expressions
+    intern to one node however many objects spell them.  The memo here
+    is only work-sharing for an object met twice (a subexpression reused
+    by reference), so it is keyed on identity rather than on the
+    expressions' structural hash.  Each entry keeps its expression alive,
+    so an ``id()`` is never reused while it is a key.
+    """
+
+    RULES: Dict[type, Rule] = {
+        _TrueEvent: _true,
+        _FalseEvent: _false,
+        Var: _var,
+        Ref: _ref,
+        CRef: _ref,
+        Not: _not,
+        And: _and,
+        Or: _or,
+        Atom: _atom,
+        Guard: _guard,
+        Cond: _cond,
+        CSum: _sum,
+        CProd: _prod,
+        CInv: _inv,
+        CPow: _pow,
+        CDist: _dist,
+    }
 
     def __init__(self, network: Optional[EventNetwork] = None) -> None:
         self.network = network if network is not None else EventNetwork()
-        self._memo: Dict[Expression, int] = {}
+        self._memo: Dict[int, int] = {}  # id(expression) -> node id
+        self._keys: List[Expression] = []  # keeps every memoised id in use
 
     def build_program(self, program: EventProgram) -> EventNetwork:
         """Ground every declaration, bind names, and mark targets."""
@@ -61,77 +174,15 @@ class NetworkBuilder:
 
     def build(self, expression: Expression) -> int:
         """Build (or reuse) the node for an expression; returns its id."""
-        memoised = self._memo.get(expression)
-        if memoised is not None:
-            return memoised
-        node_id = self._build_uncached(expression)
-        self._memo[expression] = node_id
+        key = id(expression)
+        node_id = self._memo.get(key)
+        if node_id is None:
+            rule = self.RULES.get(type(expression))
+            if rule is None:
+                raise TypeError(f"cannot build node for {type(expression)}")
+            node_id = self._memo[key] = rule(self, expression)
+            self._keys.append(expression)
         return node_id
-
-    def _build_uncached(self, expression: Expression) -> int:
-        network = self.network
-        if isinstance(expression, _TrueEvent):
-            return network._intern(Kind.TRUE, (), None, None)
-        if isinstance(expression, _FalseEvent):
-            return network._intern(Kind.FALSE, (), None, None)
-        if isinstance(expression, Var):
-            return network._intern(
-                Kind.VAR, (), expression.index, expression.index
-            )
-        if isinstance(expression, (Ref, CRef)):
-            if expression.name not in network.names:
-                raise KeyError(
-                    f"reference to {expression.name!r} before its declaration"
-                )
-            return network.names[expression.name]
-        if isinstance(expression, Not):
-            child = self.build(expression.child)
-            return network._intern(Kind.NOT, (child,), None, None)
-        if isinstance(expression, And):
-            children = tuple(self.build(op) for op in expression.operands)
-            return network._intern(Kind.AND, children, None, None)
-        if isinstance(expression, Or):
-            children = tuple(self.build(op) for op in expression.operands)
-            return network._intern(Kind.OR, children, None, None)
-        if isinstance(expression, Atom):
-            left = self.build(expression.left)
-            right = self.build(expression.right)
-            return network._intern(
-                Kind.ATOM, (left, right), expression.op, expression.op
-            )
-        if isinstance(expression, Guard):
-            event = self.build(expression.event)
-            return network._intern(
-                Kind.GUARD,
-                (event,),
-                expression.value,
-                _payload_key(expression.value),
-            )
-        if isinstance(expression, Cond):
-            event = self.build(expression.event)
-            cval = self.build(expression.cval)
-            return network._intern(Kind.COND, (event, cval), None, None)
-        if isinstance(expression, CSum):
-            children = tuple(self.build(term) for term in expression.terms)
-            return network._intern(Kind.SUM, children, None, None)
-        if isinstance(expression, CProd):
-            children = tuple(self.build(factor) for factor in expression.factors)
-            return network._intern(Kind.PROD, children, None, None)
-        if isinstance(expression, CInv):
-            child = self.build(expression.child)
-            return network._intern(Kind.INV, (child,), None, None)
-        if isinstance(expression, CPow):
-            child = self.build(expression.child)
-            return network._intern(
-                Kind.POW, (child,), expression.exponent, expression.exponent
-            )
-        if isinstance(expression, CDist):
-            left = self.build(expression.left)
-            right = self.build(expression.right)
-            return network._intern(
-                Kind.DIST, (left, right), expression.metric, expression.metric
-            )
-        raise TypeError(f"cannot build node for {type(expression)}")
 
 
 def build_network(program: EventProgram) -> EventNetwork:

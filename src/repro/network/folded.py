@@ -129,20 +129,19 @@ class FoldedBuilder(NetworkBuilder):
         assert isinstance(network, FoldedNetwork)
         return network
 
-    def _build_uncached(self, expression: Expression) -> int:
-        if isinstance(expression, (LoopEvent, LoopCVal)):
-            is_boolean = isinstance(expression, LoopEvent)
-            node_id = self.network._intern(
-                Kind.LOOP_IN,
-                (),
-                (expression.name, is_boolean),
-                (expression.name, is_boolean),
-            )
-            slots = self.folded.slots
-            if expression.name not in slots:
-                slots[expression.name] = (node_id, None, None)
-            return node_id
-        return super()._build_uncached(expression)
+    def _loop_in(self, expression: LoopEvent | LoopCVal) -> int:
+        """A loop slot's input node, registering the slot on first use."""
+        is_boolean = isinstance(expression, LoopEvent)
+        payload = (expression.name, is_boolean)
+        node_id = self.network._intern(Kind.LOOP_IN, (), payload, payload)
+        self.folded.slots.setdefault(expression.name, (node_id, None, None))
+        return node_id
+
+    RULES = {
+        **NetworkBuilder.RULES,
+        LoopEvent: _loop_in,
+        LoopCVal: _loop_in,
+    }
 
     def define_slot(
         self, name: str, init: Expression, next_value: Expression

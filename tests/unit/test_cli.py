@@ -1,5 +1,11 @@
 """Unit tests for the command-line interface."""
 
+import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -213,3 +219,61 @@ class TestCommands:
         code = main(["check", "--inject-violation"])
         assert code == 1
         assert "finding(s)" in capsys.readouterr().out
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+CLUSTER = ["cluster", "--objects", "8", "--group-size", "2", "--limit", "3"]
+
+
+def run_repro(args, **options):
+    """``python -m repro ARGS`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args], env=env, timeout=120, **options
+    )
+
+
+class TestProcessEntryPoint:
+    """``python -m repro``: its GC policy, exit status and closed stdout."""
+
+    def test_in_process_main_leaves_the_gc_policy_alone(self, capsys):
+        def policy():
+            return gc.get_threshold(), gc.isenabled(), gc.get_freeze_count()
+
+        before = policy()
+        assert main(CLUSTER) == 0
+        assert policy() == before
+
+    def test_process_workers_finish_with_complete_output(self):
+        done = run_repro(
+            [*CLUSTER, "--workers", "2", "--execution", "process",
+             "--algorithm", "exact"],
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0].startswith("dataset: 8 objects")
+        assert lines[1].startswith("exact-d (ε=0.0): 16 targets")
+        assert [line.lstrip()[:2] for line in lines[2:5]] == ["P["] * 3
+        assert lines[5] == "  ... (13 more targets)"
+        assert len(lines) == 6
+
+    def test_closed_stdout_ends_without_a_traceback(self):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first write
+        try:
+            done = run_repro(CLUSTER, stdout=write, stderr=subprocess.PIPE,
+                             text=True)
+        finally:
+            os.close(write)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr, done.stderr
+        assert "BrokenPipeError" not in done.stderr, done.stderr
+
+    def test_an_error_status_reaches_the_shell(self):
+        done = run_repro(
+            ["cluster", "--listen", "127.0.0.1:7453"],
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 2
+        assert "--listen requires --workers" in done.stderr

@@ -1,9 +1,17 @@
 """Unit tests for event-network construction and hash-consing (§4.1)."""
 
+import gc
+import random
+
 import numpy as np
 import pytest
 
+from repro import ENFrame, KMedoidsSpec, MCLSpec
+from repro.correlations.schemes import make_lineage
+from repro.data.datasets import sensor_dataset
 from repro.events.expressions import (
+    CRef,
+    Ref,
     atom,
     cdist,
     conj,
@@ -16,6 +24,12 @@ from repro.events.expressions import (
     var,
 )
 from repro.events.program import EventProgram
+from repro.lang.translate import dataset_externals, translate_source
+from repro.mining.kmeans import KMeansSpec
+from repro.mining.kmedoids import build_kmedoids_folded
+from repro.mining.markov import build_mcl_program, stochastic_graph
+from repro.mining.programs import KMEDOIDS_SOURCE
+from repro.network import folded
 from repro.network.build import NetworkBuilder, build_network, build_targets
 from repro.network.dot import to_dot
 from repro.network.nodes import Kind
@@ -57,6 +71,142 @@ class TestHashConsing:
         a = builder.build(atom("<=", literal(1.0), literal(2.0)))
         b = builder.build(atom("<", literal(1.0), literal(2.0)))
         assert a != b
+
+
+    def test_equal_but_distinct_objects_map_to_one_node(self):
+        def vector_sum():
+            return csum([guard(var(0), np.array([1.0, 2.0])), guard(var(1), 3.0)])
+
+        first, second = vector_sum(), vector_sum()
+        assert first is not second and first == second
+        builder = NetworkBuilder()
+        assert builder.build(first) == builder.build(second)
+        program = EventProgram()
+        program.declare("A", atom("<=", vector_sum(), literal(4.0)))
+        program.declare("B", atom("<=", vector_sum(), literal(4.0)))
+        network = build_network(program)
+        assert network.names["A"] == network.names["B"]
+        assert [node.kind for node in network.nodes].count(Kind.SUM) == 1
+
+    def test_collected_expression_does_not_alias_a_fresh_one(self):
+        # The memo is keyed on id(): a dropped key must stay alive, or a
+        # fresh expression allocated at its address would read its node.
+        builder = NetworkBuilder()
+        first = builder.build(conj([var(0), var(1)]))
+        gc.collect()
+        for index in range(2, 102):
+            fresh = conj([var(index), var(index + 1)])
+            node = builder.network.nodes[builder.build(fresh)]
+            assert node.id != first
+            assert [builder.network.nodes[c].payload for c in node.children] == [
+                index, index + 1,
+            ]
+            del fresh
+            gc.collect()
+
+
+class StructuralBuilder(NetworkBuilder):
+    """Reference: every expression type's node, memoised on structure."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.structural = {}
+
+    def build(self, expression) -> int:
+        if expression in self.structural:
+            return self.structural[expression]
+        network = self.network
+        if isinstance(expression, (Ref, CRef)):
+            node_id = network.names[expression.name]
+        elif isinstance(expression, (folded.LoopEvent, folded.LoopCVal)):
+            payload = (expression.name, isinstance(expression, folded.LoopEvent))
+            node_id = network._intern(Kind.LOOP_IN, (), payload, payload)
+            network.slots.setdefault(expression.name, (node_id, None, None))
+        else:
+            kind, field = STRUCTURE[type(expression).__name__]
+            children = tuple(self.build(c) for c in expression.children())
+            payload = getattr(expression, field) if field else None
+            key = payload
+            if isinstance(payload, np.ndarray):
+                key = (payload.shape, payload.tobytes())
+            node_id = network._intern(kind, children, payload, key)
+        self.structural[expression] = node_id
+        return node_id
+
+
+STRUCTURE = {
+    "_TrueEvent": (Kind.TRUE, None), "_FalseEvent": (Kind.FALSE, None),
+    "Var": (Kind.VAR, "index"), "Not": (Kind.NOT, None),
+    "And": (Kind.AND, None), "Or": (Kind.OR, None), "Atom": (Kind.ATOM, "op"),
+    "Guard": (Kind.GUARD, "value"), "Cond": (Kind.COND, None),
+    "CSum": (Kind.SUM, None), "CProd": (Kind.PROD, None),
+    "CInv": (Kind.INV, None), "CPow": (Kind.POW, "exponent"),
+    "CDist": (Kind.DIST, "metric"),
+}
+
+
+class StructuralFoldedBuilder(StructuralBuilder, folded.FoldedBuilder):
+    pass
+
+
+def node_arrays(network):
+    def payload(value):
+        if isinstance(value, np.ndarray):
+            return ("vec", value.dtype.str, value.shape, value.tobytes())
+        return (type(value).__name__, value)
+
+    return (
+        [(n.id, n.kind, n.children, payload(n.payload)) for n in network.nodes],
+        network.names, network.targets, getattr(network, "slots", None),
+    )
+
+
+def _mutex_platform():
+    return ENFrame.from_sensor_data(
+        12, seed=3, certain_fraction=0.0, scheme="mutex", group_size=3,
+        mutex_size=2,
+    )
+
+
+class TestFrontEndsAgainstStructuralMemo:
+    """Identity work-sharing plus the interner builds the same node
+    arrays, in the same order, as a memo keyed on structural equality."""
+
+    def assert_matches_reference(self, program, network):
+        reference = StructuralBuilder().build_program(program)
+        assert node_arrays(network) == node_arrays(reference)
+
+    def test_kmedoids(self):
+        platform = _mutex_platform().kmedoids(KMedoidsSpec(k=2, iterations=2))
+        self.assert_matches_reference(platform.program, platform.network)
+
+    def test_kmeans(self):
+        platform = _mutex_platform().kmeans(KMeansSpec(k=2, iterations=2))
+        self.assert_matches_reference(platform.program, platform.network)
+
+    def test_mcl(self):
+        lineage = make_lineage("independent", 6, random.Random(1), group_size=1)
+        program = build_mcl_program(
+            stochastic_graph(6, random.Random(7)), lineage.events,
+            MCLSpec(inflation=2, iterations=2),
+        )
+        self.assert_matches_reference(program, build_network(program))
+
+    def test_translated_source(self):
+        platform = ENFrame.from_sensor_data(
+            8, seed=11, scheme="positive", variables=6, literals=3
+        )
+        externals = dataset_externals(platform.dataset, (2, 2), range(2))
+        program, _ = translate_source(KMEDOIDS_SOURCE, externals)
+        self.assert_matches_reference(program, build_network(program))
+
+    def test_folded_kmedoids(self, monkeypatch):
+        dataset = sensor_dataset(8, scheme="mutex", seed=2)
+        spec = KMedoidsSpec(k=2, iterations=3)
+        network = build_kmedoids_folded(dataset, spec)
+        monkeypatch.setattr(folded, "FoldedBuilder", StructuralFoldedBuilder)
+        reference = build_kmedoids_folded(dataset, spec)
+        assert node_arrays(network) == node_arrays(reference)
 
 
 class TestProgramGrounding:
