@@ -23,11 +23,11 @@ however jobs are scheduled:
   worker pool of :mod:`repro.compile.transport`: persistent workers —
   spawned locally on private socket pairs, or, with
   ``listen="host:port"``, remote ``repro cluster --connect`` processes —
-  each deserialize the network and the pickled
-  :class:`~repro.engine.masked.MaskedProgram` **once at join**, then
-  receive jobs as small self-contained messages (the job's assignment
-  prefix, its budgets and the barrier's bound snapshot).  Results
-  stream back as ``(bounds deltas, eval count, cost)`` records.
+  each receive the network and variable-pool documents **once at
+  join** and lower the network themselves, then receive jobs as small
+  self-contained messages (the job's assignment prefix, its budgets and
+  the barrier's bound snapshot).  Results stream back as ``(bounds
+  deltas, eval count, cost)`` records.
 
 **Reaching a job root.**  A job message carries its *prefix* and nothing
 else about evaluator state — the paper's job.  Each worker, in every mode,
@@ -351,24 +351,12 @@ def _run_job(
 def _build_worker_state(config: dict):
     """Deserialize a worker payload once; returns ``(compiler, cursor)``.
 
-    ``config`` holds the network document, the variable-pool document,
-    and (masked engine) the prebuilt
-    :class:`~repro.engine.masked.MaskedProgram`; the program is attached
-    to the rebuilt network's IR caches so the worker's evaluator reuses
-    it instead of re-flattening.
+    ``config`` holds the network and variable-pool documents; the
+    worker's evaluator lowers the rebuilt network itself.
     """
-    from ..engine.ir import FoldedFlatIR
     from ..network.serialize import network_from_dict, pool_from_dict
 
     network = network_from_dict(config["network"])
-    program = config.get("program")
-    if program is not None:
-        source = program.cone_source
-        if isinstance(source, FoldedFlatIR):
-            network._folded_flat_ir = (len(network.nodes), source)
-        else:
-            network._flat_ir = (len(network.nodes), source)
-        network._masked_program = (source, program)
     pool = pool_from_dict(config["pool"])
     compiler = _JobCompiler(
         network,
@@ -448,19 +436,18 @@ def _worker_payload(
     target_names: Sequence[str],
     order,
     engine: str,
-    program,
     fault: Optional[dict] = None,
 ) -> bytes:
-    """The pickled join-time config the ``init`` record ships."""
+    """The pickled join-time config the ``init`` record ships: documents
+    only (dicts, lists, strings, numbers)."""
     from ..network.serialize import network_to_dict, pool_to_dict
 
     return pickle.dumps(
         {
             "network": network_to_dict(network),
             "pool": pool_to_dict(pool),
-            "program": program,
             "targets": list(target_names),
-            "order": order,
+            "order": order if isinstance(order, str) else [int(i) for i in order],
             "engine": engine,
             "fault": fault,
         }
@@ -828,18 +815,12 @@ class DistributedCompiler:
             # the teardown had to kill into the tally the next
             # successful run reports.
             self.close(force=True)
-        from ..engine.masked import MaskedEvaluator, masked_program
-
-        program = None
-        if isinstance(self._compiler.evaluator, MaskedEvaluator):
-            program = masked_program(self.network)
         payload = _worker_payload(
             self.network,
             self.pool,
             self.target_names,
             self.order,
             self.engine,
-            program,
             fault=self.fault_injection,
         )
         if self.listen is not None:

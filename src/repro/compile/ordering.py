@@ -110,7 +110,7 @@ class DynamicInfluenceOrder:
         self._indices = sorted(self._var_nodes)
         # Folded networks: a slot's init/next nodes feed its loop input,
         # so cones must follow those implicit edges too (mirrors
-        # FoldedFlatIR.var_cone).
+        # FlatNetwork.var_cone).
         self._loop_edges: Dict[int, List[int]] = {}
         for loop_in, init_node, next_node in getattr(network, "slots", {}).values():
             if init_node is not None:

@@ -3,14 +3,16 @@
 Four pieces compose into one substrate shared by every probability
 computation scheme:
 
-* :mod:`repro.engine.ir` — flattens an event network once into
-  topologically-ordered NumPy arrays (kind codes, CSR operand tables,
-  constants), cached per network;
-* :mod:`repro.engine.masked` — lowers those arrays into the one
-  program every evaluator runs (scalar lanes, folded iterations
-  unrolled), and the Shannon compiler's partial-evaluation abstraction
-  as columns over it, with per-variable cone recomputation on ``push``
-  and trailed column restores on ``pop``;
+* :mod:`repro.engine.ir` — flattens an event network, plain or folded,
+  once into one record of topologically-ordered NumPy arrays (kind
+  codes, CSR operand tables, constants, loop slots), cached per network
+  and private to the lowering;
+* :mod:`repro.engine.masked` — lowers that record into the one program
+  every evaluator runs (folded iterations unrolled — a plain network is
+  the case with no loop slots and one iteration — then scalar lanes),
+  and the Shannon compiler's partial-evaluation abstraction as columns
+  over it, with per-variable cone recomputation on ``push`` and trailed
+  column restores on ``pop``;
 * :mod:`repro.engine.bulk` — evaluates every compilation target over
   *all* possible worlds (or all Monte Carlo samples) of a batch in one
   sweep of that program, replacing per-valuation recursion;
@@ -32,13 +34,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "bulk_naive_probabilities",
             "make_bulk_evaluator",
         ),
-        ".ir": (
-            "FlatNetwork",
-            "FoldedFlatIR",
-            "UnsupportedNetworkError",
-            "flatten",
-            "flatten_folded",
-        ),
+        ".ir": ("UnsupportedNetworkError",),
         ".masked": ("MaskedEvaluator", "MaskedProgram", "masked_program"),
         ".registry": (
             "CAP_BULK",

@@ -2,19 +2,15 @@
 
 An :class:`~repro.network.nodes.EventNetwork` stores nodes as Python
 records.  Flattening turns the network into a handful of NumPy arrays —
-kind codes, a CSR operand table, and per-kind payload columns — computed
-once and cached on the network.  These arrays are the input of
-:func:`repro.engine.masked.masked_program`, which lowers them into the
-one program every evaluator runs; they also own the node-level variable
-cones the orderings read.
+kind codes, a CSR operand table, per-kind payload columns and the loop
+slot columns — computed once and cached on the network.  These arrays
+are the input of :func:`repro.engine.masked.masked_program`, which
+lowers them into the one program every evaluator runs; they also own
+the node-level variable cones the orderings read.
 
-Folded networks (:class:`~repro.network.folded.FoldedNetwork`) carry
-loop-input slots whose meaning changes per iteration, so they have no
-*static* flat form (:func:`flatten` raises
-:class:`UnsupportedNetworkError` on them).  They flatten through
-:func:`flatten_folded` instead, which produces a :class:`FoldedFlatIR`:
-the iteration template plus each slot's loop-input/init/next binding,
-which ``masked_program`` unrolls into one row per iteration.
+A folded network (:class:`~repro.network.folded.FoldedNetwork`) fills
+the record's slot columns; a plain network is the case with no slots and
+one iteration, so both flatten into one :class:`FlatNetwork`.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ BOOL_KIND_CODES = frozenset(
 
 
 class UnsupportedNetworkError(TypeError):
-    """The network has no static flat form (e.g. folded loop inputs)."""
+    """The network has no flat form (e.g. unbound loop inputs)."""
 
 
 @dataclass
@@ -62,6 +58,11 @@ class FlatNetwork:
     ``child_indices[child_offsets[i]:child_offsets[i + 1]]``), already in
     topological order because the builder interns children before
     parents.
+
+    The slot columns bind each loop-input node to its slot's *init* node
+    (first iteration) and *next* node (previous iteration);
+    :func:`repro.engine.masked.masked_program` unrolls the loop-dependent
+    nodes ``iterations`` times — the mask ``M[t][v]`` of Section 4.2.
     """
 
     kinds: np.ndarray  # (N,) int16 — Kind codes
@@ -72,7 +73,12 @@ class FlatNetwork:
     pow_exponent: np.ndarray  # (N,) int64 — exponent for POW nodes, else 0
     dist_metric: np.ndarray  # (N,) int8 — DIST_METRICS code, else -1
     guard_values: Dict[int, object]  # node id -> constant (float or vector)
-    targets: Dict[str, int]
+    iterations: int
+    loop_in_ids: np.ndarray  # (S,) int64 — loop-input node per slot
+    init_ids: np.ndarray  # (S,) int64 — initial-value node per slot
+    next_ids: np.ndarray  # (S,) int64 — iteration-update node per slot
+    loop_slot: np.ndarray  # (N,) int64 — slot index of LOOP_IN nodes, else -1
+    loop_dependent: np.ndarray  # (N,) bool — value can change across iterations
     _parents: "Tuple[np.ndarray, np.ndarray] | None" = None
     _var_cones: Dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -93,16 +99,24 @@ class FlatNetwork:
             self._parents = parents_csr(self.child_offsets, self.child_indices)
         return self._parents
 
+    def loop_feeds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The implicit loop edges ``(sources, loop inputs)``: a slot's
+        init and next nodes each feed its loop-input node."""
+        return (
+            np.concatenate([self.init_ids, self.next_ids]),
+            np.concatenate([self.loop_in_ids, self.loop_in_ids]),
+        )
+
     def var_cone(self, var_index: int) -> np.ndarray:
         """Node ids downstream of variable ``var_index``, in topo order.
 
         The *cone* is the set of nodes whose value can change when the
         variable is assigned — the VAR node(s) carrying the index plus
-        everything reachable upwards through the parent adjacency.
-        Cached per variable: the masked evaluator re-sweeps exactly this
-        suffix of the topological order on every ``push``, and the
-        cone-aware variable ordering scores each unassigned variable by
-        intersecting this set with the unresolved part of the mask
+        everything reachable upwards through the parent adjacency and
+        the loop edges (:meth:`loop_feeds`).  Cached per variable: the
+        masked evaluator re-sweeps this set's rows on every ``push``, and
+        the cone-aware variable ordering scores each unassigned variable
+        by intersecting it with the unresolved part of the mask
         (:class:`repro.compile.ordering.ConeInfluenceOrder`).
         """
         cached = self._var_cones.get(var_index)
@@ -111,52 +125,6 @@ class FlatNetwork:
         cone = _upward_closure(self, var_index)
         self._var_cones[var_index] = cone
         return cone
-
-
-@dataclass
-class FoldedFlatIR:
-    """A folded network's iteration template, flattened.
-
-    ``flat`` holds the whole template as a :class:`FlatNetwork` (loop
-    inputs included); the extra columns bind each loop-input node to its
-    slot.  :func:`repro.engine.masked.masked_program` unrolls it: the
-    loop-independent nodes once, the loop-dependent ones ``iterations``
-    times, each slot's loop-input reading its *init* node at the first
-    iteration and its *next* node of the previous one after that — the
-    per-iteration mask ``M[t][v]`` of Section 4.2.
-    """
-
-    flat: FlatNetwork
-    iterations: int
-    loop_in_ids: np.ndarray  # (S,) int64 — loop-input node per slot
-    init_ids: np.ndarray  # (S,) int64 — initial-value node per slot
-    next_ids: np.ndarray  # (S,) int64 — iteration-update node per slot
-    loop_slot: np.ndarray  # (N,) int64 — slot index of LOOP_IN nodes, else -1
-    loop_dependent: np.ndarray  # (N,) bool — value can change across iterations
-    _var_cones: Dict[int, np.ndarray] = field(default_factory=dict)
-
-    def var_cone(self, var_index: int) -> np.ndarray:
-        """Node ids affected by variable ``var_index``, in topo order.
-
-        Like :meth:`FlatNetwork.var_cone`, but the closure also follows
-        the implicit loop edges: when a slot's *init* or *next* node is
-        in the cone, the slot's loop-input node (and hence its own
-        parents) joins it too.
-        """
-        cached = self._var_cones.get(var_index)
-        if cached is not None:
-            return cached
-        cone = _upward_closure(self.flat, var_index, extra_edges=self.loop_feeds())
-        self._var_cones[var_index] = cone
-        return cone
-
-    def loop_feeds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The implicit loop edges ``(sources, loop inputs)``: a slot's
-        init and next nodes each feed its loop-input node."""
-        return (
-            np.concatenate([self.init_ids, self.next_ids]),
-            np.concatenate([self.loop_in_ids, self.loop_in_ids]),
-        )
 
 
 def parents_csr(
@@ -183,30 +151,24 @@ def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     )
 
 
-def _upward_closure(
-    flat: FlatNetwork,
-    var_index: int,
-    extra_edges: "Tuple[np.ndarray, np.ndarray] | None" = None,
-) -> np.ndarray:
+def _upward_closure(flat: FlatNetwork, var_index: int) -> np.ndarray:
     """Nodes reachable upwards from a variable's VAR node(s), sorted.
 
-    ``extra_edges`` adds implicit ``(source, successor)`` edges (the
-    folded IR's init/next → loop-input edges) on top of the CSR parent
-    adjacency.  The closure advances one frontier at a time, gathering
-    the parents of a whole frontier with one fancy-indexed read.
+    The closure advances one frontier at a time, gathering the parents
+    of a whole frontier with one fancy-indexed read, plus the loop inputs
+    fed by any seen node (those fed earlier are seen already; ``np.isin``
+    would load ``numpy.ma``).
     """
     offsets, indices = flat.parents()
+    sources, successors = flat.loop_feeds()
     seen = np.zeros(len(flat.kinds), dtype=bool)
     frontier = np.flatnonzero(flat.var_index == var_index)
     while len(frontier):
         seen[frontier] = True
         starts = offsets[frontier]
         reached = indices[expand_ranges(starts, offsets[frontier + 1] - starts)]
-        if extra_edges is not None:
-            sources, successors = extra_edges
-            reached = np.concatenate(
-                [reached, successors[np.isin(sources, frontier)]]
-            )
+        if len(sources):  # a folded network's loop edges
+            reached = np.concatenate([reached, successors[seen[sources]]])
         fresh = np.zeros(len(seen), dtype=bool)  # dedupes the next frontier
         fresh[reached] = True
         fresh &= ~seen
@@ -217,8 +179,9 @@ def _upward_closure(
 def flatten(network: EventNetwork) -> FlatNetwork:
     """Flatten ``network`` (cached: repeated calls reuse the arrays).
 
-    The cache is invalidated when the network grows (builders append
-    nodes through the same object).
+    A folded network needs every slot bound (``check_complete``).  The
+    cache is invalidated when the network grows (builders append nodes
+    through the same object) or a slot is rebound (``define_slot``).
     """
     cached = getattr(network, "_flat_ir", None)
     if cached is not None and cached[0] == len(network.nodes):
@@ -231,45 +194,11 @@ def flatten(network: EventNetwork) -> FlatNetwork:
     return flat
 
 
-def flatten_folded(network: FoldedNetwork) -> FoldedFlatIR:
-    """Flatten a folded network (cached like :func:`flatten`).
-
-    Requires every slot to be bound (``check_complete``).  The cache is
-    invalidated when the network grows *or* when a slot is rebound
-    (``define_slot`` clears it).
-    """
-    cached = getattr(network, "_folded_flat_ir", None)
-    if cached is not None and cached[0] == len(network.nodes):
-        return cached[1]
-    network.check_complete()
-    flat = _flatten_uncached(network, allow_loop_inputs=True)
-
-    bindings = np.array(list(network.slots.values()), dtype=np.int64)
-    loop_in_ids, init_ids, next_ids = bindings.reshape(-1, 3).T.copy()
-    loop_slot = np.full(len(network.nodes), -1, dtype=np.int64)
-    loop_slot[loop_in_ids] = np.arange(len(loop_in_ids))
-    loop_dependent = np.zeros(len(network.nodes), dtype=bool)
-    loop_dependent[list(network.loop_dependent())] = True
-
-    ir = FoldedFlatIR(
-        flat=flat,
-        iterations=network.iterations,
-        loop_in_ids=loop_in_ids,
-        init_ids=init_ids,
-        next_ids=next_ids,
-        loop_slot=loop_slot,
-        loop_dependent=loop_dependent,
-    )
-    try:
-        network._folded_flat_ir = (len(network.nodes), ir)
-    except AttributeError:  # pragma: no cover - exotic network subclasses
-        pass
-    return ir
+# The e2e benchmark harness still times a folded flatten step by this name.
+flatten_folded = flatten
 
 
-def _flatten_uncached(
-    network: EventNetwork, *, allow_loop_inputs: bool = False
-) -> FlatNetwork:
+def _flatten_uncached(network: EventNetwork) -> FlatNetwork:
     # The kind and operand columns come from the node records in one
     # comprehension each; checks and payload columns work on whole arrays.
     nodes = network.nodes
@@ -283,11 +212,21 @@ def _flatten_uncached(
         chain.from_iterable(operand_lists), dtype=np.int64, count=int(offsets[-1])
     )
 
-    if not allow_loop_inputs and np.any(kinds == int(Kind.LOOP_IN)):
+    if isinstance(network, FoldedNetwork):
+        network.check_complete()
+        bindings = np.array(list(network.slots.values()), dtype=np.int64)
+        iterations, dependent = network.iterations, list(network.loop_dependent())
+    elif np.any(kinds == int(Kind.LOOP_IN)):
         raise UnsupportedNetworkError(
-            "folded networks (loop-input nodes) have no static flat "
-            "form; flatten_folded() builds their iteration template"
+            "loop-input nodes need a FoldedNetwork to bind their slots"
         )
+    else:
+        bindings, iterations, dependent = np.empty(0, dtype=np.int64), 1, []
+    loop_in_ids, init_ids, next_ids = bindings.reshape(-1, 3).T.copy()
+    loop_slot = np.full(count, -1, dtype=np.int64)
+    loop_slot[loop_in_ids] = np.arange(len(loop_in_ids))
+    loop_dependent = np.zeros(count, dtype=bool)
+    loop_dependent[dependent] = True
     owners = np.repeat(np.arange(count, dtype=np.int64), arity)
     if np.any(child_indices >= owners):
         raise UnsupportedNetworkError("network node order is not topological")
@@ -324,5 +263,10 @@ def _flatten_uncached(
         pow_exponent=pow_exponent,
         dist_metric=dist_metric,
         guard_values=guard_values,
-        targets=dict(network.targets),
+        iterations=iterations,
+        loop_in_ids=loop_in_ids,
+        init_ids=init_ids,
+        next_ids=next_ids,
+        loop_slot=loop_slot,
+        loop_dependent=loop_dependent,
     )

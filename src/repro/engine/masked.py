@@ -30,8 +30,9 @@ Folded networks are handled by *unrolling the mask, not the network*:
 each loop-dependent node owns one column row per iteration (the matrix
 ``M[t][v]`` of Section 4.2), loop-input vertices copy from their slot's
 init/next vertex of the neighbouring row, and the loop-independent
-prefix is shared across rows.  The unrolled program is cached on the
-network, like the flat IR itself.
+prefix is shared across rows.  A plain network is the case with no loop
+layer, so one builder lowers both.  The unrolled program is cached on
+the network, like the flat IR itself.
 
 Vector-valued c-values (the feature vectors k-medoids and k-means
 cluster) are a property of *program construction*, not a second
@@ -60,16 +61,13 @@ from ..compile.partial import (
     NumState,
     State,
 )
-from ..network.folded import FoldedNetwork
 from ..network.nodes import EventNetwork, Kind
 from .ir import (
     BOOL_KIND_CODES,
     FlatNetwork,
-    FoldedFlatIR,
     UnsupportedNetworkError,
     expand_ranges,
     flatten,
-    flatten_folded,
     parents_csr,
 )
 
@@ -146,12 +144,11 @@ class MaskedProgram:
     is_bool: np.ndarray  # (M,) bool — Boolean-valued vertex
     final_vertex: np.ndarray  # (N,) int64 — node's first lane at the last iteration
     node_width: np.ndarray  # (N,) int64 — lanes of a vector node, 0 = scalar/Boolean
-    cone_source: object  # FlatNetwork or FoldedFlatIR (owns node-id cones)
-    # Folded only: (first_row, loop_dependent, layer_size, iterations).
-    # Before lane expansion, node n owns row first_row[n], plus
-    # first_row[n] + t * layer_size for t < iterations when
-    # loop-dependent.
-    _unroll: "Tuple[np.ndarray, np.ndarray, int, int] | None" = None
+    cone_source: FlatNetwork  # owns the node-id cones
+    # (first_row, loop_dependent, layer_size, iterations).  Before lane
+    # expansion, node n owns row first_row[n], plus first_row[n] +
+    # t * layer_size for t < iterations when loop-dependent.
+    _unroll: Tuple[np.ndarray, np.ndarray, int, int]
     # Pre-expansion vertex w owns vertices [_lane_offsets[w],
     # _lane_offsets[w + 1]); None when no vertex was expanded.
     _lane_offsets: "np.ndarray | None" = None
@@ -205,9 +202,9 @@ class MaskedProgram:
         cached = self._cones.get(var_index)
         if cached is not None:
             return cached
-        cone = self.cone_source.var_cone(var_index)  # flat: rows are node ids
-        if self._unroll is not None:
-            first_row, dependent, layer_size, iterations = self._unroll
+        cone = self.cone_source.var_cone(var_index)
+        first_row, dependent, layer_size, iterations = self._unroll
+        if layer_size:  # else rows are node ids: share the node cone
             repeated = dependent[cone]
             tiled = first_row[cone[repeated], None] + layer_size * np.arange(iterations)
             cone = np.sort(np.concatenate([first_row[cone[~repeated]], tiled.ravel()]))
@@ -259,16 +256,14 @@ _LANEWISE_ARRAY = np.asarray(
 )
 
 
-def _node_widths(
-    flat: FlatNetwork, loop_feeds: Tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
+def _node_widths(flat: FlatNetwork) -> np.ndarray:
     """Per-node vector width (0 = Boolean or scalar), by propagation.
 
     A node is vector-valued when a vector guard constant can flow into
     it.  Widths spread upwards from the vector guards one frontier at a
-    time, through the parent adjacency and through ``loop_feeds`` —
-    ``(sources, loop inputs)``: a slot's init/next node feeds its
-    loop-input node — so only the vector part of the network is visited.
+    time, through the parent adjacency and through the loop edges — a
+    slot's init/next node feeds its loop-input node — so only the vector
+    part of the network is visited.
     """
     width = np.zeros(len(flat), dtype=np.int64)
     vectors = [
@@ -288,7 +283,7 @@ def _node_widths(
     inverting = (kinds == _K_INV) | ((kinds == _K_POW) & (flat.pow_exponent < 0))
     lanewise = np.isin(kinds, _LANEWISE_ARRAY)
     offsets, parents = flat.parents()
-    sources, loop_inputs = loop_feeds
+    sources, loop_inputs = flat.loop_feeds()
     while len(frontier):
         starts = offsets[frontier]
         counts = offsets[frontier + 1] - starts
@@ -423,31 +418,7 @@ def _bool_flags(network: EventNetwork, kinds: np.ndarray) -> np.ndarray:
     return is_bool
 
 
-def _flat_program(network: EventNetwork, flat: FlatNetwork) -> MaskedProgram:
-    no_feeds = np.empty(0, dtype=np.int64)
-    width = _node_widths(flat, (no_feeds, no_feeds))
-    columns, lane_offsets, head = _lower_lanes(
-        kinds=flat.kinds,
-        child_offsets=flat.child_offsets,
-        child_indices=flat.child_indices,
-        var_index=flat.var_index,
-        atom_op=flat.atom_op,
-        pow_exponent=flat.pow_exponent,
-        dist_metric=flat.dist_metric,
-        guard_values=flat.guard_values,
-        is_bool=_bool_flags(network, flat.kinds),
-        width=width,
-    )
-    return MaskedProgram(
-        **columns,
-        final_vertex=head,
-        node_width=width,
-        cone_source=flat,
-        _lane_offsets=lane_offsets,
-    )
-
-
-def _layer_row_order(ir: FoldedFlatIR, layer_ids: np.ndarray) -> np.ndarray:
+def _layer_row_order(flat: FlatNetwork, layer_ids: np.ndarray) -> np.ndarray:
     """Topological order of the loop layer for the iteration-0 row.
 
     Within a row, a node depends on its loop-dependent children — except
@@ -459,14 +430,14 @@ def _layer_row_order(ir: FoldedFlatIR, layer_ids: np.ndarray) -> np.ndarray:
     search run.  Cycles mean the inits are mutually recursive at
     iteration 0, which no evaluator can order.
     """
-    dependent = ir.loop_dependent
-    if not np.any(dependent[ir.init_ids] & (ir.init_ids > ir.loop_in_ids)):
+    dependent = flat.loop_dependent
+    if not np.any(dependent[flat.init_ids] & (flat.init_ids > flat.loop_in_ids)):
         return layer_ids
     is_dependent = dependent.tolist()
-    loop_slot = ir.loop_slot.tolist()
-    init_ids = ir.init_ids.tolist()
-    offsets = ir.flat.child_offsets.tolist()
-    operands = ir.flat.child_indices.tolist()
+    loop_slot = flat.loop_slot.tolist()
+    init_ids = flat.init_ids.tolist()
+    offsets = flat.child_offsets.tolist()
+    operands = flat.child_indices.tolist()
     order: List[int] = []
     status: Dict[int, int] = {}  # 0 = visiting, 1 = done
 
@@ -505,71 +476,80 @@ def _layer_row_order(ir: FoldedFlatIR, layer_ids: np.ndarray) -> np.ndarray:
     return np.asarray(order, dtype=np.int64)
 
 
-def _folded_program(network: FoldedNetwork, ir: FoldedFlatIR) -> MaskedProgram:
+def _unrolled_program(network: EventNetwork, flat: FlatNetwork) -> MaskedProgram:
     """Unroll the iteration template by tiling, with whole-array operations.
 
     Rows are the loop-independent nodes once, in id order, then the loop
-    layer once per iteration: node ``n`` at iteration ``t`` is row
-    ``indep_pos[n]`` when loop-independent, else
-    ``indep_count + t * layer_size + dep_pos[n]``.  An operand reads its
-    child at the same iteration; a loop input reads its slot's *init* at
-    iteration 0 and the previous iteration's *next* after that.
+    layer once per iteration: node ``n`` owns row ``first_row[n]``, and
+    when loop-dependent ``first_row[n] + t * layer_size`` at iteration
+    ``t``.  An operand reads its child at the same iteration; a loop
+    input reads its slot's *init* at iteration 0 and the previous
+    iteration's *next* after that.  With no loop layer (every plain
+    network) rows are node ids, and the record's columns are used as
+    they are.
     """
-    flat = ir.flat
-    count = len(flat)
-    dependent = ir.loop_dependent
-    iterations = ir.iterations
-    indep_ids = np.flatnonzero(~dependent)
-    row_order = _layer_row_order(ir, np.flatnonzero(dependent))
+    dependent = flat.loop_dependent
+    iterations = flat.iterations
+    row_order = _layer_row_order(flat, np.flatnonzero(dependent))
     layer_size = len(row_order)
-    indep_count = len(indep_ids)
+    indep_count = len(flat) - layer_size
     total = indep_count + iterations * layer_size
+    # Loop-independent nodes take the first rows, in id order.
+    first_row = np.cumsum(~dependent, dtype=np.int64) - 1
+    first_row[row_order] = indep_count + np.arange(layer_size)
 
-    indep_pos = np.full(count, -1, dtype=np.int64)
-    indep_pos[indep_ids] = np.arange(indep_count, dtype=np.int64)
-    dep_pos = np.full(count, -1, dtype=np.int64)
-    dep_pos[row_order] = np.arange(layer_size, dtype=np.int64)
+    def row(
+        iteration: "int | np.ndarray", node_id: "np.ndarray | slice"
+    ) -> np.ndarray:
+        return first_row[node_id] + iteration * layer_size * dependent[node_id]
 
-    def row(iteration: "int | np.ndarray", node_id: np.ndarray) -> np.ndarray:
-        return np.where(
-            dependent[node_id],
-            indep_count + iteration * layer_size + dep_pos[node_id],
-            indep_pos[node_id],
-        )
-
-    node_of = np.concatenate([indep_ids, np.tile(row_order, iterations)])
-    iteration_of = np.repeat(np.arange(iterations), layer_size)
-    iteration_of = np.concatenate([np.zeros(indep_count, np.int64), iteration_of])
+    # Row r is node node_of[r]: a slice (views, no copies) when rows are ids.
+    node_of: "np.ndarray | slice" = slice(None)
+    if layer_size:
+        indep_ids = np.flatnonzero(~dependent)
+        node_of = np.concatenate([indep_ids, np.tile(row_order, iterations)])
     kinds = flat.kinds[node_of]
-
-    # Operands: a row reads its node's children at its own iteration; a
-    # loop-input row has one operand, its slot's init or previous next.
-    loop_rows = np.flatnonzero(kinds == _K_LOOP_IN)
-    arity = np.diff(flat.child_offsets)[node_of]
-    arity[loop_rows] = 1
-    offsets = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(arity, out=offsets[1:])
-    owner = np.repeat(np.arange(total, dtype=np.int64), arity)
-    edge_iteration = iteration_of[owner]
-    child = np.empty(len(owner), dtype=np.int64)
-    plain = np.flatnonzero(kinds[owner] != _K_LOOP_IN)
-    rows = owner[plain]
-    child[plain] = flat.child_indices[
-        flat.child_offsets[node_of[rows]] + plain - offsets[rows]
-    ]
-    slot = ir.loop_slot[node_of[loop_rows]]
-    later = iteration_of[loop_rows] > 0
-    loop_edges = offsets[loop_rows]
-    child[loop_edges] = np.where(later, ir.next_ids[slot], ir.init_ids[slot])
-    edge_iteration[loop_edges] -= later
-    child_indices = row(edge_iteration, child)
-
     guard_rows = np.flatnonzero(kinds == _K_GUARD)
+    if not layer_size:
+        offsets, child_indices = flat.child_offsets, flat.child_indices
+        guard_nodes = guard_rows
+    else:
+        guard_nodes = node_of[guard_rows]
+        # Operands: a row reads its node's children at its own iteration;
+        # a loop-input row has one operand, its slot's init or previous next.
+        iteration_of = np.concatenate(
+            [
+                np.zeros(indep_count, np.int64),
+                np.repeat(np.arange(iterations), layer_size),
+            ]
+        )
+        loop_rows = np.flatnonzero(kinds == _K_LOOP_IN)
+        arity = np.diff(flat.child_offsets)[node_of]
+        arity[loop_rows] = 1
+        offsets = np.zeros(total + 1, dtype=np.int64)
+        np.cumsum(arity, out=offsets[1:])
+        owner = np.repeat(np.arange(total, dtype=np.int64), arity)
+        edge_iteration = iteration_of[owner]
+        child = np.empty(len(owner), dtype=np.int64)
+        plain = np.flatnonzero(kinds[owner] != _K_LOOP_IN)
+        rows = owner[plain]
+        child[plain] = flat.child_indices[
+            flat.child_offsets[node_of[rows]] + plain - offsets[rows]
+        ]
+        slot = flat.loop_slot[node_of[loop_rows]]
+        later = iteration_of[loop_rows] > 0
+        loop_edges = offsets[loop_rows]
+        child[loop_edges] = np.where(
+            later, flat.next_ids[slot], flat.init_ids[slot]
+        )
+        edge_iteration[loop_edges] -= later
+        child_indices = row(edge_iteration, child)
+
     guard_values = {
         vid: flat.guard_values[node_id]
-        for vid, node_id in zip(guard_rows.tolist(), node_of[guard_rows].tolist())
+        for vid, node_id in zip(guard_rows.tolist(), guard_nodes.tolist())
     }
-    node_width = _node_widths(flat, ir.loop_feeds())
+    node_width = _node_widths(flat)
     columns, lane_offsets, head = _lower_lanes(
         kinds=kinds,
         child_offsets=offsets,
@@ -582,35 +562,25 @@ def _folded_program(network: FoldedNetwork, ir: FoldedFlatIR) -> MaskedProgram:
         is_bool=_bool_flags(network, flat.kinds)[node_of],
         width=node_width[node_of],
     )
-    nodes = np.arange(count, dtype=np.int64)
     return MaskedProgram(
         **columns,
-        final_vertex=head[row(iterations - 1, nodes)],
+        final_vertex=head[row(iterations - 1, slice(None))],
         node_width=node_width,
-        cone_source=ir,
-        _unroll=(row(0, nodes), dependent, layer_size, iterations),
+        cone_source=flat,
+        _unroll=(first_row, dependent, layer_size, iterations),
         _lane_offsets=lane_offsets,
     )
 
 
 def masked_program(network: EventNetwork) -> MaskedProgram:
     """The network's masked vertex program (cached like the flat IR)."""
-    if isinstance(network, FoldedNetwork):
-        ir = flatten_folded(network)
-        cached = getattr(network, "_masked_program", None)
-        if cached is not None and cached[0] is ir:
-            return cached[1]
-        program = _folded_program(network, ir)
-        key = ir
-    else:
-        flat = flatten(network)
-        cached = getattr(network, "_masked_program", None)
-        if cached is not None and cached[0] is flat:
-            return cached[1]
-        program = _flat_program(network, flat)
-        key = flat
+    flat = flatten(network)
+    cached = getattr(network, "_masked_program", None)
+    if cached is not None and cached[0] is flat:
+        return cached[1]
+    program = _unrolled_program(network, flat)
     try:
-        network._masked_program = (key, program)
+        network._masked_program = (flat, program)
     except AttributeError:  # pragma: no cover - exotic network subclasses
         pass
     return program

@@ -85,8 +85,8 @@ class FoldedNetwork(EventNetwork):
         self.slots[name] = (loop_in, init_node, next_node)
         self._loop_dependent = None
         # Rebinding changes the iteration semantics without growing the
-        # network, so the size-keyed folded flat IR must be dropped too.
-        self._folded_flat_ir = None
+        # network, so the size-keyed flat IR must be dropped too.
+        self._flat_ir = None
 
     def check_complete(self) -> None:
         for name, (_, init_node, next_node) in self.slots.items():

@@ -144,6 +144,58 @@ def _assert_same_tree(result, reference):
         assert result.bounds[name] == pytest.approx(reference.bounds[name])
 
 
+def _document_types(value) -> set:
+    """The exact types a join-time document is built from."""
+    if isinstance(value, dict):
+        return {dict}.union(
+            *(_document_types(key) | _document_types(item)
+              for key, item in value.items())
+        )
+    if isinstance(value, list):
+        return {list}.union(*map(_document_types, value))
+    return {type(value)}
+
+
+class TestWorkerPayload:
+    """A worker's ``init`` carries documents only and the worker lowers
+    the network itself, to the coordinator's program."""
+
+    @pytest.mark.parametrize("folded", [False, True])
+    def test_init_carries_only_documents(self, folded):
+        import pickle
+
+        from repro.compile.distributed import _build_worker_state, _worker_payload
+        from repro.engine.masked import masked_program
+
+        if folded:
+            from repro.data.datasets import sensor_dataset
+            from repro.mining.kmedoids import KMedoidsSpec, build_kmedoids_folded
+
+            dataset = sensor_dataset(5, scheme="mutex", seed=2, group_size=2)
+            pool = dataset.pool
+            network = build_kmedoids_folded(
+                dataset, KMedoidsSpec(k=2, iterations=2)
+            )
+        else:
+            pool, network, _ = make_instance()
+        coordinator = DistributedCompiler(network, pool, workers=2)
+        payload = _worker_payload(
+            network, pool, coordinator.target_names, [0, 1], "masked"
+        )
+        config = pickle.loads(payload)
+        assert "program" not in config
+        assert _document_types(config) <= {
+            dict, list, str, int, float, bool, type(None)
+        }
+        compiler, _ = _build_worker_state(config)
+        expected = masked_program(network)
+        lowered = compiler.evaluator._prog
+        for column in ("kinds", "child_indices", "guard_value", "final_vertex"):
+            assert getattr(lowered, column).tobytes() == (
+                getattr(expected, column).tobytes()
+            )
+
+
 class TestProcessExecution:
     """The one worker pool, its workers spawned on local socket pairs."""
 

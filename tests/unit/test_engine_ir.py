@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine.ir import (
-    ATOM_OPS,
-    UnsupportedNetworkError,
-    flatten,
-    flatten_folded,
-)
+from repro.engine.ir import ATOM_OPS, UnsupportedNetworkError, flatten
 from repro.engine.masked import masked_program
 from repro.events.expressions import (
     TRUE,
@@ -23,7 +18,7 @@ from repro.events.expressions import (
 )
 from repro.network.build import NetworkBuilder, build_targets
 from repro.network.folded import FoldedBuilder, LoopCVal
-from repro.network.nodes import Kind
+from repro.network.nodes import EventNetwork, Kind, Node
 
 
 def _example_network():
@@ -91,18 +86,36 @@ def _kmedoids_folded(iterations=2):
 
 class TestFoldedFlatIR:
     def test_folded_networks_supported_through_folded_ir(self):
+        # One record for both kinds: a folded network fills the slot
+        # columns, a plain one leaves them empty with one iteration.
         folded = _kmedoids_folded()
-        # The *static* flattener still rejects loop inputs; the folded
-        # path is a separate IR with explicit iteration state.
-        with pytest.raises(UnsupportedNetworkError):
-            flatten(folded)
-        ir = flatten_folded(folded)
+        ir = flatten(folded)
         assert ir.iterations == folded.iterations
-        assert len(ir.loop_in_ids) == len(folded.slots)
+        assert len(ir.loop_in_ids) == len(ir.init_ids) == len(folded.slots)
+        assert len(ir.next_ids) == len(folded.slots)
+        assert ir.loop_dependent.tolist() == [
+            node.id in folded.loop_dependent() for node in folded.nodes
+        ]
+        plain = flatten(_example_network())
+        assert plain.iterations == 1
+        assert len(plain.loop_in_ids) == len(plain.init_ids) == 0
+        assert len(plain.next_ids) == 0
+        assert not (plain.loop_slot >= 0).any()
+        assert not plain.loop_dependent.any()
+
+    def test_loop_inputs_outside_a_folded_network_rejected(self):
+        # Only a FoldedNetwork binds slots; a LOOP_IN node in a plain
+        # network has no meaning.
+        network = EventNetwork()
+        network.nodes.append(Node(0, Kind.LOOP_IN, (), ("S", False)))
+        network.nodes.append(Node(1, Kind.VAR, (), 0))
+        network.nodes.append(Node(2, Kind.AND, (0, 1), None))
+        with pytest.raises(UnsupportedNetworkError):
+            flatten(network)
 
     def test_slot_columns_bind_loop_inputs(self):
         folded = _kmedoids_folded()
-        ir = flatten_folded(folded)
+        ir = flatten(folded)
         for slot, name in enumerate(folded.slots):
             loop_in, init_node, next_node = folded.slots[name]
             assert ir.loop_in_ids[slot] == loop_in
@@ -113,13 +126,13 @@ class TestFoldedFlatIR:
 
     def test_cached_per_network(self):
         folded = _kmedoids_folded()
-        assert flatten_folded(folded) is flatten_folded(folded)
+        assert flatten(folded) is flatten(folded)
 
     def test_incomplete_slots_rejected(self):
         builder = FoldedBuilder(2)
         builder.add_target("t", atom(">=", LoopCVal("S"), literal(1.0)))
         with pytest.raises(ValueError):
-            flatten_folded(builder.folded)
+            flatten(builder.folded)
 
     def test_loop_dependent_initialiser_flagged(self):
         # A cross-slot init chain (A starts from B's value) is legal —
@@ -132,9 +145,9 @@ class TestFoldedFlatIR:
             "A", init=csum([slot_b, literal(1.0)]), next_value=literal(1.0)
         )
         builder.define_slot("B", init=literal(0.0), next_value=literal(0.0))
-        ir = flatten_folded(builder.folded)
+        ir = flatten(builder.folded)
         assert ir.loop_dependent[ir.init_ids].tolist() == [True, False]
-        assert len(masked_program(builder.folded)) > len(ir.flat)
+        assert len(masked_program(builder.folded)) > len(ir)
 
     def test_cache_invalidated_when_slot_rebound(self):
         # Regression: define_slot changes iteration semantics without
@@ -144,10 +157,10 @@ class TestFoldedFlatIR:
         builder.add_target("t", atom(">=", slot, literal(1.0)))
         builder.define_slot("S", init=literal(0.0), next_value=literal(0.0))
         folded = builder.folded
-        first = flatten_folded(folded)
+        first = flatten(folded)
         loop_in, _, next_node = folded.slots["S"]
         other_init = NetworkBuilder(folded).build(guard(TRUE, 2.0))
         folded.define_slot("S", other_init, next_node)
-        second = flatten_folded(folded)
+        second = flatten(folded)
         assert second is not first
         assert second.init_ids[list(folded.slots).index("S")] == other_init

@@ -16,7 +16,7 @@ import numpy as np
 from repro import KMedoidsSpec, MCLSpec
 from repro.correlations.schemes import make_lineage
 from repro.data.datasets import sensor_dataset
-from repro.engine.ir import flatten_folded
+from repro.engine.ir import flatten
 from repro.engine.masked import _lower_lanes, masked_program
 from repro.events.expressions import (
     atom,
@@ -103,7 +103,7 @@ def _reference_layer_order(ir) -> List[int]:
         if slot >= 0:
             init_node = int(ir.init_ids[slot])
             return [init_node] if dependent[init_node] else []
-        return [c for c in ir.flat.children(node_id).tolist() if dependent[c]]
+        return [c for c in ir.children(node_id).tolist() if dependent[c]]
 
     def visit(node_id: int) -> None:
         done.add(node_id)
@@ -121,7 +121,7 @@ def _reference_layer_order(ir) -> List[int]:
 def _reference_widths(ir) -> np.ndarray:
     """Vector widths by fixpoint: lane-wise kinds and loop inputs take the
     widest operand; vector guards their constant's size."""
-    flat = ir.flat
+    flat = ir
     width = [0] * len(flat)
     for node_id, value in flat.guard_values.items():
         if isinstance(value, np.ndarray):
@@ -155,8 +155,8 @@ def _reference_program(network) -> Dict[str, np.ndarray]:
     iteration's next after that; every other vertex reads its node's
     children at its own iteration.
     """
-    ir = flatten_folded(network)
-    flat = ir.flat
+    ir = flatten(network)
+    flat = ir
     dependent = ir.loop_dependent.tolist()
     indep = [n for n in range(len(flat)) if not dependent[n]]
     layer = _reference_layer_order(ir)
@@ -245,7 +245,7 @@ def _assert_matches_reference(network):
 
 class TestFoldedUnroll:
     def test_chain_network_takes_the_reordering_branch(self):
-        ir = flatten_folded(_chain_network())
+        ir = flatten(_chain_network())
         chained = ir.loop_dependent[ir.init_ids] & (ir.init_ids > ir.loop_in_ids)
         assert chained.any()
         layer = _reference_layer_order(ir)
@@ -263,7 +263,7 @@ class TestFoldedUnroll:
 
     def test_no_loop_dependent_nodes(self):
         network = _no_loop_network()
-        ir = flatten_folded(network)
+        ir = flatten(network)
         assert not ir.loop_dependent.any()
         _assert_matches_reference(network)
 
@@ -274,29 +274,66 @@ class TestFoldedUnroll:
         )
 
 
+def _flat_kmedoids_network():
+    dataset = sensor_dataset(10, scheme="conditional", seed=1, group_size=2)
+    return build_network(
+        build_kmedoids_program(dataset, KMedoidsSpec(k=2, iterations=2))
+    )
+
+
+def _mcl_network():
+    lineage = make_lineage("independent", 8, random.Random(1), group_size=1)
+    return build_network(
+        build_mcl_program(
+            stochastic_graph(8, random.Random(7)),
+            lineage.events,
+            MCLSpec(inflation=2, iterations=2),
+        )
+    )
+
+
+def _folded_mutex_kmedoids_network():
+    dataset = sensor_dataset(12, scheme="mutex", seed=1)
+    return build_kmedoids_folded(dataset, KMedoidsSpec(k=2, iterations=3))
+
+
+def _digest(*arrays) -> str:
+    hasher = hashlib.sha256()
+    for array in arrays:
+        if array is None:
+            hasher.update(b"none")
+        else:
+            hasher.update(array.dtype.str.encode() + array.tobytes())
+    return hasher.hexdigest()[:16]
+
+
 def _digests(network) -> Dict[str, str]:
     program = masked_program(network)
-    return {
-        column: hashlib.sha256(
-            getattr(program, column).dtype.str.encode()
-            + getattr(program, column).tobytes()
-        ).hexdigest()[:16]
-        for column in COLUMNS
-    }
+    return {column: _digest(getattr(program, column)) for column in COLUMNS}
+
+
+def _cone_digests(network) -> Dict[str, str]:
+    """One digest over every variable's ``var_cone``, one over every
+    variable's ``final_cone`` (vertices and lane starts), in index order."""
+    program = masked_program(network)
+    indices = sorted(set(program.var_index[program.var_index >= 0].tolist()))
+    cones, finals = [], []
+    for index in indices:
+        tag = np.asarray([index], dtype=np.int64)
+        cones += [tag, program.var_cone(index)]
+        finals += [tag, *program.final_cone(index)]
+    return {"var_cone": _digest(*cones), "final_cone": _digest(*finals)}
 
 
 class TestProgramDigests:
     """SHA-256 prefixes of every ``MaskedProgram`` column, taken before
-    the unroll and flattening were vectorised.  A change that renumbers
-    rows, reorders operands or moves a payload changes a digest here,
-    and has to say why."""
+    the unroll and flattening were vectorised, and of every variable's
+    cones, taken before flat and folded networks shared one lowering.
+    A change that renumbers rows, reorders operands, moves a payload or
+    widens a cone changes a digest here, and has to say why."""
 
     def test_flat_kmedoids(self):
-        dataset = sensor_dataset(10, scheme="conditional", seed=1, group_size=2)
-        network = build_network(
-            build_kmedoids_program(dataset, KMedoidsSpec(k=2, iterations=2))
-        )
-        assert _digests(network) == {
+        assert _digests(_flat_kmedoids_network()) == {
             "kinds": "4107324ac408701c",
             "child_offsets": "05d4ba72af61286d",
             "child_indices": "4c91e2028b889451",
@@ -311,15 +348,7 @@ class TestProgramDigests:
         }
 
     def test_mcl(self):
-        lineage = make_lineage("independent", 8, random.Random(1), group_size=1)
-        network = build_network(
-            build_mcl_program(
-                stochastic_graph(8, random.Random(7)),
-                lineage.events,
-                MCLSpec(inflation=2, iterations=2),
-            )
-        )
-        assert _digests(network) == {
+        assert _digests(_mcl_network()) == {
             "kinds": "080830aad7069df2",
             "child_offsets": "4c63536980ace487",
             "child_indices": "1baae179ac88b179",
@@ -334,9 +363,7 @@ class TestProgramDigests:
         }
 
     def test_folded_mutex_kmedoids(self):
-        dataset = sensor_dataset(12, scheme="mutex", seed=1)
-        network = build_kmedoids_folded(dataset, KMedoidsSpec(k=2, iterations=3))
-        assert _digests(network) == {
+        assert _digests(_folded_mutex_kmedoids_network()) == {
             "kinds": "e086758dfdd999f5",
             "child_offsets": "d7ff7efff6a48537",
             "child_indices": "9bb723cff7000674",
@@ -348,6 +375,24 @@ class TestProgramDigests:
             "is_bool": "9a06d4ffa97fe80f",
             "final_vertex": "ffee24cea289b745",
             "node_width": "2d68ce54c685e0e4",
+        }
+
+    def test_flat_kmedoids_cones(self):
+        assert _cone_digests(_flat_kmedoids_network()) == {
+            "var_cone": "bb3d9d09a5d8d792",
+            "final_cone": "03df2a7943962968",
+        }
+
+    def test_mcl_cones(self):
+        assert _cone_digests(_mcl_network()) == {
+            "var_cone": "0d60aefc42a0579a",
+            "final_cone": "be19207054564044",
+        }
+
+    def test_folded_mutex_kmedoids_cones(self):
+        assert _cone_digests(_folded_mutex_kmedoids_network()) == {
+            "var_cone": "ad1013fcec02e54a",
+            "final_cone": "0e3ba59fec22d480",
         }
 
 

@@ -7,7 +7,7 @@ import pytest
 from repro.compile.compiler import ShannonCompiler, compile_network, make_evaluator
 from repro.compile.ordering import DynamicInfluenceOrder
 from repro.compile.partial import B_FALSE, B_TRUE, B_UNKNOWN, PartialEvaluator
-from repro.engine.ir import flatten, flatten_folded
+from repro.engine.ir import flatten
 from repro.engine.masked import MaskedEvaluator, masked_program
 from repro.events.expressions import atom, conj, csum, disj, guard, literal, var
 from repro.network.build import build_targets
@@ -72,7 +72,7 @@ class TestMaskedProgram:
 
     def test_folded_var_cone_follows_loop_edges(self):
         network = counter_network(3)
-        ir = flatten_folded(network)
+        ir = flatten(network)
         cone = set(ir.var_cone(0).tolist())
         loop_in, _, next_node = network.slots["S"]
         # var(0) feeds the next node, and hence the loop input.
