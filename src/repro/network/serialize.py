@@ -25,6 +25,8 @@ from .nodes import EventNetwork, Kind, Node
 
 FORMAT_VERSION = 1
 
+_KINDS = {int(kind): kind for kind in Kind}
+
 
 def _payload_to_json(kind: Kind, payload) -> Any:
     if payload is None:
@@ -73,7 +75,13 @@ def network_to_dict(network: EventNetwork) -> Dict[str, Any]:
 
 
 def network_from_dict(document: Dict[str, Any]) -> EventNetwork:
-    """Rebuild a network from its serialised form."""
+    """Rebuild a network from its serialised form.
+
+    Raises ``ValueError`` for a document no builder could have written:
+    an unknown node kind, a child that does not precede its parent (the
+    topological order every lowering assumes), a target, name or slot
+    id outside the network, or a target that is not a Boolean node.
+    """
     version = document.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported network format version {version!r}")
@@ -81,25 +89,41 @@ def network_from_dict(document: Dict[str, Any]) -> EventNetwork:
         network: EventNetwork = FoldedNetwork(document["iterations"])
     else:
         network = EventNetwork()
-    for record in document["nodes"]:
-        kind = Kind(record["k"])
-        node_id = len(network.nodes)
-        network.nodes.append(
-            Node(
-                node_id,
-                kind,
-                tuple(record["c"]),
-                _payload_from_json(kind, record["p"]),
+    nodes = network.nodes
+    for node_id, record in enumerate(document["nodes"]):
+        kind = _KINDS.get(record["k"])
+        if kind is None:
+            raise ValueError(f"node {node_id}: unknown kind {record['k']!r}")
+        children = tuple(record["c"])
+        if children and not (min(children) >= 0 and max(children) < node_id):
+            raise ValueError(
+                f"node {node_id}: children {children} must precede it"
             )
+        nodes.append(
+            Node(node_id, kind, children, _payload_from_json(kind, record["p"]))
         )
-    network.names = {str(k): int(v) for k, v in document["names"].items()}
-    network.targets = {str(k): int(v) for k, v in document["targets"].items()}
+    network.names = _node_ids(document["names"], len(nodes), "name")
+    network.targets = _node_ids(document["targets"], len(nodes), "target")
+    for name, node_id in network.targets.items():
+        if not nodes[node_id].is_boolean:
+            raise ValueError(f"target {name!r} is not a Boolean node")
     if isinstance(network, FoldedNetwork):
         network.slots = {
             name: tuple(binding) for name, binding in document["slots"].items()
         }
         network.check_complete()
+        for name, binding in network.slots.items():
+            if not all(0 <= node_id < len(nodes) for node_id in binding):
+                raise ValueError(f"slot {name!r} binds ids outside the network")
     return network
+
+
+def _node_ids(raw: Dict[str, Any], size: int, what: str) -> Dict[str, int]:
+    ids = {str(name): int(node_id) for name, node_id in raw.items()}
+    for name, node_id in ids.items():
+        if not 0 <= node_id < size:
+            raise ValueError(f"{what} {name!r} names node {node_id} of {size}")
+    return ids
 
 
 def pool_to_dict(pool: VariablePool) -> Dict[str, Any]:
@@ -133,6 +157,26 @@ def canonical_json_bytes(document: Any) -> bytes:
     return json.dumps(
         document, sort_keys=True, separators=(",", ":"), ensure_ascii=True
     ).encode("ascii")
+
+
+def canonical_document_bytes(
+    document: Dict[str, Any], network_bytes: bytes
+) -> bytes:
+    """:func:`canonical_json_bytes` of ``document``, given the canonical
+    encoding of its ``"network"`` section.
+
+    The network section is the bulk of a served document and its bytes
+    are hashed on their own as well (the structure hash), so the
+    service encodes them once and assembles the document around them:
+    top-level members in sorted key order, each encoded canonically.
+    """
+    members = [
+        canonical_json_bytes(key)
+        + b":"
+        + (network_bytes if key == "network" else canonical_json_bytes(value))
+        for key, value in sorted(document.items())
+    ]
+    return b"{" + b",".join(members) + b"}"
 
 
 def content_hash(document: Any) -> str:

@@ -4,31 +4,36 @@ The cache follows the dbt materialization idiom: compiled products are
 *first-class cached relations* with explicit drop/rename hooks, not
 ad-hoc memo dicts.  Two artifact kinds are materialized:
 
-* ``compiled`` — a deserialised ``(network, pool)`` pair (the engines'
-  per-network caches — flat IR, schedules, cones — accrete on the
-  network object, so holding it *is* holding the compiled form);
+* ``compiled`` — a deserialised network (the engines' per-network
+  caches — flat IR, masked program, kernel arrays — accrete on the
+  network object, so holding it *is* holding the compiled form).  It
+  is keyed and tagged by the *structure hash*, the hash of the
+  document's network section alone: documents that differ only in
+  their marginals share it;
 * ``result`` — the decision-tree products of one engine pass: bounds
-  per target plus the run's instrumentation.
+  per target plus the run's instrumentation, keyed by the request and
+  tagged with the hash of the whole document (network plus pool).
 
-Every artifact is keyed by a content hash (see
-:func:`repro.network.serialize.content_hash`) and *tagged* with the
-hash of the network it derives from, so invalidation is exact: editing
-a network drops precisely the artifacts tagged with its old hash
-(``cache_dropped``), while renaming it touches nothing — names live in
-the server's catalog, artifacts are content-addressed
+Every key derives from a content hash (see
+:func:`repro.network.serialize.content_hash`) and every artifact is
+*tagged* with the hash it derives from, so invalidation is exact:
+editing a network drops precisely the artifacts tagged with its old
+hashes (``cache_dropped``), while renaming it touches nothing — names
+live in the server's catalog, artifacts are content-addressed
 (``cache_renamed`` is a catalog-only operation).
 
-Residency is bounded by an LRU byte cap: each artifact carries its
-pickled size, and storing past the cap evicts least-recently-used
-artifacts (of either kind) until the total fits.  ``hits`` /
-``misses`` / ``evictions`` / ``invalidations`` counters are exact and
-surfaced through the server's ``/stats`` endpoint and per-response
-``extra``.
+Residency is bounded by an LRU byte cap: a result artifact is charged
+the length of its JSON encoding (the wire's codec), a compiled one the
+length of its canonical network bytes, and storing past the cap evicts
+least-recently-used artifacts (of either kind) until the total fits.
+``hits`` / ``misses`` / ``evictions`` / ``invalidations`` counters are
+exact and surfaced through the server's ``/stats`` endpoint and
+per-response ``extra``.
 """
 
 from __future__ import annotations
 
-import pickle
+import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -49,13 +54,12 @@ class Artifact:
 
 
 def payload_nbytes(payload: object) -> int:
-    """Byte charge for a payload (its pickled size).
+    """Byte charge for a payload: the length of its JSON encoding.
 
-    Network objects carry unpicklable accreted caches in odd corners,
-    so callers materializing ``compiled`` artifacts pass an explicit
-    size (the canonical document length) instead.
+    Network objects are not JSON, so callers materializing ``compiled``
+    artifacts pass an explicit size (the canonical network length).
     """
-    return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+    return len(json.dumps(payload))
 
 
 class ArtifactCache:
@@ -142,7 +146,8 @@ class ArtifactCache:
 
         The ``cache_dropped`` hook: called when a catalog entry is
         deleted or *edited* (an edit rebinds the name to a new content
-        hash, so the old hash's artifacts can never be reached again).
+        hash, so the old hash's artifacts can never be reached again)
+        with a document hash, a structure hash, or both.
         Returns the number of artifacts dropped; each counts as one
         invalidation.
         """

@@ -9,17 +9,30 @@ a direct call.  Concurrent queries are coalesced by the batching layer
 (:mod:`repro.serve.batching`) and answered through the dbt-style
 artifact cache (:mod:`repro.serve.cache`).
 
-Catalog semantics (the cache contract):
+Catalog semantics (the cache contract).  A document has two content
+identities: its *document hash* (network plus pool, the PUT's
+``hash``), which keys and tags result artifacts, and its *structure
+hash* (the network section alone), which keys and tags the compiled
+network.  Documents that differ only in their marginals share one
+compiled network; each pass builds its pool from the document its
+query named.
 
 * **register/edit** ``PUT /networks/<name>`` — binds the name to the
-  document's content hash; re-registering a name with *different*
-  content drops exactly the old hash's artifacts (``cache_dropped``);
-  re-registering identical content invalidates nothing.
+  document; an edit drops the old document hash's results unless a
+  catalog entry still names that document, and the old structure's
+  compiled network unless an entry still names that structure
+  (``cache_dropped``); re-registering identical content invalidates
+  nothing.  The network section is validated unless its compiled
+  network is resident (those exact bytes were built before).
 * **rename** ``POST /networks/<name>/rename`` — remaps the catalog
   name only; artifacts are content-addressed, so nothing is dropped
   (``cache_renamed``).
 * **delete** ``DELETE /networks/<name>`` — unbinds the name and drops
-  the hash's artifacts unless another name still references it.
+  its artifacts under the same rule as an edit.
+
+The catalog holds each network section as its canonical bytes (plus
+the target and name maps queries are checked against), not as parsed
+records: a ``cold`` pass parses those bytes.
 
 Conditioning: ``POST /condition`` is ``POST /query`` with the scheme
 defaulting to ``exact-cond`` and evidence *required* — the request's
@@ -42,6 +55,8 @@ Endpoints: ``GET /healthz``, ``GET /stats``, ``GET /schemes``,
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import json
 import re
 import threading
 import time
@@ -60,6 +75,7 @@ from ..engine.registry import (
     CAP_EVIDENCE,
 )
 from ..network.serialize import (
+    canonical_document_bytes,
     canonical_json_bytes,
     content_hash,
     network_from_dict,
@@ -90,9 +106,18 @@ class ServeError(Exception):
         self.status = status
 
 
+def _compiled_key(structure_hash: str) -> str:
+    return f"compiled:{structure_hash}"
+
+
 @dataclass
 class CatalogEntry:
-    """One registered network: its document and content identity.
+    """One registered network: its content identities and what queries read.
+
+    ``network_hash`` is the document hash and ``structure_hash`` the
+    SHA-256 of ``network_bytes``, the canonical encoding of the network
+    section.  ``targets`` and ``names`` are that section's name -> node
+    maps and ``pool`` is the document's pool section.
 
     ``evidence`` is the *sticky* evidence set via
     ``PUT /networks/<name>/evidence``: canonical entries merged into
@@ -101,9 +126,12 @@ class CatalogEntry:
     """
 
     name: str
-    document: dict
     network_hash: str
-    nbytes: int
+    structure_hash: str
+    network_bytes: bytes
+    targets: Dict[str, int]
+    names: Dict[str, int]
+    pool: dict
     evidence: Tuple[tuple, ...] = ()
 
 
@@ -140,34 +168,42 @@ class ReproServer:
         """Register (or edit) a catalog network from its document."""
         if not _NAME_RE.match(name):
             raise ServeError(400, f"bad network name {name!r}")
-        if (
-            not isinstance(document, dict)
-            or "network" not in document
-            or "pool" not in document
+        if not (
+            isinstance(document, dict)
+            and isinstance(document.get("network"), dict)
+            and isinstance(document.get("pool"), dict)
         ):
             raise ServeError(
-                400, "body must be a document with 'network' and 'pool'"
+                400, "body must be a document with object 'network' and 'pool'"
             )
+        section = document["network"]
+        network_bytes = canonical_json_bytes(section)
+        structure_hash = hashlib.sha256(network_bytes).hexdigest()
+        network_hash = hashlib.sha256(
+            canonical_document_bytes(document, network_bytes)
+        ).hexdigest()
         try:
             # Validate eagerly: a malformed document must fail the PUT,
-            # not the first query that tries to materialize it.
-            network_from_dict(document["network"])
+            # not the first query that tries to materialize it.  A
+            # resident compiled network was built from these very bytes.
+            if not self.cache.contains(_compiled_key(structure_hash)):
+                network_from_dict(section)
             pool_from_dict(document["pool"])
         except (KeyError, ValueError, TypeError) as exc:
             raise ServeError(400, f"invalid network document: {exc}") from exc
-        payload = canonical_json_bytes(document)
-        network_hash = content_hash(document)
         previous = self.catalog.get(name)
-        invalidated = 0
-        if previous is not None and previous.network_hash != network_hash:
-            # An edit: the name now means different content, so the old
-            # hash is unreachable through this name.  Drop its
-            # artifacts unless another catalog name still serves it.
-            if not self._hash_referenced(previous.network_hash, exclude=name):
-                invalidated = self.cache.drop_network(previous.network_hash)
         self.catalog[name] = CatalogEntry(
-            name, document, network_hash, len(payload)
+            name,
+            network_hash,
+            structure_hash,
+            network_bytes,
+            section["targets"],
+            section["names"],
+            document["pool"],
         )
+        invalidated = 0
+        if previous is not None:
+            invalidated = self._drop_unreferenced(previous)
         return {
             "network": name,
             "hash": network_hash,
@@ -179,10 +215,7 @@ class ReproServer:
         entry = self.catalog.pop(name, None)
         if entry is None:
             raise ServeError(404, f"unknown network {name!r}")
-        invalidated = 0
-        if not self._hash_referenced(entry.network_hash):
-            invalidated = self.cache.drop_network(entry.network_hash)
-        return {"network": name, "invalidated": invalidated}
+        return {"network": name, "invalidated": self._drop_unreferenced(entry)}
 
     def rename_network(self, name: str, new_name: str) -> dict:
         entry = self.catalog.get(name)
@@ -203,12 +236,20 @@ class ReproServer:
             "invalidated": invalidated,
         }
 
-    def _hash_referenced(self, network_hash: str, exclude: str = "") -> bool:
-        return any(
-            entry.network_hash == network_hash
-            for entry in self.catalog.values()
-            if entry.name != exclude
-        )
+    def _drop_unreferenced(self, entry: CatalogEntry) -> int:
+        """Drop the artifacts of an unbound ``entry`` that no catalog
+        entry still reaches: its results unless an entry names its
+        document hash, its compiled network unless an entry names its
+        structure.  Returns the number of artifacts dropped."""
+        entries = self.catalog.values()
+        invalidated = 0
+        if all(other.network_hash != entry.network_hash for other in entries):
+            invalidated += self.cache.drop_network(entry.network_hash)
+        if all(
+            other.structure_hash != entry.structure_hash for other in entries
+        ):
+            invalidated += self.cache.drop_network(entry.structure_hash)
+        return invalidated
 
     # ------------------------------------------------------------------
     # Query preparation
@@ -260,7 +301,7 @@ class ReproServer:
                 f"execution {execution!r} is not servable; "
                 f"expected one of {SERVABLE_EXECUTIONS}",
             )
-        known_targets = entry.document["network"]["targets"]
+        known_targets = entry.targets
         raw_targets = payload.get("targets")
         if raw_targets is None:
             targets = tuple(known_targets)
@@ -367,30 +408,31 @@ class ReproServer:
     def _materializer(self, entry: CatalogEntry):
         """A pass-time resolver for the compiled-network artifact.
 
-        Captures the document (snapshot semantics: a query admitted
-        before an edit is answered against the content it named), and
-        reports ``cold=True`` when no compiled artifact was resident —
-        either the first query against this content or re-entry after
-        an LRU eviction.
+        Captures the entry's network bytes and pool section (snapshot
+        semantics: a query admitted before an edit is answered against
+        the content it named) and builds the pass's pool from that
+        section.  Reports ``cold=True`` when no compiled network was
+        resident for the structure — either its first query or re-entry
+        after an LRU eviction — and the bytes had to be parsed.
         """
         cache = self.cache
-        document = entry.document
-        network_hash = entry.network_hash
-        nbytes = entry.nbytes
+        key = _compiled_key(entry.structure_hash)
+        structure_hash = entry.structure_hash
+        network_bytes = entry.network_bytes
+        pool_document = entry.pool
 
         def materialize():
-            artifact = cache.lookup(f"compiled:{network_hash}")
+            pool = pool_from_dict(pool_document)
+            artifact = cache.lookup(key)
             if artifact is not None:
-                network, pool = artifact.payload
-                return network, pool, False
-            network = network_from_dict(document["network"])
-            pool = pool_from_dict(document["pool"])
+                return artifact.payload, pool, False
+            network = network_from_dict(json.loads(network_bytes))
             cache.store(
-                f"compiled:{network_hash}",
+                key,
                 "compiled",
-                (network, pool),
-                network_hash,
-                nbytes=nbytes,
+                network,
+                structure_hash,
+                nbytes=len(network_bytes),
             )
             return network, pool, True
 
@@ -522,8 +564,8 @@ class ReproServer:
         entry: CatalogEntry, evidence: Tuple[tuple, ...]
     ) -> None:
         """Evidence must name real events/variables of the document."""
-        known_names = entry.document["network"].get("names", {})
-        pool_size = len(entry.document["pool"].get("probabilities", ()))
+        known_names = entry.names
+        pool_size = len(entry.pool.get("probabilities", ()))
         for item in evidence:
             if item[0] == "event" and item[1] not in known_names:
                 raise ServeError(400, f"unknown evidence event {item[1]!r}")

@@ -86,6 +86,15 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             network_from_dict(document)
 
+    def test_slot_ids_outside_the_network_rejected(self):
+        dataset = sensor_dataset(5, scheme="independent", seed=2)
+        folded = build_kmedoids_folded(dataset, KMedoidsSpec(k=2, iterations=2))
+        document = network_to_dict(folded)
+        name, (loop_in, init, _) = next(iter(document["slots"].items()))
+        document["slots"][name] = [loop_in, init, len(document["nodes"])]
+        with pytest.raises(ValueError, match="outside the network"):
+            network_from_dict(document)
+
 
 class TestPoolSerialisation:
     def test_round_trip(self):

@@ -12,6 +12,7 @@ pile up in the queue and must coalesce into the next batch.
 
 from __future__ import annotations
 
+import copy
 import json
 import threading
 from contextlib import contextmanager
@@ -26,9 +27,15 @@ from repro.engine.registry import (
     unregister_scheme,
 )
 from repro.network.build import build_targets
+from repro.network.nodes import Kind
 from repro.network.serialize import (
+    canonical_document_bytes,
+    canonical_json_bytes,
+    content_hash,
     network_content_hash,
+    network_from_dict,
     network_to_dict,
+    pool_from_dict,
     pool_to_dict,
 )
 from repro.serve import ArtifactCache, ServeClient, ServeClientError, ServerThread
@@ -51,6 +58,31 @@ def small_instance(seed: int = 7):
 
 def network_document(network, pool) -> dict:
     return {"network": network_to_dict(network), "pool": pool_to_dict(pool)}
+
+
+def rescaled(document: dict, factor: float = 0.5) -> dict:
+    """The document with the marginal of its first variable node scaled:
+    same network section, so same structure hash."""
+    edited = copy.deepcopy(document)
+    index = next(
+        record["p"]
+        for record in edited["network"]["nodes"]
+        if record["k"] == Kind.VAR
+    )
+    marginals = edited["pool"]["probabilities"]
+    marginals[index] = round(factor * marginals[index], 6)
+    return edited
+
+
+def direct_bounds(document: dict, scheme: str = "exact", **options) -> dict:
+    """A direct ``run_scheme`` over what the server builds from a document."""
+    result = run_scheme(
+        scheme,
+        network_from_dict(document["network"]),
+        pool_from_dict(document["pool"]),
+        **options,
+    )
+    return {name: list(bounds) for name, bounds in result.bounds.items()}
 
 
 @contextmanager
@@ -307,6 +339,92 @@ class TestCacheCoherence:
             )
 
 
+class TestStructureKeyedCache:
+    """The compiled network is keyed by the network section alone; results
+    by the whole document."""
+
+    @staticmethod
+    def document() -> dict:
+        pool, network = small_instance()
+        return network_document(network, pool)
+
+    def test_marginal_only_edit_drops_results_keeps_network(self, client):
+        document = self.document()
+        edited = rescaled(document)
+        client.put_network_document("net", document)
+        targets = sorted(document["network"]["targets"])
+        assert client.query(network="net", scheme="exact")["extra"]["cache"] == "cold"
+        client.query(network="net", scheme="exact", targets=targets[:2])
+        info = client.put_network_document("net", edited)
+        assert info["invalidated"] == 2  # the two results, not the network
+        stats = client.stats()["cache"]
+        assert stats["entries"] == stats["compiled_entries"] == 1
+        after = client.query(network="net", scheme="exact")
+        assert after["extra"]["cache"] == "miss"
+        assert after["bounds"] == direct_bounds(edited)
+        assert after["bounds"] != direct_bounds(document)
+
+    def test_names_share_a_structure_under_their_own_pools(self, client):
+        document = self.document()
+        edited = rescaled(document)
+        client.put_network_document("a", document)
+        client.put_network_document("b", edited)
+        first = client.query(network="a", scheme="exact")
+        second = client.query(network="b", scheme="exact")
+        assert first["extra"]["cache"] == "cold"
+        assert second["extra"]["cache"] == "miss"
+        assert first["bounds"] == direct_bounds(document)
+        assert second["bounds"] == direct_bounds(edited)
+        assert client.delete_network("a")["invalidated"] == 1
+        targets = sorted(document["network"]["targets"])[:2]
+        subset = client.query(network="b", scheme="exact", targets=targets)
+        assert subset["extra"]["cache"] == "miss"
+        assert client.delete_network("b")["invalidated"] == 3
+        assert client.stats()["cache"]["entries"] == 0
+
+    def test_evicted_structure_rematerialises_from_catalog_bytes(self):
+        document = self.document()
+        targets = sorted(document["network"]["targets"])
+        with ServerThread(cache_bytes=1) as server:
+            client = ServeClient(port=server.port)
+            client.put_network_document("net", document)
+            for subset in (targets[:2], targets[2:]):
+                # Each result evicts the compiled network stored before it.
+                answer = client.query(network="net", scheme="exact", targets=subset)
+                assert answer["extra"]["cache"] == "cold"
+                expected = direct_bounds(document, targets=subset)
+                assert answer["bounds"] == expected
+            assert client.stats()["cache"]["evictions"] >= 2
+
+    def test_query_admitted_before_a_pool_edit_keeps_its_pool(self, client):
+        document = self.document()
+        edited = rescaled(document)
+        client.put_network_document("net", document)
+        answers = {}
+        with plugged_scheme() as (gate, started):
+            plug = threading.Thread(
+                target=client.query,
+                kwargs=dict(network="net", scheme="serve-plug"),
+            )
+            plug.start()
+            assert started.wait(10.0)
+            queued = threading.Thread(
+                target=lambda: answers.update(
+                    client.query(network="net", scheme="exact")
+                )
+            )
+            queued.start()
+            wait_for_pending(client, 2)
+            client.put_network_document("net", edited)
+            gate.set()
+            queued.join(timeout=30.0)
+            plug.join(timeout=30.0)
+        assert not queued.is_alive() and not plug.is_alive()
+        assert answers["bounds"] == direct_bounds(document)
+        after = client.query(network="net", scheme="exact")
+        assert after["bounds"] == direct_bounds(edited)
+
+
 class TestArtifactCacheUnit:
     def test_lru_evicts_in_recency_order_with_exact_counters(self):
         cache = ArtifactCache(max_bytes=250)
@@ -347,6 +465,11 @@ class TestArtifactCacheUnit:
         assert cache.lookup("k3") is not None
         assert cache.drop_network("h1") == 0
 
+    def test_result_is_charged_its_json_length(self):
+        payload = {"bounds": {"t": [0.25, 0.5]}, "extra": {"tier": "native"}}
+        artifact = ArtifactCache().store("k", "result", payload, "h")
+        assert artifact.nbytes == len(json.dumps(payload))
+
     def test_rename_hook_invalidates_nothing(self):
         cache = ArtifactCache()
         cache.store("k", "result", "a", "h", nbytes=10)
@@ -384,6 +507,46 @@ class TestValidation:
         with pytest.raises(ServeClientError) as err:
             client.put_network_document("bad~name", {})
         assert err.value.status == 400
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "network-not-an-object",
+            "pool-not-an-object",
+            "unknown-kind",
+            "child-not-before-parent",
+            "negative-child",
+            "target-out-of-range",
+            "name-out-of-range",
+            "non-boolean-target",
+        ],
+    )
+    def test_malformed_network_sections_are_400(self, client, case):
+        pool, network = small_instance()
+        document = network_document(network, pool)
+        section = document["network"]
+        nodes = section["nodes"]
+        if case == "network-not-an-object":
+            document["network"] = [section]
+        elif case == "pool-not-an-object":
+            document["pool"] = list(document["pool"]["probabilities"])
+        elif case == "unknown-kind":
+            nodes[0]["k"] = 99
+        elif case == "child-not-before-parent":
+            nodes[-1]["c"] = [len(nodes) - 1]
+        elif case == "negative-child":
+            nodes[-1]["c"] = [-1]
+        elif case == "target-out-of-range":
+            section["targets"]["t0"] = len(nodes)
+        elif case == "name-out-of-range":
+            section["names"]["ghost"] = len(nodes)
+        else:
+            nodes.append({"k": int(Kind.SUM), "c": [], "p": None})
+            section["targets"]["t0"] = len(nodes) - 1
+        with pytest.raises(ServeClientError) as err:
+            client.put_network_document("net", document)
+        assert err.value.status == 400
+        assert client.stats()["networks"] == {}
 
     def test_rename_collision_is_409(self, client):
         pool, network = small_instance()
@@ -598,6 +761,20 @@ class TestFacadeAndHashing:
         assert network_content_hash(network_a, pool_a) != network_content_hash(
             network_c, pool_c
         )
+
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{}, {"aaa": [1, 2.5, None], "other": {"b": "é", "a": 1}, "zzz": True}],
+    )
+    def test_assembled_document_bytes_are_canonical(self, extra):
+        pool, network = small_instance()
+        document = {**network_document(network, pool), **extra}
+        network_bytes = canonical_json_bytes(document["network"])
+        assembled = canonical_document_bytes(document, network_bytes)
+        assert assembled == canonical_json_bytes(document)
+        info = ReproServer(port=0).put_network("demo", document)
+        assert info["hash"] == content_hash(document)
 
 
 class TestServeCLIParsing:
