@@ -34,7 +34,6 @@ from repro.compile.compiler import ShannonCompiler
 from repro.compile.distributed import DistributedCompiler
 from repro.data.datasets import sensor_dataset
 from repro.mining.kmedoids import KMedoidsSpec, build_kmedoids_folded
-from repro.network.folded import FoldedNetwork
 
 from .common import Series, make_workload, print_table
 
@@ -110,7 +109,7 @@ def sweep_folded(objects: int, iteration_sweep) -> List[Dict[str, float]]:
         dataset = sensor_dataset(
             objects, scheme="independent", seed=7, group_size=1
         )
-        folded: FoldedNetwork = build_kmedoids_folded(
+        folded = build_kmedoids_folded(
             dataset, KMedoidsSpec(k=2, iterations=iterations)
         )
         pool = dataset.pool

@@ -58,7 +58,6 @@ IMPLEMENTATION_MODULES = (
     "repro.compile.distributed",
     "repro.compile.montecarlo",
     "repro.compile.partial",
-    "repro.compile.folded_eval",
     "repro.worlds.naive",
     "repro.engine.bulk",
     "repro.engine.masked",

@@ -7,7 +7,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         ".compiler": ("SCHEMES", "ShannonCompiler", "compile_network", "make_evaluator"),
         ".distributed": ("DistributedCompiler", "Job", "compile_distributed"),
-        ".folded_eval": ("FoldedEvaluator",),
         ".ordering": (
             "ConeInfluenceOrder",
             "DynamicInfluenceOrder",

@@ -18,8 +18,8 @@ and ``U - L <= 2ε`` on completion (``ε = 0`` for exact).
 Leaf evaluation dispatches through :func:`make_evaluator`: the default
 ``masked`` engine keeps the partial-evaluation abstraction in columns
 over the flat IR with incremental recomputation per branch
-(:mod:`repro.engine.masked`); ``scalar`` selects the original recursive
-evaluators, kept as cross-validation oracles.  The decision tree itself
+(:mod:`repro.engine.masked`); ``scalar`` selects the recursive
+evaluator, kept as the cross-validation oracle.  The decision tree itself
 is walked with an explicit frame stack, so arbitrarily deep networks
 compile without touching the interpreter recursion limit.
 """
@@ -42,14 +42,12 @@ ENGINES = ("masked", "scalar")
 def make_evaluator(
     network: EventNetwork, engine: str = "masked", kernel: Optional[str] = None
 ):
-    """Evaluator matching the network flavour and the requested engine.
-
-    ``masked`` (the default) is the columnar flat-IR evaluator with
-    incremental recomputation; ``scalar`` is the original recursive
-    :class:`PartialEvaluator` / :class:`~repro.compile.folded_eval.FoldedEvaluator`
-    pair, kept as the cross-validation oracles.  Networks without a flat
-    form (non-topological node order) silently fall back to the scalar
-    evaluators — the two are state-for-state equivalent.
+    """The evaluator for ``engine``: ``masked`` (the default) is the
+    columnar flat-IR evaluator with incremental recomputation;
+    ``scalar`` is the recursive :class:`PartialEvaluator`, kept as the
+    cross-validation oracle.  Both run every network the builder or
+    :func:`~repro.network.serialize.network_from_dict` accepts, with or
+    without a loop; there is no fallback from one to the other.
 
     ``kernel`` picks the tier driving the masked engine's cone sweeps
     (:mod:`repro.engine.kernels`); ``None`` defers to the process
@@ -64,19 +62,9 @@ def make_evaluator(
     if base not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if base == "masked":
-        from ..engine.ir import UnsupportedNetworkError
         from ..engine.kernels import make_masked_evaluator
 
-        try:
-            return make_masked_evaluator(network, kernel=kernel)
-        except UnsupportedNetworkError:
-            pass
-    from ..network.folded import FoldedNetwork
-
-    if isinstance(network, FoldedNetwork):
-        from .folded_eval import FoldedEvaluator
-
-        return FoldedEvaluator(network)
+        return make_masked_evaluator(network, kernel=kernel)
     return PartialEvaluator(network)
 
 

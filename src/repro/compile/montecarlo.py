@@ -95,8 +95,8 @@ def monte_carlo_probabilities_scalar(
 ) -> CompilationResult:
     """The original per-sample estimator: one network traversal per draw.
 
-    Kept as the cross-validation oracle for the bulk engine (it handles
-    folded networks too, through the scalar folded evaluator).
+    Kept as the cross-validation oracle for the bulk engine (networks
+    with a loop included: the scalar oracle evaluates them too).
     """
     if samples < 1:
         raise ValueError("need at least one sample")

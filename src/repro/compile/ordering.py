@@ -18,24 +18,27 @@ as many events as possible" (Section 4.1).  We provide:
 
 The *influence cone* of a variable is the set of nodes whose value the
 variable can still change: its VAR node(s) plus everything reachable
-upwards through the parent edges (and, on folded networks, through the
-implicit init/next → loop-input edges).  Scoring by unresolved cone
-size is the paper's criterion applied to the not-yet-masked part of the
-network; both dynamic strategies break ties towards the smallest
-variable index, so they are interchangeable pick-for-pick (enforced by
-the property suite).
+upwards through the parent edges (and, in a network with a loop,
+through the implicit init/next → loop-input edges).  Scoring by
+unresolved cone size is the paper's criterion applied to the
+not-yet-masked part of the network; both dynamic strategies break ties
+towards the smallest variable index, so they are interchangeable
+pick-for-pick (enforced by the property suite).
 
 Example — on ``var(0) AND var(1)``, assigning one variable leaves the
-other as the only choice:
+other as the only choice, on both evaluators ``make_evaluator`` builds
+(the masked engine and the scalar oracle run every network):
 
->>> from repro.compile.partial import PartialEvaluator
+>>> from repro.compile.compiler import make_evaluator
 >>> from repro.events.expressions import conj, var
 >>> from repro.network.build import build_targets
 >>> network = build_targets({"t": conj([var(0), var(1)])})
->>> evaluator = PartialEvaluator(network)
->>> evaluator.push(0, True)
->>> make_order(network, "dynamic").next_variable(evaluator)
-1
+>>> for engine in ("masked", "scalar"):
+...     evaluator = make_evaluator(network, engine=engine)
+...     evaluator.push(0, True)
+...     print(engine, make_order(network, "dynamic").next_variable(evaluator))
+masked 1
+scalar 1
 """
 
 from __future__ import annotations
@@ -108,11 +111,10 @@ class DynamicInfluenceOrder:
             if node.kind is Kind.VAR:
                 self._var_nodes.setdefault(node.payload, []).append(node.id)
         self._indices = sorted(self._var_nodes)
-        # Folded networks: a slot's init/next nodes feed its loop input,
-        # so cones must follow those implicit edges too (mirrors
-        # FlatNetwork.var_cone).
+        # A loop: a slot's init/next nodes feed its loop input, so cones
+        # must follow those implicit edges too (mirrors FlatNetwork.var_cone).
         self._loop_edges: Dict[int, List[int]] = {}
-        for loop_in, init_node, next_node in getattr(network, "slots", {}).values():
+        for loop_in, init_node, next_node in network.slots.values():
             if init_node is not None:
                 self._loop_edges.setdefault(init_node, []).append(loop_in)
             if next_node is not None:

@@ -95,11 +95,7 @@ class NumState:
 
     @property
     def is_point(self) -> bool:
-        return (
-            self.may_def
-            and not self.may_u
-            and _points_equal(self.lo, self.hi)
-        )
+        return self.may_def and not self.may_u and _points_equal(self.lo, self.hi)
 
     @property
     def is_undefined(self) -> bool:
@@ -109,12 +105,6 @@ class NumState:
     def is_resolved(self) -> bool:
         """Resolved states cannot change under further assignments."""
         return self.is_point or self.is_undefined
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.is_undefined:
-            return "NumState(u)"
-        suffix = "∪{u}" if self.may_u else ""
-        return f"NumState([{self.lo}, {self.hi}]{suffix})"
 
 
 State = Union[int, NumState]
@@ -146,17 +136,9 @@ def num_mul(left: NumState, right: NumState) -> NumState:
     may_u = left.may_u or right.may_u
     if not (left.may_def and right.may_def):
         return NumState.undefined()
-    products = (
-        left.lo * right.lo,
-        left.lo * right.hi,
-        left.hi * right.lo,
-        left.hi * right.hi,
-    )
-    lo = products[0]
-    hi = products[0]
-    for product in products[1:]:
-        lo = _vmin(lo, product)
-        hi = _vmax(hi, product)
+    lo = hi = left.lo * right.lo
+    for product in (left.lo * right.hi, left.hi * right.lo, left.hi * right.hi):
+        lo, hi = _vmin(lo, product), _vmax(hi, product)
     return NumState(lo, hi, may_u, True)
 
 
@@ -165,21 +147,19 @@ def num_inv(child: NumState) -> NumState:
     if not child.may_def:
         return NumState.undefined()
     lo, hi = child.lo, child.hi
-    may_u = child.may_u
     if isinstance(lo, np.ndarray):
         raise TypeError("invert is only defined for scalar c-values")
     if lo > 0 or hi < 0:
-        return NumState(1.0 / hi, 1.0 / lo, may_u, True)
+        return NumState(1.0 / hi, 1.0 / lo, child.may_u, True)
     # The interval contains zero: inversion may be undefined, and the
     # defined values are unbounded on the side(s) adjacent to zero.
-    may_u = True
     if lo == 0 and hi == 0:
         return NumState.undefined()
     if lo == 0:
-        return NumState(1.0 / hi, _INF, may_u, True)
+        return NumState(1.0 / hi, _INF, True, True)
     if hi == 0:
-        return NumState(-_INF, 1.0 / lo, may_u, True)
-    return NumState(-_INF, _INF, may_u, True)
+        return NumState(-_INF, 1.0 / lo, True, True)
+    return NumState(-_INF, _INF, True, True)
 
 
 def num_pow(child: NumState, exponent: int) -> NumState:
@@ -193,8 +173,7 @@ def num_pow(child: NumState, exponent: int) -> NumState:
         return NumState(lo**exponent, hi**exponent, child.may_u, True)
     if isinstance(lo, np.ndarray):
         spans_zero = (lo <= 0) & (hi >= 0)
-        abs_lo = np.abs(lo)
-        abs_hi = np.abs(hi)
+        abs_lo, abs_hi = np.abs(lo), np.abs(hi)
         new_lo = np.where(spans_zero, 0.0, np.minimum(abs_lo, abs_hi)) ** exponent
         new_hi = np.maximum(abs_lo, abs_hi) ** exponent
         return NumState(new_lo, new_hi, child.may_u, True)
@@ -219,11 +198,9 @@ def num_dist(left: NumState, right: NumState, metric: str) -> NumState:
         lo = math.sqrt(lane_sum(abs_lo * abs_lo))
         hi = math.sqrt(lane_sum(abs_hi * abs_hi))
     elif metric == "sqeuclidean":
-        lo = lane_sum(abs_lo * abs_lo)
-        hi = lane_sum(abs_hi * abs_hi)
+        lo, hi = lane_sum(abs_lo * abs_lo), lane_sum(abs_hi * abs_hi)
     elif metric == "manhattan":
-        lo = lane_sum(abs_lo)
-        hi = lane_sum(abs_hi)
+        lo, hi = lane_sum(abs_lo), lane_sum(abs_hi)
     else:
         raise ValueError(f"unknown distance metric {metric!r}")
     return NumState(lo, hi, may_u, True)
@@ -239,8 +216,6 @@ def atom_state(op: str, left: NumState, right: NumState) -> int:
     if not left.may_def or not right.may_def:
         return B_TRUE
     always, never = _interval_compare(op, left, right)
-    if always and not left.may_u and not right.may_u:
-        return B_TRUE
     if always:
         # The comparison holds whenever both sides are defined, and
         # undefined sides make the atom true as well.
@@ -274,29 +249,38 @@ class PartialEvaluator:
 
     The evaluator owns two caches:
 
-    * ``resolved`` — node states that are final for every extension of
-      the current assignment; shared down the DFS and undone via a trail
+    * ``resolved`` — states that are final for every extension of the
+      current assignment; shared down the DFS and undone via a trail
       (this is the paper's mask ``M``).
     * a per-step memo passed by the caller, for states that may still
       change (interval states, unknown booleans).
+
+    A network with a loop is evaluated under the mask ``M[t][v]`` of
+    Section 4.2: the state of a loop-dependent node ``v`` at iteration
+    ``t`` is keyed by the integer ``t·N + v`` (``N`` the node count when
+    the evaluator is made), and every other node by ``v``, evaluated
+    once whatever the iteration.  A loop input at iteration ``t`` takes
+    its slot's *next* node at ``t - 1`` (its *init* node at ``t = 0``).
+    Nodes are read at the final iteration.  Without a loop every key is
+    the node id.
     """
 
     __slots__ = (
-        "network",
-        "resolved",
-        "_trail",
-        "_frame_vars",
-        "assignment",
-        "evals",
+        "network", "resolved", "_trail", "_frame_vars", "assignment", "evals",
+        "_dependent", "_stride", "_final",
     )
 
     def __init__(self, network: EventNetwork) -> None:
+        network.check_complete()
         self.network = network
         self.resolved: Dict[int, State] = {}
         self._trail: List[List[int]] = []
         self._frame_vars: List[Optional[int]] = []
         self.assignment: Dict[int, bool] = {}
         self.evals = 0
+        self._dependent = network.loop_dependent()
+        self._stride = len(network.nodes) if self._dependent else 0
+        self._final = ((network.iterations or 1) - 1) * self._stride
 
     # -- trail management ------------------------------------------------
 
@@ -320,8 +304,8 @@ class PartialEvaluator:
                 f"pop({var_index}) does not match the frame's "
                 f"variable {recorded!r}"
             )
-        for node_id in self._trail.pop():
-            del self.resolved[node_id]
+        for key in self._trail.pop():
+            del self.resolved[key]
         if recorded is not None:
             del self.assignment[recorded]
 
@@ -340,32 +324,39 @@ class PartialEvaluator:
 
     # -- evaluation -------------------------------------------------------
 
-    def state(self, node_id: int, memo: Dict[int, State]) -> State:
-        """Abstract state of a node under the current assignment."""
-        cached = self.resolved.get(node_id)
+    def state(self, key: int, memo: Dict[int, State]) -> State:
+        """Abstract state of the node (and iteration) ``key`` names."""
+        cached = self.resolved.get(key)
         if cached is not None:
             return cached
-        cached = memo.get(node_id)
+        cached = memo.get(key)
         if cached is not None:
             return cached
-        result = self._compute(node_id, memo)
+        result = self._compute(key, memo)
         if self._is_stable(result):
-            self.resolved[node_id] = result
+            self.resolved[key] = result
             if self._trail:
-                self._trail[-1].append(node_id)
+                self._trail[-1].append(key)
         else:
-            memo[node_id] = result
+            memo[key] = result
         return result
 
     @staticmethod
     def _is_stable(state: State) -> bool:
-        if isinstance(state, NumState):
-            return state.is_resolved
-        return state != B_UNKNOWN
+        return state.is_resolved if isinstance(state, NumState) else state != B_UNKNOWN
 
-    def _compute(self, node_id: int, memo: Dict[int, State]) -> State:
+    def _compute(self, key: int, memo: Dict[int, State]) -> State:
         self.evals += 1
-        node = self.network.nodes[node_id]
+        stride = self._stride
+        if stride and key >= stride:  # a loop-dependent node at t >= 1
+            node = self.network.nodes[key % stride]
+            base = key - node.id
+            dependent = self._dependent
+            children = [c + base if c in dependent else c for c in node.children]
+        else:
+            node = self.network.nodes[key]
+            base = 0
+            children = node.children
         kind = node.kind
         if kind is Kind.VAR:
             assigned = self.assignment.get(node.payload)
@@ -377,13 +368,13 @@ class PartialEvaluator:
         if kind is Kind.FALSE:
             return B_FALSE
         if kind is Kind.NOT:
-            child = self.state(node.children[0], memo)
+            child = self.state(children[0], memo)
             if child == B_UNKNOWN:
                 return B_UNKNOWN
             return B_TRUE if child == B_FALSE else B_FALSE
         if kind is Kind.AND:
             saw_unknown = False
-            for child_id in node.children:
+            for child_id in children:
                 child = self.state(child_id, memo)
                 if child == B_FALSE:
                     return B_FALSE
@@ -392,7 +383,7 @@ class PartialEvaluator:
             return B_UNKNOWN if saw_unknown else B_TRUE
         if kind is Kind.OR:
             saw_unknown = False
-            for child_id in node.children:
+            for child_id in children:
                 child = self.state(child_id, memo)
                 if child == B_TRUE:
                     return B_TRUE
@@ -400,21 +391,21 @@ class PartialEvaluator:
                     saw_unknown = True
             return B_UNKNOWN if saw_unknown else B_FALSE
         if kind is Kind.ATOM:
-            left = self.state(node.children[0], memo)
-            right = self.state(node.children[1], memo)
+            left = self.state(children[0], memo)
+            right = self.state(children[1], memo)
             return atom_state(node.payload, left, right)
         if kind is Kind.GUARD:
-            event = self.state(node.children[0], memo)
+            event = self.state(children[0], memo)
             if event == B_TRUE:
                 return NumState.point(node.payload)
             if event == B_FALSE:
                 return NumState.undefined()
             return NumState(node.payload, node.payload, True, True)
         if kind is Kind.COND:
-            event = self.state(node.children[0], memo)
+            event = self.state(children[0], memo)
             if event == B_FALSE:
                 return NumState.undefined()
-            value = self.state(node.children[1], memo)
+            value = self.state(children[1], memo)
             if event == B_TRUE:
                 return value
             if not value.may_def:
@@ -422,39 +413,88 @@ class PartialEvaluator:
             return NumState(value.lo, value.hi, True, True)
         if kind is Kind.SUM:
             total = NumState.undefined()
-            for child_id in node.children:
+            for child_id in children:
                 total = num_add(total, self.state(child_id, memo))
             return total
         if kind is Kind.PROD:
             product = NumState.point(1.0)
-            for child_id in node.children:
+            for child_id in children:
                 product = num_mul(product, self.state(child_id, memo))
             return product
         if kind is Kind.INV:
-            return num_inv(self.state(node.children[0], memo))
+            return num_inv(self.state(children[0], memo))
         if kind is Kind.POW:
-            return num_pow(self.state(node.children[0], memo), node.payload)
+            return num_pow(self.state(children[0], memo), node.payload)
         if kind is Kind.DIST:
-            left = self.state(node.children[0], memo)
-            right = self.state(node.children[1], memo)
+            left = self.state(children[0], memo)
+            right = self.state(children[1], memo)
             return num_dist(left, right, node.payload)
+        if kind is Kind.LOOP_IN:
+            _, init_node, next_node = self.network.slots[node.payload[0]]
+            if not base:
+                return self.state(init_node, memo)
+            return self.state(self._key(next_node, base - stride), memo)
         raise TypeError(f"cannot evaluate node kind {kind!r}")
 
-    # -- convenience -------------------------------------------------------
+    def _key(self, node_id: int, base: int) -> int:
+        """Key of ``node_id`` at the iteration ``base = t·N`` names."""
+        if node_id >= self._stride > 0:  # its key would read as another node's
+            raise ValueError(f"node {node_id} was added after the evaluator was made")
+        return node_id + base if node_id in self._dependent else node_id
 
-    def target_states(
-        self, target_ids: Sequence[int]
-    ) -> Dict[int, State]:
+    # -- readers at the final iteration ------------------------------------
+
+    def target_states(self, target_ids: Sequence[int]) -> Dict[int, State]:
         memo: Dict[int, State] = {}
         return {
-            target_id: self.state(target_id, memo) for target_id in target_ids
+            target_id: self.state(self._key(target_id, self._final), memo)
+            for target_id in target_ids
         }
 
     def node_state(self, node_id: int, memo: Dict[int, State]) -> State:
         """State of an arbitrary node (uniform across evaluator kinds)."""
-        return self.state(node_id, memo)
+        return self.state(self._key(node_id, self._final), memo)
 
     def count_unresolved(self, node_ids: Sequence[int]) -> int:
         """How many of the nodes are still unresolved (ordering hook)."""
-        resolved = self.resolved
-        return sum(1 for node_id in node_ids if node_id not in resolved)
+        resolved, final = self.resolved, self._final
+        if final:
+            node_ids = [self._key(node_id, final) for node_id in node_ids]
+        return sum(1 for key in node_ids if key not in resolved)
+
+    def slot_trace(self, max_iterations: Optional[int] = None) -> Tuple[int, bool]:
+        """Detect mask convergence across iterations (Section 4.1, end).
+
+        Evaluates the slots' next nodes iteration by iteration under the
+        *current* assignment and reports ``(iterations_run, converged)``:
+        converged means two consecutive iterations produced identical
+        resolved slot states, so further iterations cannot change the
+        result (the paper's convergence check over masks).
+        """
+        limit = max_iterations or self.network.iterations or 1
+        memo: Dict[int, State] = {}
+        previous: Optional[List[State]] = None
+        for iteration in range(limit):
+            base = iteration * self._stride
+            current = [
+                self.state(self._key(next_node, base), memo)
+                for _, _, next_node in self.network.slots.values()
+            ]
+            if previous is not None and _converged(previous, current):
+                return iteration, True
+            previous = current
+        return limit, False
+
+
+def _converged(left: Sequence[State], right: Sequence[State]) -> bool:
+    """Are two slot-state lists equal and resolved, state for state?"""
+    for a, b in zip(left, right):
+        if isinstance(a, NumState):
+            if not isinstance(b, NumState) or not (
+                (a.is_undefined and b.is_undefined)
+                or (a.is_point and b.is_point and _points_equal(a.lo, b.lo))
+            ):
+                return False
+        elif a != b or a == B_UNKNOWN:
+            return False
+    return True

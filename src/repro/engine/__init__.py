@@ -34,7 +34,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "bulk_naive_probabilities",
             "make_bulk_evaluator",
         ),
-        ".ir": ("UnsupportedNetworkError",),
         ".masked": ("MaskedEvaluator", "MaskedProgram", "masked_program"),
         ".registry": (
             "CAP_BULK",

@@ -42,7 +42,6 @@ from typing import List, Sequence, Tuple
 
 from ..compile.result import CompilationResult
 from ..network.build import _payload_key
-from ..network.folded import FoldedNetwork
 from ..network.nodes import EventNetwork, Kind, Node
 from ..worlds.variables import VariablePool
 from .registry import ImpossibleEvidenceError, SchemeOptions, run_scheme
@@ -62,13 +61,10 @@ def copy_network(network: EventNetwork) -> EventNetwork:
     """A structural copy that may grow without touching the original.
 
     Preserves node ids (the copy re-interns in id order over the
-    topologically sorted node list), names, targets, and — for folded
-    networks — the iteration count and slot bindings.
+    topologically sorted node list), names, targets, the iteration
+    count and the slot bindings.
     """
-    if isinstance(network, FoldedNetwork):
-        copied: EventNetwork = FoldedNetwork(network.iterations)
-    else:
-        copied = EventNetwork()
+    copied = EventNetwork(network.iterations)
     for node in network.nodes:
         node_id = copied._intern(
             node.kind, node.children, node.payload, _intern_key(node)
@@ -80,9 +76,7 @@ def copy_network(network: EventNetwork) -> EventNetwork:
             )
     copied.targets = dict(network.targets)
     copied.names = dict(network.names)
-    if isinstance(network, FoldedNetwork):
-        assert isinstance(copied, FoldedNetwork)
-        copied.slots = dict(network.slots)
+    copied.slots = dict(network.slots)
     return copied
 
 

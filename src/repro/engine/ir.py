@@ -8,9 +8,11 @@ are the input of :func:`repro.engine.masked.masked_program`, which
 lowers them into the one program every evaluator runs; they also own
 the node-level variable cones the orderings read.
 
-A folded network (:class:`~repro.network.folded.FoldedNetwork`) fills
-the record's slot columns; a plain network is the case with no slots and
-one iteration, so both flatten into one :class:`FlatNetwork`.
+A network with a loop fills the record's slot columns; one without is
+the case with no slots and one iteration.  Whether a network can be
+lowered is decided when it is built (:mod:`repro.network`); flattening
+re-checks only what a network assembled by hand could get wrong, with
+the same :class:`~repro.network.nodes.InvalidNetworkError`.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..network.folded import FoldedNetwork
-from ..network.nodes import EventNetwork, Kind
+from ..network.nodes import EventNetwork, InvalidNetworkError, Kind
 
 # Dense operator codes for the payload columns.
 ATOM_OPS: Dict[str, int] = {"<=": 0, "<": 1, ">=": 2, ">": 3, "==": 4}
@@ -42,10 +43,6 @@ BOOL_KIND_CODES = frozenset(
         Kind.ATOM,
     )
 )
-
-
-class UnsupportedNetworkError(TypeError):
-    """The network has no flat form (e.g. unbound loop inputs)."""
 
 
 @dataclass
@@ -179,7 +176,7 @@ def _upward_closure(flat: FlatNetwork, var_index: int) -> np.ndarray:
 def flatten(network: EventNetwork) -> FlatNetwork:
     """Flatten ``network`` (cached: repeated calls reuse the arrays).
 
-    A folded network needs every slot bound (``check_complete``).  The
+    Every slot must be bound, acyclically (``check_complete``).  The
     cache is invalidated when the network grows (builders append nodes
     through the same object) or a slot is rebound (``define_slot``).
     """
@@ -187,10 +184,7 @@ def flatten(network: EventNetwork) -> FlatNetwork:
     if cached is not None and cached[0] == len(network.nodes):
         return cached[1]
     flat = _flatten_uncached(network)
-    try:
-        network._flat_ir = (len(network.nodes), flat)
-    except AttributeError:  # pragma: no cover - exotic network subclasses
-        pass
+    network._flat_ir = (len(network.nodes), flat)
     return flat
 
 
@@ -212,16 +206,11 @@ def _flatten_uncached(network: EventNetwork) -> FlatNetwork:
         chain.from_iterable(operand_lists), dtype=np.int64, count=int(offsets[-1])
     )
 
-    if isinstance(network, FoldedNetwork):
-        network.check_complete()
-        bindings = np.array(list(network.slots.values()), dtype=np.int64)
-        iterations, dependent = network.iterations, list(network.loop_dependent())
-    elif np.any(kinds == int(Kind.LOOP_IN)):
-        raise UnsupportedNetworkError(
-            "loop-input nodes need a FoldedNetwork to bind their slots"
-        )
-    else:
-        bindings, iterations, dependent = np.empty(0, dtype=np.int64), 1, []
+    network.check_complete()
+    if np.count_nonzero(kinds == int(Kind.LOOP_IN)) != len(network.slots):
+        raise InvalidNetworkError("a loop-input node is bound to no slot")
+    bindings = np.array(list(network.slots.values()), dtype=np.int64)
+    iterations, dependent = network.iterations or 1, list(network.loop_dependent())
     loop_in_ids, init_ids, next_ids = bindings.reshape(-1, 3).T.copy()
     loop_slot = np.full(count, -1, dtype=np.int64)
     loop_slot[loop_in_ids] = np.arange(len(loop_in_ids))
@@ -229,7 +218,7 @@ def _flatten_uncached(network: EventNetwork) -> FlatNetwork:
     loop_dependent[dependent] = True
     owners = np.repeat(np.arange(count, dtype=np.int64), arity)
     if np.any(child_indices >= owners):
-        raise UnsupportedNetworkError("network node order is not topological")
+        raise InvalidNetworkError("network node order is not topological")
 
     def payloads(kind: Kind) -> Tuple[np.ndarray, list]:
         ids = np.flatnonzero(kinds == int(kind))

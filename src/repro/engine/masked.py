@@ -2,10 +2,10 @@
 
 The Shannon-expansion compiler (Algorithms 1-2) spends its life asking
 one question: *given the current partial assignment, what is the
-three-valued state of every target?*  The scalar evaluators
-(:class:`repro.compile.partial.PartialEvaluator` and its folded twin)
-answer it by recursive Python traversal with per-step dict memos — one
-interpreter dispatch per node per DFS step.
+three-valued state of every target?*  The scalar oracle
+(:class:`repro.compile.partial.PartialEvaluator`) answers it by
+recursive Python traversal with per-step dict memos — one interpreter
+dispatch per node per DFS step.
 
 This module answers it with columns over the flat IR instead:
 
@@ -61,11 +61,10 @@ from ..compile.partial import (
     NumState,
     State,
 )
-from ..network.nodes import EventNetwork, Kind
+from ..network.nodes import EventNetwork, InvalidNetworkError, Kind
 from .ir import (
     BOOL_KIND_CODES,
     FlatNetwork,
-    UnsupportedNetworkError,
     expand_ranges,
     flatten,
     parents_csr,
@@ -274,9 +273,7 @@ def _node_widths(flat: FlatNetwork) -> np.ndarray:
     if not vectors:
         return width
     if any(value.ndim != 1 or value.size == 0 for _, value in vectors):
-        raise UnsupportedNetworkError(
-            "vector c-values must be non-empty 1-d arrays"
-        )
+        raise InvalidNetworkError("vector c-values must be non-empty 1-d arrays")
     frontier = np.array([node_id for node_id, _ in vectors], dtype=np.int64)
     width[frontier] = [value.size for _, value in vectors]
     kinds = flat.kinds
@@ -427,8 +424,8 @@ def _layer_row_order(flat: FlatNetwork, layer_ids: np.ndarray) -> np.ndarray:
     a cross-slot init chain).  Children precede parents in id order, so
     ``layer_ids`` is already topological unless some loop-dependent init
     has a larger id than its loop input; only then does a depth-first
-    search run.  Cycles mean the inits are mutually recursive at
-    iteration 0, which no evaluator can order.
+    search run.  The inits are acyclic: :meth:`EventNetwork.check_complete`
+    rejects mutually recursive ones when the network is flattened.
     """
     dependent = flat.loop_dependent
     if not np.any(dependent[flat.init_ids] & (flat.init_ids > flat.loop_in_ids)):
@@ -439,7 +436,7 @@ def _layer_row_order(flat: FlatNetwork, layer_ids: np.ndarray) -> np.ndarray:
     offsets = flat.child_offsets.tolist()
     operands = flat.child_indices.tolist()
     order: List[int] = []
-    status: Dict[int, int] = {}  # 0 = visiting, 1 = done
+    seen: set = set()
 
     def intra_row_deps(node_id: int) -> List[int]:
         slot = loop_slot[node_id]
@@ -453,26 +450,16 @@ def _layer_row_order(flat: FlatNetwork, layer_ids: np.ndarray) -> np.ndarray:
         ]
 
     for root in layer_ids.tolist():
-        if root in status:
-            continue
         stack: List[Tuple[int, int]] = [(root, 0)]
         while stack:
             node_id, phase = stack.pop()
-            if phase == 0:
-                if node_id in status:
-                    continue
-                status[node_id] = 0
-                stack.append((node_id, 1))
-                for dep in intra_row_deps(node_id):
-                    if status.get(dep) == 0:
-                        raise UnsupportedNetworkError(
-                            "cyclic slot initialisation in folded network"
-                        )
-                    if dep not in status:
-                        stack.append((dep, 0))
-            else:
-                status[node_id] = 1
+            if phase:
                 order.append(node_id)
+            elif node_id not in seen:
+                seen.add(node_id)
+                stack.append((node_id, 1))
+                deps = intra_row_deps(node_id)
+                stack.extend((dep, 0) for dep in deps if dep not in seen)
     return np.asarray(order, dtype=np.int64)
 
 
@@ -579,10 +566,7 @@ def masked_program(network: EventNetwork) -> MaskedProgram:
     if cached is not None and cached[0] is flat:
         return cached[1]
     program = _unrolled_program(network, flat)
-    try:
-        network._masked_program = (flat, program)
-    except AttributeError:  # pragma: no cover - exotic network subclasses
-        pass
+    network._masked_program = (flat, program)
     return program
 
 

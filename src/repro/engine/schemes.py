@@ -11,8 +11,8 @@ oracles:
   networks alike);
 * ``montecarlo`` — bulk-vectorized MCDB-style sampling (flat and folded
   networks alike);
-* ``naive-scalar`` / ``montecarlo-scalar`` — the original per-world
-  recursive evaluators, kept as oracles for cross-validation;
+* ``naive-scalar`` / ``montecarlo-scalar`` — per-world runs of the
+  recursive scalar oracle, kept for cross-validation;
 * ``exact-cond`` / ``lazy-cond`` — conditioned queries: one base-scheme
   pass over the derived ``Φ ∧ C`` network plus interval renormalisation
   (:mod:`repro.engine.conditioning`).

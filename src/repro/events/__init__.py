@@ -26,6 +26,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "Event",
             "Expression",
             "Guard",
+            "LoopCVal",
+            "LoopEvent",
             "Not",
             "Or",
             "Ref",

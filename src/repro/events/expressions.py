@@ -506,6 +506,46 @@ class CRef(CVal):
         return isinstance(other, CRef) and other.name == self.name
 
 
+class LoopEvent(Event):
+    """A Boolean loop-carried slot of a network with a loop (Section 4.2)."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return f"⟲{self.name}"
+
+    def _compute_hash(self) -> int:
+        return hash(("loop-event", self.name))
+
+    __hash__ = Expression.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LoopEvent) and other.name == self.name
+
+
+class LoopCVal(CVal):
+    """A numeric loop-carried slot of a network with a loop (Section 4.2)."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return f"⟲{self.name}"
+
+    def _compute_hash(self) -> int:
+        return hash(("loop-cval", self.name))
+
+    __hash__ = Expression.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LoopCVal) and other.name == self.name
+
+
 _REFERENCE_TYPES = (Ref, CRef)
 
 

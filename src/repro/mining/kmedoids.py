@@ -185,14 +185,16 @@ def build_kmedoids_folded(dataset: ProbabilisticDataset, spec: KMedoidsSpec):
     the ``Centre`` election events at the final iteration, named
     identically to the unfolded builder's final-iteration targets.
     """
-    from ..network.folded import FoldedBuilder, LoopCVal
+    from ..events.expressions import LoopCVal
+    from ..network.build import NetworkBuilder
+    from ..network.nodes import EventNetwork
 
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot cluster an empty dataset")
     k = spec.k
     init = spec.initial_medoids(n)
-    builder = FoldedBuilder(spec.iterations)
+    builder = NetworkBuilder(EventNetwork(iterations=spec.iterations))
 
     phi = list(dataset.events)
     objects = [guard(phi[l], dataset.points[l]) for l in range(n)]
@@ -258,7 +260,8 @@ def build_kmedoids_folded(dataset: ProbabilisticDataset, spec: KMedoidsSpec):
     for i in range(k):
         for l in range(n):
             builder.add_target(eid("Centre", last, i, l), centre[i][l])
-    return builder.folded
+    builder.network.check_complete()
+    return builder.network
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".build": ("NetworkBuilder", "build_network", "build_targets"),
-        ".folded": ("FoldedBuilder", "FoldedNetwork", "LoopCVal", "LoopEvent"),
-        ".nodes": ("EventNetwork", "Kind", "Node"),
+        ".nodes": ("EventNetwork", "InvalidNetworkError", "Kind", "Node"),
     },
 )

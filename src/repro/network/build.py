@@ -26,6 +26,8 @@ from ..events.expressions import (
     Event,
     Expression,
     Guard,
+    LoopCVal,
+    LoopEvent,
     Not,
     Or,
     Ref,
@@ -34,11 +36,12 @@ from ..events.expressions import (
     _TrueEvent,
 )
 from ..events.program import EventProgram
-from .nodes import EventNetwork, Kind
+from .nodes import EventNetwork, InvalidNetworkError, Kind, check_vector
 
 
 def _payload_key(value) -> tuple:
     if isinstance(value, np.ndarray):
+        check_vector(value)
         return ("vec", value.shape, value.tobytes())
     return ("scalar", value)
 
@@ -127,6 +130,19 @@ def _dist(builder: NetworkBuilder, expression: CDist) -> int:
     return builder.network._intern(Kind.DIST, children, metric, metric)
 
 
+def _loop_in(builder: NetworkBuilder, expression: LoopEvent | LoopCVal) -> int:
+    """A loop slot's input node, registering the slot on first use."""
+    network = builder.network
+    if network.iterations is None:
+        raise InvalidNetworkError(
+            f"loop slot {expression.name!r} in a network with no loop"
+        )
+    payload = (expression.name, isinstance(expression, LoopEvent))
+    node_id = network._intern(Kind.LOOP_IN, (), payload, payload)
+    network.slots.setdefault(expression.name, (node_id, None, None))
+    return node_id
+
+
 class NetworkBuilder:
     """Translates expressions into interned network nodes.
 
@@ -156,6 +172,8 @@ class NetworkBuilder:
         CInv: _inv,
         CPow: _pow,
         CDist: _dist,
+        LoopEvent: _loop_in,
+        LoopCVal: _loop_in,
     }
 
     def __init__(self, network: Optional[EventNetwork] = None) -> None:
@@ -184,6 +202,20 @@ class NetworkBuilder:
             self._keys.append(expression)
         return node_id
 
+    def add_target(self, name: str, expression: Event) -> int:
+        """Build a target event and bind it under ``name`` (a target of
+        a network with a loop is read at the final iteration)."""
+        node_id = self.build(expression)
+        self.network.bind_name(name, node_id)
+        self.network.add_target(name, node_id)
+        return node_id
+
+    def define_slot(
+        self, name: str, init: Expression, next_value: Expression
+    ) -> None:
+        """Build a slot's init/next expressions and bind them to it."""
+        self.network.define_slot(name, self.build(init), self.build(next_value))
+
 
 def build_network(program: EventProgram) -> EventNetwork:
     """Convenience wrapper: ground an event program into a network."""
@@ -200,9 +232,7 @@ def build_targets(
     """
     builder = NetworkBuilder()
     for name, expression in expressions.items():
-        node_id = builder.build(expression)
-        builder.network.bind_name(name, node_id)
-        builder.network.add_target(name, node_id)
+        builder.add_target(name, expression)
     if extra:
         for name, expression in extra:
             builder.network.bind_name(name, builder.build(expression))

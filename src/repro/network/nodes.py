@@ -8,6 +8,12 @@ several events are represented once (hash-consing, done by the builder).
 Nodes are plain records addressed by dense integer ids — the probability
 computation algorithms traverse networks in tight loops, so we keep the
 representation flat and primitive.
+
+A network may carry a loop (Section 4.2, the *folded* encoding): its
+*loop-input* nodes each name a slot whose value at iteration ``t`` is
+the value of the slot's *next* node at ``t - 1`` (of its *init* node at
+``t = 0``), and every iteration evaluates the same nodes.  A network
+without a loop is the case with no slots.
 """
 
 from __future__ import annotations
@@ -18,6 +24,18 @@ from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 
+class InvalidNetworkError(ValueError):
+    """A network no evaluator can run, rejected where it is built or
+    loaded: a loop slot without a loop, an unbound or cyclic slot
+    initialisation, a vector c-value that is not a non-empty 1-d array."""
+
+
+def check_vector(value) -> None:
+    """A vector c-value (a NumPy array) must be a non-empty 1-d array."""
+    if value.ndim != 1 or value.size == 0:
+        raise InvalidNetworkError(
+            f"vector c-values must be non-empty 1-d arrays, not shape {value.shape}"
+        )
 
 
 class Kind(IntEnum):
@@ -69,9 +87,20 @@ class Node:
 
 
 class EventNetwork:
-    """A hash-consed DAG of event-network nodes with named targets."""
+    """A hash-consed DAG of event-network nodes with named targets.
 
-    def __init__(self) -> None:
+    ``iterations`` is the loop's iteration count, ``None`` for a network
+    without a loop (which lowers as one iteration).  ``slots`` maps each
+    slot name to ``(loop-input node, init node, next node)``.
+    """
+
+    def __init__(self, iterations: Optional[int] = None) -> None:
+        if iterations is not None and iterations < 1:
+            raise InvalidNetworkError("a loop needs at least one iteration")
+        self.iterations = iterations
+        self.slots: Dict[str, Tuple[int, Optional[int], Optional[int]]] = {}
+        # (node count, dependent set): see loop_dependent.
+        self._loop_dependent: Optional[Tuple[int, Set[int]]] = None
         self.nodes: List[Node] = []
         self.targets: Dict[str, int] = {}
         self.names: Dict[str, int] = {}
@@ -102,6 +131,69 @@ class EventNetwork:
 
     def bind_name(self, name: str, node_id: int) -> None:
         self.names[name] = node_id
+
+    def define_slot(self, name: str, init_node: int, next_node: int) -> None:
+        """Bind a slot's initial value and its iteration update."""
+        if name not in self.slots:
+            raise KeyError(f"slot {name!r} was never referenced by the template")
+        loop_in, _, _ = self.slots[name]
+        self.slots[name] = (loop_in, init_node, next_node)
+        self._loop_dependent = None
+        # Rebinding changes the iteration semantics without growing the
+        # network, so the size-keyed flat IR must be dropped too.
+        self._flat_ir = None
+
+    def check_complete(self) -> None:
+        """Raise :class:`InvalidNetworkError` unless every slot is bound
+        and no slot's initial value depends on its own loop input.
+
+        At ``t = 0`` a loop input reads its init node in the same
+        iteration, so the init edges must not close a cycle; the walk
+        follows them (and operands) through loop-dependent nodes only.
+        """
+        for name, (_, init_node, next_node) in self.slots.items():
+            if init_node is None or next_node is None:
+                raise InvalidNetworkError(f"slot {name!r} has no init/next binding")
+        dependent = self.loop_dependent()
+        init_of = {loop_in: init for loop_in, init, _ in self.slots.values()}
+        done: Dict[int, bool] = {}  # False while on the walk's path
+        for root in init_of:
+            stack = [(root, False)]
+            while stack:
+                node_id, leaving = stack.pop()
+                if leaving:
+                    done[node_id] = True
+                    continue
+                if node_id in done:
+                    continue
+                done[node_id] = False
+                stack.append((node_id, True))
+                init = init_of.get(node_id)
+                for dep in self.nodes[node_id].children if init is None else (init,):
+                    if dep in dependent:
+                        if done.get(dep) is False:
+                            raise InvalidNetworkError("cyclic slot initialisation")
+                        stack.append((dep, False))
+
+    def loop_dependent(self) -> Set[int]:
+        """Node ids whose value can change across iterations.
+
+        ``self.nodes`` is topologically ordered (children precede
+        parents), so a single pass settles the fixpoint.  Cached per
+        network size, so nodes appended later are classified too.
+        """
+        cached = self._loop_dependent
+        if cached is not None and cached[0] == len(self.nodes):
+            return cached[1]
+        dependent = {loop_in for loop_in, _, _ in self.slots.values()}
+        if dependent:
+            for node in self.nodes:
+                if node.id not in dependent and any(
+                    child in dependent for child in node.children
+                ):
+                    dependent.add(node.id)
+        self._loop_dependent = (len(self.nodes), dependent)
+        return dependent
 
     # ------------------------------------------------------------------
     # Introspection

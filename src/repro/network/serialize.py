@@ -7,8 +7,9 @@ computations — e.g. recompiling the same clustering with fresh
 marginals after a sensor recalibration.
 
 The format is a plain JSON document (schema version tagged) with one
-record per node; vector payloads are stored as lists.  Folded networks
-serialise their slot bindings and iteration count as well.
+record per node; vector payloads are stored as lists.  A network with
+a loop is a ``"folded"`` document and also records its iteration count
+and slot bindings.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from ..worlds.variables import VariablePool
-from .folded import FoldedNetwork
-from .nodes import EventNetwork, Kind, Node
+from .nodes import EventNetwork, InvalidNetworkError, Kind, Node, check_vector
 
 FORMAT_VERSION = 1
 
@@ -43,6 +43,7 @@ def _payload_from_json(kind: Kind, raw) -> Any:
         return None
     if kind is Kind.GUARD and isinstance(raw, dict):
         vector = np.asarray(raw["vector"], dtype=float)
+        check_vector(vector)
         vector.setflags(write=False)
         return vector
     if kind is Kind.LOOP_IN:
@@ -51,10 +52,10 @@ def _payload_from_json(kind: Kind, raw) -> Any:
 
 
 def network_to_dict(network: EventNetwork) -> Dict[str, Any]:
-    """Serialise a network (flat or folded) to a JSON-ready dict."""
+    """Serialise a network (with or without a loop) to a JSON-ready dict."""
     document: Dict[str, Any] = {
         "version": FORMAT_VERSION,
-        "kind": "folded" if isinstance(network, FoldedNetwork) else "flat",
+        "kind": "flat" if network.iterations is None else "folded",
         "nodes": [
             {
                 "k": int(node.kind),
@@ -66,7 +67,7 @@ def network_to_dict(network: EventNetwork) -> Dict[str, Any]:
         "targets": dict(network.targets),
         "names": dict(network.names),
     }
-    if isinstance(network, FoldedNetwork):
+    if network.iterations is not None:
         document["iterations"] = network.iterations
         document["slots"] = {
             name: list(binding) for name, binding in network.slots.items()
@@ -80,16 +81,17 @@ def network_from_dict(document: Dict[str, Any]) -> EventNetwork:
     Raises ``ValueError`` for a document no builder could have written:
     an unknown node kind, a child that does not precede its parent (the
     topological order every lowering assumes), a target, name or slot
-    id outside the network, or a target that is not a Boolean node.
+    id outside the network, or a target that is not a Boolean node —
+    and :class:`~repro.network.nodes.InvalidNetworkError`, as the
+    builder does, for a network no evaluator can run.
     """
     version = document.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported network format version {version!r}")
-    if document["kind"] == "folded":
-        network: EventNetwork = FoldedNetwork(document["iterations"])
-    else:
-        network = EventNetwork()
+    folded = document["kind"] == "folded"
+    network = EventNetwork(document["iterations"] if folded else None)
     nodes = network.nodes
+    loop_inputs = 0
     for node_id, record in enumerate(document["nodes"]):
         kind = _KINDS.get(record["k"])
         if kind is None:
@@ -99,6 +101,12 @@ def network_from_dict(document: Dict[str, Any]) -> EventNetwork:
             raise ValueError(
                 f"node {node_id}: children {children} must precede it"
             )
+        if kind is Kind.LOOP_IN:
+            if not folded:
+                raise InvalidNetworkError(
+                    f"node {node_id}: a loop slot in a network with no loop"
+                )
+            loop_inputs += 1
         nodes.append(
             Node(node_id, kind, children, _payload_from_json(kind, record["p"]))
         )
@@ -107,14 +115,23 @@ def network_from_dict(document: Dict[str, Any]) -> EventNetwork:
     for name, node_id in network.targets.items():
         if not nodes[node_id].is_boolean:
             raise ValueError(f"target {name!r} is not a Boolean node")
-    if isinstance(network, FoldedNetwork):
+    if folded:
         network.slots = {
             name: tuple(binding) for name, binding in document["slots"].items()
         }
-        network.check_complete()
         for name, binding in network.slots.items():
-            if not all(0 <= node_id < len(nodes) for node_id in binding):
+            if not all(
+                node_id is None or 0 <= node_id < len(nodes) for node_id in binding
+            ):
                 raise ValueError(f"slot {name!r} binds ids outside the network")
+            loop_in = nodes[binding[0]]
+            if loop_in.kind is not Kind.LOOP_IN or loop_in.payload[0] != name:
+                raise InvalidNetworkError(
+                    f"slot {name!r} binds no loop input of its own"
+                )
+        if loop_inputs != len(network.slots):
+            raise InvalidNetworkError("a loop-input node is bound to no slot")
+        network.check_complete()
     return network
 
 

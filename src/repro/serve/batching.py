@@ -30,6 +30,13 @@ group), ``cache`` (``hit`` — answered from the artifact cache without
 a pass; ``miss`` — a pass ran over an already-materialized network;
 ``cold`` — the pass also had to materialize the network), and
 ``queue_wait_seconds``.
+
+A pass stores what it made — the group's results and, on a cold pass,
+the compiled network — on the event-loop thread after it returns, and
+only under a content hash some catalog entry still names (the
+``referenced`` probe): an edit or delete admitted during the pass has
+already dropped that hash's artifacts, and nothing may store new ones
+under it.
 """
 
 from __future__ import annotations
@@ -62,9 +69,9 @@ class QueryJob:
 
     ``materialize`` resolves the network/pool objects at pass time (the
     server wires it to the compiled-artifact layer); it returns
-    ``(network, pool, cold)`` where ``cold`` records whether the
-    network had to be deserialised because no compiled artifact was
-    resident.
+    ``(network, pool, built)`` where ``built`` is ``None`` when the
+    compiled network was resident, and otherwise the ``(key, content
+    hash, nbytes)`` to store the network it had to deserialise under.
     """
 
     scheme: str
@@ -73,18 +80,23 @@ class QueryJob:
     group_key: str
     cache_key: str
     run_kwargs: Dict[str, object]
-    materialize: Callable[[], Tuple[object, object, bool]]
+    materialize: Callable[[], Tuple[object, object, Optional[tuple]]]
     future: "asyncio.Future[dict]" = field(repr=False, default=None)
     enqueued_at: float = 0.0
     queue_wait: float = 0.0
 
 
 class BatchingExecutor:
-    """The admission queue plus the single-consumer batch loop."""
+    """The admission queue plus the single-consumer batch loop.
+
+    ``referenced(content_hash)`` says whether a catalog entry still
+    names a hash; a pass stores artifacts only under such hashes.
+    """
 
     def __init__(
         self,
         cache: ArtifactCache,
+        referenced: Callable[[str], bool],
         max_batch: int = 32,
         max_pending: int = 256,
     ) -> None:
@@ -93,6 +105,7 @@ class BatchingExecutor:
         if max_pending < 1:
             raise ValueError("max_pending must be at least 1")
         self.cache = cache
+        self.referenced = referenced
         self.max_batch = max_batch
         self.max_pending = max_pending
         self._queue: "asyncio.Queue[Optional[QueryJob]]" = asyncio.Queue()
@@ -231,16 +244,16 @@ class BatchingExecutor:
         union = sorted({name for job in pending for name in job.targets})
 
         def _pass():
-            network, pool, cold = first.materialize()
+            network, pool, built = first.materialize()
             result = run_scheme(
                 first.scheme, network, pool, targets=union, **first.run_kwargs
             )
-            return result, cold
+            return result, network, built
 
         self.passes += 1
         loop = asyncio.get_running_loop()
         try:
-            result, cold = await loop.run_in_executor(None, _pass)
+            result, network, built = await loop.run_in_executor(None, _pass)
         except Exception as exc:  # noqa: BLE001 - fault isolation boundary
             self.failed += len(pending)
             failure = ComputeError(f"{type(exc).__name__}: {exc}")
@@ -249,7 +262,11 @@ class BatchingExecutor:
                 if not job.future.done():
                     job.future.set_exception(failure)
             return
-        state = "cold" if cold else "miss"
+        # The catalog changes on this thread: no await between probe and store.
+        if built is not None and self.referenced(built[1]):
+            key, content_hash, nbytes = built
+            self.cache.store(key, "compiled", network, content_hash, nbytes=nbytes)
+        state = "miss" if built is None else "cold"
         by_targets: "OrderedDict[Tuple[str, ...], List[QueryJob]]" = OrderedDict()
         for job in pending:
             by_targets.setdefault(tuple(sorted(job.targets)), []).append(job)
@@ -267,9 +284,10 @@ class BatchingExecutor:
                     if isinstance(value, (int, float, str))
                 },
             }
-            self.cache.store(
-                jobs[0].cache_key, "result", payload, first.network_hash
-            )
+            if self.referenced(first.network_hash):
+                self.cache.store(
+                    jobs[0].cache_key, "result", payload, first.network_hash
+                )
             for job in jobs:
                 self._fulfil(job, payload, state, len(live))
 

@@ -176,13 +176,17 @@ class ArtifactCache:
     # Introspection
     # ------------------------------------------------------------------
 
-    def stats(self) -> Dict[str, int]:
+    def stats(self) -> Dict[str, object]:
         with self._lock:
             kinds: Dict[str, int] = {}
             for artifact in self._entries.values():
                 kinds[artifact.kind] = kinds.get(artifact.kind, 0) + 1
             return {
                 "entries": len(self._entries),
+                "by_hash": {
+                    content_hash: len(keys)
+                    for content_hash, keys in sorted(self._by_network.items())
+                },
                 "compiled_entries": kinds.get("compiled", 0),
                 "result_entries": kinds.get("result", 0),
                 "bytes": self.total_bytes,

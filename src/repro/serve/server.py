@@ -150,7 +150,7 @@ class ReproServer:
         self._requested_port = port
         self.cache = ArtifactCache(cache_bytes)
         self.executor = BatchingExecutor(
-            self.cache, max_batch=max_batch, max_pending=max_pending
+            self.cache, self._referenced, max_batch=max_batch, max_pending=max_pending
         )
         self.catalog: Dict[str, CatalogEntry] = {}
         self._server: Optional[asyncio.base_events.Server] = None
@@ -235,6 +235,14 @@ class ReproServer:
             "hash": entry.network_hash,
             "invalidated": invalidated,
         }
+
+    def _referenced(self, content_hash: str) -> bool:
+        """Does a catalog entry name ``content_hash`` (as its document
+        or its structure)?"""
+        return any(
+            content_hash in (entry.network_hash, entry.structure_hash)
+            for entry in self.catalog.values()
+        )
 
     def _drop_unreferenced(self, entry: CatalogEntry) -> int:
         """Drop the artifacts of an unbound ``entry`` that no catalog
@@ -411,13 +419,14 @@ class ReproServer:
         Captures the entry's network bytes and pool section (snapshot
         semantics: a query admitted before an edit is answered against
         the content it named) and builds the pass's pool from that
-        section.  Reports ``cold=True`` when no compiled network was
-        resident for the structure — either its first query or re-entry
-        after an LRU eviction — and the bytes had to be parsed.
+        section.  When no compiled network was resident for the
+        structure — its first query, or re-entry after an LRU eviction —
+        it parses the bytes and also returns what to store the network
+        under, which the executor does after the pass (a ``cold`` pass).
         """
         cache = self.cache
         key = _compiled_key(entry.structure_hash)
-        structure_hash = entry.structure_hash
+        built = (key, entry.structure_hash, len(entry.network_bytes))
         network_bytes = entry.network_bytes
         pool_document = entry.pool
 
@@ -425,16 +434,8 @@ class ReproServer:
             pool = pool_from_dict(pool_document)
             artifact = cache.lookup(key)
             if artifact is not None:
-                return artifact.payload, pool, False
-            network = network_from_dict(json.loads(network_bytes))
-            cache.store(
-                key,
-                "compiled",
-                network,
-                structure_hash,
-                nbytes=len(network_bytes),
-            )
-            return network, pool, True
+                return artifact.payload, pool, None
+            return network_from_dict(json.loads(network_bytes)), pool, built
 
         return materialize
 

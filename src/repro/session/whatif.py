@@ -27,11 +27,9 @@ with no renormalisation step (the one-pass ``Φ ∧ C`` division of
 :mod:`repro.engine.conditioning` is only needed for *event*-level
 evidence, which a session does not assert).
 
-Works on flat and folded networks and across every kernel tier: the
-dirty-cone bookkeeping reads node-level cones from the evaluator's
-program (``_prog.cone_source``) and falls back to conservatively
-dirtying everything for the scalar oracle evaluators, which expose no
-cones.
+Works on every network, with or without a loop, and across every
+kernel tier: the dirty-cone bookkeeping reads node-level cones from the
+masked evaluator's program (``_prog.cone_source``).
 """
 
 from __future__ import annotations
@@ -65,13 +63,9 @@ def _session_kernel(network: EventNetwork, kernel: Optional[str]) -> Optional[st
     """
     if kernel is not None or "REPRO_KERNEL" in os.environ:
         return kernel
-    from ..engine.ir import UnsupportedNetworkError
     from ..engine.masked import masked_program
 
-    try:
-        vector = bool(masked_program(network).node_width.any())
-    except UnsupportedNetworkError:  # no flat form: scalar evaluators anyway
-        return None
+    vector = bool(masked_program(network).node_width.any())
     return "python" if vector else None
 
 
@@ -109,7 +103,7 @@ class WhatIfSession:
         self._bounds: Dict[str, Tuple[float, float]] = {}
         self._clean: set = set()
         self._query_key: Tuple[str, float] = ("exact", 0.0)
-        self._cones: Dict[int, Optional[FrozenSet[int]]] = {}
+        self._cones: Dict[int, FrozenSet[int]] = {}
         self.recomputed = 0  # targets the last query() re-expanded
 
     # ------------------------------------------------------------------
@@ -239,26 +233,18 @@ class WhatIfSession:
     # Internals
     # ------------------------------------------------------------------
 
-    def _cone(self, variable: int) -> Optional[FrozenSet[int]]:
-        """Node-level influence cone, or ``None`` when the evaluator
-        exposes no cones (scalar oracles) and everything must go stale."""
-        if variable in self._cones:
-            return self._cones[variable]
-        prog = getattr(self._compiler.evaluator, "_prog", None)
-        cone: Optional[FrozenSet[int]] = None
-        if prog is not None:
-            cone = frozenset(
-                int(node_id)
-                for node_id in prog.cone_source.var_cone(variable)
+    def _cone(self, variable: int) -> FrozenSet[int]:
+        """Node-level influence cone of ``variable`` (cached)."""
+        cone = self._cones.get(variable)
+        if cone is None:
+            cone_source = self._compiler.evaluator._prog.cone_source
+            cone = self._cones[variable] = frozenset(
+                cone_source.var_cone(variable).tolist()
             )
-        self._cones[variable] = cone
         return cone
 
     def _dirty(self, variable: int) -> None:
         cone = self._cone(variable)
-        if cone is None:
-            self._clean.clear()
-            return
         for name in self.target_names:
             if self.network.targets[name] in cone:
                 self._clean.discard(name)

@@ -64,8 +64,8 @@ def naive_probabilities_scalar(
     Valuations mapping to an already-seen ``world_key_nodes`` signature
     reuse the cached per-world result, mirroring how a naive
     implementation would cluster once per distinct world.  Kept as the
-    cross-validation oracle for the bulk engine (it handles folded
-    networks too, through the scalar folded evaluator).
+    cross-validation oracle for the bulk engine (networks with a loop
+    included: the scalar oracle evaluates them too).
     """
     # Imported here: the compiler package imports the network package,
     # which would close an import cycle at module-load time.

@@ -22,8 +22,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.registry import run_scheme
-from repro.events.expressions import TRUE, atom, cond, csum, disj, guard, literal
-from repro.network.folded import FoldedBuilder, LoopCVal, LoopEvent
+from repro.events.expressions import (
+    TRUE,
+    LoopCVal,
+    LoopEvent,
+    atom,
+    cond,
+    csum,
+    disj,
+    guard,
+    literal,
+)
+from repro.network.build import NetworkBuilder
+from repro.network.nodes import EventNetwork
 from repro.worlds.variables import VariablePool
 
 from ..conftest import random_event
@@ -38,7 +49,7 @@ def _random_folded_instance(seed: int):
     for _ in range(rng.randint(2, 5)):
         pool.add(rng.uniform(0.05, 0.95))
     iterations = rng.randint(1, 4)
-    builder = FoldedBuilder(iterations)
+    builder = NetworkBuilder(EventNetwork(iterations=iterations))
 
     flag = LoopEvent("flag")
     total = LoopCVal("total")
@@ -76,7 +87,7 @@ def _random_folded_instance(seed: int):
             literal(rng.uniform(-2.0, 2.0)),
         ),
     )
-    return pool, builder.folded
+    return pool, builder.network
 
 
 @settings(max_examples=50, deadline=None)

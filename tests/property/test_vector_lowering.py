@@ -9,9 +9,9 @@ kernel tier.  The contracts pinned down here:
   the *same* lowered program and stays bit-identical to the other:
   columns, resolved mask, trail entries in
   order, ``evals``;
-* the lowered program agrees with the untouched scalar oracles
-  (:class:`PartialEvaluator` / :class:`FoldedEvaluator`, which keep
-  array-valued ``NumState`` objects) to 1e-9 on every node, for widths
+* the lowered program agrees with the untouched scalar oracle
+  (:class:`PartialEvaluator`, which keeps array-valued ``NumState``
+  objects) to 1e-9 on every node, for widths
   1, 2, 3 and 9 (past NumPy's pairwise-summation threshold);
 * node-granular contracts survive the new vertex space: a vector node
   reads back as one array-valued state and counts as unresolved while
@@ -42,6 +42,7 @@ from repro.engine.kernels import (
 from repro.engine.masked import MaskedEvaluator, masked_program
 from repro.engine.registry import run_scheme
 from repro.events.expressions import (
+    LoopCVal,
     TRUE,
     atom,
     cdist,
@@ -59,8 +60,8 @@ from repro.mining.markov import (
     build_mcl_program,
     stochastic_graph,
 )
-from repro.network.build import build_network, build_targets
-from repro.network.folded import FoldedBuilder, LoopCVal
+from repro.network.build import NetworkBuilder, build_network, build_targets
+from repro.network.nodes import EventNetwork
 from repro.worlds.variables import VariablePool
 
 from ..conftest import random_event
@@ -149,7 +150,7 @@ def _folded_vector_instance(seed: int, width: int):
     def point():
         return [rng.uniform(-1.0, 1.0) for _ in range(width)]
 
-    builder = FoldedBuilder(rng.randint(1, 4))
+    builder = NetworkBuilder(EventNetwork(iterations=rng.randint(1, 4)))
     centre = LoopCVal("centre")
     pull = guard(random_event(pool, rng, depth=1), point())
     near = atom("<=", cdist(centre, pull), guard(TRUE, rng.uniform(0.2, 1.5)))
@@ -165,7 +166,7 @@ def _folded_vector_instance(seed: int, width: int):
         atom(">", cdist(centre_next, guard(TRUE, point()), "sqeuclidean"),
              guard(TRUE, rng.uniform(0.5, 3.0))),
     )
-    return pool, builder.folded
+    return pool, builder.network
 
 
 def _walk_all_tiers(pool, network, seed):

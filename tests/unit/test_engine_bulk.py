@@ -210,17 +210,17 @@ class TestFoldedBulk:
             monkeypatch.setenv("REPRO_KERNEL", self.kernel)
 
     def _counter(self, iterations):
-        from repro.events.expressions import literal
-        from repro.network.folded import FoldedBuilder, LoopCVal
+        from repro.events.expressions import LoopCVal, literal
+        from repro.network.nodes import EventNetwork
 
-        builder = FoldedBuilder(iterations)
+        builder = NetworkBuilder(EventNetwork(iterations=iterations))
         slot = LoopCVal("S")
         next_value = csum([slot, guard(var(0), 1.0)])
         builder.define_slot("S", init=literal(0.0), next_value=next_value)
         builder.add_target(
             "big", atom(">=", next_value, guard(TRUE, float(iterations)))
         )
-        return builder.folded
+        return builder.network
 
     def test_make_bulk_evaluator_dispatches(self):
         # Both flavours run as one lowered program on either rung; the
@@ -248,11 +248,11 @@ class TestFoldedBulk:
         # Boolean slot: "x0 ever seen so far"; numeric slot: running sum
         # gated on the boolean slot — exercises both slot kinds and the
         # cross-slot wiring.
-        from repro.events.expressions import cond, literal
-        from repro.network.folded import FoldedBuilder, LoopCVal, LoopEvent
+        from repro.events.expressions import LoopCVal, LoopEvent, cond, literal
+        from repro.network.nodes import EventNetwork
 
         iterations = 3
-        builder = FoldedBuilder(iterations)
+        builder = NetworkBuilder(EventNetwork(iterations=iterations))
         seen = LoopEvent("seen")
         total = LoopCVal("T")
         seen_next = disj([seen, var(0)])
@@ -263,7 +263,7 @@ class TestFoldedBulk:
         builder.add_target(
             "accumulated", atom(">=", total_next, guard(TRUE, float(iterations)))
         )
-        folded = builder.folded
+        folded = builder.network
 
         pool = make_pool([0.4, 0.7])
         bulk = bulk_naive_probabilities(folded, pool)
@@ -322,10 +322,10 @@ class TestFoldedBulk:
     def test_subset_of_targets_on_multi_slot_network(self):
         # Regression: slot state was seeded from *every* slot's init,
         # crashing when the requested targets only reach some slots.
-        from repro.events.expressions import cond, literal
-        from repro.network.folded import FoldedBuilder, LoopCVal, LoopEvent
+        from repro.events.expressions import LoopCVal, LoopEvent, cond, literal
+        from repro.network.nodes import EventNetwork
 
-        builder = FoldedBuilder(3)
+        builder = NetworkBuilder(EventNetwork(iterations=3))
         seen = LoopEvent("seen")
         total = LoopCVal("T")
         seen_next = disj([seen, var(0)])
@@ -336,7 +336,7 @@ class TestFoldedBulk:
         builder.add_target(
             "accumulated", atom(">=", total_next, guard(TRUE, 3.0))
         )
-        folded = builder.folded
+        folded = builder.network
 
         pool = make_pool([0.4, 0.7])
         partial = bulk_naive_probabilities(folded, pool, targets=["flag"])
@@ -347,10 +347,10 @@ class TestFoldedBulk:
         # Regression: slot A initialised from slot B's value (a
         # loop-dependent init) must evaluate like the scalar folded
         # evaluator instead of being rejected.
-        from repro.events.expressions import literal
-        from repro.network.folded import FoldedBuilder, LoopCVal
+        from repro.events.expressions import LoopCVal, literal
+        from repro.network.nodes import EventNetwork
 
-        builder = FoldedBuilder(2)
+        builder = NetworkBuilder(EventNetwork(iterations=2))
         slot_a, slot_b = LoopCVal("A"), LoopCVal("B")
         a_next = csum([slot_a, guard(var(0), 1.0)])
         b_next = csum([slot_b, guard(var(1), 1.0)])
@@ -358,7 +358,7 @@ class TestFoldedBulk:
         builder.define_slot("B", init=literal(0.0), next_value=b_next)
         builder.add_target("a_big", atom(">=", a_next, guard(TRUE, 2.5)))
         builder.add_target("b_big", atom(">=", b_next, guard(TRUE, 2.0)))
-        folded = builder.folded
+        folded = builder.network
 
         pool = make_pool([0.6, 0.3])
         bulk = bulk_naive_probabilities(folded, pool)
@@ -375,11 +375,11 @@ class TestFoldedBulk:
         # must walk a chain far deeper than the remaining headroom.
         import sys
 
-        from repro.events.expressions import literal
-        from repro.network.folded import FoldedBuilder, LoopCVal
+        from repro.events.expressions import LoopCVal, literal
+        from repro.network.nodes import EventNetwork
 
         depth = 200
-        builder = FoldedBuilder(2)
+        builder = NetworkBuilder(EventNetwork(iterations=2))
         slots = [LoopCVal(f"s{i}") for i in range(depth)]
         builder.define_slot(
             "s0", init=literal(1.0), next_value=csum([slots[0], literal(0.0)])
@@ -396,7 +396,7 @@ class TestFoldedBulk:
         builder.add_target(
             "deep", atom(">=", tail, guard(TRUE, float(depth - 1)))
         )
-        folded = builder.folded
+        folded = builder.network
         pool = make_pool([0.5])
 
         limit = sys.getrecursionlimit()
@@ -435,15 +435,15 @@ class TestFoldedBulk:
         # Regression: loop_dependent() was cached without a size key, so
         # targets added after a first evaluation were scheduled in the
         # loop-independent prefix and crashed the next bulk run.
-        from repro.events.expressions import literal
-        from repro.network.folded import FoldedBuilder, LoopCVal
+        from repro.events.expressions import LoopCVal, literal
+        from repro.network.nodes import EventNetwork
 
-        builder = FoldedBuilder(3)
+        builder = NetworkBuilder(EventNetwork(iterations=3))
         slot = LoopCVal("S")
         next_value = csum([slot, guard(var(0), 1.0)])
         builder.define_slot("S", init=literal(0.0), next_value=next_value)
         builder.add_target("big", atom(">=", next_value, guard(TRUE, 3.0)))
-        folded = builder.folded
+        folded = builder.network
         pool = make_pool([0.3])
         first = bulk_naive_probabilities(folded, pool)
         assert first.bounds["big"][0] == pytest.approx(0.3, abs=1e-12)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.engine.ir import ATOM_OPS, UnsupportedNetworkError, flatten
+from repro.engine.ir import ATOM_OPS, flatten
 from repro.engine.masked import masked_program
 from repro.events.expressions import (
+    LoopCVal,
+    LoopEvent,
     TRUE,
     atom,
     conj,
@@ -17,8 +19,7 @@ from repro.events.expressions import (
     var,
 )
 from repro.network.build import NetworkBuilder, build_targets
-from repro.network.folded import FoldedBuilder, LoopCVal
-from repro.network.nodes import EventNetwork, Kind, Node
+from repro.network.nodes import EventNetwork, InvalidNetworkError, Kind, Node
 
 
 def _example_network():
@@ -104,13 +105,16 @@ class TestFoldedFlatIR:
         assert not plain.loop_dependent.any()
 
     def test_loop_inputs_outside_a_folded_network_rejected(self):
-        # Only a FoldedNetwork binds slots; a LOOP_IN node in a plain
-        # network has no meaning.
+        # Only a network with a loop binds slots: the builder rejects a
+        # loop slot without one, and flattening a LOOP_IN node assembled
+        # by hand raises the same error.
+        with pytest.raises(InvalidNetworkError):
+            NetworkBuilder().build(conj([LoopEvent("S"), var(0)]))
         network = EventNetwork()
         network.nodes.append(Node(0, Kind.LOOP_IN, (), ("S", False)))
         network.nodes.append(Node(1, Kind.VAR, (), 0))
         network.nodes.append(Node(2, Kind.AND, (0, 1), None))
-        with pytest.raises(UnsupportedNetworkError):
+        with pytest.raises(InvalidNetworkError):
             flatten(network)
 
     def test_slot_columns_bind_loop_inputs(self):
@@ -129,34 +133,34 @@ class TestFoldedFlatIR:
         assert flatten(folded) is flatten(folded)
 
     def test_incomplete_slots_rejected(self):
-        builder = FoldedBuilder(2)
+        builder = NetworkBuilder(EventNetwork(iterations=2))
         builder.add_target("t", atom(">=", LoopCVal("S"), literal(1.0)))
         with pytest.raises(ValueError):
-            flatten(builder.folded)
+            flatten(builder.network)
 
     def test_loop_dependent_initialiser_flagged(self):
         # A cross-slot init chain (A starts from B's value) is legal —
         # the IR flags A's init as loop-dependent, so the unrolled program
         # orders it inside the first iteration's row.
-        builder = FoldedBuilder(2)
+        builder = NetworkBuilder(EventNetwork(iterations=2))
         slot_a, slot_b = LoopCVal("A"), LoopCVal("B")
         builder.add_target("t", atom(">=", slot_a, literal(1.0)))
         builder.define_slot(
             "A", init=csum([slot_b, literal(1.0)]), next_value=literal(1.0)
         )
         builder.define_slot("B", init=literal(0.0), next_value=literal(0.0))
-        ir = flatten(builder.folded)
+        ir = flatten(builder.network)
         assert ir.loop_dependent[ir.init_ids].tolist() == [True, False]
-        assert len(masked_program(builder.folded)) > len(ir)
+        assert len(masked_program(builder.network)) > len(ir)
 
     def test_cache_invalidated_when_slot_rebound(self):
         # Regression: define_slot changes iteration semantics without
         # growing the network; the size-keyed cache must not survive it.
-        builder = FoldedBuilder(2)
+        builder = NetworkBuilder(EventNetwork(iterations=2))
         slot = LoopCVal("S")
         builder.add_target("t", atom(">=", slot, literal(1.0)))
         builder.define_slot("S", init=literal(0.0), next_value=literal(0.0))
-        folded = builder.folded
+        folded = builder.network
         first = flatten(folded)
         loop_in, _, next_node = folded.slots["S"]
         other_init = NetworkBuilder(folded).build(guard(TRUE, 2.0))

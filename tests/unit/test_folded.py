@@ -3,17 +3,25 @@
 import pytest
 
 from repro.compile.compiler import compile_network, make_evaluator
-from repro.compile.folded_eval import FoldedEvaluator
 from repro.data.datasets import sensor_dataset
-from repro.events.expressions import atom, csum, guard, literal, var
+from repro.events.expressions import (
+    LoopCVal,
+    LoopEvent,
+    atom,
+    csum,
+    guard,
+    literal,
+    var,
+)
 from repro.mining.kmedoids import (
     KMedoidsSpec,
     build_kmedoids_folded,
     build_kmedoids_program,
 )
 from repro.mining.targets import medoid_targets
-from repro.network.build import build_network
-from repro.network.folded import FoldedBuilder, FoldedNetwork, LoopCVal, LoopEvent
+from repro.compile.partial import PartialEvaluator
+from repro.network.build import NetworkBuilder, build_network
+from repro.network.nodes import EventNetwork
 
 from ..conftest import make_pool
 
@@ -24,12 +32,12 @@ def make_counter_network(iterations):
     Slot ``S`` accumulates guards across iterations; the target asks
     whether the final sum reaches a threshold.
     """
-    builder = FoldedBuilder(iterations)
+    builder = NetworkBuilder(EventNetwork(iterations=iterations))
     slot = LoopCVal("S")
     next_value = csum([slot, guard(var(0), 1.0)])
     builder.define_slot("S", init=literal(0.0), next_value=next_value)
     builder.add_target("big", atom(">=", next_value, literal(float(iterations))))
-    return builder.folded
+    return builder.network
 
 
 class TestFoldedConstruction:
@@ -39,19 +47,19 @@ class TestFoldedConstruction:
         network.check_complete()
 
     def test_unbound_slot_rejected(self):
-        builder = FoldedBuilder(2)
+        builder = NetworkBuilder(EventNetwork(iterations=2))
         builder.add_target("t", atom(">=", LoopCVal("S"), literal(1.0)))
         with pytest.raises(ValueError):
-            builder.folded.check_complete()
+            builder.network.check_complete()
 
     def test_define_unknown_slot_rejected(self):
-        builder = FoldedBuilder(2)
+        builder = NetworkBuilder(EventNetwork(iterations=2))
         with pytest.raises(KeyError):
-            builder.folded.define_slot("ghost", 0, 0)
+            builder.network.define_slot("ghost", 0, 0)
 
     def test_iterations_validated(self):
         with pytest.raises(ValueError):
-            FoldedNetwork(0)
+            EventNetwork(iterations=0)
 
     def test_loop_dependent_closure(self):
         network = make_counter_network(2)
@@ -112,7 +120,7 @@ class TestFoldedEvaluation:
         network = make_counter_network(2)
         assert isinstance(make_evaluator(network), MaskedEvaluator)
         assert isinstance(
-            make_evaluator(network, engine="scalar"), FoldedEvaluator
+            make_evaluator(network, engine="scalar"), PartialEvaluator
         )
         with pytest.raises(ValueError):
             make_evaluator(network, engine="turbo")
@@ -160,10 +168,22 @@ class TestFoldedEvaluation:
         }
         assert len(sizes) == 1
 
+    def test_nodes_added_after_the_evaluator_are_rejected(self):
+        # Keys are t·N + v with N fixed when the evaluator is made, so a
+        # later node's key would read as another node at a later iteration.
+        builder = NetworkBuilder(EventNetwork(iterations=3))
+        slot = LoopCVal("S")
+        builder.define_slot("S", init=literal(0.0), next_value=slot)
+        builder.add_target("t", atom(">=", slot, literal(1.0)))
+        evaluator = PartialEvaluator(builder.network)
+        late = builder.add_target("late", atom(">=", literal(5.0), literal(1.0)))
+        with pytest.raises(ValueError, match="added after"):
+            evaluator.node_state(late, {})
+
     def test_trail_undo(self):
         pool = make_pool([0.5])
         network = make_counter_network(2)
-        evaluator = FoldedEvaluator(network)
+        evaluator = PartialEvaluator(network)
         evaluator.push()
         evaluator.push(0, True)
         evaluator.target_states(list(network.targets.values()))
@@ -175,13 +195,13 @@ class TestFoldedEvaluation:
 
 class TestConvergenceDetection:
     def test_constant_slot_converges_immediately(self):
-        builder = FoldedBuilder(10)
+        builder = NetworkBuilder(EventNetwork(iterations=10))
         slot = LoopCVal("S")
         # Referencing the slot (in the target) registers it; S never
         # changes: its next value is the constant it started with.
         builder.add_target("t", atom(">=", slot, literal(0.5)))
         builder.define_slot("S", init=literal(1.0), next_value=literal(1.0))
-        evaluator = FoldedEvaluator(builder.folded)
+        evaluator = PartialEvaluator(builder.network)
         evaluator.push()
         iterations, converged = evaluator.slot_trace()
         assert converged
@@ -191,7 +211,7 @@ class TestConvergenceDetection:
         dataset = sensor_dataset(6, scheme="independent", seed=4, group_size=3)
         spec = KMedoidsSpec(k=2, iterations=8)
         folded = build_kmedoids_folded(dataset, spec)
-        evaluator = FoldedEvaluator(folded)
+        evaluator = PartialEvaluator(folded)
         evaluator.push()
         # Under a full assignment, clustering reaches a fixpoint early.
         for index in range(dataset.variable_count):

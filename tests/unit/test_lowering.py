@@ -12,13 +12,18 @@ import random
 from typing import Dict, List
 
 import numpy as np
+import pytest
 
 from repro import KMedoidsSpec, MCLSpec
+from repro.compile.compiler import make_evaluator
+from repro.compile.partial import PartialEvaluator
 from repro.correlations.schemes import make_lineage
 from repro.data.datasets import sensor_dataset
 from repro.engine.ir import flatten
-from repro.engine.masked import _lower_lanes, masked_program
+from repro.engine.masked import MaskedEvaluator, _lower_lanes, masked_program
 from repro.events.expressions import (
+    LoopCVal,
+    LoopEvent,
     atom,
     cdist,
     conj,
@@ -31,7 +36,6 @@ from repro.events.expressions import (
 from repro.mining.kmedoids import build_kmedoids_folded, build_kmedoids_program
 from repro.mining.markov import build_mcl_program, stochastic_graph
 from repro.network.build import NetworkBuilder, build_network, build_targets
-from repro.network.folded import FoldedBuilder, LoopCVal, LoopEvent
 from repro.network.nodes import EventNetwork, Kind, Node
 
 COLUMNS = (
@@ -57,7 +61,7 @@ def _chain_network(iterations: int = 3):
     input, so it is loop-dependent with a larger id: the iteration-0 row
     cannot follow id order.  ``E`` is a Boolean slot.
     """
-    builder = FoldedBuilder(iterations)
+    builder = NetworkBuilder(EventNetwork(iterations=iterations))
     a, b, e = LoopCVal("A"), LoopCVal("B"), LoopEvent("E")
     centre = guard(var(1), np.array([0.5, -1.0]))
     builder.add_target("near", atom("<=", cdist(a, centre), b))
@@ -73,11 +77,11 @@ def _chain_network(iterations: int = 3):
     builder.define_slot(
         "E", init=var(4), next_value=disj([e, atom(">=", b, literal(2.0))])
     )
-    return builder.folded
+    return builder.network
 
 
 def _no_loop_network():
-    builder = FoldedBuilder(3)
+    builder = NetworkBuilder(EventNetwork(iterations=3))
     builder.add_target(
         "t",
         atom(
@@ -89,7 +93,7 @@ def _no_loop_network():
             literal(1.5),
         ),
     )
-    return builder.folded
+    return builder.network
 
 
 def _reference_layer_order(ir) -> List[int]:
@@ -394,6 +398,16 @@ class TestProgramDigests:
             "var_cone": "ad1013fcec02e54a",
             "final_cone": "0e3ba59fec22d480",
         }
+
+
+@pytest.mark.parametrize(
+    "build", [_flat_kmedoids_network, _mcl_network, _folded_mutex_kmedoids_network]
+)
+def test_every_pinned_network_runs_on_the_masked_engine(build):
+    # No network the builder accepts falls back to the scalar oracle.
+    network = build()
+    assert isinstance(make_evaluator(network), MaskedEvaluator)
+    assert isinstance(make_evaluator(network, engine="scalar"), PartialEvaluator)
 
 
 def _frequencies_from_parents(network: EventNetwork) -> Dict[int, int]:

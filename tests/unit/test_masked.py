@@ -9,10 +9,18 @@ from repro.compile.ordering import DynamicInfluenceOrder
 from repro.compile.partial import B_FALSE, B_TRUE, B_UNKNOWN, PartialEvaluator
 from repro.engine.ir import flatten
 from repro.engine.masked import MaskedEvaluator, masked_program
-from repro.events.expressions import atom, conj, csum, disj, guard, literal, var
-from repro.network.build import build_targets
-from repro.network.folded import FoldedBuilder, LoopCVal
-from repro.network.nodes import EventNetwork, Kind, Node
+from repro.events.expressions import (
+    LoopCVal,
+    atom,
+    conj,
+    csum,
+    disj,
+    guard,
+    literal,
+    var,
+)
+from repro.network.build import NetworkBuilder, build_targets
+from repro.network.nodes import EventNetwork, InvalidNetworkError, Kind, Node
 
 from ..conftest import make_pool
 
@@ -30,12 +38,12 @@ def small_network():
 
 
 def counter_network(iterations):
-    builder = FoldedBuilder(iterations)
+    builder = NetworkBuilder(EventNetwork(iterations=iterations))
     slot = LoopCVal("S")
     next_value = csum([slot, guard(var(0), 1.0)])
     builder.define_slot("S", init=literal(0.0), next_value=next_value)
     builder.add_target("big", atom(">=", next_value, literal(float(iterations))))
-    return builder.folded
+    return builder.network
 
 
 class TestMaskedProgram:
@@ -184,14 +192,15 @@ class TestEngineSeam:
             make_evaluator(network, engine="scalar"), PartialEvaluator
         )
 
-    def test_non_topological_network_falls_back_to_scalar(self):
+    def test_non_topological_network_is_rejected(self):
         network = EventNetwork()
-        # Hand-built, deliberately out of topological order.
+        # Hand-built, deliberately out of topological order: the masked
+        # engine rejects it instead of handing it to the scalar oracle.
         network.nodes.append(Node(0, Kind.AND, (1,), None))
         network.nodes.append(Node(1, Kind.VAR, (), 0))
         network.targets["t"] = 0
-        evaluator = make_evaluator(network)
-        assert isinstance(evaluator, PartialEvaluator)
+        with pytest.raises(InvalidNetworkError, match="not topological"):
+            make_evaluator(network)
 
     def test_compiler_records_engine(self):
         pool = make_pool([0.5, 0.5])

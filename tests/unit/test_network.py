@@ -11,6 +11,8 @@ from repro.correlations.schemes import make_lineage
 from repro.data.datasets import sensor_dataset
 from repro.events.expressions import (
     CRef,
+    LoopCVal,
+    LoopEvent,
     Ref,
     atom,
     cdist,
@@ -29,10 +31,11 @@ from repro.mining.kmeans import KMeansSpec
 from repro.mining.kmedoids import build_kmedoids_folded
 from repro.mining.markov import build_mcl_program, stochastic_graph
 from repro.mining.programs import KMEDOIDS_SOURCE
-from repro.network import folded
+from repro.network import build
 from repro.network.build import NetworkBuilder, build_network, build_targets
 from repro.network.dot import to_dot
-from repro.network.nodes import Kind
+from repro.network.nodes import EventNetwork, InvalidNetworkError, Kind
+from repro.network.serialize import network_from_dict, network_to_dict
 
 
 class TestHashConsing:
@@ -118,8 +121,8 @@ class StructuralBuilder(NetworkBuilder):
         network = self.network
         if isinstance(expression, (Ref, CRef)):
             node_id = network.names[expression.name]
-        elif isinstance(expression, (folded.LoopEvent, folded.LoopCVal)):
-            payload = (expression.name, isinstance(expression, folded.LoopEvent))
+        elif isinstance(expression, (LoopEvent, LoopCVal)):
+            payload = (expression.name, isinstance(expression, LoopEvent))
             node_id = network._intern(Kind.LOOP_IN, (), payload, payload)
             network.slots.setdefault(expression.name, (node_id, None, None))
         else:
@@ -143,10 +146,6 @@ STRUCTURE = {
     "CInv": (Kind.INV, None), "CPow": (Kind.POW, "exponent"),
     "CDist": (Kind.DIST, "metric"),
 }
-
-
-class StructuralFoldedBuilder(StructuralBuilder, folded.FoldedBuilder):
-    pass
 
 
 def node_arrays(network):
@@ -204,9 +203,75 @@ class TestFrontEndsAgainstStructuralMemo:
         dataset = sensor_dataset(8, scheme="mutex", seed=2)
         spec = KMedoidsSpec(k=2, iterations=3)
         network = build_kmedoids_folded(dataset, spec)
-        monkeypatch.setattr(folded, "FoldedBuilder", StructuralFoldedBuilder)
+        monkeypatch.setattr(build, "NetworkBuilder", StructuralBuilder)
         reference = build_kmedoids_folded(dataset, spec)
         assert node_arrays(network) == node_arrays(reference)
+
+
+def _cyclic_slots_network() -> EventNetwork:
+    """Slots ``A`` and ``B`` whose initial values read each other."""
+    builder = NetworkBuilder(EventNetwork(iterations=2))
+    slot_a, slot_b = LoopCVal("A"), LoopCVal("B")
+    builder.add_target("t", atom(">=", slot_a, literal(1.0)))
+    builder.define_slot("A", init=csum([slot_b, literal(1.0)]), next_value=slot_a)
+    builder.define_slot("B", init=csum([slot_a, literal(1.0)]), next_value=slot_b)
+    return builder.network
+
+
+class TestBuildTimeRejection:
+    """A network no evaluator can run is rejected where it is built —
+    by the builder and by ``network_from_dict`` — with one error type,
+    one test per check the lowering used to make at evaluation time."""
+
+    def test_loop_slot_without_a_loop(self):
+        with pytest.raises(InvalidNetworkError, match="no loop"):
+            NetworkBuilder().build(atom(">=", LoopCVal("S"), literal(1.0)))
+        document = network_to_dict(build_targets({"t": var(0)}))
+        loop_in = {"slot": "S", "boolean": True}
+        document["nodes"].append({"k": int(Kind.LOOP_IN), "c": [], "p": loop_in})
+        with pytest.raises(InvalidNetworkError, match="no loop"):
+            network_from_dict(document)
+
+    def test_node_order_not_topological(self):
+        document = network_to_dict(build_targets({"t": conj([var(0), var(1)])}))
+        document["nodes"][0]["c"] = [1]
+        with pytest.raises(ValueError, match="must precede it"):
+            network_from_dict(document)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (0,), ()])
+    def test_vector_c_value_not_a_non_empty_1d_array(self, shape):
+        value = np.ones(shape)
+        with pytest.raises(InvalidNetworkError, match="1-d"):
+            NetworkBuilder().build(guard(var(0), value))
+        vector = guard(var(0), np.array([1.0, 2.0]))
+        document = network_to_dict(
+            build_targets({"t": atom("<=", vector, vector)})
+        )
+        (record,) = [r for r in document["nodes"] if isinstance(r["p"], dict)]
+        record["p"]["vector"] = value.tolist()
+        with pytest.raises(InvalidNetworkError, match="1-d"):
+            network_from_dict(document)
+
+    def test_cyclic_slot_initialisation(self):
+        from repro.compile.compiler import make_evaluator
+
+        network = _cyclic_slots_network()
+        with pytest.raises(InvalidNetworkError, match="cyclic"):
+            network.check_complete()
+        with pytest.raises(InvalidNetworkError, match="cyclic"):
+            network_from_dict(network_to_dict(network))
+        for engine in ("masked", "scalar"):
+            with pytest.raises(InvalidNetworkError, match="cyclic"):
+                make_evaluator(network, engine=engine)
+
+    def test_an_init_chain_is_not_a_cycle(self):
+        builder = NetworkBuilder(EventNetwork(iterations=2))
+        slot_a, slot_b = LoopCVal("A"), LoopCVal("B")
+        builder.add_target("t", atom(">=", slot_a, literal(1.0)))
+        builder.define_slot("A", init=csum([slot_b, literal(1.0)]), next_value=slot_a)
+        builder.define_slot("B", init=literal(0.0), next_value=slot_a)
+        builder.network.check_complete()
+        network_from_dict(network_to_dict(builder.network)).check_complete()
 
 
 class TestProgramGrounding:

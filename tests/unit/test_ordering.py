@@ -7,7 +7,6 @@ from repro.compile.compiler import (
     compile_network,
     make_evaluator,
 )
-from repro.compile.folded_eval import FoldedEvaluator
 from repro.compile.ordering import (
     ConeInfluenceOrder,
     DynamicInfluenceOrder,
@@ -15,9 +14,18 @@ from repro.compile.ordering import (
 )
 from repro.compile.partial import PartialEvaluator
 from repro.engine.masked import MaskedEvaluator
-from repro.events.expressions import conj, csum, disj, guard, literal, atom, var
-from repro.network.build import build_targets
-from repro.network.folded import FoldedBuilder, LoopCVal
+from repro.events.expressions import (
+    LoopCVal,
+    atom,
+    conj,
+    csum,
+    disj,
+    guard,
+    literal,
+    var,
+)
+from repro.network.build import NetworkBuilder, build_targets
+from repro.network.nodes import EventNetwork
 
 from ..conftest import make_pool
 
@@ -36,12 +44,12 @@ def influence_network():
 
 
 def folded_counter(iterations=3):
-    builder = FoldedBuilder(iterations)
+    builder = NetworkBuilder(EventNetwork(iterations=iterations))
     slot = LoopCVal("S")
     next_value = csum([slot, guard(var(0), 1.0), guard(var(1), 0.5)])
     builder.define_slot("S", init=literal(0.0), next_value=next_value)
     builder.add_target("big", atom(">=", next_value, literal(float(iterations))))
-    return builder.folded
+    return builder.network
 
 
 class TestConeInfluenceOrder:
@@ -158,7 +166,7 @@ class TestTrailRewind:
 
     def test_folded_evaluator_rewinds(self):
         network = folded_counter()
-        evaluator = FoldedEvaluator(network)
+        evaluator = PartialEvaluator(network)
         evaluator.push()
         evaluator.push(0, True)
         evaluator.target_states(list(network.targets.values()))

@@ -107,14 +107,16 @@ class TestPackedEvaluators:
         assert not actual[network.targets["never"]].any()
 
     def test_folded_evaluator_is_packed_by_default(self):
-        from repro.network.folded import FoldedBuilder, LoopEvent
+        from repro.events.expressions import LoopEvent
+        from repro.network.build import NetworkBuilder
+        from repro.network.nodes import EventNetwork
 
-        builder = FoldedBuilder(2)
+        builder = NetworkBuilder(EventNetwork(iterations=2))
         flag = LoopEvent("flag")
         flag_next = disj([flag, var(0)])
         builder.define_slot("flag", init=var(1), next_value=flag_next)
         builder.add_target("out", flag_next)
-        folded = builder.folded
+        folded = builder.network
         assert make_bulk_evaluator(folded, kernel="python").kernel == "python"
         require_native()
         assert make_bulk_evaluator(folded, kernel="native").kernel == "native"

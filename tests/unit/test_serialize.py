@@ -1,5 +1,7 @@
 """Unit tests for network/pool serialisation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.mining.kmedoids import (
 from repro.mining.targets import medoid_targets
 from repro.network.build import build_network, build_targets
 from repro.network.serialize import (
+    canonical_json_bytes,
     load_network,
     network_from_dict,
     network_to_dict,
@@ -94,6 +97,79 @@ class TestRoundTrip:
         document["slots"][name] = [loop_in, init, len(document["nodes"])]
         with pytest.raises(ValueError, match="outside the network"):
             network_from_dict(document)
+
+
+def _front_end_networks():
+    """One network per front end, plus folded k-medoids."""
+    import random
+
+    from repro import ENFrame, MCLSpec
+    from repro.correlations.schemes import make_lineage
+    from repro.mining.kmeans import KMeansSpec
+    from repro.mining.markov import build_mcl_program, stochastic_graph
+    from repro.mining.programs import KMEDOIDS_SOURCE
+
+    def platform():
+        return ENFrame.from_sensor_data(
+            6, scheme="mutex", group_size=2, mutex_size=2, seed=3
+        )
+
+    spec = KMedoidsSpec(k=2, iterations=2)
+    lineage = make_lineage("independent", 6, random.Random(1), group_size=1)
+    mcl = build_mcl_program(
+        stochastic_graph(6, random.Random(7)),
+        lineage.events,
+        MCLSpec(inflation=2, iterations=2),
+    )
+    return {
+        "kmedoids": platform().kmedoids(spec).network,
+        "kmedoids-folded": platform().kmedoids(spec, folded=True).network,
+        "kmeans": platform().kmeans(KMeansSpec(k=2, iterations=2)).network,
+        "cooccurrence": platform()
+        .kmedoids(spec)
+        .cooccurrence([(0, 1), (2, 3)])
+        .network,
+        "user-program": platform()
+        .user_program(KMEDOIDS_SOURCE, (2, 2), [0, 1], [("Centre", (0, 1))])
+        .network,
+        "mcl": build_network(mcl),
+    }
+
+
+class TestDocumentPins:
+    """SHA-256 of every front end's canonical network document, taken
+    while a network with a loop was still its own class.  A document's
+    bytes are its served hash, so a change here re-keys every cache."""
+
+    PINS = {
+        "kmedoids": "109b927cf71c318811cd9d490dbc58a5bf952f309a8ef38062a58e3eeeab8dc6",
+        "kmedoids-folded": (
+            "3562ce809e3c109fa4bd4f9a3180364f8299ddd04aad90e7eb309c66ed1e52a8"
+        ),
+        "kmeans": "4554e7434f28bda66c42b60d455f41170c1f82beab477081c1fdc0bf6a3147f4",
+        "cooccurrence": (
+            "0654b12734a1e2e803808c4d0e00345667ff214a22abbcab7f02d6631312d65e"
+        ),
+        "user-program": (
+            "16fbb110cf14503d1e9337d0e9cf5a1ed618782d08f4a797807871aed844fb6b"
+        ),
+        "mcl": "33f7782bf38e69601e32f77e1ab889ef02462dda583a4c127c8bcf4208b7df2f",
+    }
+
+    def test_documents_are_byte_identical(self):
+        digests = {
+            name: hashlib.sha256(
+                canonical_json_bytes(network_to_dict(network))
+            ).hexdigest()
+            for name, network in _front_end_networks().items()
+        }
+        assert digests == self.PINS
+
+    def test_round_trip_keeps_the_bytes(self):
+        for network in _front_end_networks().values():
+            document = network_to_dict(network)
+            again = network_to_dict(network_from_dict(document))
+            assert canonical_json_bytes(again) == canonical_json_bytes(document)
 
 
 class TestPoolSerialisation:

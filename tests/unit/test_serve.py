@@ -13,6 +13,7 @@ pile up in the queue and must coalesce into the next batch.
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import threading
 from contextlib import contextmanager
@@ -26,8 +27,9 @@ from repro.engine.registry import (
     run_scheme,
     unregister_scheme,
 )
-from repro.network.build import build_targets
-from repro.network.nodes import Kind
+from repro.events.expressions import LoopCVal, atom, csum, literal
+from repro.network.build import NetworkBuilder, build_targets
+from repro.network.nodes import EventNetwork, Kind
 from repro.network.serialize import (
     canonical_document_bytes,
     canonical_json_bytes,
@@ -424,6 +426,40 @@ class TestStructureKeyedCache:
         after = client.query(network="net", scheme="exact")
         assert after["bounds"] == direct_bounds(edited)
 
+    def test_pass_outliving_an_edit_leaves_no_orphaned_artifacts(self, client):
+        # Both queries are admitted against a cold network before an edit
+        # that changes the structure: neither pass may store its result
+        # or its compiled network under a hash the edit dropped.
+        document = self.document()
+        pool, network = small_instance(seed=8)
+        edited = network_document(network, pool)
+        old_hash = client.put_network_document("net", document)["hash"]
+        old_structure = hashlib.sha256(
+            canonical_json_bytes(document["network"])
+        ).hexdigest()
+        with plugged_scheme() as (gate, started):
+            plug = threading.Thread(
+                target=client.query,
+                kwargs=dict(network="net", scheme="serve-plug"),
+            )
+            plug.start()
+            assert started.wait(10.0)
+            queued = threading.Thread(
+                target=client.query, kwargs=dict(network="net", scheme="exact")
+            )
+            queued.start()
+            wait_for_pending(client, 2)
+            client.put_network_document("net", edited)
+            gate.set()
+            queued.join(timeout=30.0)
+            plug.join(timeout=30.0)
+        assert not queued.is_alive() and not plug.is_alive()
+        stats = client.stats()
+        assert stats["executor"]["passes"] == 2
+        assert old_hash not in stats["cache"]["by_hash"]
+        assert old_structure not in stats["cache"]["by_hash"]
+        assert stats["cache"]["entries"] == 0
+
 
 class TestArtifactCacheUnit:
     def test_lru_evicts_in_recency_order_with_exact_counters(self):
@@ -519,6 +555,9 @@ class TestValidation:
             "target-out-of-range",
             "name-out-of-range",
             "non-boolean-target",
+            "loop-input-without-a-loop",
+            "cyclic-slot-inits",
+            "vector-guard-not-1d",
         ],
     )
     def test_malformed_network_sections_are_400(self, client, case):
@@ -540,6 +579,25 @@ class TestValidation:
             section["targets"]["t0"] = len(nodes)
         elif case == "name-out-of-range":
             section["names"]["ghost"] = len(nodes)
+        elif case == "loop-input-without-a-loop":
+            loop_in = {"slot": "S", "boolean": True}
+            nodes.append({"k": int(Kind.LOOP_IN), "c": [], "p": loop_in})
+        elif case == "cyclic-slot-inits":
+            builder = NetworkBuilder(EventNetwork(iterations=2))
+            slot_a, slot_b = LoopCVal("A"), LoopCVal("B")
+            builder.add_target("t", atom(">=", slot_a, literal(1.0)))
+            one = literal(1.0)
+            builder.define_slot("A", init=csum([slot_b, one]), next_value=slot_a)
+            builder.define_slot("B", init=csum([slot_a, one]), next_value=slot_b)
+            document["network"] = network_to_dict(builder.network)
+        elif case == "vector-guard-not-1d":
+            nodes.append(
+                {
+                    "k": int(Kind.GUARD),
+                    "c": [section["targets"]["t0"]],
+                    "p": {"vector": [[1.0, 2.0], [3.0, 4.0]]},
+                }
+            )
         else:
             nodes.append({"k": int(Kind.SUM), "c": [], "p": None})
             section["targets"]["t0"] = len(nodes) - 1
