@@ -16,7 +16,8 @@ through the scheme registry:
 
 All three must agree to 1e-9 on the shared final-iteration targets; a
 Monte Carlo section compares the scalar and bulk samplers at a fixed
-sample budget.  Every timing is the median of ``REPEATS`` runs.  Results are printed paper-style and written to
+sample budget.  Every timing is a per-call median (see ``_timed``).
+Results are printed paper-style and written to
 ``BENCH_folded.json`` at the repository root (override with
 ``--output``; ``--smoke`` runs a seconds-scale subset for CI).
 
@@ -54,9 +55,14 @@ GROUP_SIZE = 1
 MC_SAMPLES = 2000
 SMOKE_MC_SAMPLES = 200
 MATCH_ABS = 1e-9
-# Each side of a row is the median of this many runs: single timings of
-# these millisecond-scale runs spread wider than the 25 % gate.
+# Each side of a row is a per-call median: a call is repeated at least
+# REPEATS times and until the calls add up to MIN_TOTAL_SECONDS, so the
+# sub-millisecond bulk side gets hundreds of samples (single timings of
+# it spread wider than the 25 % gate).  A call slower than SLOW_SECONDS
+# runs once.
 REPEATS = 5
+MIN_TOTAL_SECONDS = 0.05
+SLOW_SECONDS = 1.0
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_folded.json"
 
 
@@ -74,13 +80,17 @@ def networks_for(objects: int, iterations: int):
 
 
 def _timed(scheme: str, network, pool, targets, **options) -> Dict[str, object]:
-    """One scheme's result and its median ``seconds`` over ``REPEATS`` runs."""
+    """One scheme's result and its per-call median ``seconds`` (autorange)."""
     seconds, walls = [], []
-    for _ in range(REPEATS):
+    while True:
         started = time.perf_counter()
         result = run_scheme(scheme, network, pool, targets=targets, **options)
         walls.append(time.perf_counter() - started)
         seconds.append(max(result.seconds, 1e-9))
+        if seconds[0] > SLOW_SECONDS or (
+            len(seconds) >= REPEATS and sum(walls) >= MIN_TOTAL_SECONDS
+        ):
+            break
     return {
         "result": result,
         "seconds": statistics.median(seconds),

@@ -260,40 +260,6 @@ def _command_kernels(args: argparse.Namespace) -> int:
     return 0
 
 
-def add_check_arguments(parser: argparse.ArgumentParser) -> None:
-    """``repro check``'s arguments, declared here so that building the
-    parser imports no ``repro.analysis`` code."""
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        metavar="PATH",
-        help="restrict the rules to these repo-relative files",
-    )
-    parser.add_argument(
-        "--root",
-        default=None,
-        help="repository root (default: nearest ancestor with pyproject.toml)",
-    )
-    parser.add_argument(
-        "--list",
-        action="store_true",
-        dest="list_rules",
-        help="list the registered rules and exit",
-    )
-    parser.add_argument(
-        "--inject-violation",
-        action="store_true",
-        help="also lint a deliberately broken virtual module; used by CI "
-        "to prove the gate can fail (must exit 1)",
-    )
-
-
-def _command_check(args: argparse.Namespace) -> int:
-    from .analysis import runner
-
-    return runner.handle(args)
-
-
 def _parse_cache_bytes(raw: str) -> int:
     """``--cache-bytes`` accepts plain bytes or a k/m/g suffix."""
     scale = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
@@ -501,12 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
         "kernels", help="report kernel tier availability and the default"
     )
     kernels.set_defaults(handler=_command_kernels)
-
-    check = subparsers.add_parser(
-        "check", help="run the repository's invariant lints (static analysis)"
-    )
-    add_check_arguments(check)
-    check.set_defaults(handler=_command_check)
 
     return parser
 

@@ -132,6 +132,7 @@ def monte_carlo_probabilities_scalar(
         epsilon=0.0,
         seconds=elapsed,
         tree_nodes=samples,
+        evals=evaluator.evals,
     )
     result.extra["samples"] = float(samples)
     result.extra["confidence"] = confidence

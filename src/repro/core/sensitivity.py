@@ -55,20 +55,20 @@ def conditioned_probability(
 ) -> float:
     """``P(target | assignment)`` by compiling under forced variables.
 
-    Forcing is implemented by temporarily pinning the variables'
-    marginals to 0/1, which makes the compiler prune the contradicting
-    branches at zero cost.
+    Forcing is implemented by compiling against a private copy of the
+    pool whose forced variables have marginals 0/1, which makes the
+    compiler prune the contradicting branches at zero cost.  The
+    caller's pool is only read, so a thread sharing it never sees the
+    pinned marginals.
     """
-    saved = {index: pool.probability(index) for index in assignment}
-    try:
-        for index, value in assignment.items():
-            pool.set_probability(index, 1.0 if value else 0.0)
-        compiler = ShannonCompiler(network, pool, targets=[target])
-        result = compiler.run()
-        return result.bounds[target][0]
-    finally:
-        for index, probability in saved.items():
-            pool.set_probability(index, probability)
+    marginals = list(pool.probabilities)
+    for index, value in assignment.items():
+        marginals[index] = 1.0 if value else 0.0
+    forced = VariablePool()
+    for index, probability in enumerate(marginals):
+        forced.add(probability, pool.name(index))
+    result = ShannonCompiler(network, forced, targets=[target]).run()
+    return result.bounds[target][0]
 
 
 def variable_influences(

@@ -128,6 +128,7 @@ def naive_probabilities_scalar(
         epsilon=0.0,
         seconds=elapsed,
         tree_nodes=worlds,
+        evals=evaluator.evals,
     )
     result.extra["distinct_worlds"] = float(len(cache)) if cache else float(worlds)
     result.extra["timed_out"] = 1.0 if timed_out else 0.0

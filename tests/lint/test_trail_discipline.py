@@ -24,9 +24,16 @@ runtime.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
-from .core import Finding, FunctionStackVisitor, Rule, SourceFile, register_rule
+from ._source import FunctionStackVisitor, violations
+
+RULE = "trail-discipline"
+HINT = (
+    "route the write through push() so the trail records "
+    "the old value and pop()/rewind_to() can restore it; see "
+    "docs/ARCHITECTURE.md, 'Enforced invariants'"
+)
 
 #: Masked-evaluator state columns (list storage in the Python evaluator,
 #: NumPy arrays in the kernel evaluator — same attribute names).
@@ -70,12 +77,10 @@ def _column_target(node: ast.expr) -> "tuple[str, int] | None":
 
 
 class _Visitor(FunctionStackVisitor):
-    def __init__(self, rule: "TrailDisciplineRule", source: SourceFile) -> None:
+    def __init__(self, relpath: str) -> None:
         super().__init__()
-        self.rule = rule
-        self.source = source
-        self.findings: List[Finding] = []
-        self.extra = IMPLEMENTATION_EXTRA.get(source.path, frozenset())
+        self.findings: List[Tuple[int, str]] = []
+        self.extra = IMPLEMENTATION_EXTRA.get(relpath, frozenset())
 
     def _allowed_here(self) -> bool:
         name = self.function
@@ -95,8 +100,7 @@ class _Visitor(FunctionStackVisitor):
                 else "module level"
             )
             self.findings.append(
-                self.rule.finding(
-                    self.source,
+                (
                     line,
                     "direct write to masked-evaluator state column "
                     f"{column!r} in {where}, outside the trail protocol",
@@ -120,22 +124,79 @@ class _Visitor(FunctionStackVisitor):
         self.generic_visit(node)
 
 
-class TrailDisciplineRule(Rule):
-    name = "trail-discipline"
-    description = (
-        "masked-evaluator state columns are only written through the "
-        "trail protocol (push/pop/rewind_to)"
+def findings(relpath: str, tree: ast.Module) -> List[Tuple[int, str]]:
+    visitor = _Visitor(relpath)
+    visitor.visit(tree)
+    return visitor.findings
+
+
+def test_repository_is_clean():
+    found = violations(RULE, findings)
+    assert not found, "\n".join(found) + f"\n    hint: {HINT}"
+
+
+# ----------------------------------------------------------------------
+# Fixtures
+# ----------------------------------------------------------------------
+
+PATH = "src/repro/compile/replay.py"
+
+
+def lines(relpath, text):
+    return [line for line, _ in findings(relpath, ast.parse(text))]
+
+
+def test_bad_direct_column_write():
+    bad = (
+        "def replay(ev, prefix):\n"
+        "    for vid, val in prefix:\n"
+        "        ev._b[vid] = 1 if val else 0\n"
     )
-    hint = (
-        "route the write through push() so the trail records "
-        "the old value and pop()/rewind_to() can restore it; see "
-        "docs/ARCHITECTURE.md, 'Enforced invariants'"
+    assert lines(PATH, bad) == [3]
+
+
+def test_bad_assignment_dict_write():
+    bad = "def seed(ev, var):\n    ev.assignment[var] = True\n"
+    assert lines(PATH, bad)
+
+
+def test_bad_delete():
+    bad = "def wipe(ev, var):\n    del ev._lo[var]\n"
+    assert lines(PATH, bad)
+
+
+def test_bad_injected_module():
+    # A column poke in a new engine module, as a careless evaluator
+    # would write it.
+    bad = (
+        "class BrokenEvaluator:\n"
+        "    def poke(self, vid):\n"
+        "        self._b[vid] = 1\n"
     )
-
-    def check(self, source: SourceFile) -> Iterable[Finding]:
-        visitor = _Visitor(self, source)
-        visitor.visit(source.tree)
-        return visitor.findings
+    assert lines("src/repro/engine/_injected_violation.py", bad) == [3]
 
 
-RULE = register_rule(TrailDisciplineRule())
+def test_good_protocol_functions():
+    good = (
+        "class Ev:\n"
+        "    def __init__(self):\n"
+        "        self._b = []\n"
+        "    def push(self, var, val):\n"
+        "        self.assignment[var] = val\n"
+        "    def pop(self):\n"
+        "        self._b[0] = 0\n"
+        "    def rewind_to(self, mark):\n"
+        "        self._mu[2] = True\n"
+    )
+    assert not lines(PATH, good)
+
+
+def test_good_push_call():
+    good = "def replay(ev, prefix):\n    ev.push(0, True)\n"
+    assert not lines(PATH, good)
+
+
+def test_implementation_extra_scoped_to_module():
+    text = "class Ev:\n    def _sweep_cone(self):\n        self._dirty[0] = 1\n"
+    assert not lines("src/repro/engine/masked.py", text)
+    assert lines("src/repro/compile/other.py", text)

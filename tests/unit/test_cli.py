@@ -203,23 +203,6 @@ class TestCommands:
         assert "interpreted" not in out and "numba" not in out
         assert "default:" in out
 
-    def test_check_runs_clean_on_this_repo(self, capsys):
-        code = main(["check"])
-        assert code == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_check_list_rules(self, capsys):
-        code = main(["check", "--list"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "kernel-hygiene" in out and "trail-discipline" in out
-        assert len(out.strip().splitlines()) == 4
-
-    def test_check_inject_violation_fails(self, capsys):
-        code = main(["check", "--inject-violation"])
-        assert code == 1
-        assert "finding(s)" in capsys.readouterr().out
-
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 CLUSTER = ["cluster", "--objects", "8", "--group-size", "2", "--limit", "3"]

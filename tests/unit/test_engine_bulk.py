@@ -170,6 +170,9 @@ class TestBulkNaive:
             assert bulk.bounds[name][0] == bulk.bounds[name][1]
         assert bulk.tree_nodes == scalar.tree_nodes
         assert bulk.extra["vectorized"] == 1.0
+        # The oracle reports its node evaluations, the same on every run.
+        assert scalar.evals > 0
+        assert naive_probabilities_scalar(network, pool).evals == scalar.evals
 
     def test_chunking_does_not_change_results(self):
         pool = make_pool([0.5, 0.4, 0.7, 0.2, 0.9])

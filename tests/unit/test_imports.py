@@ -34,7 +34,6 @@ NOT_ON_CLUSTER_PATH = (
     "repro.compile.transport",
     "repro.serve",
     "repro.session",
-    "repro.analysis",
     "repro.mining.kmeans",
     "repro.mining.markov",
     "socket",

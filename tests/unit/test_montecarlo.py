@@ -108,6 +108,10 @@ class TestScalarOracle:
             network, pool, samples=4000, seed=1
         )
         assert abs(result.probability("t") - exact) < 0.05
+        # It reports its node evaluations, the same for the same seed.
+        assert result.evals > 0
+        again = monte_carlo_probabilities_scalar(network, pool, samples=4000, seed=1)
+        assert again.evals == result.evals
 
     def test_bulk_and_scalar_report_same_shape(self):
         pool = make_pool([0.5])

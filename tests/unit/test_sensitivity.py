@@ -11,6 +11,7 @@ from repro.core.sensitivity import (
 from repro.events.expressions import conj, disj, negate, var
 from repro.events.probability import event_probability
 from repro.network.build import build_targets
+from repro.worlds.variables import VariablePool
 
 from ..conftest import make_pool
 
@@ -59,6 +60,18 @@ class TestInfluences:
         network = build_targets({"t": var(0)})
         influences = variable_influences(network, pool, "t")
         assert [i.variable for i in influences] == [0]
+
+    def test_caller_pool_is_never_written(self):
+        # A thread sharing the pool must never see a pinned marginal.
+        class ReadOnlyPool(VariablePool):
+            def set_probability(self, index, probability):
+                raise AssertionError("the caller's pool was written")
+
+        shared = ReadOnlyPool()
+        shared.add_many([0.3, 0.6])
+        network = build_targets({"t": disj([var(0), conj([negate(var(0)), var(1)])])})
+        influences = variable_influences(network, shared, "t")
+        assert influences == variable_influences(network, make_pool([0.3, 0.6]), "t")
 
     def test_ranking_by_magnitude(self):
         pool = make_pool([0.5, 0.5])
