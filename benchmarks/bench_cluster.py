@@ -1,6 +1,6 @@
-"""The worker pool: exactness, spawn cost, stealing, adaptive sizing.
+"""The worker pool: exactness, spawn cost, stealing.
 
-Four questions, answered on the paper's k-medoids workloads:
+Three questions, answered on the paper's k-medoids workloads:
 
 * **Is process mode an exact replica?**  Every row first asserts that
   ``execution="process"`` produces the same job DAG, the same decision
@@ -22,10 +22,6 @@ Four questions, answered on the paper's k-medoids workloads:
   and must not move a single tree node; since the skew is sleep-based
   (not CPU contention), the steal-on run finishes measurably earlier
   even on one CPU, asserted outside ``--smoke``.
-
-* **Where does adaptive sizing settle?**  ``job_size="adaptive"``
-  against the fixed default: the depth the cost model picks, and exact
-  bounds that do not move with the partition.
 
 This file's gate is its exactness assertions (``max_abs_diff`` 0.0 on
 every row, ``steals > 0``).  Wall-clock numbers depend on the CPU
@@ -206,48 +202,6 @@ def sweep_stealing(objects: int) -> Dict[str, float]:
     }
 
 
-def sweep_adaptive(object_sweep, workers: int) -> List[Dict[str, float]]:
-    """The cost model's chosen depth vs the fixed default."""
-    rows = []
-    for objects in object_sweep:
-        workload = make_workload(objects, "independent", seed=1)
-        pool = workload.dataset.pool
-        fixed = DistributedCompiler(
-            workload.network, pool, targets=workload.targets,
-            workers=workers, job_size=JOB_SIZE,
-        )
-        # A target well above the measured ~2-5 ms per default-depth job,
-        # so the cost model visibly coarsens the fork depth.
-        adaptive = DistributedCompiler(
-            workload.network, pool, targets=workload.targets,
-            workers=workers, job_size="adaptive", target_job_cost=0.02,
-        )
-        fixed_result = fixed.run(scheme="exact")
-        started = time.perf_counter()
-        adaptive_result = adaptive.run(scheme="exact")
-        adaptive_seconds = time.perf_counter() - started
-        # Exact bounds are partition-independent: sizing must not move them.
-        max_diff = max(
-            max(
-                abs(fixed_result.bounds[name][0] - adaptive_result.bounds[name][0]),
-                abs(fixed_result.bounds[name][1] - adaptive_result.bounds[name][1]),
-            )
-            for name in fixed_result.bounds
-        )
-        assert max_diff <= MATCH_ABS, f"adaptive sizing moved bounds: {max_diff}"
-        rows.append(
-            {
-                "objects": objects,
-                "fixed_jobs": fixed_result.jobs,
-                "adaptive_jobs": adaptive_result.jobs,
-                "final_job_size": adaptive_result.extra["job_size"],
-                "adaptive_seconds": adaptive_seconds,
-                "max_abs_diff": max_diff,
-            }
-        )
-    return rows
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -267,7 +221,6 @@ def main(argv=None) -> int:
 
     pool_rows = sweep_pools(object_sweep, worker_sweep, warm_runs)
     stealing = sweep_stealing(object_sweep[0])
-    adaptive_rows = sweep_adaptive(object_sweep, worker_sweep[-1])
 
     print(f"\n== Simulate vs the worker pool (exact, {cpus} CPU(s)) ==")
     print(
@@ -295,17 +248,6 @@ def main(argv=None) -> int:
         f"({stealing['wallclock_ratio_steal_off_vs_on']:.2f}x)"
     )
 
-    print("\n== Adaptive job sizing (exact, partition-independent bounds) ==")
-    print(
-        f"{'objects':>8}  {'fixed jobs':>11}  {'adaptive jobs':>14}"
-        f"  {'final d':>8}"
-    )
-    for row in adaptive_rows:
-        print(
-            f"{row['objects']:>8}  {row['fixed_jobs']:>11}"
-            f"  {row['adaptive_jobs']:>14}  {row['final_job_size']:>8.0f}"
-        )
-
     if not args.smoke:
         win = stealing["wallclock_ratio_steal_off_vs_on"]
         assert win >= STEAL_WIN_TARGET, (
@@ -328,7 +270,6 @@ def main(argv=None) -> int:
         "steal_win_target": STEAL_WIN_TARGET,
         "pools": pool_rows,
         "stealing": stealing,
-        "adaptive": adaptive_rows,
         # Deliberately NOT named *speedup*: wall-clock ratios across
         # scheduling policies depend on the machine's CPU budget and
         # the injected skew, so the regression gate must not auto-guard

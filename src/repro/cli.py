@@ -96,18 +96,6 @@ def _parse_evidence(raw: str) -> tuple:
         return ("event", text)
 
 
-def _parse_job_size(raw: str) -> "int | str":
-    """``--job-size`` accepts an integer depth or ``adaptive``."""
-    if raw == "adaptive":
-        return raw
-    try:
-        return int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"job size must be an integer or 'adaptive', got {raw!r}"
-        ) from None
-
-
 def _kernel_line(extra: dict) -> str:
     """``kernel: <tier that ran>``, plus why any higher tier was rejected."""
     from .engine.kernels import BACKEND_ERRORS, KERNEL_TIER_CODES
@@ -124,7 +112,7 @@ def _kernel_line(extra: dict) -> str:
 
 
 def _cluster_details(extra: dict) -> str:
-    """The ``--verbose`` report: stealing, message waits, job sizing."""
+    """The ``--verbose`` report: stealing, message waits, wire bytes."""
     lines = [_kernel_line(extra), "distributed run details:"]
     if "steals" in extra:
         lines.append(
@@ -142,22 +130,6 @@ def _cluster_details(extra: dict) -> str:
             f"  wire bytes: {extra['wire_bytes_sent']:.0f} sent, "
             f"{extra['wire_bytes_received']:.0f} received"
         )
-    sizing = extra.get("job_sizing")
-    if isinstance(sizing, dict):
-        lines.append(
-            f"  adaptive job sizing: final depth "
-            f"{sizing['final_depth']:.0f}, EWMA cost "
-            f"{sizing['ewma_cost']:.5f}s (target "
-            f"{sizing['target_cost']:.5f}s), "
-            f"{sizing['merges']:.0f} merges / {sizing['splits']:.0f} splits"
-        )
-        for number, wave in enumerate(sizing.get("waves", [])):
-            lines.append(
-                f"    wave {number}: depth {wave['depth']:.0f}, "
-                f"{wave['jobs']:.0f} jobs, mean {wave['mean_cost']:.5f}s, "
-                f"EWMA {wave['ewma_cost']:.5f}s -> depth "
-                f"{wave['next_depth']:.0f}"
-            )
     return "\n".join(lines)
 
 
@@ -380,9 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(dynamic = cone-aware influence)")
     cluster.add_argument("--workers", type=int, default=None,
                          help="enable distributed compilation with N workers")
-    cluster.add_argument("--job-size", type=_parse_job_size, default=3,
-                         help="distributed job size d, or 'adaptive' to pick "
-                              "it from measured per-job costs (default 3)")
+    cluster.add_argument("--job-size", type=int, default=3,
+                         help="distributed job size d: the fork depth of "
+                              "one job (default 3)")
     cluster.add_argument("--execution",
                          choices=("simulate", "process"),
                          default="simulate",
@@ -402,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "coordinator before giving up (default 10)")
     cluster.add_argument("--verbose", action="store_true",
                          help="print distributed run details: work "
-                              "stealing, message waits, adaptive job sizing")
+                              "stealing, message waits, worker failures, "
+                              "wire bytes")
     cluster.add_argument("--kernel", choices=KERNEL_NAMES, default=None,
                          help="evaluator kernel tier for kernel-capable "
                               "schemes: auto (default; native C, then "

@@ -118,8 +118,8 @@ class ShannonCompiler:
         self.order: VariableOrder = make_order(network, order)
         if kernel is not None and ":" not in engine:
             # Fold the tier into the engine string so it survives every
-            # place the engine travels as a plain string (distributed
-            # worker configs, job pickles, evaluator rebuilds).
+            # place the engine travels as a plain string (the distributed
+            # worker config, evaluator rebuilds).
             engine = f"{engine}:{kernel}"
         self.engine = engine
         # Run state (reset per run()).  A caller may hand over an

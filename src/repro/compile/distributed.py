@@ -27,7 +27,8 @@ however jobs are scheduled:
   join** and lower the network themselves, then receive jobs as small
   self-contained messages (the job's assignment prefix, its budgets and
   the barrier's bound snapshot).  Results stream back as ``(bounds
-  deltas, eval count, cost)`` records.
+  deltas, eval count, cost)`` records.  Every record is JSON of a fixed
+  schema (:data:`repro.compile.transport.RECORDS`).
 
 **Reaching a job root.**  A job message carries its *prefix* and nothing
 else about evaluator state — the paper's job.  Each worker, in every mode,
@@ -41,16 +42,6 @@ compiled re-push of a 6-frame prefix costs ~0.1 ms.  On an install with
 no C compiler the suffix is re-swept on the Python tier, where a sweep
 costs about twice a verbatim column write; ``docs/BENCHMARKS.md`` has
 that configuration measured end to end.)
-
-The measured per-job costs also feed an :class:`AdaptiveJobSizer`
-(``job_size="adaptive"``): an online cost model that raises the fork
-depth ``d`` when jobs run shorter than the target granularity (merging
-pending work into fewer, larger jobs) and lowers it when they overshoot
-(splitting pending work finer), one step per generation barrier.
-Because the model consumes wall-clock measurements, adaptive runs are
-the one case where the job partition (and, for the ε-schemes, the tree
-shape) is not bit-reproducible across runs or modes — bounds remain
-certified regardless.
 
 On top of the pool the coordinator runs a bounded-inflight scheduler:
 
@@ -70,7 +61,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import pickle
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -80,7 +70,7 @@ from ..network.nodes import EventNetwork
 from ..worlds.variables import VariablePool
 from .compiler import ShannonCompiler, make_evaluator
 from .result import CompilationResult
-from .transport import WorkerTransport
+from .transport import Prefix, WorkerTransport, _JobMessage, _Outcome
 
 EXECUTIONS = ("simulate", "process")
 # How result.extra["execution"] encodes the mode (1.0 and 3.0 retired).
@@ -95,133 +85,12 @@ class Job:
     """A unit of work: explore the subtree below ``prefix`` to depth ``d``."""
 
     index: int
-    prefix: Tuple[Tuple[int, bool], ...]
+    prefix: Prefix
     prob: float
     active: Tuple[str, ...]
     budgets: Dict[str, float]
     cost: float = 0.0
     excluded_workers: set = field(default_factory=set)
-
-    @property
-    def depth(self) -> int:
-        return len(self.prefix)
-
-
-@dataclass
-class _Outcome:
-    """What one executed job reports back to the coordinator."""
-
-    lower_delta: Dict[str, float]
-    upper_delta: Dict[str, float]  # how much each upper bound shrank
-    residual: Dict[str, float]
-    global_left: Dict[str, float]  # unconsumed eager global-budget share
-    children: List[tuple]  # (prefix, prob, active, budgets)
-    cost: float
-    tree_nodes: int
-    evals: int
-    max_depth: int
-    # Time the worker sat blocked waiting for this job's message.
-    recv_wait: float = 0.0
-
-
-@dataclass
-class _JobMessage:
-    """One job on the coordinator→worker wire; self-contained."""
-
-    job_index: int
-    scheme: str
-    epsilon: float
-    job_size: int
-    prefix: Tuple[Tuple[int, bool], ...]  # the job root's assignments
-    prob: float
-    active: Tuple[str, ...]
-    budgets: Dict[str, float]
-    snap_lower: Dict[str, float]
-    snap_upper: Dict[str, float]
-    global_share: Dict[str, float]
-
-
-class AdaptiveJobSizer:
-    """Online cost model choosing the job fork depth ``d``.
-
-    Each unit of ``d`` roughly doubles the subtree a job explores, so
-    the sizer nudges ``d`` by one step per generation barrier: when the
-    (exponentially smoothed) mean measured job cost falls below half
-    the target it *merges* — raises ``d`` so pending jobs fork later
-    and coarser — and when it exceeds twice the target it *splits* —
-    lowers ``d`` so pending jobs fork sooner and finer.  The dead band
-    between the two thresholds keeps the depth stable once per-job cost
-    sits near the target granularity.
-    """
-
-    def __init__(
-        self,
-        initial: int = 3,
-        target_cost: float = 0.01,
-        min_size: int = 1,
-        max_size: int = 16,
-        smoothing: float = 0.5,
-    ) -> None:
-        if initial < min_size or initial > max_size:
-            raise ValueError("initial job size outside [min_size, max_size]")
-        if target_cost <= 0.0:
-            raise ValueError("target_cost must be positive")
-        self.job_size = initial
-        self.target_cost = target_cost
-        self.min_size = min_size
-        self.max_size = max_size
-        self.smoothing = smoothing
-        self._avg: Optional[float] = None
-        self.merges = 0
-        self.splits = 0
-        # One record per observed generation: the depth the wave ran
-        # at, its mean/EWMA cost, and the job count — surfaced in
-        # ``result.extra["job_sizing"]`` and ``repro cluster --verbose``.
-        self.history: List[Dict[str, float]] = []
-
-    def observe_wave(self, costs: Sequence[float]) -> int:
-        """Fold one generation's measured job costs into the model.
-
-        Returns the fork depth to use for the next generation.
-        """
-        if costs:
-            mean = sum(costs) / len(costs)
-            if self._avg is None:
-                self._avg = mean
-            else:
-                self._avg = (
-                    self.smoothing * mean + (1.0 - self.smoothing) * self._avg
-                )
-            observed_depth = self.job_size
-            if self._avg < 0.5 * self.target_cost:
-                if self.job_size < self.max_size:
-                    self.job_size += 1  # merge: fewer, larger jobs
-                    self.merges += 1
-            elif self._avg > 2.0 * self.target_cost:
-                if self.job_size > self.min_size:
-                    self.job_size -= 1  # split: more, smaller jobs
-                    self.splits += 1
-            self.history.append(
-                {
-                    "depth": float(observed_depth),
-                    "jobs": float(len(costs)),
-                    "mean_cost": mean,
-                    "ewma_cost": self._avg,
-                    "next_depth": float(self.job_size),
-                }
-            )
-        return self.job_size
-
-    def report(self) -> dict:
-        """The sizer's decision trail, for ``result.extra["job_sizing"]``."""
-        return {
-            "final_depth": float(self.job_size),
-            "target_cost": self.target_cost,
-            "ewma_cost": 0.0 if self._avg is None else self._avg,
-            "merges": float(self.merges),
-            "splits": float(self.splits),
-            "waves": [dict(record) for record in self.history],
-        }
 
 
 class _JobCompiler(ShannonCompiler):
@@ -263,7 +132,7 @@ class _PrefixCursor:
         self._network = network
         self._engine = engine
         self.evaluator = None
-        self.applied: Tuple[Tuple[int, bool], ...] = ()
+        self.applied: Prefix = ()
 
     def ensure(self):
         """The worker's evaluator, rebuilt only if its trail is off."""
@@ -278,7 +147,7 @@ class _PrefixCursor:
             self.applied = ()
         return evaluator
 
-    def seek(self, prefix: Tuple[Tuple[int, bool], ...]) -> None:
+    def seek(self, prefix: Prefix) -> None:
         """Move the evaluator from the applied prefix to ``prefix``."""
         evaluator = self.evaluator
         common = 0
@@ -359,10 +228,7 @@ def _build_worker_state(config: dict):
     network = network_from_dict(config["network"])
     pool = pool_from_dict(config["pool"])
     compiler = _JobCompiler(
-        network,
-        pool,
-        targets=config["targets"],
-        order=config["order"],
+        network, pool, targets=config["targets"], order=config["order"],
         engine=config["engine"],
     )
     cursor = _PrefixCursor(network, config["engine"])
@@ -399,8 +265,8 @@ def _serve_jobs(
         waited_from = time.perf_counter()
         record = stream.recv()
         recv_wait = time.perf_counter() - waited_from
-        if record[0] == "stop":
-            break
+        if record[0] != "job":
+            break  # stop, or a record out of turn
         message = record[1]
         jobs_seen += 1
         if targeted:
@@ -420,12 +286,7 @@ def _serve_jobs(
             stream.send(done)
         except Exception:
             stream.send(
-                (
-                    "error",
-                    worker_id,
-                    message.job_index,
-                    traceback.format_exc(),
-                )
+                ("error", worker_id, message.job_index, traceback.format_exc())
             )
             break
 
@@ -437,21 +298,19 @@ def _worker_payload(
     order,
     engine: str,
     fault: Optional[dict] = None,
-) -> bytes:
-    """The pickled join-time config the ``init`` record ships: documents
-    only (dicts, lists, strings, numbers)."""
+) -> dict:
+    """The join-time config the ``init`` record ships: documents only
+    (dicts, lists, strings, numbers)."""
     from ..network.serialize import network_to_dict, pool_to_dict
 
-    return pickle.dumps(
-        {
-            "network": network_to_dict(network),
-            "pool": pool_to_dict(pool),
-            "targets": list(target_names),
-            "order": order if isinstance(order, str) else [int(i) for i in order],
-            "engine": engine,
-            "fault": fault,
-        }
-    )
+    return {
+        "network": network_to_dict(network),
+        "pool": pool_to_dict(pool),
+        "targets": list(target_names),
+        "order": order if isinstance(order, str) else [int(i) for i in order],
+        "engine": engine,
+        "fault": fault,
+    }
 
 
 class DistributedCompiler:
@@ -464,41 +323,30 @@ class DistributedCompiler:
         targets: Optional[Sequence[str]] = None,
         order: "str | Sequence[int]" = "frequency",
         workers: int = 4,
-        job_size: "int | str" = 3,
+        job_size: int = 3,
         overhead: float = 0.0005,
         engine: str = "masked",
         kernel: Optional[str] = None,
-        target_job_cost: float = 0.01,
         fault_injection: Optional[dict] = None,
         steal: bool = True,
         listen: Optional[str] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        if type(workers) is not int or workers < 1:
+            raise ValueError(f"workers must be an int >= 1, got {workers!r}")
         if kernel is not None and ":" not in engine:
-            # The tier travels inside the engine string: worker configs
-            # and job pickles ship it unchanged, and make_evaluator
-            # parses it back out on the other side.
+            # The tier travels inside the engine string: the worker
+            # config ships it unchanged, and make_evaluator parses it
+            # back out on the other side.
             engine = f"{engine}:{kernel}"
-        self.adaptive = job_size == "adaptive"
-        if self.adaptive:
-            self.job_size = 3  # the sizer's starting point
-        else:
-            if not isinstance(job_size, int) or isinstance(job_size, bool):
-                raise ValueError(
-                    f"job_size must be an int >= 1 or 'adaptive', "
-                    f"got {job_size!r}"
-                )
-            if job_size < 1:
-                raise ValueError("job_size must be >= 1")
-            self.job_size = job_size
+        if type(job_size) is not int or job_size < 1:
+            raise ValueError(f"job_size must be an int >= 1, got {job_size!r}")
+        self.job_size = job_size
         self.network = network
         self.pool = pool
         self.workers = workers
         self.overhead = overhead
         self.engine = engine
         self.order = order
-        self.target_job_cost = target_job_cost
         self.fault_injection = fault_injection
         self.steal = steal
         self.listen = listen
@@ -534,13 +382,7 @@ class DistributedCompiler:
         interrupted).
         Both modes produce identical trees and bounds: a job is a pure
         function of its creation-time inputs, merged at deterministic
-        generation barriers.  The one carve-out is
-        ``job_size="adaptive"``: the sizer consumes *measured* job
-        costs (that is its job), so the fork-depth trajectory — and
-        with it the job partition and, for the ε-schemes, the exact
-        tree shape — may differ run to run and mode to mode; bounds
-        stay certified either way, and exact-scheme probabilities are
-        partition-independent.
+        generation barriers.
         """
         # The registry gate rejects schemes not marked distributed-capable;
         # the Shannon-set check guards against plugin schemes claiming the
@@ -603,31 +445,18 @@ class DistributedCompiler:
 
         ``execute_wave(wave, messages)`` runs one generation and returns
         its outcomes *in creation order*; everything order-dependent —
-        bound snapshots, eager budget shares, hybrid residual pooling,
-        adaptive sizing — happens here, at the barriers, so the result
-        is independent of how a wave's jobs are scheduled.
+        bound snapshots, eager budget shares, hybrid residual pooling —
+        happens here, at the barriers, so the result is independent of
+        how a wave's jobs are scheduled.
         """
         names = self.target_names
         lower = {name: 0.0 for name in names}
         upper = {name: 1.0 for name in names}
         residual_pool = {name: 0.0 for name in names}
         global_remaining = {name: 2.0 * epsilon for name in names}
-        sizer = (
-            AdaptiveJobSizer(
-                initial=self.job_size, target_cost=self.target_job_cost
-            )
-            if self.adaptive
-            else None
-        )
-        job_size = sizer.job_size if sizer is not None else self.job_size
-        root = Job(
-            index=0,
-            prefix=(),
-            prob=1.0,
-            active=tuple(names),
-            budgets={name: 2.0 * epsilon for name in names},
-        )
-        wave = [root]
+        wave = [
+            Job(0, (), 1.0, tuple(names), {name: 2.0 * epsilon for name in names})
+        ]
         executed: List[Job] = []
         parent_of: Dict[int, int] = {}
         totals = {"tree_nodes": 0, "evals": 0, "max_depth": 0}
@@ -647,17 +476,9 @@ class DistributedCompiler:
             snap_upper = dict(upper)
             messages = [
                 _JobMessage(
-                    job_index=job.index,
-                    scheme=scheme,
-                    epsilon=epsilon,
-                    job_size=job_size,
-                    prefix=job.prefix,
-                    prob=job.prob,
-                    active=job.active,
-                    budgets=dict(job.budgets),
-                    snap_lower=snap_lower,
-                    snap_upper=snap_upper,
-                    global_share=share,
+                    job.index, scheme, epsilon, self.job_size, job.prefix,
+                    job.prob, job.active, dict(job.budgets), snap_lower,
+                    snap_upper, share,
                 )
                 for job in wave
             ]
@@ -679,27 +500,16 @@ class DistributedCompiler:
                     residual_pool[name] += outcome.residual.get(name, 0.0)
                     global_remaining[name] += outcome.global_left[name]
                 for prefix, prob, active, budgets in outcome.children:
-                    child = Job(
-                        index=next_index,
-                        prefix=prefix,
-                        prob=prob,
-                        active=active,
-                        budgets=budgets,
-                    )
-                    parent_of[child.index] = job.index
-                    next_wave.append(child)
+                    next_wave.append(Job(next_index, prefix, prob, active, budgets))
+                    parent_of[next_index] = job.index
                     next_index += 1
-            if sizer is not None:
-                job_size = sizer.observe_wave(
-                    [outcome.cost for outcome in outcomes]
-                )
             wave = next_wave
         bounds = {name: (lower[name], upper[name]) for name in names}
-        return bounds, executed, parent_of, totals, job_size, sizer
+        return bounds, executed, parent_of, totals
 
     def _result(
         self, scheme, epsilon, bounds, executed, totals, *,
-        seconds, makespan, job_size, execution, sizer=None,
+        seconds, makespan, execution,
     ) -> CompilationResult:
         result = CompilationResult(
             bounds=bounds,
@@ -713,15 +523,12 @@ class DistributedCompiler:
             workers=self.workers,
             makespan=makespan,
         )
-        result.extra["job_size"] = float(job_size)
-        result.extra["adaptive_job_size"] = 1.0 if self.adaptive else 0.0
+        result.extra["job_size"] = float(self.job_size)
         result.extra["execution"] = _EXECUTION_CODES[execution]
         # Workers build their evaluators from the same engine string.
         from ..engine.kernels import record_kernel_tier
 
         record_kernel_tier(result.extra, self._compiler.evaluator)
-        if sizer is not None:
-            result.extra["job_sizing"] = sizer.report()
         return result
 
     # ------------------------------------------------------------------
@@ -758,10 +565,8 @@ class DistributedCompiler:
             return outcomes
 
         try:
-            bounds, executed, parent_of, totals, job_size, sizer = (
-                self._run_generations(
-                    scheme, epsilon, execute_wave, deadline=deadline
-                )
+            bounds, executed, parent_of, totals = self._run_generations(
+                scheme, epsilon, execute_wave, deadline=deadline
             )
         finally:
             # Balance the shared persistent evaluator on every exit
@@ -772,8 +577,7 @@ class DistributedCompiler:
         makespan = self._simulate_makespan(executed, parent_of)
         return self._result(
             scheme, epsilon, bounds, executed, totals,
-            seconds=wall, makespan=makespan, job_size=job_size,
-            execution="simulate", sizer=sizer,
+            seconds=wall, makespan=makespan, execution="simulate",
         )
 
     def _simulate_makespan(
@@ -815,20 +619,14 @@ class DistributedCompiler:
             # the teardown had to kill into the tally the next
             # successful run reports.
             self.close(force=True)
-        payload = _worker_payload(
-            self.network,
-            self.pool,
-            self.target_names,
-            self.order,
-            self.engine,
-            fault=self.fault_injection,
+        config = _worker_payload(
+            self.network, self.pool, self.target_names, self.order,
+            self.engine, fault=self.fault_injection,
         )
         if self.listen is not None:
-            pool = WorkerTransport.listen_for(
-                payload, self.workers, self.listen
-            )
+            pool = WorkerTransport.listen_for(config, self.workers, self.listen)
         else:
-            pool = WorkerTransport.spawn(payload, self.workers)
+            pool = WorkerTransport.spawn(config, self.workers)
         self._process_pool = pool
         return pool
 
@@ -846,10 +644,8 @@ class DistributedCompiler:
                     pool, wave, messages, deadline
                 )
 
-            bounds, executed, parent_of, totals, job_size, sizer = (
-                self._run_generations(
-                    scheme, epsilon, execute_wave, deadline=deadline
-                )
+            bounds, executed, parent_of, totals = self._run_generations(
+                scheme, epsilon, execute_wave, deadline=deadline
             )
         except BaseException:
             # Interrupt, timeout, worker error: never leave orphans —
@@ -859,8 +655,7 @@ class DistributedCompiler:
         elapsed = time.perf_counter() - started
         result = self._result(
             scheme, epsilon, bounds, executed, totals,
-            seconds=elapsed, makespan=elapsed, job_size=job_size,
-            execution="process", sizer=sizer,
+            seconds=elapsed, makespan=elapsed, execution="process",
         )
         result.extra["spawn_seconds"] = pool.spawn_seconds
         result.extra["worker_failures"] = float(pool.worker_failures)
@@ -1032,14 +827,13 @@ def compile_distributed(
     scheme: str = "hybrid",
     epsilon: float = 0.1,
     workers: int = 4,
-    job_size: "int | str" = 3,
+    job_size: int = 3,
     targets: Optional[Sequence[str]] = None,
     order: "str | Sequence[int]" = "frequency",
     execution: str = "simulate",
     engine: str = "masked",
     kernel: Optional[str] = None,
     timeout: Optional[float] = None,
-    target_job_cost: float = 0.01,
     steal: bool = True,
     listen: Optional[str] = None,
 ) -> CompilationResult:
@@ -1053,7 +847,6 @@ def compile_distributed(
         job_size=job_size,
         engine=engine,
         kernel=kernel,
-        target_job_cost=target_job_cost,
         steal=steal,
         listen=listen,
     )

@@ -14,10 +14,8 @@ class CompilationResult:
     ``L <= P[target] <= U``; for exact runs ``L == U`` up to floating
     point.  ``estimate`` returns the interval midpoint.
 
-    ``extra`` carries per-run instrumentation: flat ``float`` metrics
-    (``"steals"``, ``"recv_wait_seconds"``, ...) plus the occasional
-    structured entry (``"job_sizing"``, the adaptive sizer's decision
-    trail as a dict).
+    ``extra`` carries per-run instrumentation as flat metrics
+    (``"steals"``, ``"recv_wait_seconds"``, ...).
     """
 
     bounds: Dict[str, Tuple[float, float]]

@@ -1,13 +1,13 @@
 """The worker transport of the distributed compiler.
 
-Coordinator and workers exchange small pickled *records* —
-``("job", message)`` and ``("stop",)`` towards the worker,
-``("done", worker_id, job_index, outcome)`` and
-``("error", worker_id, job_index, traceback)`` back — through
+Coordinator and workers exchange small JSON *records* through
 :class:`FramedStream`, a length-prefixed framed codec over one stream
-socket: an 8-byte big-endian length header followed by the pickled
-record.  A frame header claiming more than :data:`MAX_FRAME_BYTES`
-raises :class:`FrameTooLarge` before any of its body is read.
+socket: an 8-byte big-endian length header followed by the record as
+compact UTF-8 JSON.  A frame header claiming more than
+:data:`MAX_FRAME_BYTES` raises :class:`FrameTooLarge` before any of its
+body is read; a body that is not one of the seven records of
+:data:`RECORDS` raises :class:`MalformedFrame`.  Peer bytes are only
+ever parsed as JSON and checked field by field — never executed.
 
 :class:`WorkerTransport` is the one pool behind
 ``execution="process"``.  :meth:`WorkerTransport.spawn` starts
@@ -17,14 +17,13 @@ construction and nothing listens anywhere;
 :meth:`WorkerTransport.listen_for` binds ``listen="host:port"`` and
 accepts ``repro cluster --connect`` workers, which can live on other
 machines.  Either way a worker joins with the same ``hello → init →
-ready`` handshake, deserializes the network and the pickled
-:class:`~repro.engine.masked.MaskedProgram` **once** from the ``init``
-payload, and then serves self-contained job messages until stopped.
-One writer per stream: a worker that dies mid-send corrupts only its
-own stream, which the coordinator observes as EOF.
+ready`` handshake, rebuilds the network from the ``init`` record's
+documents **once**, and then serves self-contained job messages until
+stopped.  One writer per stream: a worker that dies mid-send corrupts
+only its own stream, which the coordinator observes as EOF.
 
-The frame payload is still ``pickle``: a ``--listen`` port must only
-face trusted peers (ROADMAP item 4, the safe wire, replaces the codec).
+A ``--listen`` port is still unauthenticated: any peer that reaches it
+can join as a worker and report forged outcomes.
 
 The scheduling layer in :mod:`repro.compile.distributed` (work
 stealing, bounded in-flight dispatch, crash recovery) is written
@@ -36,23 +35,30 @@ lint covers this module too).
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
 import select
 import socket as socket_module
 import struct
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 #: Frame header: payload length as an 8-byte big-endian unsigned int.
 HEADER = struct.Struct(">Q")
 
 #: Largest frame body either side accepts.  The biggest legitimate frame
-#: is the join-time payload (pickled network + masked program); a header
-#: claiming more is a corrupt or hostile peer, and trusting it would
-#: buffer without bound.
+#: is the join-time ``init`` record (the network and variable-pool
+#: documents); a header claiming more is a corrupt or hostile peer, and
+#: trusting it would buffer without bound.
 MAX_FRAME_BYTES = 1 << 28
+
+#: Deepest nesting a frame body may have.  The deepest record, ``init``,
+#: nests 8 deep; the check runs before the parser, whose recursion is
+#: bounded only by the interpreter's recursion limit.
+MAX_DEPTH = 32
+_NOT_BRACKETS = bytes(sorted(set(range(256)) - set(b"[]{}")))
 
 _RECV_CHUNK = 1 << 16
 
@@ -83,6 +89,10 @@ class FrameTooLarge(ValueError):
     """A frame header claimed a body beyond :data:`MAX_FRAME_BYTES`."""
 
 
+class MalformedFrame(ValueError):
+    """A frame body that is not one of the seven wire records."""
+
+
 def _checked_length(length: int) -> int:
     if length > MAX_FRAME_BYTES:
         raise FrameTooLarge(
@@ -91,17 +101,203 @@ def _checked_length(length: int) -> int:
     return length
 
 
+Prefix = Tuple[Tuple[int, bool], ...]
+
+
+@dataclass
+class _JobMessage:
+    """One job on the coordinator→worker wire; self-contained."""
+
+    job_index: int
+    scheme: str
+    epsilon: float
+    job_size: int
+    prefix: Prefix  # the job root's assignments
+    prob: float
+    active: Tuple[str, ...]
+    budgets: Dict[str, float]
+    snap_lower: Dict[str, float]
+    snap_upper: Dict[str, float]
+    global_share: Dict[str, float]
+
+
+@dataclass
+class _Outcome:
+    """What one executed job reports back to the coordinator."""
+
+    lower_delta: Dict[str, float]
+    upper_delta: Dict[str, float]  # how much each upper bound shrank
+    residual: Dict[str, float]
+    global_left: Dict[str, float]  # unconsumed eager global-budget share
+    children: Sequence[tuple]  # (prefix, prob, active, budgets)
+    cost: float
+    tree_nodes: int
+    evals: int
+    max_depth: int
+    # Time the worker sat blocked waiting for this job's message.
+    recv_wait: float = 0.0
+
+
+# -- the wire schema: one checker per field -----------------------------
+#
+# ``int`` takes no bool, ``float`` any number, a map of numbers is keyed
+# by name, and an object has exactly its fields.  Lists decode to
+# tuples: a prefix is a tuple of ``(int, bool)`` tuples, as the
+# evaluator's own assignment, since a cursor compares prefixes entry by
+# entry.  Item types are collected with ``set(map(type, ...))`` so the
+# per-item work stays in C.
+
+_NUMBER = frozenset({int, float})
+
+
+def _ensure(valid: bool, value):
+    if not valid:
+        raise MalformedFrame(f"unexpected value {str(value)[:80]!r}")
+    return value
+
+
+def _of(*types):
+    """A checker for a value of exactly one of ``types``."""
+    return lambda value: _ensure(type(value) in types, value)
+
+
+# A document is checked in depth where it is used: network_from_dict
+# rejects a malformed section.
+_int, _float, _str, _document = _of(int), _of(*_NUMBER), _of(str), _of(dict)
+
+
+def _list_of(types: set, value) -> tuple:
+    return tuple(
+        _ensure(type(value) is list and set(map(type, value)) <= types, value)
+    )
+
+
+def _names(value) -> Tuple[str, ...]:
+    return _list_of({str}, value)
+
+
+def _floats(value) -> Dict[str, float]:
+    return _ensure(
+        type(value) is dict and set(map(type, value.values())) <= _NUMBER, value
+    )
+
+
+def _prefix(value) -> Prefix:
+    return tuple(
+        tuple(_ensure(
+            type(entry) is list and tuple(map(type, entry)) == (int, bool), entry
+        ))
+        for entry in _list_of({list}, value)
+    )
+
+
+def _child(value) -> tuple:
+    _ensure(type(value) is list and len(value) == 4, value)
+    prefix, prob, active, budgets = value
+    return _prefix(prefix), _float(prob), _names(active), _floats(budgets)
+
+
+def _order(value):
+    return value if type(value) is str else _list_of({int}, value)
+
+
+def _object(fields: dict, make=dict):
+    """A checker for an object with exactly ``fields``, built by ``make``."""
+    def check(value):
+        _ensure(type(value) is dict and value.keys() == fields.keys(), value)
+        return make(**{name: field(value[name]) for name, field in fields.items()})
+    return check
+
+
+#: The seven records and their fields.  ``hello(pid)`` opens a join,
+#: ``init(worker_id, config)`` answers it and ``ready(worker_id)``
+#: closes it; then ``job(message)`` and ``stop()`` go to the worker,
+#: ``done(worker_id, job_index, outcome)`` and
+#: ``error(worker_id, job_index, traceback)`` come back.
+RECORDS = {
+    "hello": (_int,),
+    "init": (_int, _object({
+        "network": _document, "pool": _document, "targets": _names,
+        "order": _order, "engine": _str,
+        "fault": lambda value: value if value is None else _floats(value),
+    })),
+    "ready": (_int,),
+    "job": (_object({
+        "job_index": _int, "scheme": _str, "epsilon": _float,
+        "job_size": _int, "prefix": _prefix, "prob": _float,
+        "active": _names, "budgets": _floats, "snap_lower": _floats,
+        "snap_upper": _floats, "global_share": _floats,
+    }, _JobMessage),),
+    "done": (_int, _int, _object({
+        "lower_delta": _floats, "upper_delta": _floats, "residual": _floats,
+        "global_left": _floats,
+        "children": lambda value: tuple(map(_child, _list_of({list}, value))),
+        "cost": _float, "tree_nodes": _int, "evals": _int, "max_depth": _int,
+        "recv_wait": _float,
+    }, _Outcome)),
+    "error": (_int, _int, _str),
+    "stop": (),
+}
+
+
+def encode_record(record: tuple) -> bytes:
+    """One record as compact UTF-8 JSON (dataclass fields as objects)."""
+    document = [
+        vars(field) if isinstance(field, (_JobMessage, _Outcome)) else field
+        for field in record
+    ]
+    return json.dumps(document, separators=(",", ":")).encode("utf-8")
+
+
+def _nests_deeper(body: bytes, limit: int) -> bool:
+    """Whether ``body``'s brackets nest deeper than ``limit`` (or do
+    not balance), read outside JSON strings in linear passes."""
+    # Drop escaped backslashes and quotes, then every string's content.
+    text = body.replace(b"\\\\", b"").replace(b'\\"', b"")
+    brackets = b"".join(text.split(b'"')[::2]).translate(None, _NOT_BRACKETS)
+    for _ in range(limit):
+        if not brackets:
+            return False
+        # Each pass strips the innermost level.
+        brackets = brackets.replace(b"[]", b"").replace(b"{}", b"")
+    return bool(brackets)
+
+
+def decode_record(body) -> tuple:
+    """Parse one frame body back into its record tuple.
+
+    Anything but one of the seven :data:`RECORDS` — bytes that are not
+    UTF-8 or not JSON, nesting too deep for the parser, an unknown kind,
+    the wrong arity or a field of the wrong type — raises
+    :class:`MalformedFrame`.
+    """
+    body = bytes(body)
+    if _nests_deeper(body, MAX_DEPTH):
+        raise MalformedFrame(f"frame body nests deeper than {MAX_DEPTH}")
+    try:
+        document = json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise MalformedFrame(f"frame body is not JSON: {exc}") from None
+    kind = document[0] if type(document) is list and document else None
+    fields = RECORDS.get(kind) if type(kind) is str else None
+    _ensure(fields is not None and len(document) == 1 + len(fields), document)
+    return (kind,) + tuple(
+        check(value) for check, value in zip(fields, document[1:])
+    )
+
+
 class FramedStream:
-    """Length-prefixed pickled records over one stream socket.
+    """Length-prefixed JSON records over one stream socket.
 
     Every frame is ``HEADER.pack(len(body)) + body`` where ``body`` is
-    the pickled record.  :meth:`recv` blocks for exactly one record;
-    :meth:`receive_available` drains whatever complete frames the
-    kernel buffer holds without blocking (the coordinator's select
-    loop).  A peer that dies mid-frame surfaces as ``EOFError`` — the
+    :func:`encode_record` of the record.  :meth:`recv` blocks for
+    exactly one record; :meth:`receive_available` drains whatever
+    complete frames the kernel buffer holds without blocking (the
+    coordinator's select loop).  A peer that dies mid-frame surfaces as ``EOFError`` — the
     partial frame is discarded, never delivered — and a header beyond
     :data:`MAX_FRAME_BYTES` as :class:`FrameTooLarge`, raised before the
-    body is read; the stream is unusable after either.
+    body is read, and a body that is no record as
+    :class:`MalformedFrame`; the stream is unusable after any of them.
     """
 
     def __init__(self, sock: socket_module.socket) -> None:
@@ -115,14 +311,14 @@ class FramedStream:
         self._buffer = bytearray()
 
     def send(self, record) -> None:
-        body = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+        body = encode_record(record)
         frame = HEADER.pack(_checked_length(len(body))) + body
         self.sock.sendall(frame)
         self.bytes_sent += len(frame)
 
     def send_partial(self, record) -> None:
         """Ship the header plus a truncated body (crash-injection tests)."""
-        body = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+        body = encode_record(record)
         frame = HEADER.pack(len(body)) + body[: max(1, len(body) // 2)]
         self.sock.sendall(frame)
         self.bytes_sent += len(frame)
@@ -141,7 +337,7 @@ class FramedStream:
     def recv(self):
         """Block until one complete record arrives."""
         (length,) = HEADER.unpack(self._read_exact(HEADER.size))
-        return pickle.loads(self._read_exact(_checked_length(length)))
+        return decode_record(self._read_exact(_checked_length(length)))
 
     def receive_available(self) -> Tuple[list, bool]:
         """Drain buffered complete frames; returns ``(records, eof)``.
@@ -177,7 +373,7 @@ class FramedStream:
             end = start + HEADER.size + _checked_length(length)
             if len(buffer) < end:
                 break
-            records.append(pickle.loads(buffer[start + HEADER.size : end]))
+            records.append(decode_record(buffer[start + HEADER.size : end]))
             start = end
         del buffer[:start]
         return records, eof
@@ -232,24 +428,23 @@ class WorkerHandle:
 
 
 def _expect(stream: FramedStream, kind: str) -> None:
-    record = stream.recv()
-    if not (isinstance(record, tuple) and record[:1] == (kind,)):
-        raise ValueError(f"expected a {kind!r} record from the worker")
+    if stream.recv()[0] != kind:
+        raise MalformedFrame(f"expected a {kind!r} record from the worker")
 
 
 def _handshake(
-    stream: FramedStream, worker_id: int, payload: bytes, timeout: float
+    stream: FramedStream, worker_id: int, config: dict, timeout: float
 ) -> None:
     """Coordinator side of the join: ``hello`` → ``init`` → ``ready``.
 
     The worker opens with ``("hello", pid)``; the coordinator replies
-    ``("init", worker_id, payload)``; the worker deserializes the
-    payload — network, variable pool, masked program — once, and
-    confirms with ``("ready", worker_id)``.  Anything else raises.
+    ``("init", worker_id, config)``; the worker rebuilds the network
+    and variable pool from the config's documents once, and confirms
+    with ``("ready", worker_id)``.  Anything else raises.
     """
     stream.sock.settimeout(timeout)
     _expect(stream, "hello")
-    stream.send(("init", worker_id, payload))
+    stream.send(("init", worker_id, config))
     _expect(stream, "ready")
     stream.sock.settimeout(None)
 
@@ -266,7 +461,7 @@ class WorkerTransport:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def spawn(cls, payload: bytes, workers: int) -> "WorkerTransport":
+    def spawn(cls, config: dict, workers: int) -> "WorkerTransport":
         """Spawn local workers, each on its own private socket pair."""
         import multiprocessing
 
@@ -290,7 +485,7 @@ class WorkerTransport:
                 )
             for worker in transport.workers:
                 _handshake(
-                    worker.stream, worker.worker_id, payload, SPAWN_SECONDS
+                    worker.stream, worker.worker_id, config, SPAWN_SECONDS
                 )
         except BaseException:
             # Partial spawn (e.g. the OS process limit): the caller
@@ -304,7 +499,7 @@ class WorkerTransport:
     @classmethod
     def listen_for(
         cls,
-        payload: bytes,
+        config: dict,
         workers: int,
         address: str,
         join_timeout: Optional[float] = None,
@@ -346,10 +541,11 @@ class WorkerTransport:
                 stream = FramedStream(conn)
                 worker_id = len(transport.workers)
                 try:
-                    _handshake(stream, worker_id, payload, HANDSHAKE_SECONDS)
-                except Exception:
+                    _handshake(stream, worker_id, config, HANDSHAKE_SECONDS)
+                except (OSError, EOFError, FrameTooLarge, MalformedFrame):
                     # Not a worker (port scan, health check, hostile
-                    # peer): unpickling its bytes can raise anything.
+                    # peer): a timeout, a close, or a frame that is too
+                    # large, malformed or out of turn.
                     stream.close()
                     continue
                 transport.workers.append(WorkerHandle(worker_id, stream))
@@ -384,9 +580,11 @@ class WorkerTransport:
                 continue
             try:
                 drained, eof = worker.stream.receive_available()
-            except (OSError, FrameTooLarge):
-                # A torn socket or a forged length header: drop the
-                # worker; the scheduler requeues its jobs.
+                if any(record[0] not in ("done", "error") for record in drained):
+                    raise MalformedFrame("a worker sent a coordinator record")
+            except (OSError, FrameTooLarge, MalformedFrame):
+                # A torn socket, a forged length header or a malformed
+                # frame: drop the worker; the scheduler requeues its jobs.
                 drained, eof = [], True
             records.extend((worker, record) for record in drained)
             if eof:
@@ -454,9 +652,9 @@ def _serve_connection(
 ) -> int:
     """Join the coordinator behind ``sock`` and serve jobs until stopped.
 
-    Run the join handshake, deserialize the shipped network/program
-    payload once, then loop on job records until the stop record — or
-    the coordinator's disappearance — ends the session.
+    Run the join handshake, rebuild the shipped network and pool once,
+    then loop on job records until the stop record — or the
+    coordinator's disappearance or a malformed frame — ends the session.
     """
     # Lazy import: this module is the transport layer underneath
     # repro.compile.distributed, which imports it at module scope.
@@ -466,18 +664,18 @@ def _serve_connection(
     try:
         stream.send(("hello", os.getpid()))
         init = stream.recv()
-        if not (isinstance(init, tuple) and init[0] == "init"):
-            raise RuntimeError(f"unexpected handshake record {init!r}")
-        worker_id, payload = init[1], init[2]
-        config = pickle.loads(payload)
+        if init[0] != "init":
+            raise MalformedFrame(f"expected an 'init' record, got {init[0]!r}")
+        worker_id, config = init[1], init[2]
         compiler, cursor = _build_worker_state(config)
         if fault is None:
             fault = config.get("fault") or {}
         stream.send(("ready", worker_id))
         try:
             _serve_jobs(worker_id, compiler, cursor, fault, stream)
-        except (EOFError, OSError):
-            # The coordinator went away; nothing left to serve.
+        except (EOFError, OSError, FrameTooLarge, MalformedFrame):
+            # The coordinator went away, or its stream no longer carries
+            # records: nothing left to serve.
             pass
     finally:
         stream.close()

@@ -232,7 +232,7 @@ class ENFrame:
         order: "str | Sequence[int]" = "frequency",
         ordering: "str | Sequence[int] | None" = None,
         workers: Optional[int] = None,
-        job_size: "int | str" = 3,
+        job_size: int = 3,
         execution: str = "simulate",
         timeout: Optional[float] = None,
         samples: int = 1000,
@@ -256,9 +256,11 @@ class ENFrame:
         ``"process"`` — true multi-process workers; with
         ``listen="host:port"`` the run waits for remote
         ``repro cluster --connect`` workers instead of spawning local
-        ones) and ``job_size`` is the fork depth (an ``int`` or
-        ``"adaptive"`` for the measured-cost model); options irrelevant
-        to the chosen scheme are ignored.  ``order``/``ordering`` (the
+        ones) and ``job_size`` is the fork depth (an ``int`` >= 1);
+        options irrelevant to the chosen scheme are ignored, though a
+        value of the wrong type or range raises ``ValueError`` (see
+        :func:`repro.engine.registry.normalise_options`).
+        ``order``/``ordering`` (the
         latter wins when both are given) select the Shannon schemes'
         variable-ordering strategy
         (:func:`repro.compile.ordering.make_order`).  ``kernel`` picks

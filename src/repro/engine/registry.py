@@ -35,6 +35,7 @@ Capabilities drive dispatch-time normalisation:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
@@ -179,8 +180,7 @@ class SchemeOptions:
     ``execution`` selects how a ``distributed``-capable scheme runs its
     workers (``"simulate"`` or ``"process"``; see
     :mod:`repro.compile.distributed`); ``job_size`` is the distributed
-    fork depth, either an explicit ``int`` or ``"adaptive"`` for the
-    online cost model.  ``listen`` (``"host:port"``) makes a process run
+    fork depth.  ``listen`` (``"host:port"``) makes a process run
     wait for remote ``repro cluster --connect`` workers instead of
     spawning them locally.
 
@@ -204,7 +204,7 @@ class SchemeOptions:
     epsilon: float = 0.0
     order: "str | Sequence[int]" = "frequency"
     workers: Optional[int] = None
-    job_size: "int | str" = 3
+    job_size: int = 3
     execution: str = "simulate"
     timeout: Optional[float] = None
     samples: int = 1000
@@ -357,7 +357,7 @@ def normalise_options(
     order: "str | Sequence[int]" = "frequency",
     ordering: "str | Sequence[int] | None" = None,
     workers: Optional[int] = None,
-    job_size: "int | str" = 3,
+    job_size: int = 3,
     execution: str = "simulate",
     timeout: Optional[float] = None,
     samples: int = 1000,
@@ -395,8 +395,33 @@ def normalise_options(
     without the ``kernel`` capability.  ``evidence`` is canonicalised
     through :func:`normalise_evidence` (malformed entries raise) and
     dropped to ``()`` for schemes without the ``evidence`` capability.
+
+    Values are checked for type and range whether or not the scheme
+    uses them (``ValueError``; a bool is never a number here):
+    ``workers`` (unless ``None``), ``job_size`` and ``samples`` are
+    ints >= 1, ``timeout`` is ``None`` or finite and > 0,
+    ``0.5 < confidence < 1``, and ``epsilon`` is finite and >= 0
+    (whether an epsilon scheme accepts 0 is its own business:
+    ``lazy-cond`` falls back to exact, ``hybrid`` raises).
     """
     spec = get_scheme(name)
+    for option, value, valid, rule in (
+        ("workers", workers, workers is None or _count(workers),
+         "None or an int >= 1"),
+        ("job_size", job_size, _count(job_size), "an int >= 1"),
+        ("samples", samples, _count(samples), "an int >= 1"),
+        ("timeout", timeout,
+         timeout is None or _number(timeout) and 0.0 < timeout < math.inf,
+         "None or a finite number > 0"),
+        ("confidence", confidence,
+         _number(confidence) and 0.5 < confidence < 1.0,
+         "a number in (0.5, 1)"),
+        ("epsilon", epsilon,
+         _number(epsilon) and 0.0 <= epsilon < math.inf,
+         "a finite number >= 0"),
+    ):
+        if not valid:
+            raise ValueError(f"{option} must be {rule}, got {value!r}")
     canonical_evidence = normalise_evidence(evidence)
     if kernel is not None:
         from .kernels import KERNEL_NAMES
@@ -409,7 +434,7 @@ def normalise_options(
     distributed = spec.has(CAP_DISTRIBUTED) and workers is not None
     normalised_execution = execution if distributed else "simulate"
     return SchemeOptions(
-        epsilon=epsilon if spec.has(CAP_EPSILON) else 0.0,
+        epsilon=float(epsilon) if spec.has(CAP_EPSILON) else 0.0,
         order=order if ordering is None else ordering,
         workers=workers if spec.has(CAP_DISTRIBUTED) else None,
         job_size=job_size,
@@ -417,11 +442,19 @@ def normalise_options(
         timeout=timeout if spec.has(CAP_TIMEOUT) or distributed else None,
         samples=samples if statistical else 1000,
         seed=seed if statistical else 0,
-        confidence=confidence if statistical else 0.95,
+        confidence=float(confidence) if statistical else 0.95,
         kernel=kernel if spec.has(CAP_KERNEL) else None,
         listen=listen if normalised_execution == "process" else None,
         evidence=canonical_evidence if spec.has(CAP_EVIDENCE) else (),
     )
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def run_scheme(

@@ -341,15 +341,15 @@ class ReproServer:
         try:
             options = normalise_options(
                 scheme,
-                epsilon=float(payload.get("epsilon", 0.0)),
+                epsilon=payload.get("epsilon", 0.0),
                 ordering=order,
                 workers=payload.get("workers"),
                 job_size=payload.get("job_size", 3),
                 execution=execution,
                 timeout=payload.get("timeout"),
-                samples=int(payload.get("samples", 1000)),
+                samples=payload.get("samples", 1000),
                 seed=int(payload.get("seed", 0)),
-                confidence=float(payload.get("confidence", 0.95)),
+                confidence=payload.get("confidence", 0.95),
                 kernel=payload.get("kernel"),
                 evidence=evidence,
             )

@@ -119,6 +119,36 @@ class TestValidation:
             with pytest.raises(ValueError, match="unknown execution mode"):
                 coordinator.run(execution=execution)
 
+    def test_bad_job_size_rejected(self):
+        # The fork depth is an int >= 1 on every surface; "adaptive"
+        # is not a depth.
+        from repro import ENFrame, KMedoidsSpec
+        from repro.cli import main
+        from repro.engine.registry import run_scheme
+
+        pool, network, _ = make_instance()
+        platform = ENFrame.from_sensor_data(
+            5, scheme="mutex", seed=2, group_size=2
+        ).kmedoids(KMedoidsSpec(k=2, iterations=1))
+        for bad in ("adaptive", "bogus", 2.5, 0, True):
+            with pytest.raises(ValueError):
+                DistributedCompiler(network, pool, job_size=bad)
+            with pytest.raises(ValueError):
+                compile_distributed(network, pool, workers=2, job_size=bad)
+            with pytest.raises(ValueError):
+                run_scheme("exact", network, pool, workers=2, job_size=bad)
+            with pytest.raises(ValueError):
+                platform.run("exact", workers=2, job_size=bad)
+        for bad in ("adaptive", "0"):
+            argv = ["cluster", "--objects", "5", "--group-size", "2",
+                    "--algorithm", "exact", "--workers", "2",
+                    "--job-size", bad]
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: not an int
+                code = exc.code
+            assert code == 2
+
 
 def make_wide_instance(seed: int = 5):
     """A wider instance whose waves outnumber workers * PIPELINE_DEPTH.
@@ -162,9 +192,8 @@ class TestWorkerPayload:
 
     @pytest.mark.parametrize("folded", [False, True])
     def test_init_carries_only_documents(self, folded):
-        import pickle
-
         from repro.compile.distributed import _build_worker_state, _worker_payload
+        from repro.compile.transport import decode_record, encode_record
         from repro.engine.masked import masked_program
 
         if folded:
@@ -179,14 +208,15 @@ class TestWorkerPayload:
         else:
             pool, network, _ = make_instance()
         coordinator = DistributedCompiler(network, pool, workers=2)
-        payload = _worker_payload(
+        config = _worker_payload(
             network, pool, coordinator.target_names, [0, 1], "masked"
         )
-        config = pickle.loads(payload)
         assert "program" not in config
         assert _document_types(config) <= {
             dict, list, str, int, float, bool, type(None)
         }
+        # The init record carries the config itself, as JSON.
+        _, _, config = decode_record(encode_record(("init", 0, config)))
         compiler, _ = _build_worker_state(config)
         expected = masked_program(network)
         lowered = compiler.evaluator._prog
@@ -505,97 +535,3 @@ class TestShutdownReporting:
             assert result.extra["workers_killed"] >= 1.0
         finally:
             coordinator.close(force=True)
-
-
-class TestAdaptiveJobSizer:
-    def test_converges_on_synthetic_exponential_costs(self):
-        # Per-job cost doubles with the fork depth: cost(d) = c0 * 2^d.
-        # The sizer must settle at a depth whose cost sits inside the
-        # [target/2, 2*target] dead band and stay there.
-        from repro.compile.distributed import AdaptiveJobSizer
-
-        base_cost = 0.0005
-        sizer = AdaptiveJobSizer(initial=1, target_cost=0.01)
-        history = []
-        for _ in range(30):
-            depth = sizer.job_size
-            history.append(depth)
-            sizer.observe_wave([base_cost * (2.0 ** depth)] * 8)
-        settled = history[-5:]
-        assert len(set(settled)) == 1  # no oscillation once converged
-        final_cost = base_cost * (2.0 ** settled[0])
-        assert 0.5 * sizer.target_cost <= final_cost <= 2.0 * sizer.target_cost
-
-    def test_splits_when_jobs_run_long(self):
-        from repro.compile.distributed import AdaptiveJobSizer
-
-        sizer = AdaptiveJobSizer(initial=6, target_cost=0.01)
-        sizer.observe_wave([1.0, 1.0])
-        assert sizer.job_size == 5
-
-    def test_merges_when_jobs_run_short(self):
-        from repro.compile.distributed import AdaptiveJobSizer
-
-        sizer = AdaptiveJobSizer(initial=2, target_cost=0.01)
-        sizer.observe_wave([1e-6, 1e-6])
-        assert sizer.job_size == 3
-
-    def test_respects_bounds_and_validation(self):
-        from repro.compile.distributed import AdaptiveJobSizer
-
-        sizer = AdaptiveJobSizer(initial=1, target_cost=0.01, max_size=2)
-        for _ in range(10):
-            sizer.observe_wave([1e-9])
-        assert sizer.job_size == 2
-        with pytest.raises(ValueError):
-            AdaptiveJobSizer(initial=0)
-        with pytest.raises(ValueError):
-            AdaptiveJobSizer(target_cost=0.0)
-
-    def test_adaptive_job_size_through_all_entry_points(self):
-        pool, network, _ = make_instance()
-        sequential = compile_network(network, pool)
-        result = compile_distributed(
-            network, pool, scheme="exact", workers=3, job_size="adaptive"
-        )
-        # Exact bounds are partition-independent: any job sizing must
-        # reproduce the sequential probabilities exactly.
-        for name in sequential.bounds:
-            assert result.bounds[name][0] == pytest.approx(
-                sequential.bounds[name][0]
-            )
-        assert result.extra["adaptive_job_size"] == 1.0
-        from repro.engine.registry import run_scheme
-
-        via_registry = run_scheme(
-            "exact", network, pool, workers=2, job_size="adaptive"
-        )
-        for name in sequential.bounds:
-            assert via_registry.bounds[name][0] == pytest.approx(
-                sequential.bounds[name][0]
-            )
-
-    def test_job_sizing_decision_trail_in_extra(self):
-        pool, network, _ = make_instance()
-        result = compile_distributed(
-            network, pool, scheme="exact", workers=2, job_size="adaptive"
-        )
-        sizing = result.extra["job_sizing"]
-        assert sizing["final_depth"] >= 1.0
-        assert sizing["target_cost"] > 0.0
-        assert sizing["waves"], "the decision trail must list every wave"
-        for wave in sizing["waves"]:
-            assert set(wave) == {
-                "depth", "jobs", "mean_cost", "ewma_cost", "next_depth"
-            }
-        fixed = compile_distributed(
-            network, pool, scheme="exact", workers=2, job_size=2
-        )
-        assert "job_sizing" not in fixed.extra
-
-    def test_bad_job_size_rejected(self):
-        pool, network, _ = make_instance()
-        with pytest.raises(ValueError):
-            DistributedCompiler(network, pool, job_size="bogus")
-        with pytest.raises(ValueError):
-            DistributedCompiler(network, pool, job_size=2.5)

@@ -536,6 +536,34 @@ class TestValidation:
                 client.query(network="net", **payload)
             assert err.value.status == 400, payload
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            dict(scheme="exact", workers=2, job_size="bad"),
+            dict(scheme="exact", workers=2, job_size=0),
+            dict(scheme="exact", workers=2, job_size=True),
+            dict(scheme="exact", workers=2, job_size="adaptive"),
+            dict(scheme="exact", workers=0),
+            dict(scheme="exact", workers="two"),
+            dict(scheme="exact", workers=2.5),
+            dict(scheme="exact", workers=True),
+            dict(scheme="exact", workers=2, timeout="x"),
+            dict(scheme="naive", timeout="x"),
+            dict(scheme="montecarlo", samples=0),
+            dict(scheme="montecarlo", confidence=1.5),
+            dict(scheme="hybrid", epsilon=-1),
+        ],
+        ids=lambda payload: "-".join(f"{k}={v}" for k, v in payload.items()),
+    )
+    def test_out_of_range_options_are_400(self, client, payload):
+        # Each is refused before a pass runs, and the server carries on.
+        pool, network = small_instance()
+        client.put_network("net", network, pool)
+        with pytest.raises(ServeClientError) as err:
+            client.query(network="net", **payload)
+        assert err.value.status == 400, payload
+        assert client.query(network="net", scheme="exact")["bounds"]
+
     def test_malformed_documents_rejected(self, client):
         with pytest.raises(ServeClientError) as err:
             client.put_network_document("net", {"network": {"bogus": 1}})

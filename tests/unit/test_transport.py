@@ -3,12 +3,13 @@
 The codec-level contracts the worker pool relies on: length-prefixed
 frames survive arbitrary segmentation, a peer that dies mid-frame is
 observed as EOF with the partial frame *discarded* (never delivered as
-a truncated record), and a forged length header is refused before its
-body is buffered — over the ``AF_UNIX`` pair a spawned worker gets and
-over the TCP connection a ``--connect`` worker makes.
+a truncated record), a forged length header is refused before its body
+is buffered, and a forged body — anything but one of the seven JSON
+records — is refused as :class:`MalformedFrame`, never executed; over
+the ``AF_UNIX`` pair a spawned worker gets and over the TCP connection
+a ``--connect`` worker makes.
 """
 
-import pickle
 import socket
 import time
 
@@ -19,6 +20,13 @@ from repro.compile.transport import (
     HEADER,
     FrameTooLarge,
     FramedStream,
+    MalformedFrame,
+    WorkerHandle,
+    WorkerTransport,
+    _JobMessage,
+    _Outcome,
+    decode_record,
+    encode_record,
     parse_address,
     serve_worker,
 )
@@ -54,8 +62,11 @@ class TestFramedStream:
         client, server = self.make_pair()
         sender, receiver = FramedStream(client), FramedStream(server)
         try:
-            records = [("job", {"depth": 3}), ("done", 0, 7, [1.0, 2.0]),
-                       ("stop",)]
+            # Quotes, backslashes and brackets inside a string are text,
+            # not nesting.
+            tricky = 'a "quoted" \\" \\\\ [[[[ {{ ' + "[" * 100
+            records = [("hello", 4242), ("error", 0, 7, tricky),
+                       ("ready", 3), ("stop",)]
             for record in records:
                 sender.send(record)
             assert [receiver.recv() for _ in records] == records
@@ -68,11 +79,11 @@ class TestFramedStream:
         client, server = self.make_pair()
         sender, receiver = FramedStream(client), FramedStream(server)
         try:
-            sender.send(("done", 0, 1, "first"))
-            sender.send(("done", 0, 2, "second"))
+            sender.send(("error", 0, 1, "first"))
+            sender.send(("error", 0, 2, "second"))
             # A trailing partial frame: header promising more bytes than
             # are ever sent.
-            body = pickle.dumps(("done", 0, 3, "never-finished"))
+            body = encode_record(("error", 0, 3, "never-finished"))
             client.sendall(HEADER.pack(len(body)) + body[: len(body) // 2])
             deadline_records = []
             while len(deadline_records) < 2:
@@ -80,7 +91,7 @@ class TestFramedStream:
                 assert not eof
                 deadline_records.extend(drained)
             assert deadline_records == [
-                ("done", 0, 1, "first"), ("done", 0, 2, "second")
+                ("error", 0, 1, "first"), ("error", 0, 2, "second")
             ]
             # The partial frame stays buffered, not delivered.
             drained, eof = receiver.receive_available()
@@ -93,7 +104,7 @@ class TestFramedStream:
         client, server = self.make_pair()
         receiver = FramedStream(server)
         try:
-            body = pickle.dumps(("done", 1, 9, "truncated"))
+            body = encode_record(("error", 1, 9, "truncated"))
             client.sendall(HEADER.pack(len(body)) + body[: len(body) // 2])
             client.close()  # the worker dies mid-send
             records = []
@@ -111,7 +122,7 @@ class TestFramedStream:
         client, server = self.make_pair()
         sender, receiver = FramedStream(client), FramedStream(server)
         try:
-            sender.send_partial(("done", 0, 0, "half"))
+            sender.send_partial(("error", 0, 0, "half"))
             sender.close()
             drained, eof = [], False
             while not eof:
@@ -156,7 +167,7 @@ class TestFrameCap:
         client, server = self.make_pair()
         sender, receiver = FramedStream(client), FramedStream(server)
         try:
-            sender.send(("done", 0, 1, "honest"))
+            sender.send(("error", 0, 1, "honest"))
             client.sendall(self.FORGED)
             deadline = time.monotonic() + 10.0
             with pytest.raises(FrameTooLarge):
@@ -169,8 +180,8 @@ class TestFrameCap:
     def test_frame_exactly_at_the_cap_passes_one_byte_more_does_not(
         self, monkeypatch
     ):
-        record = ("done", 0, 1, "x" * 64)
-        body = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+        record = ("error", 0, 1, "x" * 64)
+        body = encode_record(record)
         client, server = self.make_pair()
         sender, receiver = FramedStream(client), FramedStream(server)
         try:
@@ -194,6 +205,126 @@ class TestFrameCap:
             receiver.close()
 
 
+def job_message(prefix=((0, True), (3, False))):
+    return _JobMessage(
+        job_index=5, scheme="hybrid", epsilon=0.1, job_size=2,
+        prefix=prefix, prob=0.25, active=("t0", "t1"),
+        budgets={"t0": 0.2, "t1": 0.2},
+        snap_lower={"t0": 0.0, "t1": 0.1},
+        snap_upper={"t0": 1.0, "t1": 0.9},
+        global_share={"t0": 0.1, "t1": 0.1},
+    )
+
+
+def outcome():
+    return _Outcome(
+        lower_delta={"t0": 0.1}, upper_delta={"t0": 1 / 3},
+        residual={"t0": 0.0}, global_left={"t0": 0.05},
+        children=((((0, True), (1, False)), 0.125, ("t0",), {"t0": 0.1}),),
+        cost=0.001, tree_nodes=7, evals=12, max_depth=3, recv_wait=1e-5,
+    )
+
+
+#: Frame bodies that are no record: each must raise MalformedFrame.
+FORGED_BODIES = {
+    "not-utf8": b"\xff\xfe\x80",
+    "not-json": b"['stop']",
+    "too-deep": b"[" * 100_000 + b"]" * 100_000,
+    "unknown-kind": b'["launch",1]',
+    "wrong-arity": b'["ready",1,2]',
+    "bool-worker-id": b'["ready",true]',
+    "string-prefix-entry": encode_record(
+        ("job", job_message(prefix=(("0", True),)))
+    ),
+    "bool-in-init-order": encode_record(("init", 0, {
+        "network": {}, "pool": {}, "targets": ["t0"], "order": [True],
+        "engine": "masked", "fault": None,
+    })),
+}
+
+
+class TestRecordCodec:
+    def test_job_and_outcome_round_trip_with_tuple_prefixes(self):
+        job = decode_record(encode_record(("job", job_message())))
+        assert job == ("job", job_message())
+        assert type(job[1].prefix) is tuple
+        assert all(type(entry) is tuple for entry in job[1].prefix)
+        assert type(job[1].active) is tuple
+        done = decode_record(encode_record(("done", 1, 5, outcome())))
+        assert done == ("done", 1, 5, outcome())
+        (child,) = done[3].children
+        assert type(child) is tuple and type(child[0]) is tuple
+        assert all(type(entry) is tuple for entry in child[0])
+        # Floats round-trip bit for bit.
+        assert done[3].upper_delta["t0"] == 1 / 3
+
+
+class TestMalformedFrame:
+    """A frame body is outside input: it is parsed as data, never run."""
+
+    make_pair = staticmethod(tcp_pair)
+
+    @pytest.mark.parametrize("name", sorted(FORGED_BODIES))
+    def test_forged_body_raises_from_recv(self, name):
+        client, server = self.make_pair()
+        receiver = FramedStream(server)
+        try:
+            body = FORGED_BODIES[name]
+            client.sendall(HEADER.pack(len(body)) + body)
+            assert issubclass(MalformedFrame, ValueError)
+            with pytest.raises(MalformedFrame):
+                receiver.recv()
+        finally:
+            client.close()
+            receiver.close()
+
+    @pytest.mark.parametrize("name", sorted(FORGED_BODIES))
+    def test_forged_body_raises_from_the_nonblocking_drain(self, name):
+        client, server = self.make_pair()
+        sender, receiver = FramedStream(client), FramedStream(server)
+        try:
+            sender.send(("error", 0, 1, "honest"))
+            body = FORGED_BODIES[name]
+            client.sendall(HEADER.pack(len(body)) + body)
+            deadline = time.monotonic() + 10.0
+            with pytest.raises(MalformedFrame):
+                while time.monotonic() < deadline:  # until the body lands
+                    receiver.receive_available()
+        finally:
+            sender.close()
+            receiver.close()
+
+    @pytest.mark.parametrize(
+        "name", sorted(FORGED_BODIES) + ["out-of-turn"]
+    )
+    def test_wait_drops_the_sender_and_keeps_its_peer(self, name):
+        body = FORGED_BODIES.get(name) or encode_record(("stop",))
+        hostile_ours, hostile = self.make_pair()
+        honest_ours, honest = self.make_pair()
+        pool = WorkerTransport()
+        pool.workers = [
+            WorkerHandle(0, FramedStream(hostile_ours)),
+            WorkerHandle(1, FramedStream(honest_ours)),
+        ]
+        try:
+            hostile.sendall(HEADER.pack(len(body)) + body)
+            FramedStream(honest).send(("done", 1, 4, outcome()))
+            records = []
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and (
+                pool.workers[0].alive() or not records
+            ):
+                records.extend(pool.wait(0.1))
+            assert [
+                (worker.worker_id, record) for worker, record in records
+            ] == [(1, ("done", 1, 4, outcome()))]
+            assert [worker.worker_id for worker in pool.alive_workers()] == [1]
+        finally:
+            pool.shutdown(force=True)
+            hostile.close()
+            honest.close()
+
+
 class TestFramedStreamOverSocketpair(TestFramedStream):
     """The same contracts on a spawned worker's ``AF_UNIX`` pair."""
 
@@ -202,6 +333,20 @@ class TestFramedStreamOverSocketpair(TestFramedStream):
 
 class TestFrameCapOverSocketpair(TestFrameCap):
     make_pair = staticmethod(socket.socketpair)
+
+
+class TestMalformedFrameOverSocketpair(TestMalformedFrame):
+    make_pair = staticmethod(socket.socketpair)
+
+
+class _OpensAFile:
+    """A pickle that opens ``path`` when it is loaded."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
 
 
 class TestServeWorker:
@@ -214,3 +359,44 @@ class TestServeWorker:
         probe.close()
         with pytest.raises(OSError):
             serve_worker(f"127.0.0.1:{port}", retry_seconds=0.3)
+
+    def test_a_pickled_hello_is_never_executed(self, tmp_path):
+        # A peer that sends a pickle instead of a hello is one more
+        # stray connection: its bytes are not run, it is closed, and
+        # the join times out as it does for any peer that is no worker.
+        import pickle
+        import threading
+
+        from ..conftest import free_port
+
+        marker = tmp_path / "executed"
+        body = pickle.dumps(("hello", _OpensAFile(str(marker))))
+        port = free_port()
+        raised = []
+
+        def coordinator():
+            try:
+                WorkerTransport.listen_for(
+                    {}, 1, f"127.0.0.1:{port}", join_timeout=1.0
+                )
+            except TimeoutError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=coordinator, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 10.0
+        while True:
+            try:
+                peer = socket.create_connection(("127.0.0.1", port))
+                break
+            except OSError:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+        with peer:
+            peer.sendall(HEADER.pack(len(body)) + body)
+            peer.settimeout(10.0)
+            assert peer.recv(1) == b""  # dropped, never answered
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert len(raised) == 1
+        assert not marker.exists()
